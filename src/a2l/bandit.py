@@ -1,9 +1,9 @@
 """Epoch-based bandit-feedback dynamics with utility-vector estimation.
 
 Players only observe the realized payoff of the action they sample, so the
-average-playing reduction cannot reconstruct utility vectors directly.
-Instead, play proceeds in epochs t = 1, 2, ...: each player i holds the
-running average xbar^t of its inner OMWU iterates, mixes it with the uniform
+average-playing reduction cannot see utility vectors directly.  Instead,
+play proceeds in epochs t = 1, 2, ...: each player i holds the running
+average xbar^t of its inner OMWU iterates, mixes it with the uniform
 distribution,
 
     xbar_eps^t = (1 - eps_t) xbar^t + eps_t * uniform,
@@ -14,11 +14,16 @@ estimates its average utility vector by per-action empirical means:
     Uhat^t[a] = (sum of rewards observed on action a) / (times a was drawn)
 
 An action never drawn in the epoch gets estimate 0 and is flagged.  The
-utility vector at the (unplayed) inner iterate is then reconstructed as
+averaging and the reconstruction of the utility vector at the (unplayed)
+inner iterate,
 
-    uhat^t = t * Uhat^t - (t - 1) * Uhat^{t-1}
+    uhat^t = t * Uhat^t - (t - 1) * Uhat^{t-1},
 
-and fed to the inner OMWU learner, one update per epoch.
+are the package's one reduction, ``reduction.A2L``, wrapped around OMWU
+and fed Uhat^t once per epoch.  ``BanditPlayer`` holds one player's whole
+pipeline (reduction, monitor, fallback); ``run_bandit`` drives one per
+player on a game, ``run_bandit_vs_environment`` one against an
+environment callback.
 
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
@@ -46,9 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvrows import _csv_lines
 from .games import PolymatrixGame
 from .learners import OMWU, softmax
-from .reduction import update_running_mean
+from .reduction import A2L
 
 
 class DataError(ValueError):
@@ -131,11 +137,6 @@ class EpochEstimate:
     estimate: np.ndarray
     unsampled: np.ndarray  # boolean mask of never-sampled actions
 
-    @classmethod
-    def zero(cls, d):
-        z = np.zeros(d)
-        return cls(z.copy(), np.zeros(d, dtype=int), z.copy(), np.zeros(d, dtype=bool))
-
 
 def mix_uniform(avg, eps):
     """(1 - eps) * avg + eps * uniform; every coordinate ends up >= eps/d."""
@@ -167,63 +168,26 @@ def estimate_epoch(actions, rewards, d) -> EpochEstimate:
     return EpochEstimate(sums, counts, estimate, unsampled)
 
 
-def recover_estimated(t: int, current, previous) -> np.ndarray:
-    """Reconstruct the utility estimate at the inner iterate.
-
-    uhat^t = t * Uhat^t - (t - 1) * Uhat^{t-1}, with Uhat^0 = 0.  The output
-    may leave [0, 1]: the reconstruction amplifies estimation noise.
-    """
-    cur = np.asarray(getattr(current, "estimate", current), dtype=float)
-    prev = np.asarray(getattr(previous, "estimate", previous), dtype=float)
-    return t * cur - (t - 1) * prev
-
-
 def estimation_bound(d, B, eps, t, delta):
     """High-probability bound on ||Uhat - true average||_inf for one epoch."""
     return 2.0 * np.sqrt(d * np.log(B * t * t / delta) / (B * eps))
 
 
-def iw_radius(B_hist, eps_hist, d_i, t, delta):
-    """Confidence radius of the importance-weighted regret estimate.
+def _confidence_radius(spread, d_i, t, delta):
+    """Confidence radius of the importance-weighted regret estimate at epoch
+    t, from the spread sum_{k<=t} B_k (d_i/eps_k)^2:
 
-    4 * sqrt(sum_k B_k (d_i/eps_k)^2) * log(pi^2 d_i t^2 / (3 delta)); with
-    eps_k = 1/k this is 4 d_i sqrt(sum_k k^2 B_k) log(pi^2 d_i t^2/(3 delta)).
+    4 * sqrt(spread) * log(pi^2 d_i t^2 / (3 delta)); with eps_k = 1/k this
+    is 4 d_i sqrt(sum_k k^2 B_k) log(pi^2 d_i t^2/(3 delta)).
     """
-    B_hist = np.asarray(B_hist, dtype=float)
-    eps_hist = np.asarray(eps_hist, dtype=float)
-    spread = float((B_hist * (d_i / eps_hist) ** 2).sum())
     return 4.0 * np.sqrt(spread) * np.log(np.pi**2 * d_i * t * t / (3.0 * delta))
 
 
-def iw_regret_monitor(iw_estimates, strategies, B_hist, eps_hist, delta, c=4.0) -> dict:
-    """Player-local switch decision from importance-weighted epoch estimates.
-
-    iw_estimates[k] is the player's accumulated importance-weighted utility
-    vector of epoch k+1; strategies[k] the mixed strategy it sampled from.
-    Switch fires at the first epoch where the regret estimate exceeds
-    c * T_t^{4/5} beyond the confidence radius.
-    """
-    iw = np.asarray(iw_estimates, dtype=float)
-    xs = np.asarray(strategies, dtype=float)
-    E, d_i = iw.shape
-    cum = np.cumsum(iw, axis=0)
-    earned = np.cumsum(np.einsum("td,td->t", iw, xs))
-    reg_est = cum.max(axis=1) - earned
-    rounds = np.cumsum(np.asarray(B_hist, dtype=float))
-    radius = np.array([
-        iw_radius(B_hist[: k + 1], eps_hist[: k + 1], d_i, k + 1, delta)
-        for k in range(E)
-    ])
-    threshold = c * rounds ** 0.8
-    fired = np.nonzero(reg_est > threshold + radius)[0]
-    switch_epoch = int(fired[0]) + 1 if fired.size else None
-    return {
-        "reg_estimate": reg_est,
-        "confidence_radius": radius,
-        "threshold": threshold,
-        "decision": "switch" if switch_epoch is not None else "continue",
-        "switch_epoch": switch_epoch,
-    }
+def iw_radius(B_hist, eps_hist, d_i, t, delta):
+    """The monitor's confidence radius from the whole epoch history."""
+    B_hist = np.asarray(B_hist, dtype=float)
+    eps_hist = np.asarray(eps_hist, dtype=float)
+    return _confidence_radius(float((B_hist * (d_i / eps_hist) ** 2).sum()), d_i, t, delta)
 
 
 class Exp3Fallback:
@@ -248,6 +212,79 @@ class Exp3Fallback:
         est[action] = reward01 / self._p[action]
         self.cum += est
         self.t += 1
+
+
+class BanditPlayer:
+    """One player's epoch pipeline; it sees only its own actions and rewards.
+
+    Each epoch it plays the eps-mixed running average of its inner OMWU
+    iterates (``A2L(OMWU)``) and feeds the epoch's estimate Uhat^t to the
+    wrapper, which reconstructs uhat^t = t Uhat^t - (t-1) Uhat^{t-1} and
+    updates OMWU.  The importance-weighted regret monitor keeps running
+    sums (IW utility vectors, their value under the played strategies, the
+    round count T_t and the radius spread sum_k B_k (d/eps_k)^2), so an
+    epoch costs O(d).  Once reg_est exceeds threshold + radius, play passes
+    for good to an ``Exp3Fallback``, which learns round by round.
+    monitor_c = inf never switches.
+    """
+
+    def __init__(self, d, eta, delta=0.05, monitor_c=4.0):
+        self.d = d
+        self.learner = A2L(OMWU(d, eta))
+        self.delta = delta
+        self.monitor_c = monitor_c
+        self.t = 0
+        self.rounds = 0
+        self.spread = 0.0
+        self.cum_iw = np.zeros(d)
+        self.earned_iw = 0.0
+        self.iw = None
+        self.reg_est = 0.0
+        self.radius = None
+        self.threshold = None
+        self.play = None
+        self.fallback = None
+        self.switch_epoch = None
+
+    @property
+    def switched(self) -> bool:
+        return self.fallback is not None
+
+    def begin_epoch(self, B, eps) -> np.ndarray:
+        """Start the next epoch of B rounds; returns the strategy played in it
+        (after a switch, the fallback's strategy at the epoch's start)."""
+        self.t += 1
+        self.rounds += B
+        self.spread += B * (self.d / eps) ** 2
+        self.radius = _confidence_radius(self.spread, self.d, self.t, self.delta)
+        self.threshold = self.monitor_c * self.rounds ** 0.8
+        if self.fallback is None:
+            self.play = mix_uniform(self.learner.next_strategy(), eps)
+        else:
+            self.play = self.fallback.next_strategy().copy()
+        return self.play
+
+    def round_strategy(self) -> np.ndarray:
+        """Strategy for the next round of the per-round path."""
+        return self.play if self.fallback is None else self.fallback.next_strategy()
+
+    def observe_round(self, action, reward01) -> None:
+        """One round's own action and [0, 1] reward; only the fallback
+        learns within an epoch."""
+        if self.fallback is not None:
+            self.fallback.observe_reward(action, reward01)
+
+    def end_epoch(self, est: EpochEstimate) -> np.ndarray:
+        """Feed the epoch's estimate before a switch; returns uhat^t."""
+        uhat = self.learner.observe(est.estimate)
+        self.iw = est.sums / self.play
+        self.cum_iw += self.iw
+        self.earned_iw += float(self.iw @ self.play)
+        self.reg_est = self.cum_iw.max() - self.earned_iw
+        if self.reg_est > self.threshold + self.radius:
+            self.fallback = Exp3Fallback(self.d)
+            self.switch_epoch = self.t
+        return uhat
 
 
 @dataclass
@@ -320,15 +357,8 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     counts_d = game.action_counts
     dmax = game.dimensionality
     offset, scale = float(n - 1), 2.0 * float(n - 1)
-
-    inner_learners = [OMWU(d, eta) for d in counts_d]
-    prev_est = [EpochEstimate.zero(d) for d in counts_d]
-    avg = [None] * n
-    cum_iw = [np.zeros(d) for d in counts_d]
-    earned_iw = np.zeros(n)
-    switched = [False] * n
-    fallback = [None] * n
-    switch_epoch = [None] * n
+    players = [BanditPlayer(d, eta, delta, monitor_c if monitor else math.inf)
+               for d in counts_d]
 
     E = epochs
     t_arr = np.arange(1, E + 1)
@@ -354,89 +384,62 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
 
     edge_mats = [[(j, game.edges[(i, j)]) for j in game.neighbors(i)] for i in range(n)]
 
+    def rewards01(i, a):
+        """Player i's [0, 1] rewards at the players' actions a: one array
+        per player, or one round's actions."""
+        raw = sum((m[a[i], a[j]] for j, m in edge_mats[i]), np.zeros(np.shape(a[i])))
+        return (raw + offset) / scale
+
     for idx, t in enumerate(t_arr):
         B = int(B_arr[idx])
         eps = float(eps_arr[idx])
-        plays = []
-        for i in range(n):
-            if switched[i]:
-                plays.append(fallback[i].next_strategy().copy())
-                continue
-            x_t = inner_learners[i].next_strategy()
-            avg[i] = update_running_mean(avg[i], x_t, 1.0, float(t))
-            inner[i][idx] = x_t
-            plays.append(mix_uniform(avg[i], eps))
+        plays = [p.begin_epoch(B, eps) for p in players]
         for i in range(n):
             mixed[i][idx] = plays[i]
 
-        if not any(switched):
+        if not any(p.switched for p in players):
             acts = [rng.choice(counts_d[i], size=B, p=plays[i]) for i in range(n)]
-            rewards = [np.zeros(B) for _ in range(n)]
-            for i in range(n):
-                for j, m in edge_mats[i]:
-                    rewards[i] += m[acts[i], acts[j]]
+            r01 = [rewards01(i, acts) for i in range(n)]
         else:
-            # Slow path once someone switched: per-round play so fallback
-            # learners update within the epoch.
+            # Per-round play once someone switched, so fallback learners
+            # update within the epoch.
             acts = [np.empty(B, dtype=int) for _ in range(n)]
-            rewards = [np.zeros(B) for _ in range(n)]
+            r01 = [np.empty(B) for _ in range(n)]
             for k in range(B):
-                for i in range(n):
-                    p = fallback[i].next_strategy() if switched[i] else plays[i]
-                    acts[i][k] = rng.choice(counts_d[i], p=p)
-                for i in range(n):
-                    r = 0.0
-                    for j, m in edge_mats[i]:
-                        r += m[acts[i][k], acts[j][k]]
-                    rewards[i][k] = r
-                    if switched[i]:
-                        fallback[i].observe_reward(acts[i][k], (r + offset) / scale)
+                a = [rng.choice(d, p=p.round_strategy()) for d, p in zip(counts_d, players)]
+                for i, p in enumerate(players):
+                    acts[i][k] = a[i]
+                    r01[i][k] = rewards01(i, a)
+                    p.observe_round(a[i], r01[i][k])
 
         if record_actions:
             for i in range(n):
                 action_log[i].append(acts[i])
 
-        for i in range(n):
-            r01 = (rewards[i] + offset) / scale
-            est = estimate_epoch(acts[i], r01, counts_d[i])
+        for i, p in enumerate(players):
+            est = estimate_epoch(acts[i], r01[i], counts_d[i])
             estimates[i][idx] = est.estimate
             counts[i][idx] = est.counts
             unsampled[idx, i] = int(est.unsampled.sum())
-            if switched[i]:
+            if p.switched:
                 recovered[i][idx] = np.nan
                 inner[i][idx] = np.nan
                 continue
-            uhat = recover_estimated(t, est, prev_est[i])
-            recovered[i][idx] = uhat
-            prev_est[i] = est
-            inner_learners[i].observe(uhat)
-
+            inner[i][idx] = p.learner.last_inner
+            recovered[i][idx] = p.end_epoch(est)
             if monitor:
-                iw_t = est.sums / plays[i]
-                cum_iw[i] += iw_t
-                earned_iw[i] += float(iw_t @ plays[i])
-                iw_all[i][idx] = iw_t
-                reg_est[idx, i] = cum_iw[i].max() - earned_iw[i]
-                radius[idx, i] = iw_radius(
-                    B_arr[: idx + 1], eps_arr[: idx + 1], counts_d[i], t, delta
-                )
-                if reg_est[idx, i] > monitor_c * round_end[idx] ** 0.8 + radius[idx, i]:
-                    switched[i] = True
-                    switch_epoch[i] = int(t)
-                    fallback[i] = Exp3Fallback(counts_d[i])
+                iw_all[i][idx] = p.iw
+                reg_est[idx, i] = p.reg_est
+                radius[idx, i] = p.radius
 
         if monitor:
-            reg_threshold[idx] = monitor_c * round_end[idx] ** 0.8
+            reg_threshold[idx] = players[0].threshold
 
-        if audit and not any(switched):
+        if audit and not any(p.switched for p in players):
+            inner_profile = [x[idx] for x in inner]
             for i in range(n):
-                v_mixed = np.zeros(counts_d[i])
-                v_inner = np.zeros(counts_d[i])
-                for j, m in edge_mats[i]:
-                    v_mixed += m @ plays[j]
-                    v_inner += m @ inner[j][idx]
-                true_mixed_avg[i][idx] = (v_mixed + offset) / scale
-                true_inner[i][idx] = (v_inner + offset) / scale
+                true_mixed_avg[i][idx] = (game.utility_vector(i, plays) + offset) / scale
+                true_inner[i][idx] = (game.utility_vector(i, inner_profile) + offset) / scale
                 delta_inf[idx, i] = np.abs(estimates[i][idx] - true_mixed_avg[i][idx]).max()
                 delta_bnd[idx, i] = estimation_bound(dmax, B, eps, t, delta)
 
@@ -459,7 +462,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         meta, t_arr, B_arr, eps_arr, round_end, tgap_mixed, mixed, inner,
         estimates, recovered, counts, unsampled, true_mixed_avg, true_inner,
         delta_inf, delta_bnd, iw_all, reg_est, radius, reg_threshold,
-        switch_epoch, action_log,
+        [p.switch_epoch for p in players], action_log,
     )
 
 
@@ -566,71 +569,45 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     Returns per-epoch monitor statistics and the true regret.
     """
     rng = np.random.default_rng(seed)
-    inner = OMWU(d, eta)
-    prev = EpochEstimate.zero(d)
-    avg = None
-    cum_iw = np.zeros(d)
-    earned_iw = 0.0
+    player = BanditPlayer(d, eta, delta, monitor_c)
     cum_true = np.zeros(d)
     earned_true = 0.0
-    fallback = None
-    switch_epoch = None
     rows = {"t": [], "B": [], "reg_est": [], "radius": [], "threshold": [],
             "true_reg": []}
-    B_hist, eps_hist = [], []
 
     for t in range(1, epochs + 1):
         B = schedule.epoch_length(t, d)
         eps = schedule.mixing(t)
-        B_hist.append(B)
-        eps_hist.append(eps)
         v = np.asarray(utility_fn(t), dtype=float)
         if v.min() < 0.0 or v.max() > 1.0:
             raise DataError("environment utilities must lie in [0, 1]")
 
-        if fallback is None:
-            x_t = inner.next_strategy()
-            avg = update_running_mean(avg, x_t, 1.0, float(t))
-            play = mix_uniform(avg, eps)
+        play = player.begin_epoch(B, eps)
+        if not player.switched:
             acts = rng.choice(d, size=B, p=play)
-            rewards = v[acts]
-            est = estimate_epoch(acts, rewards, d)
-            uhat = recover_estimated(t, est, prev)
-            prev = est
-            inner.observe(uhat)
-
-            iw_t = est.sums / play
-            cum_iw += iw_t
-            earned_iw += float(iw_t @ play)
+            player.end_epoch(estimate_epoch(acts, v[acts], d))
             cum_true += B * v
             earned_true += B * float(play @ v)
         else:
             for _ in range(B):
-                p = fallback.next_strategy()
+                p = player.round_strategy()
                 a = int(rng.choice(d, p=p))
-                fallback.observe_reward(a, v[a])
+                player.observe_round(a, v[a])
                 cum_true += v
                 earned_true += float(p @ v)
 
-        reg_est = cum_iw.max() - earned_iw
-        rad = iw_radius(B_hist, eps_hist, d, t, delta)
-        thr = monitor_c * float(np.sum(B_hist)) ** 0.8
         rows["t"].append(t)
         rows["B"].append(B)
-        rows["reg_est"].append(reg_est)
-        rows["radius"].append(rad)
-        rows["threshold"].append(thr)
+        rows["reg_est"].append(player.reg_est)
+        rows["radius"].append(player.radius)
+        rows["threshold"].append(player.threshold)
         rows["true_reg"].append(cum_true.max() - earned_true)
-
-        if fallback is None and reg_est > thr + rad:
-            switch_epoch = t
-            fallback = Exp3Fallback(d)
-            if stop_on_switch:
-                break
+        if stop_on_switch and player.switched:
+            break
 
     return {
-        "switch_epoch": switch_epoch,
-        "decision": "switch" if switch_epoch is not None else "continue",
+        "switch_epoch": player.switch_epoch,
+        "decision": "switch" if player.switched else "continue",
         **{k: np.array(vv) for k, vv in rows.items()},
     }
 
@@ -647,24 +624,9 @@ def bandit_csv_lines(traj: BanditTrajectory):
         + ["bound"]
         + [f"unsampled_{i + 1}" for i in range(n)]
     )
-    yield ",".join(header)
-    for k in range(traj.num_epochs):
-        row = [
-            str(int(traj.t[k])),
-            str(int(traj.B[k])),
-            f"{traj.eps[k]:.17g}",
-            f"{traj.tgap_mixed[k]:.17g}",
-        ]
-        if traj.delta_inf is not None:
-            row += [f"{traj.delta_inf[k, i]:.17g}" for i in range(n)]
-            row += [f"{traj.delta_bound[k, 0]:.17g}"]
-        else:
-            row += ["nan"] * (n + 1)
-        row += [str(int(traj.unsampled[k, i])) for i in range(n)]
-        yield ",".join(row)
-
-
-def write_bandit_csv(traj: BanditTrajectory, path):
-    with open(path, "w", newline="\n") as f:
-        for line in bandit_csv_lines(traj):
-            f.write(line + "\n")
+    if traj.delta_inf is not None:
+        audit = list(traj.delta_inf.T) + [traj.delta_bound[:, 0]]
+    else:
+        audit = [np.full(traj.num_epochs, np.nan)] * (n + 1)
+    columns = [traj.t, traj.B, traj.eps, traj.tgap_mixed] + audit + list(traj.unsampled.T)
+    yield from _csv_lines(header, columns)

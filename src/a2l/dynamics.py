@@ -32,11 +32,24 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .csvrows import _csv_lines
 from .games import PolymatrixGame
 from .learners import MWU, OMWU, AnytimeMWU
 from .reduction import A2L
 
 ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
+
+
+class SimulationError(ValueError):
+    """A learner or the game failed inside the simulation loop.
+
+    ``round`` is the 1-based round; the original error, with its type, is
+    the ``__cause__``.
+    """
+
+    def __init__(self, message, round=None):
+        super().__init__(message)
+        self.round = round
 
 
 def gradient_step_size(n: int) -> float:
@@ -192,7 +205,9 @@ def run_full_feedback_batch(games, specs, T, seeds=None, log_players=None) -> li
                 inner[i][:, t] = x_in
                 inner_utils[i][:, t] = rec
         except Exception as exc:
-            raise type(exc)(f"round {t + 1}: {exc}") from exc
+            raise SimulationError(
+                f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
+            ) from exc
 
     # Per-round statistics, vectorized over instances and rounds.
     instant_regret = np.stack(
@@ -394,12 +409,11 @@ def trajectory_csv_lines(traj: Trajectory):
         + [f"reg_{i + 1}" for i in range(n)]
         + [f"dreg_{i + 1}" for i in range(n)]
     )
-    yield ",".join(header)
-    for t in range(traj.T):
-        row = [str(t + 1), f"{traj.tgap_played[t]:.17g}", f"{traj.tgap_inner_avg[t]:.17g}"]
-        row += [f"{rep['reg'][t, i]:.17g}" for i in range(n)]
-        row += [f"{rep['dreg'][t, i]:.17g}" for i in range(n)]
-        yield ",".join(row)
+    columns = (
+        [np.arange(1, traj.T + 1), traj.tgap_played, traj.tgap_inner_avg]
+        + list(rep["reg"].T) + list(rep["dreg"].T)
+    )
+    yield from _csv_lines(header, columns)
 
 
 def write_trajectory_csv(traj: Trajectory, path):

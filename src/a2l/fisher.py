@@ -12,19 +12,21 @@ good:
 For linear utilities u_i(x_i) = <a_i, x_i> the gradient is the constant
 valuation vector a_i.
 
-The average-playing variant has every agent spend the running average
-bbar^t_i of its internal iterates b^t_i.  The observed allocation row
-xbar^t_i = bbar^t_i / pbar^t_j reveals the average prices (pbar_j =
-bbar_ij / xbar_ij wherever the agent spends), the agent reconstructs the
-current internal price vector
+The average-playing variant is the package's one reduction,
+``reduction.A2L``, wrapped around the agents' proportional response
+(``ProportionalResponse``, one agent per row of the spend matrix).  Every
+agent spends the running average bbar^t_i of its internal iterates b^t_i.
+The observed allocation row xbar^t_i = bbar^t_i / pbar^t reveals the
+average prices (pbar_j = bbar_ij / xbar_ij wherever the agent spends), the
+wrapper reconstructs the current internal price vector
 
     p^t = t * pbar^t - sum_{k<t} p^k
 
-re-derives its internal allocation x^t_ij = b^t_ij / p^t_j, and applies the
-ordinary update to its internal spending.  The played prices then equal the
-running average of the internal run's prices, so average-price convergence
-becomes last-iterate price convergence.  Prices always conserve money:
-sum_j p_j = sum_i B_i.
+and the agent re-derives its internal allocation x^t_ij = b^t_ij / p^t_j
+and applies the ordinary update to its internal spending.  The played
+prices then equal the running average of the internal run's prices, so
+average-price convergence becomes last-iterate price convergence.  Prices
+always conserve money: sum_j p_j = sum_i B_i.
 
 Interior starts (b^1_ij = B_i / n) keep every price positive and every
 average spend positive, so each agent can always infer every price.  If an
@@ -39,6 +41,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .csvrows import _csv_lines
+from .reduction import A2L
 
 
 class DegenerateMarketError(ValueError):
@@ -153,17 +158,25 @@ def check_spending(market, spend, tol=1e-9):
     return spend
 
 
+def _respond(market, alloc) -> np.ndarray:
+    """Proportional response of every agent (row) to its allocation row.
+
+    The gradient oracle of a non-linear market is called once per row.
+    """
+    if market.linear:
+        w = alloc * market.valuations
+    else:
+        w = np.stack([alloc[i] * market.gradient(i, alloc[i]) for i in range(len(alloc))])
+    denom = w.sum(axis=1)
+    stalled = np.flatnonzero(denom <= 0)
+    if stalled.size:
+        raise StallError(int(stalled[0]))
+    return market.budgets[:, None] * w / denom[:, None]
+
+
 def prd_step(market, spend) -> np.ndarray:
     """One proportional response update of the whole spending matrix."""
-    x = allocations(spend)
-    out = np.empty_like(spend)
-    for i in range(market.m_agents):
-        w = x[i] * market.gradient(i, x[i])
-        denom = w.sum()
-        if denom <= 0:
-            raise StallError(i)
-        out[i] = market.budgets[i] * w / denom
-    return out
+    return _respond(market, allocations(spend))
 
 
 def run_prd(market, T, spend0=None) -> dict:
@@ -199,75 +212,54 @@ def run_prd(market, T, spend0=None) -> dict:
     }
 
 
-@dataclass
-class A2LPRDState:
-    """Wrapper state of the average-playing dynamics, one row per agent.
+class ProportionalResponse:
+    """The agents' proportional response as one inner learner for ``A2L``.
 
-    Each agent owns its row of every field; nothing is shared.  inner_spend
-    holds the internal iterates b^t, avg_spend their running average (the
-    spending actually posted), cum_prices each agent's sum of reconstructed
-    internal prices, last_recovered the reconstruction of the most recent
-    round.
+    The state is the (m, n) spend matrix, one agent per row on the trailing
+    axis.  next_strategy() posts the spends; observe(p) takes each agent's
+    price row, allocates x_ij = b_ij / p_ij where p_ij > 0 (0 elsewhere) and
+    applies the proportional response update.  Each agent uses only its own
+    row.
     """
 
-    inner_spend: np.ndarray
-    avg_spend: np.ndarray | None = None
-    cum_prices: np.ndarray | None = None
-    last_recovered: np.ndarray | None = None
-    t: int = 0
+    def __init__(self, market, spend):
+        self.market = market
+        self.spend = spend
+        self.last_prices = None
+
+    @property
+    def d(self):
+        return self.spend.shape[1]
+
+    def next_strategy(self) -> np.ndarray:
+        return self.spend
+
+    def observe(self, p) -> None:
+        self.last_prices = p
+        alloc = np.divide(self.spend, p, out=np.zeros_like(self.spend), where=p > 0)
+        self.spend = _respond(self.market, alloc)
 
 
-def a2l_prd_init(market, spend0=None) -> A2LPRDState:
+def a2l_prd_init(market, spend0=None) -> A2L:
+    """Average-playing PRD: the agents' ``ProportionalResponse`` wrapped in
+    ``A2L`` with uniform weights."""
     b = uniform_spending(market) if spend0 is None else check_spending(market, spend0)
-    return A2LPRDState(inner_spend=b, cum_prices=np.zeros_like(b))
+    return A2L(ProportionalResponse(market, b), "uniform")
 
 
-def a2l_prd_step(market, state: A2LPRDState) -> np.ndarray:
+def a2l_prd_step(market, state: A2L) -> np.ndarray:
     """One round of average-playing proportional response.
 
-    Posts the running average of the internal iterates, lets each agent
-    observe only its own allocation row, reconstruct the internal price
-    vector p^t = t * pbar^t - sum_{k<t} p^k, re-derive its internal
-    allocation, and apply the ordinary update to its internal spending.
+    Posts the running average bbar of the internal spends, lets each agent
+    infer the average prices from its own allocation row only (pbar_j =
+    bbar_ij / xbar_ij where it spends, 0 elsewhere) and feeds them to
+    ``state``, which reconstructs the internal prices and updates the
+    internal spends.  ``state`` comes from ``a2l_prd_init(market)``.
     Returns the averaged spending that was played.
     """
-    t = state.t + 1
-    b_inner = state.inner_spend
-    if state.avg_spend is None:
-        bbar = b_inner.copy()
-    else:
-        bbar = state.avg_spend + (b_inner - state.avg_spend) / t
-    p_bar = prices(bbar)
-    if np.any(p_bar <= 0):
-        raise DegenerateMarketError(f"nonpositive played prices: {p_bar}")
-    x_bar = bbar / p_bar
-
-    m, n = b_inner.shape
-    b_next = np.empty_like(b_inner)
-    recovered = np.empty_like(b_inner)
-    for i in range(m):
-        # The agent sees only its own rows bbar[i] and x_bar[i].  Zero
-        # average spend means it never spent on the good, so its internal
-        # allocation there is zero and the price is not needed.
-        spent = bbar[i] > 0
-        p_seen = np.zeros(n)
-        p_seen[spent] = bbar[i][spent] / x_bar[i][spent]
-        p_t = t * p_seen - state.cum_prices[i]
-        x_t = np.zeros(n)
-        pos = spent & (p_t > 0)
-        x_t[pos] = b_inner[i][pos] / p_t[pos]
-        recovered[i] = p_t
-        state.cum_prices[i] = state.cum_prices[i] + p_t
-        w = x_t * market.gradient(i, x_t)
-        denom = w.sum()
-        if denom <= 0:
-            raise StallError(i)
-        b_next[i] = market.budgets[i] * w / denom
-
-    state.inner_spend = b_next
-    state.avg_spend = bbar
-    state.last_recovered = recovered
-    state.t = t
+    bbar = state.next_strategy()
+    x_bar = allocations(bbar)
+    state.observe(np.divide(bbar, x_bar, out=np.zeros_like(bbar), where=bbar > 0))
     return bbar
 
 
@@ -278,7 +270,7 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
     prices, so average-price convergence shows up in the last iterate.
     """
     state = a2l_prd_init(market, spend0)
-    m, n = state.inner_spend.shape
+    m, n = state.inner.spend.shape
     played_prices = np.empty((T, n))
     played_spends = np.empty((T, m, n))
     recovered = np.empty((T, m, n))
@@ -286,7 +278,7 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
         bbar = a2l_prd_step(market, state)
         played_spends[k] = bbar
         played_prices[k] = prices(bbar)
-        recovered[k] = state.last_recovered
+        recovered[k] = state.inner.last_prices
     return {
         "played_prices": played_prices,
         "played_spends": played_spends,
@@ -368,15 +360,10 @@ def verify_ce(market, p, x, tol=1e-6) -> CEReport:
 
 def price_csv_lines(price_hist, gaps=None):
     """Rows t, p_1..p_n, max_bpb_violation."""
-    n = price_hist.shape[1]
-    yield ",".join(["t"] + [f"p_{j + 1}" for j in range(n)] + ["max_bpb_violation"])
-    for t in range(len(price_hist)):
-        row = [str(t + 1)] + [f"{price_hist[t, j]:.17g}" for j in range(n)]
-        row.append(f"{gaps[t]:.17g}" if gaps is not None else "nan")
-        yield ",".join(row)
-
-
-def write_price_csv(price_hist, path, gaps=None):
-    with open(path, "w", newline="\n") as f:
-        for line in price_csv_lines(price_hist, gaps):
-            f.write(line + "\n")
+    T, n = price_hist.shape
+    header = ["t"] + [f"p_{j + 1}" for j in range(n)] + ["max_bpb_violation"]
+    columns = (
+        [np.arange(1, T + 1)] + list(price_hist.T)
+        + [np.full(T, np.nan) if gaps is None else gaps]
+    )
+    yield from _csv_lines(header, columns)

@@ -133,11 +133,6 @@ class PolymatrixGame:
     def neighbors(self, i):
         return self._neighbors[i]
 
-    def profile_shape_ok(self, profile) -> bool:
-        return len(profile) == self.n and all(
-            len(profile[i]) == self.action_counts[i] for i in range(self.n)
-        )
-
     def check_profile(self, profile):
         if len(profile) != self.n:
             raise ValueError(f"profile has {len(profile)} strategies for {self.n} players")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2l.bandit import (
+    BanditPlayer,
     DataError,
     EpochEstimate,
     EpochSchedule,
@@ -11,9 +14,8 @@ from a2l.bandit import (
     bandit_step_size,
     estimate_epoch,
     estimation_error_audit,
-    iw_regret_monitor,
+    iw_radius,
     mix_uniform,
-    recover_estimated,
     recovery_error_audit,
     regret_error_bound_audit,
     run_bandit,
@@ -21,6 +23,7 @@ from a2l.bandit import (
 )
 from a2l.games import PolymatrixGame, generate_game
 from a2l.learners import OMWU
+from a2l.reduction import A2L
 
 
 def small_game():
@@ -95,10 +98,15 @@ def test_estimate_epoch_rejects_out_of_range():
 
 
 def test_recover_estimated():
-    prev = EpochEstimate.zero(2)
+    # the wrapper fed epoch estimates recovers uhat^t = t Uhat^t - (t-1) Uhat^{t-1}
     cur = estimate_epoch([0, 1], [0.4, 0.6], d=2)
-    assert np.allclose(recover_estimated(1, cur, prev), cur.estimate)
-    u = recover_estimated(3, np.array([0.5, 0.5]), np.array([0.4, 0.6]))
+    wrapper = A2L(OMWU(2, bandit_step_size(2)))
+    wrapper.next_strategy()
+    assert np.allclose(wrapper.observe(cur.estimate), cur.estimate)
+    wrapper.next_strategy()
+    wrapper.observe(np.array([0.4, 0.6]))
+    wrapper.next_strategy()
+    u = wrapper.observe(np.array([0.5, 0.5]))
     assert np.allclose(u, [0.7, 0.3], atol=1e-15)
 
 
@@ -235,18 +243,53 @@ def test_iw_monitor_per_comparator_unbiased():
     assert np.all(np.abs(mean - 0.0) <= 3 * se)
 
 
+def run_monitor(iw_hist, B_hist, eps_hist):
+    """Feed a player epoch estimates whose IW vectors are iw_hist."""
+    player = BanditPlayer(2, bandit_step_size(2), delta=0.05)
+    for B, eps, iw in zip(B_hist, eps_hist, iw_hist):
+        x = player.begin_epoch(B, eps)
+        counts = np.full(2, B // 2)
+        sums = np.asarray(iw) * x
+        player.end_epoch(EpochEstimate(sums, counts, sums / counts, counts == 0))
+    return player
+
+
 def test_iw_regret_monitor_switch_rule():
     # synthetic epoch data with an inflated estimate fires the rule
     B_hist = [10, 10, 10]
     eps_hist = [1.0, 0.5, 1 / 3]
-    xs = np.tile([0.5, 0.5], (3, 1))
     calm = np.tile([5.0, 5.0], (3, 1))
-    out = iw_regret_monitor(calm, xs, B_hist, eps_hist, delta=0.05)
-    assert out["decision"] == "continue"
+    player = run_monitor(calm, B_hist, eps_hist)
+    assert np.allclose(player.play, [0.5, 0.5])
+    assert not player.switched and player.switch_epoch is None
     spiked = calm.copy()
     spiked[2, 0] = 1e9
-    out = iw_regret_monitor(spiked, xs, B_hist, eps_hist, delta=0.05)
-    assert out["decision"] == "switch" and out["switch_epoch"] == 3
+    player = run_monitor(spiked, B_hist, eps_hist)
+    assert player.switched and player.switch_epoch == 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeff=st.floats(1.0, 50.0),
+    power=st.floats(0.0, 3.0),
+    eps_coeff=st.floats(0.05, 1.0),
+    eps_power=st.floats(-1.5, 0.0),
+    d=st.integers(2, 6),
+    epochs=st.integers(1, 60),
+)
+def test_running_radius_equals_history_radius(coeff, power, eps_coeff, eps_power, d, epochs):
+    sched = EpochSchedule.custom(coeff, power, eps_coeff, eps_power)
+    player = BanditPlayer(d, 0.1, delta=0.05, monitor_c=np.inf)
+    B_hist, eps_hist = [], []
+    for t in range(1, epochs + 1):
+        B_hist.append(sched.epoch_length(t, d))
+        eps_hist.append(sched.mixing(t))
+        player.begin_epoch(B_hist[-1], eps_hist[-1])
+        zero = np.zeros(d)
+        player.end_epoch(EpochEstimate(zero, np.ones(d, dtype=int), zero, zero > 0))
+        ref = iw_radius(B_hist, eps_hist, d, t, 0.05)
+        assert player.radius == pytest.approx(ref, rel=1e-12)
+        assert player.rounds == sum(B_hist)
 
 
 def test_environment_run_validates_range():

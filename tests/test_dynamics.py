@@ -1,9 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
 
+import a2l.dynamics as dyn
 from a2l.dynamics import (
     GuardedA2LOMWU,
     LearnerSpec,
+    SimulationError,
     average_profile_gaps,
     build_learner,
     gradient_step_size,
@@ -17,7 +21,7 @@ from a2l.dynamics import (
     write_trajectory_csv,
 )
 from a2l import verify
-from a2l.games import PolymatrixGame, generate_game, uniform_strategy
+from a2l.games import DimensionMismatchError, PolymatrixGame, generate_game, uniform_strategy
 
 
 def bait_feedback(t, x):
@@ -186,6 +190,25 @@ def test_error_carries_round_index():
             run_full_feedback(game, specs, 10)
     finally:
         dyn.build_learner = orig
+
+
+def test_loop_error_keeps_its_type_as_cause(monkeypatch):
+    class Mismatched:
+        d = 2
+
+        def next_strategy(self):
+            return np.array([0.5, 0.5])
+
+        def observe(self, u):
+            raise DimensionMismatchError(1, 2, 3)
+
+    monkeypatch.setattr(dyn, "build_learner", lambda spec, d, n, lds=None: Mismatched())
+    with pytest.raises(SimulationError, match="round 1: DimensionMismatchError") as err:
+        run_full_feedback(generate_game("matching_pennies"), LearnerSpec(algo="omwu"), 5)
+    assert err.value.round == 1
+    assert isinstance(err.value.__cause__, DimensionMismatchError)
+    assert err.value.__cause__.expected == 2
+    assert pickle.loads(pickle.dumps(err.value)).round == 1
 
 
 def test_spec_validation():

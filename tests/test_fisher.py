@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2l.fisher import (
     CEReport,
@@ -101,6 +103,34 @@ def test_a2l_prices_equal_reference_average():
         ref = run_prd(market, 500)
         out = run_a2l_prd(market, 500)
         assert np.abs(out["played_prices"] - ref["avg_prices"]).max() < 1e-10
+
+
+def random_start(market, seed):
+    """Non-uniform spend0 with some zero entries; every agent and every good
+    keeps a positive spend."""
+    m, n = market.m_agents, market.n_goods
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, size=(m, n))
+    w[rng.random((m, n)) < 0.3] = 0.0
+    for i in range(m):
+        if not w[i].any():
+            w[i, i % n] = 1.0
+    for j in range(n):
+        if not w[:, j].any():
+            w[j % m, j] = 1.0
+    return market.budgets[:, None] * w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1),
+       uniform=st.booleans())
+def test_a2l_prd_prices_equal_running_mean_and_conserve_budgets(m, n, seed, uniform):
+    market = random_linear_market(m, n, seed=seed)
+    spend0 = None if uniform else random_start(market, seed)
+    ref = run_prd(market, 200, spend0)
+    out = run_a2l_prd(market, 200, spend0)
+    assert np.abs(out["played_prices"] - ref["avg_prices"]).max() <= 1e-10
+    assert np.abs(out["played_prices"].sum(axis=1) - market.budgets.sum()).max() <= 1e-9
 
 
 def test_budget_rescaling_homogeneity():
