@@ -25,9 +25,23 @@ pipeline (reduction, monitor, fallback); ``run_bandit`` drives one per
 player on a game, ``run_bandit_vs_environment`` one against an
 environment callback.
 
+Sampling: the estimator and the monitor need only each player's per-action
+sample counts and reward sums, so an epoch is drawn as those statistics,
+not as B_t rounds.  The players sample independently, so the joint action
+counts of an epoch are N ~ Multinomial(B_t, x_1 (x) ... (x) x_n) over the
+prod_i d_i joint cells (``JointSampler``, one multinomial draw per epoch);
+player i's counts and reward sums are N and N * R_i summed over the other
+players' axes, with R_i its reward table, built once per run.  This has the
+same law as B_t i.i.d. rounds.  Joint spaces above ``CELL_CAP`` cells are
+sampled round by round in chunks of ``CHUNK_ROUNDS``, each reduced to
+counts and sums at once, so an epoch's memory never depends on B_t.  Only
+``record_actions`` and the per-round path after a monitor switch handle
+single rounds.
+
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
 but is flagged non-certified.  The certified step size is eta <= 1/(6n).
+B_t must fit in int64, the multinomial sampler's limit.
 
 Rewards: built-in games pay in [-(n-1), n-1], so each player's bandit reward
 is mapped affinely through r -> (r + (n-1)) / (2(n-1)) into [0, 1] before
@@ -45,6 +59,7 @@ radius, where T_t is the cumulative round count.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,6 +78,14 @@ class DataError(ValueError):
 
 class ScheduleError(ValueError):
     """Epoch schedule parameters violate the type invariants."""
+
+
+# Joint action spaces of at most CELL_CAP cells are sampled as one
+# multinomial draw over a reward table; larger ones CHUNK_ROUNDS rounds at
+# a time.
+CELL_CAP = 2**16
+CHUNK_ROUNDS = 2**16
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def bandit_step_size(n: int) -> float:
@@ -109,11 +132,19 @@ class EpochSchedule:
         return self.mode in ("theory", "theory_d")
 
     def epoch_length(self, t: int, d: int) -> int:
+        """B_t; raises ``ScheduleError`` naming t when it exceeds int64."""
         if self.mode == "theory":
-            return t**4
-        if self.mode == "theory_d":
-            return d * t**4
-        return max(1, math.ceil(self.coeff * t**self.power))
+            B = t**4
+        elif self.mode == "theory_d":
+            B = d * t**4
+        else:
+            try:
+                B = max(1, math.ceil(self.coeff * t**self.power))
+            except OverflowError:
+                B = math.inf
+        if B > INT64_MAX:
+            raise ScheduleError(f"epoch length B_t at t={t} exceeds int64")
+        return B
 
     def mixing(self, t: int) -> float:
         if self.mode != "custom":
@@ -146,8 +177,25 @@ def mix_uniform(avg, eps):
     return (1.0 - eps) * avg + eps / avg.size
 
 
+def _check_rewards(rewards):
+    """Raise ``DataError`` unless every reward lies in [0, 1]."""
+    lo, hi = np.min(rewards), np.max(rewards)
+    if lo < -1e-12 or hi > 1.0 + 1e-12:
+        raise DataError(f"rewards outside [0, 1] after normalization: [{lo}, {hi}]")
+
+
+def epoch_estimate(counts, sums) -> EpochEstimate:
+    """Empirical per-action means from one epoch's sample counts and [0, 1]
+    reward sums; never-sampled actions get estimate 0 and are flagged."""
+    counts = np.asarray(counts)
+    sums = np.asarray(sums, dtype=float)
+    unsampled = counts == 0
+    estimate = np.divide(sums, counts, out=np.zeros(sums.shape), where=~unsampled)
+    return EpochEstimate(sums, counts, estimate, unsampled)
+
+
 def estimate_epoch(actions, rewards, d) -> EpochEstimate:
-    """Empirical per-action means of one epoch's bandit feedback.
+    """Empirical per-action means of one epoch's per-round bandit feedback.
 
     rewards must already be normalized to [0, 1]; never-sampled actions get
     estimate 0 and are flagged.
@@ -156,16 +204,101 @@ def estimate_epoch(actions, rewards, d) -> EpochEstimate:
     rewards = np.asarray(rewards, dtype=float)
     if actions.shape != rewards.shape or actions.ndim != 1:
         raise ValueError("actions and rewards must be equal-length vectors")
-    if rewards.size and (rewards.min() < -1e-12 or rewards.max() > 1.0 + 1e-12):
-        raise DataError(
-            f"rewards outside [0, 1] after normalization: "
-            f"[{rewards.min()}, {rewards.max()}]"
-        )
-    sums = np.bincount(actions, weights=rewards, minlength=d)
-    counts = np.bincount(actions, minlength=d)
-    unsampled = counts == 0
-    estimate = np.divide(sums, counts, out=np.zeros(d), where=~unsampled)
-    return EpochEstimate(sums, counts, estimate, unsampled)
+    if rewards.size:
+        _check_rewards(rewards)
+    return epoch_estimate(np.bincount(actions, minlength=d),
+                          np.bincount(actions, weights=rewards, minlength=d))
+
+
+class JointSampler:
+    """Draws the players' per-action counts and [0, 1] reward sums of one
+    epoch at fixed mixed strategies, with the law of i.i.d. rounds.
+
+    Up to ``CELL_CAP`` joint cells, each player's reward table R_i over the
+    joint cells is built once; an epoch draws the joint counts N ~
+    Multinomial(B, x_1 (x) ... (x) x_n) and reduces N and N * R_i over the
+    other players' axes, at O(prod_i d_i) cost whatever B is.  Larger joint
+    spaces draw each player's actions ``CHUNK_ROUNDS`` rounds at a time and
+    reduce every chunk to counts and sums.
+    """
+
+    def __init__(self, game: PolymatrixGame):
+        n = game.n
+        self.dims = tuple(game.action_counts)
+        self.offset, self.scale = float(n - 1), 2.0 * float(n - 1)
+        self.edge_mats = [[(j, game.edges[(i, j)]) for j in game.neighbors(i)]
+                          for i in range(n)]
+        self.tables = self.bad_cells = None
+        if math.prod(self.dims) <= CELL_CAP:
+            grid = np.indices(self.dims, sparse=True)
+            self.tables = [np.broadcast_to(self._rewards01(i, grid), self.dims)
+                           for i in range(n)]
+            bad = functools.reduce(np.logical_or, [(R < -1e-12) | (R > 1.0 + 1e-12)
+                                                   for R in self.tables])
+            self.bad_cells = bad if bad.any() else None
+
+    def _rewards01(self, i, a):
+        """Player i's [0, 1] rewards at the players' actions a: one array per
+        player (broadcast together), or one round's actions."""
+        raw = sum((m[a[i], a[j]] for j, m in self.edge_mats[i]), np.zeros(np.shape(a[i])))
+        return (raw + self.offset) / self.scale
+
+    def _round_rewards(self, a) -> list:
+        """Every player's [0, 1] reward in one round of actions a."""
+        if self.tables is None:
+            r = [float(self._rewards01(i, a)) for i in range(len(self.dims))]
+            _check_rewards(r)
+            return r
+        a = tuple(a)
+        r = [float(R[a]) for R in self.tables]
+        if self.bad_cells is not None and self.bad_cells[a]:
+            _check_rewards(r)
+        return r
+
+    def epoch(self, rng, plays, B, log_rng=None):
+        """One epoch of B rounds at the strategies ``plays``.
+
+        Returns one ``EpochEstimate`` per player and, when ``log_rng`` is
+        given, the per-round actions (one array per player; on the table
+        path, the drawn cells in an order shuffled by ``log_rng``), else
+        None.
+        """
+        if self.tables is None:
+            return self._epoch_in_chunks(rng, plays, B, log_rng is not None)
+        N = rng.multinomial(B, functools.reduce(np.multiply.outer, plays).ravel())
+        N = N.reshape(self.dims)
+        if self.bad_cells is not None and N[self.bad_cells].any():
+            sampled = N > 0
+            for R in self.tables:
+                _check_rewards(R[sampled])
+        n = len(self.dims)
+        ests = []
+        for i in range(n):
+            others = tuple(k for k in range(n) if k != i)
+            ests.append(epoch_estimate(N.sum(axis=others),
+                                       (N * self.tables[i]).sum(axis=others)))
+        actions = None
+        if log_rng is not None:
+            cells = log_rng.permutation(np.repeat(np.arange(N.size), N.ravel()))
+            actions = list(np.unravel_index(cells, self.dims))
+        return ests, actions
+
+    def _epoch_in_chunks(self, rng, plays, B, record):
+        counts = [np.zeros(d, dtype=np.int64) for d in self.dims]
+        sums = [np.zeros(d) for d in self.dims]
+        log = [[] for _ in self.dims] if record else None
+        for start in range(0, B, CHUNK_ROUNDS):
+            size = min(CHUNK_ROUNDS, B - start)
+            acts = [rng.choice(d, size=size, p=x) for d, x in zip(self.dims, plays)]
+            for i, d in enumerate(self.dims):
+                r = self._rewards01(i, acts)
+                _check_rewards(r)
+                counts[i] += np.bincount(acts[i], minlength=d)
+                sums[i] += np.bincount(acts[i], weights=r, minlength=d)
+                if record:
+                    log[i].append(acts[i])
+        actions = [np.concatenate(a) for a in log] if record else None
+        return [epoch_estimate(c, s) for c, s in zip(counts, sums)], actions
 
 
 def estimation_bound(d, B, eps, t, delta):
@@ -331,16 +464,38 @@ class BanditTrajectory:
         return np.repeat(self.tgap_mixed, self.B)
 
 
+def _play_rounds(rng, sampler, players, B, record):
+    """One epoch played round by round, so that fallback learners update
+    within it; keeps per-action counts and reward sums, and the actions
+    only when ``record`` is set."""
+    dims = sampler.dims
+    counts = [np.zeros(d, dtype=np.int64) for d in dims]
+    sums = [np.zeros(d) for d in dims]
+    log = [np.empty(B, dtype=np.int64) for _ in dims] if record else None
+    for k in range(B):
+        a = [int(rng.choice(d, p=p.round_strategy())) for d, p in zip(dims, players)]
+        for i, (p, r) in enumerate(zip(players, sampler._round_rewards(a))):
+            counts[i][a[i]] += 1
+            sums[i][a[i]] += r
+            p.observe_round(a[i], r)
+            if record:
+                log[i][k] = a[i]
+    return [epoch_estimate(c, s) for c, s in zip(counts, sums)], log
+
+
 def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
                delta=0.05, epochs=12, audit=True, monitor=True, monitor_c=4.0,
                record_actions=False) -> BanditTrajectory:
     """Simulate the epoch-based bandit dynamics on a polymatrix game.
 
     Every player runs the same schedule.  Each epoch plays the mixed average
-    for B_t rounds with fresh independent action draws per round and player,
-    performs one OMWU update on the reconstructed estimate, and logs the
-    total gap of the played profile.  A certified run needs a theory
-    schedule and eta <= 1/(6n); violations warn and flag the run.
+    for B_t rounds with independent action draws per round and player (drawn
+    as joint counts by ``JointSampler``), performs one OMWU update on the
+    reconstructed estimate, and logs the total gap of the played profile.
+    After a monitor switch the epoch is played round by round.
+    ``record_actions`` keeps every round's actions; it does not change the
+    run's draws.  A certified run needs a theory schedule and eta <= 1/(6n);
+    violations warn and flag the run.
     """
     n = game.n
     if n < 2:
@@ -354,16 +509,19 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
             stacklevel=2,
         )
     rng = np.random.default_rng(seed)
+    log_rng = rng.spawn(1)[0] if record_actions else None
+    sampler = JointSampler(game)
     counts_d = game.action_counts
     dmax = game.dimensionality
-    offset, scale = float(n - 1), 2.0 * float(n - 1)
+    offset, scale = sampler.offset, sampler.scale
     players = [BanditPlayer(d, eta, delta, monitor_c if monitor else math.inf)
                for d in counts_d]
 
     E = epochs
-    t_arr = np.arange(1, E + 1)
-    B_arr = np.array([schedule.epoch_length(t, dmax) for t in t_arr])
-    eps_arr = np.array([schedule.mixing(t) for t in t_arr])
+    epoch_ts = range(1, E + 1)  # Python ints: B_t * t^2 exceeds int64 for t > 1448
+    t_arr = np.array(epoch_ts)
+    B_arr = np.array([schedule.epoch_length(t, dmax) for t in epoch_ts], dtype=np.int64)
+    eps_arr = np.array([schedule.mixing(t) for t in epoch_ts])
     round_end = np.cumsum(B_arr)
     tgap_mixed = np.empty(E)
     mixed = [np.empty((E, d)) for d in counts_d]
@@ -382,15 +540,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     reg_threshold = np.full(E, np.nan) if monitor else None
     action_log = [[] for _ in range(n)] if record_actions else None
 
-    edge_mats = [[(j, game.edges[(i, j)]) for j in game.neighbors(i)] for i in range(n)]
-
-    def rewards01(i, a):
-        """Player i's [0, 1] rewards at the players' actions a: one array
-        per player, or one round's actions."""
-        raw = sum((m[a[i], a[j]] for j, m in edge_mats[i]), np.zeros(np.shape(a[i])))
-        return (raw + offset) / scale
-
-    for idx, t in enumerate(t_arr):
+    for idx, t in enumerate(epoch_ts):
         B = int(B_arr[idx])
         eps = float(eps_arr[idx])
         plays = [p.begin_epoch(B, eps) for p in players]
@@ -398,26 +548,15 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
             mixed[i][idx] = plays[i]
 
         if not any(p.switched for p in players):
-            acts = [rng.choice(counts_d[i], size=B, p=plays[i]) for i in range(n)]
-            r01 = [rewards01(i, acts) for i in range(n)]
+            ests, acts = sampler.epoch(rng, plays, B, log_rng)
         else:
-            # Per-round play once someone switched, so fallback learners
-            # update within the epoch.
-            acts = [np.empty(B, dtype=int) for _ in range(n)]
-            r01 = [np.empty(B) for _ in range(n)]
-            for k in range(B):
-                a = [rng.choice(d, p=p.round_strategy()) for d, p in zip(counts_d, players)]
-                for i, p in enumerate(players):
-                    acts[i][k] = a[i]
-                    r01[i][k] = rewards01(i, a)
-                    p.observe_round(a[i], r01[i][k])
+            ests, acts = _play_rounds(rng, sampler, players, B, record_actions)
 
         if record_actions:
             for i in range(n):
                 action_log[i].append(acts[i])
 
-        for i, p in enumerate(players):
-            est = estimate_epoch(acts[i], r01[i], counts_d[i])
+        for i, (p, est) in enumerate(zip(players, ests)):
             estimates[i][idx] = est.estimate
             counts[i][idx] = est.counts
             unsampled[idx, i] = int(est.unsampled.sum())
@@ -584,8 +723,8 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
 
         play = player.begin_epoch(B, eps)
         if not player.switched:
-            acts = rng.choice(d, size=B, p=play)
-            player.end_epoch(estimate_epoch(acts, v[acts], d))
+            counts = rng.multinomial(B, play)
+            player.end_epoch(epoch_estimate(counts, counts * v))
             cum_true += B * v
             earned_true += B * float(play @ v)
         else:

@@ -37,6 +37,7 @@ allocation is zero and the price is not needed.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -199,10 +200,7 @@ def run_prd(market, T, spend0=None) -> dict:
         avg_spends[t] = bbar
         avg_prices[t] = prices(bbar)
         b = prd_step(market, b)
-    gaps = np.array([
-        market_gap(market, avg_prices[t], avg_spends[t] / avg_prices[t]).max()
-        for t in range(T)
-    ]) if market.linear else None
+    gaps = market_gap(market, avg_prices, spend=avg_spends).max(axis=1) if market.linear else None
     return {
         "spends": spends,
         "prices": price_hist,
@@ -286,20 +284,27 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
     }
 
 
-def market_gap(market, p, x) -> np.ndarray:
+def market_gap(market, p, x=None, *, spend=None) -> np.ndarray:
     """Per-agent utility shortfall against the best bang-per-buck bundle.
 
     gap_i = B_i * max_j a_ij / p_j - <a_i, x_i>; zero for every agent
-    exactly at a competitive equilibrium.  Linear markets only.
+    exactly at a competitive equilibrium.  Linear markets only.  Pass the
+    allocation x, or the spending, whose allocation x = spend / p is then
+    never formed.  Leading axes broadcast: prices (T, n) with (T, m, n)
+    allocations or spends give the (T, m) gaps of T rounds in one call,
+    with no temporary of the spends' size.
     """
     if not market.linear:
         raise ValueError("equilibrium gap is only defined for linear markets")
+    a = market.valuations
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise DegenerateMarketError(f"nonpositive prices: {p}")
-    bpb = market.valuations / p
-    best = bpb.max(axis=1)
-    got = np.einsum("ij,ij->i", market.valuations, np.asarray(x, dtype=float))
+    best = functools.reduce(np.maximum, (a[:, j] / p[..., j, None] for j in range(a.shape[1])))
+    if spend is None:
+        got = np.einsum("ij,...ij->...i", a, np.asarray(x, dtype=float))
+    else:
+        got = np.einsum("ij,...ij,...j->...i", a, spend, 1.0 / p)
     return market.budgets * best - got
 
 

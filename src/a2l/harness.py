@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +31,7 @@ from . import bandit as bandit_mod
 from . import dynamics as dyn
 from . import fisher as fisher_mod
 from .games import PolymatrixGame, generate_game, load_game
+from .reduction import WEIGHT_RULES
 
 SCHEMA_VERSION = 1
 PRNG_NAME = "numpy-PCG64"
@@ -97,17 +99,46 @@ def load_config(source) -> ExperimentConfig:
     return cfg
 
 
+def _integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
-    """Collect every validation problem; empty list means the config is fine."""
+    """Collect every validation problem; empty list means the config is fine.
+
+    Field types are checked before any range, so a wrongly typed field is
+    reported by name instead of failing a comparison.
+    """
     errors = []
     if cfg.mode not in ("gradient", "bandit", "fisher"):
         errors.append(f"mode must be gradient, bandit or fisher, got {cfg.mode!r}")
-    if not cfg.seeds or not all(isinstance(s, int) for s in cfg.seeds):
-        errors.append("seeds must be a nonempty list of integers")
-    if cfg.mode in ("gradient", "fisher") and cfg.T < 1:
-        errors.append("T must be at least 1")
-    if cfg.mode == "bandit" and cfg.epochs < 1:
-        errors.append("epochs must be at least 1")
+    seeds_ok = (isinstance(cfg.seeds, list) and len(cfg.seeds) > 0
+                and all(_integer(s) for s in cfg.seeds))
+    if not seeds_ok:
+        errors.append(f"seeds must be a nonempty list of integers, got {cfg.seeds!r}")
+    used = {"T": cfg.mode in ("gradient", "fisher"), "epochs": cfg.mode == "bandit",
+            "workers": True}
+    for name, in_use in used.items():
+        value = getattr(cfg, name)
+        if not _integer(value):
+            errors.append(f"{name} must be an integer, got {value!r}")
+        elif in_use and value < 1:
+            errors.append(f"{name} must be at least 1")
+    eta_ok = cfg.eta is None or (_number(cfg.eta) and math.isfinite(cfg.eta) and cfg.eta > 0)
+    if not eta_ok:
+        errors.append(f"eta must be a positive finite number, got {cfg.eta!r}")
+    if not (isinstance(cfg.weights, str) and cfg.weights in WEIGHT_RULES):
+        errors.append(f"weights must be one of {sorted(WEIGHT_RULES)}, got {cfg.weights!r}")
+    if not (_number(cfg.delta) and 0.0 < cfg.delta < 1.0):
+        errors.append(f"delta must be a number in (0, 1), got {cfg.delta!r}")
+    if not (_number(cfg.monitor_c) and not math.isnan(cfg.monitor_c)):
+        errors.append(f"monitor_c must be a number, got {cfg.monitor_c!r}")
+    if not isinstance(cfg.certified, bool):
+        errors.append(f"certified must be true or false, got {cfg.certified!r}")
 
     if cfg.mode in ("gradient", "bandit"):
         if cfg.game is None:
@@ -116,11 +147,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
             if "file" in cfg.game and not Path(cfg.game["file"]).exists():
                 errors.append(f"game file not found: {cfg.game['file']}")
             try:
-                game = resolve_game(cfg.game, seed=cfg.seeds[0] if cfg.seeds else 0)
+                game = resolve_game(cfg.game, seed=cfg.seeds[0] if seeds_ok else 0)
             except Exception as exc:  # surfaced as config problem
                 errors.append(f"game spec invalid: {exc}")
                 game = None
-            if game is not None and cfg.certified and cfg.eta is not None:
+            if game is not None and cfg.certified and cfg.eta is not None and eta_ok:
                 if cfg.mode == "gradient":
                     limit = dyn.gradient_step_size(game.n)
                     if cfg.eta > limit + 1e-12:
@@ -250,8 +281,7 @@ def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
     market = resolve_market(cfg.market, seed=seed)
     out = fisher_mod.run_a2l_prd(market, cfg.T)
     p = out["played_prices"]
-    x = out["played_spends"] / p[:, None, :]
-    gaps = np.array([fisher_mod.market_gap(market, p[t], x[t]).max() for t in range(cfg.T)])
+    gaps = fisher_mod.market_gap(market, p, spend=out["played_spends"]).max(axis=1)
     conservation = float(np.abs(p.sum(axis=1) - market.budgets.sum()).max())
     result = {
         "seed": seed,

@@ -456,35 +456,28 @@ def _bandit_resample(estimator, resamples=10_000, seed=777):
     Uses the seed-0 honest run's epoch-5 mixed profile (B = 625, eps = 1/5)
     and returns per-action means, standard errors and the truth, for either
     the per-action-mean estimator ("epoch") or the importance-weighted
-    accumulator ("iw").
+    accumulator ("iw").  Each resample is drawn by ``bandit.JointSampler``,
+    the sampler ``run_bandit`` uses.
     """
     game = _bandit_game()
     traj = bd.run_bandit(game, bd.EpochSchedule.theory(), seed=0,
                          delta=BANDIT_DELTA, epochs=5, monitor=False)
     t = 5
     B = int(traj.B[t - 1])
-    x1 = traj.mixed[0][t - 1]
-    x2 = traj.mixed[1][t - 1]
+    plays = [x[t - 1] for x in traj.mixed]
     offset, scale = traj.meta["reward_map"]["offset"], traj.meta["reward_map"]["scale"]
-    a_mat = game.edges[(0, 1)]
-    truth_avg = (a_mat @ x2 + offset) / scale  # true average utility vector
+    truth_avg = (game.edges[(0, 1)] @ plays[1] + offset) / scale  # true average utility vector
+    sampler = bd.JointSampler(game)
     rng = np.random.default_rng(seed)
-    d = len(x1)
-    acts1 = rng.choice(d, size=(resamples, B), p=x1)
-    acts2 = rng.choice(len(x2), size=(resamples, B), p=x2)
-    rewards = (a_mat[acts1, acts2] + offset) / scale
-    est = np.empty((resamples, d))
-    sums = np.empty((resamples, d))
-    for a in range(d):
-        mask = acts1 == a
-        counts = mask.sum(axis=1)
-        sums[:, a] = (rewards * mask).sum(axis=1)
-        est[:, a] = np.divide(sums[:, a], counts, out=np.zeros(resamples),
-                              where=counts > 0)
+    est = np.empty((resamples, len(plays[0])))
+    sums = np.empty_like(est)
+    for r in range(resamples):
+        ests, _ = sampler.epoch(rng, plays, B)
+        est[r], sums[r] = ests[0].estimate, ests[0].sums
     if estimator == "epoch":
         values, truth = est, truth_avg
     else:
-        values, truth = sums / x1, B * truth_avg
+        values, truth = sums / plays[0], B * truth_avg
     mean = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(resamples)
     return mean, se, truth

@@ -1,17 +1,23 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2l import bandit
 from a2l.bandit import (
     BanditPlayer,
     DataError,
     EpochEstimate,
     EpochSchedule,
     Exp3Fallback,
+    JointSampler,
     ScheduleError,
     bandit_csv_lines,
     bandit_step_size,
+    epoch_estimate,
     estimate_epoch,
     estimation_error_audit,
     iw_radius,
@@ -326,3 +332,123 @@ def test_round_gaps_expand_epochs():
     assert len(gaps) == traj.round_end[-1]
     assert gaps[0] == traj.tgap_mixed[0]
     assert np.all(gaps[1:17] == traj.tgap_mixed[1])  # epoch 2 spans rounds 2..17
+
+
+# -- joint-count sampling -----------------------------------------------------
+
+
+def test_epoch_estimate_from_counts_and_sums():
+    est = epoch_estimate(np.array([2, 0, 4]), np.array([1.0, 0.0, 1.0]))
+    assert est.estimate.tolist() == [0.5, 0.0, 0.25]
+    assert est.unsampled.tolist() == [False, True, False]
+    ref = estimate_epoch([0, 2, 0, 2, 2, 2], [0.5, 0.0, 0.5, 1.0, 0.0, 0.0], d=3)
+    assert np.array_equal(ref.counts, est.counts)
+    assert np.allclose(ref.estimate, est.estimate)
+
+
+def per_round_statistics(game, plays, B, reps, rng):
+    """Counts and [0, 1] reward sums of i.i.d. per-round draws, (reps, d_i)
+    per player, computed from the payoff matrices."""
+    n = game.n
+    acts = [rng.choice(len(x), size=(reps, B), p=x) for x in plays]
+    counts, sums = [], []
+    for i in range(n):
+        raw = sum(game.edges[(i, j)][acts[i], acts[j]] for j in game.neighbors(i))
+        r = (raw + (n - 1)) / (2.0 * (n - 1))
+        hit = acts[i][:, :, None] == np.arange(len(plays[i]))
+        counts.append(hit.sum(axis=1))
+        sums.append((hit * r[:, :, None]).sum(axis=1))
+    return counts, sums
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, (2, 3, 2))])
+@pytest.mark.parametrize("branch", ["table", "chunks"])
+def test_joint_sampler_has_the_law_of_per_round_draws(monkeypatch, n, d, branch):
+    if branch == "chunks":
+        monkeypatch.setattr(bandit, "CELL_CAP", 0)
+        monkeypatch.setattr(bandit, "CHUNK_ROUNDS", 16)
+    game = generate_game("random_zs", n=n, d=d, seed=5)
+    sampler = JointSampler(game)
+    assert (sampler.tables is None) == (branch == "chunks")
+    rng = np.random.default_rng(12)
+    plays = [rng.dirichlet(np.ones(k)) for k in game.action_counts]
+    B, reps = 40, 3000
+    joint = [[np.empty((reps, k)) for k in game.action_counts] for _ in range(2)]
+    for r in range(reps):
+        ests, _ = sampler.epoch(rng, plays, B)
+        for i, est in enumerate(ests):
+            joint[0][i][r], joint[1][i][r] = est.counts, est.sums
+    ref = per_round_statistics(game, plays, B, reps, rng)
+    for a_stat, b_stat in zip(joint, ref):
+        for a, b in zip(a_stat, b_stat):
+            se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / reps)
+            assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se + 1e-12)
+    for i, x in enumerate(plays):  # and both match the exact mean count B x_i
+        assert np.all(np.abs(joint[0][i].mean(axis=0) - B * x)
+                      <= 4 * np.sqrt(B * x * (1 - x) / reps) + 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["self-play", "forced-switch", "chunks"])
+def test_recorded_actions_match_counts(monkeypatch, kind):
+    kw = {"epochs": 5, "seed": 3}
+    if kind == "forced-switch":
+        kw.update(schedule=EpochSchedule.custom(coeff=30, power=0.0, eps_coeff=0.5,
+                                                eps_power=0.0), monitor_c=-1e9)
+    if kind == "chunks":
+        monkeypatch.setattr(bandit, "CELL_CAP", 0)
+        monkeypatch.setattr(bandit, "CHUNK_ROUNDS", 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the forced-switch schedule is uncertified
+        traj = quiet_run(record_actions=True, **kw)
+        plain = quiet_run(**kw)
+    for i in range(traj.n):
+        for e in range(traj.num_epochs):
+            assert len(traj.actions[i][e]) == traj.B[e]
+            assert np.array_equal(np.bincount(traj.actions[i][e], minlength=3),
+                                  traj.counts[i][e])
+        # keeping the log does not change the run's draws
+        assert np.array_equal(traj.estimates[i], plain.estimates[i], equal_nan=True)
+
+
+def test_theory_run_memory_does_not_grow_with_epoch_length():
+    # the last epoch has B_32 = 32^4 > 10^6 rounds; per-round sampling held
+    # 16 bytes per round and player there
+    tracemalloc.start()
+    try:
+        traj = quiet_run(epochs=32, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.B[-1] >= 10**6
+    assert peak < 4 * 2**20
+
+
+def test_large_game_runs_through_chunks():
+    game = generate_game("random_zs", n=5, d=10, seed=2)
+    assert JointSampler(game).tables is None  # 10^5 joint cells
+    traj = run_bandit(game, EpochSchedule.theory(), epochs=5, seed=0, record_actions=True)
+    for i in range(5):
+        assert np.array_equal(traj.counts[i].sum(axis=1), traj.B)
+        assert np.array_equal(np.bincount(traj.actions[i][-1], minlength=10),
+                              traj.counts[i][-1])
+    assert np.all(np.isfinite(traj.tgap_mixed))
+
+
+@pytest.mark.parametrize("cap", [bandit.CELL_CAP, 0])
+def test_out_of_range_rewards_raise(monkeypatch, cap):
+    monkeypatch.setattr(bandit, "CELL_CAP", cap)
+    big = np.array([[3.0, 0.0], [0.0, 0.0]])
+    game = PolymatrixGame((2, 2), {(0, 1): big, (1, 0): -big.T}, zero_sum=True)
+    with pytest.raises(DataError):
+        run_bandit(game, EpochSchedule.theory(), epochs=6, seed=0)
+
+
+def test_epoch_length_beyond_int64_names_the_epoch():
+    sched = EpochSchedule.custom(coeff=1, power=30)
+    assert sched.epoch_length(4, 2) == 4**30
+    with pytest.raises(ScheduleError, match="t=5"):
+        sched.epoch_length(5, 2)
+    with pytest.raises(ScheduleError, match="t=3"):
+        EpochSchedule.custom(coeff=1, power=1000.0).epoch_length(3, 2)
+    with pytest.warns(UserWarning), pytest.raises(ScheduleError, match="t=5"):
+        run_bandit(small_game(), sched, epochs=6)

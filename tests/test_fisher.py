@@ -191,6 +191,16 @@ def test_market_gap_zero_at_equilibrium():
     assert np.all(market_gap(market, np.array([1.0, 1.0]), np.eye(2) * 0.5) >= 0)
 
 
+def test_market_gap_over_all_rounds_matches_per_round_calls():
+    market = random_linear_market(6, 4, seed=3)
+    out = run_a2l_prd(market, 50)
+    p, spends = out["played_prices"], out["played_spends"]
+    x = spends / p[:, None, :]
+    per_round = np.array([market_gap(market, p[t], x[t]) for t in range(50)])
+    assert np.abs(market_gap(market, p, x) - per_round).max() <= 1e-14
+    assert np.abs(market_gap(market, p, spend=spends) - per_round).max() <= 1e-14
+
+
 def test_json_round_trip(tmp_path):
     market = random_linear_market(3, 2, seed=9)
     path = tmp_path / "market.json"

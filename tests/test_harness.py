@@ -41,6 +41,24 @@ def test_all_errors_enumerated(tmp_path):
     assert "T must" in msg and "seeds" in msg and "ftrl" in msg
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", "10"),
+    ("eta", -1.0),
+    ("eta", float("nan")),
+    ("eta", float("inf")),
+    ("weights", "quadratic"),
+    ("seeds", [True]),
+    ("delta", 0.0),
+    ("delta", 1.0),
+    ("monitor_c", float("nan")),
+])
+@pytest.mark.parametrize("mode", ["gradient", "bandit"])
+def test_bad_field_raises_config_error_naming_it(tmp_path, mode, field, value):
+    cfg = gradient_cfg(tmp_path, mode=mode, certified=False, **{field: value})
+    with pytest.raises(ConfigError, match=rf"- {field} must"):
+        load_config(cfg)
+
+
 def test_certified_gradient_eta_refused(tmp_path):
     bad = gradient_cfg(tmp_path, eta=0.6)  # above 1/(2(n-1)) = 0.5
     with pytest.raises(ConfigError, match=r"eta <= 1/\(2\(n-1\)\)"):
