@@ -6,7 +6,6 @@ from .dynamics import (
     Trajectory,
     gradient_step_size,
     regret_report,
-    robust_gradient_monitor,
     run_full_feedback,
     run_full_feedback_batch,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "mwu_next",
     "omwu_next",
     "regret_report",
-    "robust_gradient_monitor",
     "run_a2l_prd",
     "run_bandit",
     "run_full_feedback",

@@ -35,8 +35,7 @@ players' axes, with R_i its reward table, built once per run.  This has the
 same law as B_t i.i.d. rounds.  Joint spaces above ``CELL_CAP`` cells are
 sampled round by round in chunks of ``CHUNK_ROUNDS``, each reduced to
 counts and sums at once, so an epoch's memory never depends on B_t.  Only
-``record_actions`` and the per-round path after a monitor switch handle
-single rounds.
+the per-round path after a monitor switch handles single rounds.
 
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
@@ -49,12 +48,13 @@ estimation.  The map is monotone and per-player affine, hence preserves
 argmax structure and regret ordering; gap statistics are reported in
 original payoff units.
 
-In simulator runs the true mixed strategies are known, so the run can also
-log the true average utility vectors and the per-epoch estimation errors
-(audit mode), plus a player-local importance-weighted regret estimate with
-its confidence radius (monitor).  The monitor recommends switching to a
-safe bandit learner once the estimate exceeds c * T_t^{4/5} beyond the
-radius, where T_t is the cumulative round count.
+In simulator runs the true mixed strategies are known, so every run also
+logs the true average utility vectors and the per-epoch estimation errors
+(the audit columns), plus each player's importance-weighted regret estimate
+with its confidence radius (the monitor columns).  The monitor recommends
+switching to a safe bandit learner once the estimate exceeds c * T_t^{4/5}
+beyond the radius, where T_t is the cumulative round count; monitor_c = inf
+never switches.
 """
 
 from __future__ import annotations
@@ -255,16 +255,11 @@ class JointSampler:
             _check_rewards(r)
         return r
 
-    def epoch(self, rng, plays, B, log_rng=None):
-        """One epoch of B rounds at the strategies ``plays``.
-
-        Returns one ``EpochEstimate`` per player and, when ``log_rng`` is
-        given, the per-round actions (one array per player; on the table
-        path, the drawn cells in an order shuffled by ``log_rng``), else
-        None.
-        """
+    def epoch(self, rng, plays, B) -> list:
+        """One epoch of B rounds at the strategies ``plays``; returns one
+        ``EpochEstimate`` per player."""
         if self.tables is None:
-            return self._epoch_in_chunks(rng, plays, B, log_rng is not None)
+            return self._epoch_in_chunks(rng, plays, B)
         N = rng.multinomial(B, functools.reduce(np.multiply.outer, plays).ravel())
         N = N.reshape(self.dims)
         if self.bad_cells is not None and N[self.bad_cells].any():
@@ -277,16 +272,11 @@ class JointSampler:
             others = tuple(k for k in range(n) if k != i)
             ests.append(epoch_estimate(N.sum(axis=others),
                                        (N * self.tables[i]).sum(axis=others)))
-        actions = None
-        if log_rng is not None:
-            cells = log_rng.permutation(np.repeat(np.arange(N.size), N.ravel()))
-            actions = list(np.unravel_index(cells, self.dims))
-        return ests, actions
+        return ests
 
-    def _epoch_in_chunks(self, rng, plays, B, record):
+    def _epoch_in_chunks(self, rng, plays, B):
         counts = [np.zeros(d, dtype=np.int64) for d in self.dims]
         sums = [np.zeros(d) for d in self.dims]
-        log = [[] for _ in self.dims] if record else None
         for start in range(0, B, CHUNK_ROUNDS):
             size = min(CHUNK_ROUNDS, B - start)
             acts = [rng.choice(d, size=size, p=x) for d, x in zip(self.dims, plays)]
@@ -295,10 +285,7 @@ class JointSampler:
                 _check_rewards(r)
                 counts[i] += np.bincount(acts[i], minlength=d)
                 sums[i] += np.bincount(acts[i], weights=r, minlength=d)
-                if record:
-                    log[i].append(acts[i])
-        actions = [np.concatenate(a) for a in log] if record else None
-        return [epoch_estimate(c, s) for c, s in zip(counts, sums)], actions
+        return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
 
 
 def estimation_bound(d, B, eps, t, delta):
@@ -436,16 +423,15 @@ class BanditTrajectory:
     recovered: list                # per player (E, d_i) uhat
     counts: list                   # per player (E, d_i) sample counts
     unsampled: np.ndarray          # (E, n) counts of never-sampled actions
-    true_mixed_avg: list | None    # audit: true average utility vectors
-    true_inner: list | None        # audit: true utility at inner profiles
-    delta_inf: np.ndarray | None   # audit: ||Uhat - truth||_inf
-    delta_bound: np.ndarray | None  # audit: high-probability bound
-    iw_estimates: list | None      # monitor: per-epoch IW vectors
-    reg_est: np.ndarray | None     # monitor: anytime regret estimate
-    radius: np.ndarray | None      # monitor: confidence radii
-    reg_threshold: np.ndarray | None
-    switch_epoch: list | None      # per player, first epoch the switch fired
-    actions: list | None           # optional per-round action log
+    true_mixed_avg: list           # audit: true average utility vectors
+    true_inner: list               # audit: true utility at inner profiles
+    delta_inf: np.ndarray          # audit: ||Uhat - truth||_inf
+    delta_bound: np.ndarray        # audit: high-probability bound
+    iw_estimates: list             # monitor: per-epoch IW vectors
+    reg_est: np.ndarray            # monitor: anytime regret estimate
+    radius: np.ndarray             # monitor: confidence radii
+    reg_threshold: np.ndarray
+    switch_epoch: list             # per player, first epoch the switch fired
 
     @property
     def n(self) -> int:
@@ -455,46 +441,33 @@ class BanditTrajectory:
     def num_epochs(self) -> int:
         return len(self.t)
 
-    def round_gaps(self) -> np.ndarray:
-        """Real-time gap of the round-indexed play, one entry per round.
 
-        The strategy is constant within an epoch, so the per-round sequence
-        repeats each epoch's gap B_t times.
-        """
-        return np.repeat(self.tgap_mixed, self.B)
-
-
-def _play_rounds(rng, sampler, players, B, record):
+def _play_rounds(rng, sampler, players, B):
     """One epoch played round by round, so that fallback learners update
-    within it; keeps per-action counts and reward sums, and the actions
-    only when ``record`` is set."""
+    within it; keeps per-action counts and reward sums."""
     dims = sampler.dims
     counts = [np.zeros(d, dtype=np.int64) for d in dims]
     sums = [np.zeros(d) for d in dims]
-    log = [np.empty(B, dtype=np.int64) for _ in dims] if record else None
-    for k in range(B):
+    for _ in range(B):
         a = [int(rng.choice(d, p=p.round_strategy())) for d, p in zip(dims, players)]
         for i, (p, r) in enumerate(zip(players, sampler._round_rewards(a))):
             counts[i][a[i]] += 1
             sums[i][a[i]] += r
             p.observe_round(a[i], r)
-            if record:
-                log[i][k] = a[i]
-    return [epoch_estimate(c, s) for c, s in zip(counts, sums)], log
+    return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
 
 
 def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
-               delta=0.05, epochs=12, audit=True, monitor=True, monitor_c=4.0,
-               record_actions=False) -> BanditTrajectory:
+               delta=0.05, epochs=12, monitor_c=4.0) -> BanditTrajectory:
     """Simulate the epoch-based bandit dynamics on a polymatrix game.
 
     Every player runs the same schedule.  Each epoch plays the mixed average
     for B_t rounds with independent action draws per round and player (drawn
     as joint counts by ``JointSampler``), performs one OMWU update on the
     reconstructed estimate, and logs the total gap of the played profile.
-    After a monitor switch the epoch is played round by round.
-    ``record_actions`` keeps every round's actions; it does not change the
-    run's draws.  A certified run needs a theory schedule and eta <= 1/(6n);
+    After a monitor switch the epoch is played round by round; monitor_c =
+    inf never switches.  Audit and monitor columns are logged in every run,
+    NaN after a switch.  A certified run needs a theory schedule and eta <= 1/(6n);
     violations warn and flag the run.
     """
     n = game.n
@@ -509,13 +482,11 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
             stacklevel=2,
         )
     rng = np.random.default_rng(seed)
-    log_rng = rng.spawn(1)[0] if record_actions else None
     sampler = JointSampler(game)
     counts_d = game.action_counts
     dmax = game.dimensionality
     offset, scale = sampler.offset, sampler.scale
-    players = [BanditPlayer(d, eta, delta, monitor_c if monitor else math.inf)
-               for d in counts_d]
+    players = [BanditPlayer(d, eta, delta, monitor_c) for d in counts_d]
 
     E = epochs
     epoch_ts = range(1, E + 1)  # Python ints: B_t * t^2 exceeds int64 for t > 1448
@@ -530,15 +501,14 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     recovered = [np.empty((E, d)) for d in counts_d]
     counts = [np.empty((E, d), dtype=int) for d in counts_d]
     unsampled = np.zeros((E, n), dtype=int)
-    true_mixed_avg = [np.full((E, d), np.nan) for d in counts_d] if audit else None
-    true_inner = [np.full((E, d), np.nan) for d in counts_d] if audit else None
-    delta_inf = np.full((E, n), np.nan) if audit else None
-    delta_bnd = np.full((E, n), np.nan) if audit else None
-    iw_all = [np.full((E, d), np.nan) for d in counts_d] if monitor else None
-    reg_est = np.full((E, n), np.nan) if monitor else None
-    radius = np.full((E, n), np.nan) if monitor else None
-    reg_threshold = np.full(E, np.nan) if monitor else None
-    action_log = [[] for _ in range(n)] if record_actions else None
+    true_mixed_avg = [np.full((E, d), np.nan) for d in counts_d]
+    true_inner = [np.full((E, d), np.nan) for d in counts_d]
+    delta_inf = np.full((E, n), np.nan)
+    delta_bnd = np.full((E, n), np.nan)
+    iw_all = [np.full((E, d), np.nan) for d in counts_d]
+    reg_est = np.full((E, n), np.nan)
+    radius = np.full((E, n), np.nan)
+    reg_threshold = np.full(E, np.nan)
 
     for idx, t in enumerate(epoch_ts):
         B = int(B_arr[idx])
@@ -548,13 +518,9 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
             mixed[i][idx] = plays[i]
 
         if not any(p.switched for p in players):
-            ests, acts = sampler.epoch(rng, plays, B, log_rng)
+            ests = sampler.epoch(rng, plays, B)
         else:
-            ests, acts = _play_rounds(rng, sampler, players, B, record_actions)
-
-        if record_actions:
-            for i in range(n):
-                action_log[i].append(acts[i])
+            ests = _play_rounds(rng, sampler, players, B)
 
         for i, (p, est) in enumerate(zip(players, ests)):
             estimates[i][idx] = est.estimate
@@ -566,15 +532,12 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
                 continue
             inner[i][idx] = p.learner.last_inner
             recovered[i][idx] = p.end_epoch(est)
-            if monitor:
-                iw_all[i][idx] = p.iw
-                reg_est[idx, i] = p.reg_est
-                radius[idx, i] = p.radius
+            iw_all[i][idx] = p.iw
+            reg_est[idx, i] = p.reg_est
+            radius[idx, i] = p.radius
+        reg_threshold[idx] = players[0].threshold
 
-        if monitor:
-            reg_threshold[idx] = players[0].threshold
-
-        if audit and not any(p.switched for p in players):
+        if not any(p.switched for p in players):
             inner_profile = [x[idx] for x in inner]
             for i in range(n):
                 true_mixed_avg[i][idx] = (game.utility_vector(i, plays) + offset) / scale
@@ -601,7 +564,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         meta, t_arr, B_arr, eps_arr, round_end, tgap_mixed, mixed, inner,
         estimates, recovered, counts, unsampled, true_mixed_avg, true_inner,
         delta_inf, delta_bnd, iw_all, reg_est, radius, reg_threshold,
-        [p.switch_epoch for p in players], action_log,
+        [p.switch_epoch for p in players],
     )
 
 
@@ -610,8 +573,6 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
 
 def estimation_error_audit(traj: BanditTrajectory) -> dict:
     """Per-epoch, per-player estimation errors against the stored bound."""
-    if traj.delta_inf is None:
-        raise ValueError("trajectory was not run in audit mode")
     violated = traj.delta_inf > traj.delta_bound
     return {
         "t": traj.t,
@@ -633,8 +594,6 @@ def recovery_error_audit(traj: BanditTrajectory) -> dict:
 
     Returns the slacks (rhs - lhs), which must be nonnegative.
     """
-    if traj.true_inner is None:
-        raise ValueError("trajectory was not run in audit mode")
     E, n = traj.delta_inf.shape
     slack1 = np.empty((E, n))
     slack2 = np.empty((E, n))
@@ -664,8 +623,6 @@ def regret_error_bound_audit(traj: BanditTrajectory) -> dict:
     with u^0 = 0 and x^0 = x^1.  Returns (E, n) arrays of regret, bound and
     slack, one row per prefix.
     """
-    if traj.true_inner is None:
-        raise ValueError("trajectory was not run in audit mode")
     eta = traj.meta["eta"]
     E, n = traj.delta_inf.shape
     regret = np.empty((E, n))
@@ -697,15 +654,15 @@ def regret_error_bound_audit(traj: BanditTrajectory) -> dict:
 
 
 def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
-                              seed=0, delta=0.05, monitor_c=4.0, epochs=50,
-                              stop_on_switch=True) -> dict:
+                              seed=0, delta=0.05, monitor_c=4.0, epochs=50) -> dict:
     """One player's bandit pipeline against an arbitrary environment.
 
     utility_fn(t) returns the true utility vector in [0, 1]^d used for every
     round of epoch t; the player observes only sampled entries.  Runs the
     estimation/reconstruction/OMWU pipeline with the importance-weighted
-    regret monitor, and switches to the Exp3-style fallback when it fires.
-    Returns per-epoch monitor statistics and the true regret.
+    regret monitor, and stops after the epoch in which the switch to the
+    Exp3-style fallback fires.  Returns per-epoch monitor statistics and the
+    true regret.
     """
     rng = np.random.default_rng(seed)
     player = BanditPlayer(d, eta, delta, monitor_c)
@@ -741,7 +698,7 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
         rows["radius"].append(player.radius)
         rows["threshold"].append(player.threshold)
         rows["true_reg"].append(cum_true.max() - earned_true)
-        if stop_on_switch and player.switched:
+        if player.switched:
             break
 
     return {
@@ -763,9 +720,6 @@ def bandit_csv_lines(traj: BanditTrajectory):
         + ["bound"]
         + [f"unsampled_{i + 1}" for i in range(n)]
     )
-    if traj.delta_inf is not None:
-        audit = list(traj.delta_inf.T) + [traj.delta_bound[:, 0]]
-    else:
-        audit = [np.full(traj.num_epochs, np.nan)] * (n + 1)
-    columns = [traj.t, traj.B, traj.eps, traj.tgap_mixed] + audit + list(traj.unsampled.T)
+    columns = ([traj.t, traj.B, traj.eps, traj.tgap_mixed] + list(traj.delta_inf.T)
+               + [traj.delta_bound[:, 0]] + list(traj.unsampled.T))
     yield from _csv_lines(header, columns)

@@ -11,15 +11,16 @@ same action counts) at once: each player's learner holds state of shape
 tensor gives every utility vector of the round in a single matmul.
 ``run_full_feedback`` is its S = 1 call.
 
-A trajectory logs, per round, the played profile and utility vectors, the
-inner iterates (for average-playing wrappers these are the wrapped learner's
-iterates; for bare learners they coincide with the play), the total gap of
-the played profile, the total gap of the running uniform average of inner
-iterates, and per-player instantaneous regrets.  The metadata is sufficient
-to reproduce the run exactly.
+A trajectory logs, per round and for every player, the played profile and
+utility vectors, the inner iterates (for average-playing wrappers these are
+the wrapped learner's iterates; for bare learners they coincide with the
+play), the total gap of the played profile, the total gap of the running
+uniform average of inner iterates, and per-player instantaneous regrets.
+The metadata is sufficient to reproduce the run exactly.
 
-The robustness monitor tracks a player's own anytime regret and recommends
-switching to a safe no-regret fallback once it crosses
+The gradient mode's one robustness monitor is ``GuardedA2LOMWU``: it keeps
+the player's own running regret and switches to a safe no-regret fallback
+once it crosses
 
     c * (sum_i log d_i / eta) * (1 + ln t)
 
@@ -94,9 +95,7 @@ def build_learner(spec: LearnerSpec, d: int, n: int, log_dim_sum=None):
 class Trajectory:
     """Columnar per-round log of one simulation run.
 
-    played/utils/inner/inner_utils hold one (T, d_i) array per player; a
-    player excluded via log_players gets None there.  Gap and regret columns
-    are always present.
+    played/utils/inner/inner_utils hold one (T, d_i) array per player.
     """
 
     meta: dict
@@ -117,18 +116,16 @@ class Trajectory:
         return self.instant_regret.shape[1]
 
 
-def run_full_feedback(game, specs, T, seed=0, log_players=None) -> Trajectory:
+def run_full_feedback(game, specs, T, seed=0) -> Trajectory:
     """Simulate T rounds of simultaneous-move uncoupled play.
 
     specs: one LearnerSpec per player, or a single spec applied to all.
-    log_players: optional subset of player indices to log; logging a subset
-    never changes the dynamics.  This is the one-instance call of
-    ``run_full_feedback_batch``.
+    This is the one-instance call of ``run_full_feedback_batch``.
     """
-    return run_full_feedback_batch([game], specs, T, [seed], log_players)[0]
+    return run_full_feedback_batch([game], specs, T, [seed])[0]
 
 
-def run_full_feedback_batch(games, specs, T, seeds=None, log_players=None) -> list:
+def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
     """Simulate S games of one shape at once; one Trajectory per game.
 
     The games must share n and the action counts; the payoffs and the graph
@@ -169,7 +166,6 @@ def run_full_feedback_batch(games, specs, T, seeds=None, log_players=None) -> li
                     f"specs[{i}].algo: {spec.algo!r} tracks one regret per player and "
                     f"runs one instance per call, got {S} games"
                 )
-    logged = set(range(n)) if log_players is None else set(log_players)
     log_dim_sum = float(np.log(counts).sum())
     learners = [build_learner(specs[i], counts[i], n, log_dim_sum) for i in range(n)]
 
@@ -226,9 +222,6 @@ def run_full_feedback_batch(games, specs, T, seeds=None, log_players=None) -> li
         ubar /= denom
         tgap_inner_avg += ubar.max(axis=2) - np.einsum("std,std->st", xbar, ubar)
 
-    def logged_only(arrays, k):
-        return [arrays[i][k] if i in logged else None for i in range(n)]
-
     return [
         Trajectory(
             {
@@ -239,32 +232,16 @@ def run_full_feedback_batch(games, specs, T, seeds=None, log_players=None) -> li
                 "seed": seed,
                 "prng": "numpy-PCG64",
             },
-            logged_only(played, k),
-            logged_only(utils, k),
-            logged_only(inner, k),
-            logged_only(inner_utils, k),
+            [x[k] for x in played],
+            [x[k] for x in utils],
+            [x[k] for x in inner],
+            [x[k] for x in inner_utils],
             tgap_played[k],
             tgap_inner_avg[k],
             instant_regret[k],
         )
         for k, (g, seed) in enumerate(zip(games, seeds))
     ]
-
-
-def run_single_player(learner, utility_fn, T):
-    """Drive one learner against an environment callback u = f(t, x).
-
-    Rounds are 1-indexed in the callback.  Returns (strategies, utilities)
-    as (T, d) arrays.
-    """
-    xs, us = [], []
-    for t in range(1, T + 1):
-        x = learner.next_strategy()
-        u = np.asarray(utility_fn(t, x), dtype=float)
-        learner.observe(u)
-        xs.append(x)
-        us.append(u)
-    return np.array(xs), np.array(us)
 
 
 # -- regret reports ----------------------------------------------------------
@@ -294,8 +271,6 @@ def inner_regret_report(traj: Trajectory) -> dict:
 
 
 def _report(strats, utils) -> dict:
-    if any(s is None for s in strats):
-        raise ValueError("regret report needs all players logged")
     T = len(strats[0])
     n = len(strats)
     reg = np.empty((T, n))
@@ -329,27 +304,6 @@ def average_profile_gaps(game: PolymatrixGame, iterates) -> np.ndarray:
 def monitor_threshold(t, eta, log_dim_sum, c=2.0):
     """Anytime regret budget c * (sum_i log d_i / eta) * (1 + ln t)."""
     return c * (log_dim_sum / eta) * (1.0 + np.log(t))
-
-
-def robust_gradient_monitor(strategies, utils, eta, log_dim_sum, c=2.0) -> dict:
-    """Player-local switch decision from its own strategies and utilities.
-
-    Pure function of the player's observations: anytime regret against the
-    best fixed action, compared with the monitor threshold at every round.
-    """
-    xs = np.asarray(strategies, dtype=float)
-    us = np.asarray(utils, dtype=float)
-    reg, _ = _cumulative_regrets(xs, us)
-    ts = np.arange(1, len(xs) + 1)
-    thr = monitor_threshold(ts, eta, log_dim_sum, c)
-    crossed = np.nonzero(reg > thr)[0]
-    switch_round = int(crossed[0]) + 1 if crossed.size else None
-    return {
-        "regret": reg,
-        "threshold": thr,
-        "decision": "switch" if switch_round is not None else "continue",
-        "switch_round": switch_round,
-    }
 
 
 class GuardedA2LOMWU:
@@ -414,9 +368,3 @@ def trajectory_csv_lines(traj: Trajectory):
         + list(rep["reg"].T) + list(rep["dreg"].T)
     )
     yield from _csv_lines(header, columns)
-
-
-def write_trajectory_csv(traj: Trajectory, path):
-    with open(path, "w", newline="\n") as f:
-        for line in trajectory_csv_lines(traj):
-            f.write(line + "\n")

@@ -22,7 +22,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from . import fisher as fisher_mod
 from .games import PolymatrixGame, generate_game, load_game
 from .reduction import WEIGHT_RULES
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 PRNG_NAME = "numpy-PCG64"
 
 log = logging.getLogger("a2l")
@@ -64,19 +64,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "game": self.game, "market": self.market,
-            "algo": self.algo, "players": self.players, "eta": self.eta,
-            "weights": self.weights, "T": self.T, "epochs": self.epochs,
-            "schedule": self.schedule, "seeds": list(self.seeds),
-            "delta": self.delta, "monitor_c": self.monitor_c,
-            "certified": self.certified, "out_dir": self.out_dir,
-            "workers": self.workers,
-        }
+        return {**asdict(self), "seeds": list(self.seeds)}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    """Hash of the fields that change results: not out_dir, not workers."""
+    fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
+    blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -107,6 +101,41 @@ def _number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
+# Learner fields checked alike at the top level and in each "players" entry:
+# field -> (test, what the value must be).
+_LEARNER_CHECKS = {
+    "algo": (lambda v: v in dyn.ALGORITHMS, f"one of {dyn.ALGORITHMS}"),
+    "eta": (lambda v: v is None or (_number(v) and 0 < v < math.inf), "a positive finite number"),
+    "weights": (lambda v: v in sorted(WEIGHT_RULES), f"one of {sorted(WEIGHT_RULES)}"),
+    "monitor_c": (lambda v: _number(v) and not math.isnan(v), "a number"),
+}
+
+
+def _learner_errors(fields: dict, prefix="") -> list:
+    """Problems of the learner fields present in ``fields``, named prefix + field."""
+    return [f"{prefix}{k} must be {what}, got {fields[k]!r}"
+            for k, (ok, what) in _LEARNER_CHECKS.items() if k in fields and not ok(fields[k])]
+
+
+def _player_errors(players, dims) -> list:
+    """Problems of the per-player specs; dims are the game's action counts."""
+    if not (isinstance(players, list) and all(isinstance(p, dict) for p in players)):
+        return [f"players must be a list of player specs (objects), got {players!r}"]
+    errors = []
+    if dims and len(players) != len(dims):
+        errors.append(f"players must have one spec per player ({len(dims)}), got {len(players)}")
+    for i, spec in enumerate(players):
+        errors += [f"players[{i}].{k} must not be set: unknown player field"
+                   for k in sorted(set(spec) - set(dyn.LearnerSpec.__dataclass_fields__))]
+        errors += _learner_errors(spec, f"players[{i}].")
+        bias = spec.get("bias")
+        if bias is not None and i < len(dims) and not (
+                isinstance(bias, list) and len(bias) == dims[i]
+                and all(_number(b) and math.isfinite(b) for b in bias)):
+            errors.append(f"players[{i}].bias must be {dims[i]} finite numbers, got {bias!r}")
+    return errors
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
     """Collect every validation problem; empty list means the config is fine.
 
@@ -128,18 +157,16 @@ def validate_config(cfg: ExperimentConfig) -> list:
             errors.append(f"{name} must be an integer, got {value!r}")
         elif in_use and value < 1:
             errors.append(f"{name} must be at least 1")
-    eta_ok = cfg.eta is None or (_number(cfg.eta) and math.isfinite(cfg.eta) and cfg.eta > 0)
-    if not eta_ok:
-        errors.append(f"eta must be a positive finite number, got {cfg.eta!r}")
-    if not (isinstance(cfg.weights, str) and cfg.weights in WEIGHT_RULES):
-        errors.append(f"weights must be one of {sorted(WEIGHT_RULES)}, got {cfg.weights!r}")
+    learner = {"eta": cfg.eta, "weights": cfg.weights, "monitor_c": cfg.monitor_c}
+    if cfg.mode == "gradient":
+        learner["algo"] = cfg.algo
+    errors += _learner_errors(learner)
     if not (_number(cfg.delta) and 0.0 < cfg.delta < 1.0):
         errors.append(f"delta must be a number in (0, 1), got {cfg.delta!r}")
-    if not (_number(cfg.monitor_c) and not math.isnan(cfg.monitor_c)):
-        errors.append(f"monitor_c must be a number, got {cfg.monitor_c!r}")
     if not isinstance(cfg.certified, bool):
         errors.append(f"certified must be true or false, got {cfg.certified!r}")
 
+    game = None
     if cfg.mode in ("gradient", "bandit"):
         if cfg.game is None:
             errors.append("game spec is required")
@@ -150,22 +177,19 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 game = resolve_game(cfg.game, seed=cfg.seeds[0] if seeds_ok else 0)
             except Exception as exc:  # surfaced as config problem
                 errors.append(f"game spec invalid: {exc}")
-                game = None
-            if game is not None and cfg.certified and cfg.eta is not None and eta_ok:
-                if cfg.mode == "gradient":
-                    limit = dyn.gradient_step_size(game.n)
-                    if cfg.eta > limit + 1e-12:
-                        errors.append(
-                            f"certified gradient runs need eta <= 1/(2(n-1)) = {limit}; "
-                            f"got eta = {cfg.eta}"
-                        )
-                else:
-                    limit = bandit_mod.bandit_step_size(game.n)
-                    if cfg.eta > limit + 1e-12:
-                        errors.append(
-                            f"certified bandit runs need eta <= 1/(6n) = {limit}; "
-                            f"got eta = {cfg.eta}"
-                        )
+    if cfg.players is not None:
+        errors += _player_errors(cfg.players, game.action_counts if game is not None else ())
+    if game is not None and cfg.certified:
+        etas = {"eta": cfg.eta}
+        if cfg.mode == "gradient" and isinstance(cfg.players, list):
+            etas.update((f"players[{i}].eta", p.get("eta"))
+                        for i, p in enumerate(cfg.players) if isinstance(p, dict))
+        rule, limit = (("1/(2(n-1))", dyn.gradient_step_size(game.n)) if cfg.mode == "gradient"
+                       else ("1/(6n)", bandit_mod.bandit_step_size(game.n)))
+        for name, eta in etas.items():
+            if eta is not None and not _learner_errors({"eta": eta}) and eta > limit + 1e-12:
+                errors.append(f"certified {cfg.mode} runs need {name} <= {rule} = {limit}; "
+                              f"got {name} = {eta}")
     if cfg.mode == "bandit":
         try:
             sched = resolve_schedule(cfg.schedule)
@@ -181,8 +205,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
             errors.append("market spec is required")
         elif "file" in cfg.market and not Path(cfg.market["file"]).exists():
             errors.append(f"market file not found: {cfg.market['file']}")
-    if cfg.mode == "gradient" and cfg.algo not in dyn.ALGORITHMS:
-        errors.append(f"unknown algorithm {cfg.algo!r}")
     return errors
 
 
@@ -218,8 +240,6 @@ def resolve_schedule(spec: dict) -> bandit_mod.EpochSchedule:
 
 def _learner_specs(cfg: ExperimentConfig, game: PolymatrixGame):
     if cfg.players is not None:
-        if len(cfg.players) != game.n:
-            raise ConfigError(f"{len(cfg.players)} player specs for {game.n} players")
         return [dyn.LearnerSpec(**p) for p in cfg.players]
     return [
         dyn.LearnerSpec(algo=cfg.algo, eta=cfg.eta, weights=cfg.weights)

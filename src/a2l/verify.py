@@ -461,7 +461,7 @@ def _bandit_resample(estimator, resamples=10_000, seed=777):
     """
     game = _bandit_game()
     traj = bd.run_bandit(game, bd.EpochSchedule.theory(), seed=0,
-                         delta=BANDIT_DELTA, epochs=5, monitor=False)
+                         delta=BANDIT_DELTA, epochs=5, monitor_c=np.inf)
     t = 5
     B = int(traj.B[t - 1])
     plays = [x[t - 1] for x in traj.mixed]
@@ -472,7 +472,7 @@ def _bandit_resample(estimator, resamples=10_000, seed=777):
     est = np.empty((resamples, len(plays[0])))
     sums = np.empty_like(est)
     for r in range(resamples):
-        ests, _ = sampler.epoch(rng, plays, B)
+        ests = sampler.epoch(rng, plays, B)
         est[r], sums[r] = ests[0].estimate, ests[0].sums
     if estimator == "epoch":
         values, truth = est, truth_avg
@@ -518,7 +518,7 @@ def check_bandit_audit() -> SuiteResult:
     viol = np.zeros((len(eligible), game.n))
     for r in range(reps):
         traj = bd.run_bandit(game, sched, seed=1000 + r, delta=BANDIT_DELTA,
-                             epochs=BANDIT_EPOCHS, monitor=False)
+                             epochs=BANDIT_EPOCHS, monitor_c=np.inf)
         audit = bd.estimation_error_audit(traj)
         for k, t in enumerate(eligible):
             viol[k] += audit["violated"][t - 1]

@@ -12,21 +12,30 @@ from a2l.dynamics import (
     build_learner,
     gradient_step_size,
     inner_regret_report,
+    monitor_threshold,
     regret_report,
-    robust_gradient_monitor,
     run_full_feedback,
     run_full_feedback_batch,
-    run_single_player,
     trajectory_csv_lines,
-    write_trajectory_csv,
 )
 from a2l import verify
 from a2l.games import DimensionMismatchError, PolymatrixGame, generate_game, uniform_strategy
 
 
-def bait_feedback(t, x):
+def bait_feedback(t):
     """Alternating feedback that punishes average-playing learners."""
     return np.array([1.0, 0.0]) if t % 2 == 1 else np.array([0.475, 0.525])
+
+
+def play_against(learner, feedback, T):
+    """Drive one learner for T rounds of feedback(t), t = 1..T; returns its
+    strategies and utilities as (T, d) arrays."""
+    xs, us = [], []
+    for t in range(1, T + 1):
+        xs.append(learner.next_strategy())
+        us.append(feedback(t))
+        learner.observe(us[-1])
+    return np.array(xs), np.array(us)
 
 
 def test_single_player_game_stays_uniform():
@@ -45,17 +54,6 @@ def test_runs_are_bit_reproducible():
         assert np.array_equal(a.played[i], b.played[i])
         assert np.array_equal(a.inner_utils[i], b.inner_utils[i])
     assert np.array_equal(a.tgap_played, b.tgap_played)
-
-
-def test_logging_subset_does_not_change_dynamics():
-    game = generate_game("random_zs", n=3, d=4, seed=6)
-    full = run_full_feedback(game, LearnerSpec(algo="a2l-omwu"), 200)
-    partial = run_full_feedback(game, LearnerSpec(algo="a2l-omwu"), 200,
-                                log_players={0})
-    assert partial.played[1] is None and partial.played[2] is None
-    assert np.array_equal(partial.played[0], full.played[0])
-    assert np.array_equal(partial.tgap_played, full.tgap_played)
-    assert np.array_equal(partial.tgap_inner_avg, full.tgap_inner_avg)
 
 
 def test_meta_reproduces_run():
@@ -105,34 +103,40 @@ def test_best_responder_has_zero_dynamic_regret():
 
 
 def test_monitor_first_round_continues():
-    mon = robust_gradient_monitor([[0.5, 0.5]], [[1.0, 0.0]], eta=0.5,
-                                  log_dim_sum=2 * np.log(2), c=2.0)
-    assert mon["decision"] == "continue"
+    # regret 0.5 after one round, far below the threshold 2 * (2 ln 2 / 0.5) = 5.5
+    g = GuardedA2LOMWU(2, 0.5, log_dim_sum=2 * np.log(2), c=2.0)
+    assert np.array_equal(g.next_strategy(), [0.5, 0.5])
+    g.observe(np.array([1.0, 0.0]))
+    assert g.rounds == 1 and g.switch_round is None and g.fallback is None
+    assert g.cum_utils.max() - g.cum_earned == 0.5
 
 
 def test_monitor_honest_selfplay_continues():
+    # equal bit for bit to the unguarded run: the monitor never switched
     game = generate_game("random_zs", n=2, d=5, seed=8)
-    traj = run_full_feedback(game, LearnerSpec(algo="a2l-omwu"), 3000)
-    lds = float(np.log(game.action_counts).sum())
-    for i in range(2):
-        mon = robust_gradient_monitor(traj.played[i], traj.utils[i],
-                                      gradient_step_size(2), lds, c=2.0)
-        assert mon["decision"] == "continue"
+    guarded = run_full_feedback(game, LearnerSpec(algo="guarded-a2l-omwu"), 3000)
+    plain = run_full_feedback(game, LearnerSpec(algo="a2l-omwu"), 3000)
+    for field in ("played", "utils", "inner", "inner_utils"):
+        for i in range(2):
+            assert np.array_equal(getattr(guarded, field)[i], getattr(plain, field)[i])
+    assert np.array_equal(guarded.tgap_played, plain.tgap_played)
+    assert np.array_equal(guarded.tgap_inner_avg, plain.tgap_inner_avg)
 
 
 def test_monitor_adversary_triggers_switch():
-    from a2l.learners import OMWU
-    from a2l.reduction import A2L
-
-    xs, us = run_single_player(A2L(OMWU(2, 0.5)), bait_feedback, 600)
-    mon = robust_gradient_monitor(xs, us, 0.5, 2 * np.log(2), c=2.0)
-    assert mon["decision"] == "switch"
-    assert mon["switch_round"] < 600
+    # the switch fires at the first round whose regret, recomputed here from
+    # the played strategies and utilities, crosses the threshold
+    g = GuardedA2LOMWU(2, 0.5, log_dim_sum=2 * np.log(2), c=2.0)
+    xs, us = play_against(g, bait_feedback, 600)
+    reg = np.cumsum(us, axis=0).max(axis=1) - np.cumsum(np.einsum("td,td->t", xs, us))
+    crossed = reg > monitor_threshold(np.arange(1, 601), 0.5, 2 * np.log(2), c=2.0)
+    assert crossed.any()
+    assert g.switch_round == int(np.argmax(crossed)) + 1 < 600
 
 
 def test_guarded_learner_switches_to_fallback():
     g = GuardedA2LOMWU(2, 0.5, log_dim_sum=2 * np.log(2), c=2.0)
-    run_single_player(g, bait_feedback, 400)
+    play_against(g, bait_feedback, 400)
     assert g.switch_round is not None
     assert g.fallback is not None and g.fallback.t > 0
 
@@ -144,7 +148,7 @@ def test_guarded_learner_stays_primary_when_honest():
     assert traj.tgap_played[-1] < 0.05  # still converging like the plain wrapper
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     game = generate_game("random_zs", n=2, d=3, seed=5)
     traj = run_full_feedback(game, LearnerSpec(algo="a2l-omwu"), 40)
     lines = list(trajectory_csv_lines(traj))
@@ -152,11 +156,7 @@ def test_csv_round_trip(tmp_path):
         "t", "tgap_last", "tgap_avg", "reg_1", "reg_2", "dreg_1", "dreg_2",
     ]
     assert len(lines) == 41
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    body = path.read_text().strip().split("\n")
-    assert body == lines
-    last = body[-1].split(",")
+    last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(traj.tgap_played[-1])
 
 

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a2l import cli, harness, verify
 from a2l.harness import ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
@@ -51,11 +54,26 @@ def test_all_errors_enumerated(tmp_path):
     ("delta", 0.0),
     ("delta", 1.0),
     ("monitor_c", float("nan")),
+    ("players", 3),
+    ("players[0].foo", 1),
+    ("players[1].weights", "quadratic"),
+    ("players[0].algo", "nope"),
+    ("players[1].eta", -0.1),
+    ("players[0].bias", [0.0, 1.0]),
+    ("players[1].bias", [0.0, float("inf"), 1.0]),
+    ("players", [{}, {}, {}]),
 ])
 @pytest.mark.parametrize("mode", ["gradient", "bandit"])
 def test_bad_field_raises_config_error_naming_it(tmp_path, mode, field, value):
-    cfg = gradient_cfg(tmp_path, mode=mode, certified=False, **{field: value})
-    with pytest.raises(ConfigError, match=rf"- {field} must"):
+    entry = re.fullmatch(r"players\[(\d)\]\.(\w+)", field)
+    if entry:  # one bad field in one entry of a two-player spec list
+        players = [{}, {}]
+        players[int(entry[1])][entry[2]] = value
+        overrides = {"players": players}
+    else:
+        overrides = {field: value}
+    cfg = gradient_cfg(tmp_path, mode=mode, certified=False, **overrides)
+    with pytest.raises(ConfigError, match=rf"- {re.escape(field)} must"):
         load_config(cfg)
 
 
@@ -65,6 +83,11 @@ def test_certified_gradient_eta_refused(tmp_path):
         load_config(bad)
     # allowed once certification is waived
     load_config(gradient_cfg(tmp_path, eta=0.6, certified=False))
+    # a player's own eta is held to the same limit
+    players = [{"algo": "a2l-omwu"}, {"algo": "omwu", "eta": 5.0}]
+    with pytest.raises(ConfigError, match=r"players\[1\]\.eta <= 1/\(2\(n-1\)\)"):
+        load_config(gradient_cfg(tmp_path, players=players))
+    load_config(gradient_cfg(tmp_path, players=players, certified=False))
 
 
 def test_certified_bandit_schedule_refused(tmp_path):
@@ -91,6 +114,39 @@ def test_config_hash_stable(tmp_path):
     assert config_hash(cfg1) == config_hash(cfg2)
     cfg3 = load_config(gradient_cfg(tmp_path, T=201))
     assert config_hash(cfg1) != config_hash(cfg3)
+    # where a run is written and how many processes run it change no result
+    for where in ({"out_dir": str(tmp_path / "elsewhere")}, {"workers": 2}):
+        assert config_hash(load_config(gradient_cfg(tmp_path, **where))) == config_hash(cfg1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["gradient", "bandit", "fisher"]),
+    eta_share=st.none() | st.floats(0.01, 1.0),
+    weights=st.sampled_from(["uniform", "linear"]),
+    T=st.integers(1, 10**6),
+    epochs=st.integers(1, 40),
+    seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=4),
+    delta=st.floats(0.001, 0.999),
+    monitor_c=st.floats(-1e9, 1e9) | st.just(float("inf")),
+    out_dir=st.text("abc/_-", min_size=1, max_size=12),
+    workers=st.integers(1, 8),
+)
+def test_config_round_trip_keeps_its_hash(mode, eta_share, weights, T, epochs, seeds,
+                                          delta, monitor_c, out_dir, workers):
+    limit = 0.5 if mode == "gradient" else 1 / 12  # certified step sizes for n = 2
+    cfg = load_config({
+        "mode": mode, "game": {"kind": "random_zs", "n": 2, "d": 3, "seed": 7},
+        "market": {"m": 2, "n": 3, "seed": 1},
+        "eta": None if eta_share is None else eta_share * limit,
+        "weights": weights, "T": T, "epochs": epochs, "seeds": seeds, "delta": delta,
+        "monitor_c": monitor_c, "out_dir": out_dir, "workers": workers,
+    })
+    again = load_config(json.loads(json.dumps(cfg.to_dict())))
+    assert again.to_dict() == cfg.to_dict()
+    assert config_hash(again) == config_hash(cfg)
+    moved = load_config({**cfg.to_dict(), "out_dir": out_dir + "2", "workers": workers + 1})
+    assert config_hash(moved) == config_hash(cfg)
 
 
 # -- runs ------------------------------------------------------------------
@@ -102,7 +158,7 @@ def test_gradient_run_outputs(tmp_path):
     out = tmp_path / "out"
     assert (out / "gradient_seed0.csv").exists()
     assert (out / "gradient_seed1.csv").exists()
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert summary["prng"] == "numpy-PCG64"
     assert summary["passed"]
     assert len(summary["results"]) == 2
