@@ -109,8 +109,7 @@ def main(argv=None) -> int:
         print(result.report())
         if args.out:
             with open(args.out, "w") as fh:
-                json.dump({"name": result.name, "passed": result.passed,
-                           "details": result.details}, fh, indent=2, default=str)
+                json.dump(result.to_dict(), fh, indent=2)
         return 0 if result.passed else 1
 
     return 2

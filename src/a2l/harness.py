@@ -1,11 +1,14 @@
 """Config-driven experiment runner: validation, execution, persistence.
 
 Configs are plain JSON.  A run produces one CSV per seed plus a summary
-JSON (schema_version, config hash, PRNG name, per-seed results, invariant
-checks).  Identical configs reproduce byte-identical CSVs.  Random games and
-markets described without an explicit seed are regenerated per run seed, so
-multi-seed suites sweep instances; with an explicit seed the instance is
-fixed and only the sampling varies.
+JSON (schema_version, config hash, PRNG name, per-seed results).  Each
+seed's result lists its invariant checks as ``Check`` records (name,
+observed value, comparison, limit, slack, passed); the summary's "passed"
+is true exactly when every check passed.  The verify suites report through
+the same record.  Identical configs reproduce byte-identical CSVs.  Random
+games and markets described without an explicit seed are regenerated per
+run seed, so multi-seed suites sweep instances; with an explicit seed the
+instance is fixed and only the sampling varies.
 
 Certified runs are refused when the step size or schedule violates the
 conditions that back the convergence guarantees (gradient: eta <= 1/(2(n-1));
@@ -19,6 +22,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -33,8 +37,11 @@ from . import fisher as fisher_mod
 from .games import PolymatrixGame, generate_game, load_game
 from .reduction import WEIGHT_RULES
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3  # 3: each per-seed result carries its "checks" records
 PRNG_NAME = "numpy-PCG64"
+TOL_BOUND = 1e-9  # slack allowed on the paper's gap and regret bounds
+TOL_AUDIT = 1e-6  # slack allowed on the bandit reconstruction and regret audits
+TOL_CONSERVATION = 1e-9  # |sum of prices - sum of budgets| allowed in Fisher runs
 
 log = logging.getLogger("a2l")
 log.setLevel(os.environ.get("A2L_LOG_LEVEL", "WARNING").upper())
@@ -42,6 +49,39 @@ log.setLevel(os.environ.get("A2L_LOG_LEVEL", "WARNING").upper())
 
 class ConfigError(ValueError):
     """Invalid experiment config; message enumerates every problem found."""
+
+
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One invariant check: the observed ``value`` must satisfy ``value op limit``.
+
+    ``slack`` is the signed distance to the limit, positive on the passing
+    side; a strict comparison fails at zero slack.
+    """
+
+    name: str
+    value: float
+    op: str
+    limit: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(_COMPARE[self.op](self.value, self.limit))
+
+    @property
+    def slack(self) -> float:
+        return self.limit - self.value if self.op in ("<=", "<") else self.value - self.limit
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "value": self.value, "op": self.op, "limit": self.limit,
+                "slack": self.slack, "passed": self.passed}
+
+    def report(self) -> str:
+        return (f"[{'ok' if self.passed else 'FAIL'}] {self.name} = {self.value:.4g} "
+                f"({self.op} {self.limit:g}, slack {self.slack:.3g})")
 
 
 @dataclass
@@ -190,6 +230,13 @@ def validate_config(cfg: ExperimentConfig) -> list:
             if eta is not None and not _learner_errors({"eta": eta}) and eta > limit + 1e-12:
                 errors.append(f"certified {cfg.mode} runs need {name} <= {rule} = {limit}; "
                               f"got {name} = {eta}")
+        # The certified gap bound has one eta: the one every player runs.
+        own = [(name, dyn.gradient_step_size(game.n) if eta is None else eta)
+               for name, eta in etas.items() if name != "eta"]
+        odd = [f"{name} = {eta}" for name, eta in own if eta != own[0][1]]
+        if odd:
+            errors.append(f"certified gradient runs need one eta for all players; "
+                          f"got {odd[0]} but {own[0][0]} = {own[0][1]}")
     if cfg.mode == "bandit":
         try:
             sched = resolve_schedule(cfg.schedule)
@@ -252,8 +299,10 @@ def _learner_specs(cfg: ExperimentConfig, game: PolymatrixGame):
 
 def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
     game = resolve_game(cfg.game, seed=seed)
-    traj = dyn.run_full_feedback(game, _learner_specs(cfg, game), cfg.T, seed=seed)
-    eta = cfg.eta if cfg.eta is not None else dyn.gradient_step_size(game.n)
+    specs = _learner_specs(cfg, game)
+    traj = dyn.run_full_feedback(game, specs, cfg.T, seed=seed)
+    # Certified runs have one eta (validate_config); otherwise the loosest bound.
+    eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in specs)
     bound = float(np.log(game.action_counts).sum()) / (eta * cfg.T)
     final_gap = float(traj.tgap_played[-1])
     result = {
@@ -264,8 +313,8 @@ def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
         "bound_slack": bound - final_gap,
     }
     csv_text = "\n".join(dyn.trajectory_csv_lines(traj)) + "\n"
-    passed = (not cfg.certified) or result["bound_slack"] >= -1e-9
-    return {"result": result, "csv": csv_text, "passed": passed}
+    checks = [Check("bound_slack", bound - final_gap, ">=", -TOL_BOUND)] if cfg.certified else []
+    return {"result": result, "csv": csv_text, "checks": checks}
 
 
 def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
@@ -292,9 +341,10 @@ def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
         "switch_epochs": traj.switch_epoch,
         "certified": traj.meta["certified"],
     }
-    passed = result["recovery_slack_min"] >= -1e-6 and result["regret_bound_slack_min"] >= -1e-6
+    checks = [Check(key, result[key], ">=", -TOL_AUDIT)
+              for key in ("recovery_slack_min", "regret_bound_slack_min")]
     csv_text = "\n".join(bandit_mod.bandit_csv_lines(traj)) + "\n"
-    return {"result": result, "csv": csv_text, "passed": passed}
+    return {"result": result, "csv": csv_text, "checks": checks}
 
 
 def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
@@ -310,7 +360,8 @@ def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
         "conservation_dev": conservation,
     }
     csv_text = "\n".join(fisher_mod.price_csv_lines(p, gaps)) + "\n"
-    return {"result": result, "csv": csv_text, "passed": conservation <= 1e-9}
+    checks = [Check("conservation_dev", conservation, "<=", TOL_CONSERVATION)]
+    return {"result": result, "csv": csv_text, "checks": checks}
 
 
 _CELLS = {"gradient": _gradient_cell, "bandit": _bandit_cell, "fisher": _fisher_cell}
@@ -324,8 +375,9 @@ def _run_cell(cfg_dict: dict, seed: int) -> dict:
 def run(cfg: ExperimentConfig) -> dict:
     """Execute all seeds of a validated config and persist the outputs.
 
-    Returns the summary dict (also written to out_dir/summary.json); the
-    "passed" field reports whether every per-seed invariant check passed.
+    Returns the summary dict (also written to out_dir/summary.json).  Each
+    per-seed result lists its check records under "checks"; the summary's
+    "passed" is true exactly when all of them passed.
     """
     errors = validate_config(cfg)
     if errors:
@@ -345,7 +397,7 @@ def run(cfg: ExperimentConfig) -> dict:
         csv_path = out_dir / f"{cfg.mode}_seed{seed}.csv"
         with open(csv_path, "w", newline="\n") as f:
             f.write(cell["csv"])
-        results.append(cell["result"])
+        results.append({**cell["result"], "checks": [c.to_dict() for c in cell["checks"]]})
         log.info("seed %s -> %s", seed, csv_path)
 
     summary = {
@@ -355,7 +407,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "config_hash": config_hash(cfg),
         "prng": PRNG_NAME,
         "results": results,
-        "passed": all(c["passed"] for c in cells),
+        "passed": all(c.passed for cell in cells for c in cell["checks"]),
     }
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

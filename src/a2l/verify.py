@@ -1,11 +1,16 @@
 """Acceptance suites: each named check is callable here and from the CLI.
 
-Every suite returns a SuiteResult with a pass flag, human-readable lines and
-machine-readable details.  Expensive shared computations (the long gradient
-sweep, the honest bandit runs) are memoized at module level so that related
-suites reuse them within a process.  The full-feedback suites run each
-(game, algorithm, weights) cell over all its seeds in one batched call.
-Runtime budgets are timed with the monotonic ``time.perf_counter``.
+Every suite returns a SuiteResult: a list of ``harness.Check`` records, each
+an observed value, a comparison and a limit (with the derived slack and
+pass flag), plus ``info``, the counts that are not checks.  The suite's pass
+flag, its report (one line per check) and its machine-readable ``details``
+(what ``a2l verify --out`` writes) all derive from the checks: a suite
+passes when every check passes.  Runtime budgets are checks on wall time,
+timed with the monotonic ``time.perf_counter``.  Expensive shared
+computations (the long gradient sweep, the honest bandit runs) are memoized
+at module level so that related suites reuse them within a process.  The
+full-feedback suites run each (game, algorithm, weights) cell over all its
+seeds in one batched call.
 
 Suite fixtures, pinned:
 - equivalence/identity/rvu suite: matching pennies, rock-paper-scissors and
@@ -36,25 +41,48 @@ from . import dynamics as dyn
 from . import fisher as fi
 from . import harness
 from .games import generate_game, random_profile
+from .harness import TOL_AUDIT, TOL_BOUND, TOL_CONSERVATION, Check
 from .learners import rvu_diagnostic
 
 SEEDS = tuple(range(20))
 TOL_EQUIV = 1e-12
 TOL_IDENTITY = 1e-10
-TOL_BOUND = 1e-9
-TOL_AUDIT = 1e-6
+MAX_BIAS_SE = 3.0  # estimator bias allowed, in standard errors
 
 
 @dataclass
 class SuiteResult:
+    """A suite's checks and the counts that are not checks.
+
+    ``run_suite("all")`` holds the suites' own results as its checks.
+    """
+
     name: str
-    passed: bool
-    lines: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    checks: list
+    info: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    @property
+    def details(self) -> dict:
+        return {"checks": [c.to_dict() for c in self.checks], **self.info}
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "details": self.details}
 
     def report(self) -> str:
+        lines = [c.report() for c in self.checks]
+        lines += [f"{k} = {_show(v)}" for k, v in self.info.items()]
         head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
-        return "\n".join([head] + [f"  {ln}" for ln in self.lines])
+        return "\n".join([head] + [f"  {ln}" for text in lines for ln in text.splitlines()])
+
+
+def _show(v) -> str:
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_show, v)) + "]"
+    return f"{v:.4g}" if isinstance(v, float) else str(v)
 
 
 _SUITES = {}
@@ -73,13 +101,7 @@ def available_suites():
 
 def run_suite(name) -> SuiteResult:
     if name == "all":
-        results = [run_suite(n) for n in available_suites()]
-        return SuiteResult(
-            "all",
-            all(r.passed for r in results),
-            [r.report() for r in results],
-            {r.name: r.details for r in results},
-        )
+        return SuiteResult("all", [run_suite(n) for n in available_suites()])
     if name not in _SUITES:
         raise KeyError(
             f"unknown suite {name!r}; available: {', '.join(available_suites() + ['all'])}"
@@ -89,14 +111,25 @@ def run_suite(name) -> SuiteResult:
 
 # -- shared fixtures ---------------------------------------------------------
 
+# Every game of the full-feedback suites: key -> generate_game arguments.
+_GAMES = {
+    "matching_pennies": {"kind": "matching_pennies"},
+    "rps": {"kind": "rps"},
+    "zs2d10": {"kind": "random_zs", "n": 2, "d": 10},
+    "zs3d5": {"kind": "random_zs", "n": 3, "d": 5},
+    "zs4d10cyc": {"kind": "random_zs", "n": 4, "d": 10, "graph": "cycle"},
+    "zs4d6gnp": {"kind": "random_zs", "n": 4, "d": 6, "graph": "gnp", "p": 0.6},
+}
+_SUITE1_GAMES = ("matching_pennies", "rps", "zs3d5")  # the T = 1000 suites
 
-def _suite1_games():
-    """(key, seed-dependent?, factory) for the T=1000 suite."""
-    return [
-        ("matching_pennies", False, lambda s: generate_game("matching_pennies")),
-        ("rps", False, lambda s: generate_game("rps")),
-        ("zs3d5", True, lambda s: generate_game("random_zs", n=3, d=5, seed=s)),
-    ]
+
+def _game(key, seed):
+    return generate_game(**_GAMES[key], seed=seed)
+
+
+def _game_seeds(key):
+    """The suite seeds a game runs on: a fixed game's one run covers them all."""
+    return SEEDS if _GAMES[key]["kind"].startswith("random") else SEEDS[:1]
 
 
 def _suite1_eta(algo):
@@ -114,15 +147,16 @@ def _suite1_eta(algo):
 _REF_CACHE = {}
 
 
-def _reference_runs(key, seeds, factory, algo):
-    """Bare self-play runs over the given seeds, as (game, trajectory) pairs.
+def _reference_runs(key, algo):
+    """Bare self-play runs over the game's seeds, as (game, trajectory) pairs.
 
     Seeds missing from the cache run together in one batched call; the
     cache is shared across suites.
     """
+    seeds = _game_seeds(key)
     missing = [s for s in seeds if (key, s, algo) not in _REF_CACHE]
     if missing:
-        games = [factory(s) for s in missing]
+        games = [_game(key, s) for s in missing]
         spec = dyn.LearnerSpec(algo=algo, eta=_suite1_eta(algo))
         trajs = dyn.run_full_feedback_batch(games, spec, 1000, missing)
         for s, game, traj in zip(missing, games, trajs):
@@ -148,10 +182,10 @@ def check_reduction_equivalence() -> SuiteResult:
     worst_x = 0.0
     worst_u = 0.0
     cells = 0
-    for key, seeded, factory in _suite1_games():
-        seeds = SEEDS if seeded else SEEDS[:1]
+    for key in _SUITE1_GAMES:
+        seeds = _game_seeds(key)
         for algo in ("mwu", "omwu"):
-            refs = _reference_runs(key, seeds, factory, algo)
+            refs = _reference_runs(key, algo)
             games = [game for game, _ in refs]
             for weights in ("uniform", "linear"):
                 spec = dyn.LearnerSpec(algo=f"a2l-{algo}", eta=_suite1_eta(algo), weights=weights)
@@ -160,24 +194,14 @@ def check_reduction_equivalence() -> SuiteResult:
                     for i in range(game.n):
                         means = _weighted_running_means(ref.played[i], weights)
                         worst_x = max(worst_x, float(np.abs(means - tr.played[i]).max()))
-                        worst_u = max(
-                            worst_u,
-                            float(np.abs(tr.inner_utils[i] - ref.utils[i]).max()),
-                        )
+                        dev_u = np.abs(tr.inner_utils[i] - ref.utils[i]).max()
+                        worst_u = max(worst_u, float(dev_u))
                     cells += 1
-    elapsed = time.perf_counter() - t0
-    passed = worst_x <= TOL_EQUIV and worst_u <= TOL_IDENTITY and elapsed <= 10.0
-    return SuiteResult(
-        "reduction-equivalence",
-        passed,
-        [
-            f"max |played - reference running mean| = {worst_x:.3e} (tol {TOL_EQUIV})",
-            f"max |recovered - reference utility|  = {worst_u:.3e} (tol {TOL_IDENTITY})",
-            f"{cells} cells in {elapsed:.1f} s (budget 10 s)",
-        ],
-        {"worst_strategy_dev": worst_x, "worst_utility_dev": worst_u,
-         "cells": cells, "elapsed_s": elapsed},
-    )
+    return SuiteResult("reduction-equivalence", [
+        Check("max |played - reference running mean|", worst_x, "<=", TOL_EQUIV),
+        Check("max |recovered - reference utility|", worst_u, "<=", TOL_IDENTITY),
+        Check("wall time (s)", time.perf_counter() - t0, "<=", 10.0),
+    ], {"cells": cells})
 
 
 @suite("gap-regret-identity")
@@ -190,16 +214,15 @@ def check_gap_regret_identity() -> SuiteResult:
     """
     worst = 0.0
     runs = 0
-    for key, seeded, factory in _suite1_games():
-        seeds = SEEDS if seeded else SEEDS[:1]
+    for key in _SUITE1_GAMES:
         for algo in ("mwu", "omwu"):
-            refs = _reference_runs(key, seeds, factory, algo)
+            refs = _reference_runs(key, algo)
             games = [game for game, _ in refs]
             wrapped = dyn.run_full_feedback_batch(
                 games,
                 dyn.LearnerSpec(algo=f"a2l-{algo}", eta=_suite1_eta(algo)),
                 1000,
-                seeds,
+                _game_seeds(key),
             )
             for (game, ref), wr in zip(refs, wrapped):
                 for tr in (ref, wr):
@@ -209,54 +232,32 @@ def check_gap_regret_identity() -> SuiteResult:
                     rhs = rep["reg"].sum(axis=1) / T
                     worst = max(worst, float(np.abs(gaps - rhs).max()))
                     runs += 1
-    passed = worst <= TOL_IDENTITY
-    return SuiteResult(
-        "gap-regret-identity",
-        passed,
-        [f"max |TGap(avg) - mean regret| = {worst:.3e} over {runs} runs (tol {TOL_IDENTITY})"],
-        {"worst_identity_dev": worst, "runs": runs},
-    )
+    return SuiteResult("gap-regret-identity",
+                       [Check("max |TGap(avg) - mean regret|", worst, "<=", TOL_IDENTITY)],
+                       {"runs": runs})
 
 
 # -- gradient rate sweep (shared by two suites) -------------------------------
 
 
-def _gradient_games():
-    return [
-        ("matching_pennies", False, lambda s: generate_game("matching_pennies")),
-        ("rps", False, lambda s: generate_game("rps")),
-        ("zs2d10", True, lambda s: generate_game("random_zs", n=2, d=10, seed=s)),
-        ("zs3d5", True, lambda s: generate_game("random_zs", n=3, d=5, seed=s)),
-        ("zs4d10cyc", True, lambda s: generate_game("random_zs", n=4, d=10, graph="cycle", seed=s)),
-        ("zs4d6gnp", True, lambda s: generate_game("random_zs", n=4, d=6, graph="gnp", p=0.6, seed=s)),
-    ]
-
-
 _GRADIENT_STATS = None
 GRADIENT_T = 10_000
-GRADIENT_CHECKPOINTS = (10, 100, 1000, 10_000)
 
 
-def _gradient_run_stats(key, seeded, seed, game, tr) -> dict:
+def _gradient_run_stats(game, tr) -> dict:
     eta = dyn.gradient_step_size(game.n)
     log_dim = float(np.log(game.action_counts).sum())
     ts = np.arange(1.0, GRADIENT_T + 1.0)
     bound = log_dim / (eta * ts)
-    gap_violation = float((tr.tgap_played - bound).max())
     try:
-        fit = harness.fit_rate(ts, tr.tgap_played, t_min=100, t_max=GRADIENT_T)
-        slope = fit["slope"]
+        slope = harness.fit_rate(ts, tr.tgap_played, t_min=100, t_max=GRADIENT_T)["slope"]
     except ValueError:
         slope = None  # gap identically ~0: converged at the start
-    rep = dyn.regret_report(tr)
     dreg_bound = (log_dim / eta) * (1.0 + np.log(ts))
-    dreg_violation = float((rep["dreg"] - dreg_bound[:, None]).max())
-    checkpoint_gaps = {t: float(tr.tgap_played[t - 1]) for t in GRADIENT_CHECKPOINTS}
     return {
-        "game": key, "seed": seed, "eta": eta, "log_dim": log_dim,
-        "gap_violation": gap_violation, "slope": slope,
-        "dreg_violation": dreg_violation, "checkpoint_gaps": checkpoint_gaps,
-        "seed_invariant": not seeded,
+        "gap_violation": float((tr.tgap_played - bound).max()),
+        "slope": slope,
+        "dreg_violation": float((dyn.regret_report(tr)["dreg"] - dreg_bound[:, None]).max()),
     }
 
 
@@ -264,21 +265,20 @@ def _gradient_sweep() -> dict:
     """A2L-OMWU at eta = 1/(2(n-1)), T = 10^4, across games and seeds.
 
     Caches, per run: the worst anytime slack of the gap bound, the fitted
-    log-log slope of the played gap, the worst dynamic-regret slack, and
-    the monitor's honest decision.
+    log-log slope of the played gap and the worst dynamic-regret slack.
     """
     global _GRADIENT_STATS
     if _GRADIENT_STATS is not None:
         return _GRADIENT_STATS
     t0 = time.perf_counter()
     runs = []
-    for key, seeded, factory in _gradient_games():
-        seeds = SEEDS if seeded else SEEDS[:1]
-        games = [factory(s) for s in seeds]
+    for key in _GAMES:
+        seeds = _game_seeds(key)
+        games = [_game(key, s) for s in seeds]
         # One batched call per game; its arrays are dropped before the next.
         spec = dyn.LearnerSpec(algo="a2l-omwu")
-        runs += [_gradient_run_stats(key, seeded, s, game, tr) for s, game, tr in zip(
-            seeds, games, dyn.run_full_feedback_batch(games, spec, GRADIENT_T, seeds))]
+        runs += [_gradient_run_stats(game, tr) for game, tr in zip(
+            games, dyn.run_full_feedback_batch(games, spec, GRADIENT_T, seeds))]
     _GRADIENT_STATS = {"runs": runs, "elapsed_s": time.perf_counter() - t0}
     return _GRADIENT_STATS
 
@@ -293,42 +293,21 @@ def check_gradient_rate() -> SuiteResult:
     already at the numerical floor.
     """
     stats = _gradient_sweep()
-    worst_violation = max(r["gap_violation"] for r in stats["runs"])
     slopes = [r["slope"] for r in stats["runs"] if r["slope"] is not None]
-    worst_slope = max(slopes) if slopes else None
-    converged = sum(1 for r in stats["runs"] if r["slope"] is None)
-    slope_txt = "n/a" if worst_slope is None else f"{worst_slope:.3f}"
-    passed = (
-        worst_violation <= TOL_BOUND
-        and (worst_slope is None or worst_slope <= -0.9)
-        and stats["elapsed_s"] <= 120.0
-    )
-    return SuiteResult(
-        "gradient-rate",
-        passed,
-        [
-            f"worst anytime bound violation = {worst_violation:.3e} (tol {TOL_BOUND})",
-            f"worst fitted slope = {slope_txt} over {len(slopes)} runs "
-            f"({converged} runs converged to the floor)",
-            f"{len(stats['runs'])} runs in {stats['elapsed_s']:.1f} s (budget 120 s)",
-        ],
-        {"worst_violation": worst_violation, "worst_slope": worst_slope,
-         "runs": len(stats["runs"]), "elapsed_s": stats["elapsed_s"]},
-    )
+    return SuiteResult("gradient-rate", [
+        Check("worst anytime gap-bound violation",
+              max(r["gap_violation"] for r in stats["runs"]), "<=", TOL_BOUND),
+        Check("worst fitted log-log slope", max(slopes, default=-np.inf), "<=", -0.9),
+        Check("sweep wall time (s)", stats["elapsed_s"], "<=", 120.0),
+    ], {"runs": len(stats["runs"]), "runs_at_floor": len(stats["runs"]) - len(slopes)})
 
 
 @suite("dynamic-regret")
 def check_dynamic_regret() -> SuiteResult:
     """DReg_i(t) <= (sum_i log d_i / eta)(1 + ln t) on the rate suite."""
-    stats = _gradient_sweep()
-    worst = max(r["dreg_violation"] for r in stats["runs"])
-    passed = worst <= TOL_BOUND
-    return SuiteResult(
-        "dynamic-regret",
-        passed,
-        [f"worst dynamic-regret bound violation = {worst:.3e} (tol {TOL_BOUND})"],
-        {"worst_violation": worst},
-    )
+    worst = max(r["dreg_violation"] for r in _gradient_sweep()["runs"])
+    return SuiteResult("dynamic-regret", [
+        Check("worst dynamic-regret bound violation", worst, "<=", TOL_BOUND)])
 
 
 @suite("rvu")
@@ -342,8 +321,8 @@ def check_rvu() -> SuiteResult:
             <= (n-1)^2 sum_i ||x_i - x'_i||_1^2.
     """
     worst_slack = np.inf
-    for key, seeded, factory in _suite1_games():
-        for game, ref in _reference_runs(key, SEEDS if seeded else SEEDS[:1], factory, "omwu"):
+    for key in _SUITE1_GAMES:
+        for game, ref in _reference_runs(key, "omwu"):
             eta = dyn.gradient_step_size(game.n)
             for i in range(game.n):
                 diag = rvu_diagnostic(ref.played[i], ref.utils[i], eta)
@@ -351,29 +330,20 @@ def check_rvu() -> SuiteResult:
 
     rng = np.random.default_rng(2024)
     worst_pair = np.inf
-    for key, seeded, factory in _suite1_games():
-        game = factory(0)
-        for _ in range(1000):
+    pairs = 1000
+    for key in _SUITE1_GAMES:
+        game = _game(key, 0)
+        for _ in range(pairs):
             x = random_profile(game, rng)
             y = random_profile(game, rng)
-            lhs = sum(
-                np.abs(game.utility_vector(i, x) - game.utility_vector(i, y)).max() ** 2
-                for i in range(game.n)
-            )
-            rhs = (game.n - 1) ** 2 * sum(
-                np.abs(x[i] - y[i]).sum() ** 2 for i in range(game.n)
-            )
+            lhs = sum(np.abs(game.utility_vector(i, x) - game.utility_vector(i, y)).max() ** 2
+                      for i in range(game.n))
+            rhs = (game.n - 1) ** 2 * sum(np.abs(x[i] - y[i]).sum() ** 2 for i in range(game.n))
             worst_pair = min(worst_pair, rhs - lhs)
-    passed = worst_slack >= -TOL_BOUND and worst_pair >= -TOL_BOUND
-    return SuiteResult(
-        "rvu",
-        passed,
-        [
-            f"min regret-bound slack = {worst_slack:.3e} (allowed >= -{TOL_BOUND})",
-            f"min utility-variation slack = {worst_pair:.3e} over 3x1000 pairs",
-        ],
-        {"min_rvu_slack": float(worst_slack), "min_pair_slack": float(worst_pair)},
-    )
+    return SuiteResult("rvu", [
+        Check("min regret-bound slack", float(worst_slack), ">=", -TOL_BOUND),
+        Check("min utility-variation slack", float(worst_pair), ">=", -TOL_BOUND),
+    ], {"pairs_per_game": pairs})
 
 
 @suite("mwu-contrast")
@@ -387,22 +357,15 @@ def check_mwu_contrast() -> SuiteResult:
     """
     game = generate_game("matching_pennies")
     bias = list(np.log([0.54, 0.46]))
-    eta = 0.1
     window = slice(899, 1000)
-    bare = dyn.run_full_feedback(game, dyn.LearnerSpec(algo="mwu", eta=eta, bias=bias), 1000)
-    wrapped = dyn.run_full_feedback(game, dyn.LearnerSpec(algo="a2l-mwu", eta=eta, bias=bias), 1000)
-    bare_min = float(bare.tgap_played[window].min())
-    wrapped_max = float(wrapped.tgap_played[window].max())
-    passed = bare_min > 0.05 and wrapped_max < 0.01
-    return SuiteResult(
-        "mwu-contrast",
-        passed,
-        [
-            f"bare MWU min gap over rounds 900..1000 = {bare_min:.4f} (needs > 0.05)",
-            f"wrapped MWU max gap over rounds 900..1000 = {wrapped_max:.4f} (needs < 0.01)",
-        ],
-        {"bare_min_gap": bare_min, "wrapped_max_gap": wrapped_max},
-    )
+    bare, wrapped = (dyn.run_full_feedback(game, dyn.LearnerSpec(algo=a, eta=0.1, bias=bias), 1000)
+                     for a in ("mwu", "a2l-mwu"))
+    return SuiteResult("mwu-contrast", [
+        Check("bare MWU min gap over rounds 900..1000",
+              float(bare.tgap_played[window].min()), ">", 0.05),
+        Check("wrapped MWU max gap over rounds 900..1000",
+              float(wrapped.tgap_played[window].max()), "<", 0.01),
+    ])
 
 
 # -- bandit suites -----------------------------------------------------------
@@ -432,13 +395,9 @@ def _bandit_sweep() -> dict:
         traj = bd.run_bandit(game, sched, seed=s, delta=BANDIT_DELTA, epochs=BANDIT_EPOCHS)
         gaps[k] = traj.tgap_mixed
         rec = bd.recovery_error_audit(traj)
-        min_rec_slack = min(
-            min_rec_slack,
-            float(rec["slack_first_order"].min()),
-            float(rec["slack_second_order"].min()),
-        )
-        reg = bd.regret_error_bound_audit(traj)
-        min_reg_slack = min(min_reg_slack, float(reg["slack"].min()))
+        min_rec_slack = min(min_rec_slack, float(rec["slack_first_order"].min()),
+                            float(rec["slack_second_order"].min()))
+        min_reg_slack = min(min_reg_slack, float(bd.regret_error_bound_audit(traj)["slack"].min()))
         switches.extend(traj.switch_epoch)
     _BANDIT_STATS = {
         "gaps": gaps,
@@ -450,12 +409,12 @@ def _bandit_sweep() -> dict:
     return _BANDIT_STATS
 
 
-def _bandit_resample(estimator, resamples=10_000, seed=777):
-    """Monte-Carlo resampling of one epoch's estimates at fixed strategies.
+def _bandit_bias_se(estimator, resamples=10_000, seed=777) -> float:
+    """Worst per-action bias of one epoch's estimates, in standard errors.
 
-    Uses the seed-0 honest run's epoch-5 mixed profile (B = 625, eps = 1/5)
-    and returns per-action means, standard errors and the truth, for either
-    the per-action-mean estimator ("epoch") or the importance-weighted
+    Monte-Carlo resampling at fixed strategies: the seed-0 honest run's
+    epoch-5 mixed profile (B = 625, eps = 1/5), for either the
+    per-action-mean estimator ("epoch") or the importance-weighted
     accumulator ("iw").  Each resample is drawn by ``bandit.JointSampler``,
     the sampler ``run_bandit`` uses.
     """
@@ -478,9 +437,8 @@ def _bandit_resample(estimator, resamples=10_000, seed=777):
         values, truth = est, truth_avg
     else:
         values, truth = sums / plays[0], B * truth_avg
-    mean = values.mean(axis=0)
     se = values.std(axis=0, ddof=1) / np.sqrt(resamples)
-    return mean, se, truth
+    return float((np.abs(values.mean(axis=0) - truth) / se).max())
 
 
 @suite("bandit-audit")
@@ -497,17 +455,7 @@ def check_bandit_audit() -> SuiteResult:
     """
     t0 = time.perf_counter()
     stats = _bandit_sweep()
-    lines = []
-    ok_a = stats["min_recovery_slack"] >= -TOL_AUDIT and stats["min_regret_slack"] >= -TOL_AUDIT
-    lines.append(
-        f"(a) min recovery slack = {stats['min_recovery_slack']:.3e}, "
-        f"min regret-bound slack = {stats['min_regret_slack']:.3e} (allowed >= -{TOL_AUDIT})"
-    )
-
-    mean, se, truth = _bandit_resample("epoch")
-    dev_in_se = np.abs(mean - truth) / se
-    ok_b = bool((dev_in_se <= 3.0).all())
-    lines.append(f"(b) estimator bias = {dev_in_se.max():.2f} standard errors (needs <= 3)")
+    bias_se = _bandit_bias_se("epoch")
 
     game = _bandit_game()
     sched = bd.EpochSchedule.theory()
@@ -523,27 +471,18 @@ def check_bandit_audit() -> SuiteResult:
         for k, t in enumerate(eligible):
             viol[k] += audit["violated"][t - 1]
     freq = viol / reps
-    ok_c = bool((freq <= 4 * BANDIT_DELTA).all())
-    lines.append(
-        f"(c) worst bound-violation frequency = {freq.max():.3f} over {reps} reps "
-        f"(needs <= {4 * BANDIT_DELTA}) on epochs {eligible}"
-    )
 
     med = np.median(stats["gaps"], axis=0)
-    ok_d = bool(med[BANDIT_EPOCHS - 1] <= med[2])
-    lines.append(f"(d) median gap epoch 12 = {med[-1]:.4f} <= epoch 3 = {med[2]:.4f}")
-
-    elapsed = time.perf_counter() - t0 + stats["elapsed_s"]
-    lines.append(f"total {elapsed:.1f} s (budget 600 s)")
-    passed = ok_a and ok_b and ok_c and ok_d and elapsed <= 600.0
-    return SuiteResult(
-        "bandit-audit", passed, lines,
-        {"min_recovery_slack": stats["min_recovery_slack"],
-         "min_regret_slack": stats["min_regret_slack"],
-         "estimator_bias_se": float(dev_in_se.max()),
-         "violation_freq_max": float(freq.max()),
-         "median_gaps": med.tolist(), "elapsed_s": elapsed},
-    )
+    return SuiteResult("bandit-audit", [
+        Check("(a) min recovery slack", stats["min_recovery_slack"], ">=", -TOL_AUDIT),
+        Check("(a) min regret-bound slack", stats["min_regret_slack"], ">=", -TOL_AUDIT),
+        Check("(b) estimator bias (standard errors)", bias_se, "<=", MAX_BIAS_SE),
+        Check("(c) worst bound-violation frequency", float(freq.max()), "<=", 4 * BANDIT_DELTA),
+        Check("(d) median gap at epoch 12, against epoch 3",
+              float(med[BANDIT_EPOCHS - 1]), "<=", float(med[2])),
+        Check("wall time with the honest sweep (s)",
+              time.perf_counter() - t0 + stats["elapsed_s"], "<=", 600.0),
+    ], {"reps": reps, "eligible_epochs": eligible, "median_gaps": med.tolist()})
 
 
 @suite("bandit-monitor")
@@ -558,36 +497,25 @@ def check_bandit_monitor() -> SuiteResult:
     unbiasedness.
     """
     stats = _bandit_sweep()
-    honest_ok = all(sw is None for sw in stats["switches"])
-    lines = [f"honest self-play switches over {len(SEEDS)} runs: "
-             f"{sum(sw is not None for sw in stats['switches'])} (needs 0)"]
 
     def bait(t):
         return np.array([1.0, 0.0]) if t % 2 == 1 else np.array([0.475, 0.525])
 
     sched = bd.EpochSchedule.custom(coeff=4000, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    epochs = 6000
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         adv = bd.run_bandit_vs_environment(2, bait, sched, eta=1.0 / 12, seed=1,
-                                           delta=BANDIT_DELTA, epochs=6000)
-    adv_ok = adv["switch_epoch"] is not None
-    lines.append(
-        f"adversary switch epoch = {adv['switch_epoch']} "
-        f"({int(adv['B'][: adv['switch_epoch']].sum()) if adv_ok else 0} rounds)"
-    )
-
-    mean, se, truth = _bandit_resample("iw")
-    dev_in_se = np.abs(mean - truth) / se
-    iw_ok = bool((dev_in_se <= 3.0).all())
-    lines.append(f"importance-weighted bias = {dev_in_se.max():.2f} standard errors (needs <= 3)")
-
-    passed = honest_ok and adv_ok and iw_ok
-    return SuiteResult(
-        "bandit-monitor", passed, lines,
-        {"honest_switches": sum(sw is not None for sw in stats["switches"]),
-         "adversary_switch_epoch": adv["switch_epoch"],
-         "iw_bias_se": float(dev_in_se.max())},
-    )
+                                           delta=BANDIT_DELTA, epochs=epochs)
+    switch = adv["switch_epoch"]
+    return SuiteResult("bandit-monitor", [
+        Check("honest self-play switches", sum(sw is not None for sw in stats["switches"]),
+              "<=", 0),
+        Check("adversary switch epoch", np.inf if switch is None else switch, "<=", epochs),
+        Check("importance-weighted bias (standard errors)", _bandit_bias_se("iw"),
+              "<=", MAX_BIAS_SE),
+    ], {"honest_runs": len(SEEDS),
+        "adversary_rounds": 0 if switch is None else int(adv["B"][:switch].sum())})
 
 
 @suite("fisher")
@@ -601,11 +529,10 @@ def check_fisher() -> SuiteResult:
     state's equilibrium gap is non-increasing in trend and below 1e-3 by
     t = 2000.
     """
-    lines = []
     worst_equiv = 0.0
     worst_cons = 0.0
     worst_final_gap = 0.0
-    trend_ok = True
+    worst_rise = -np.inf
     for s in SEEDS:
         m = 2 + s % 4
         n = 2 + (s // 4) % 4
@@ -615,41 +542,30 @@ def check_fisher() -> SuiteResult:
         worst_equiv = max(worst_equiv, float(
             np.abs(wrapped["played_prices"] - ref["avg_prices"][:500]).max()))
         total = market.budgets.sum()
-        worst_cons = max(
-            worst_cons,
-            float(np.abs(ref["prices"].sum(axis=1) - total).max()),
-            float(np.abs(wrapped["played_prices"].sum(axis=1) - total).max()),
-        )
+        for p in (ref["prices"], wrapped["played_prices"]):
+            worst_cons = max(worst_cons, float(np.abs(p.sum(axis=1) - total).max()))
         gaps = ref["avg_gap"]
         worst_final_gap = max(worst_final_gap, float(gaps[-1]))
         checkpoints = gaps[np.array([9, 49, 199, 499, 1999])]
-        trend_ok = trend_ok and bool(np.all(np.diff(checkpoints) <= 1e-12))
-    lines.append(f"max |played - reference average| price dev = {worst_equiv:.3e} (tol 1e-10)")
-    lines.append(f"max price-conservation dev = {worst_cons:.3e} (tol 1e-9)")
-    lines.append(f"max averaged-state gap at t=2000 = {worst_final_gap:.2e} "
-                 f"(needs < 1e-3), trend non-increasing: {trend_ok}")
+        worst_rise = max(worst_rise, float(np.diff(checkpoints).max()))
 
     market = fi.FisherMarket([1.0, 1.0], valuations=[[1.0, 0.0], [0.0, 1.0]])
     b = fi.uniform_spending(market)
-    reached = None
-    for t in range(1, 51):
+    steps = 50
+    reached = np.inf
+    for t in range(1, steps + 1):
         b = fi.prd_step(market, b)
-        rep = fi.verify_ce(market, fi.prices(b), fi.allocations(b), tol=1e-6)
-        if rep.passed:
+        if fi.verify_ce(market, fi.prices(b), fi.allocations(b), tol=1e-6).passed:
             reached = t
             break
-    lines.append(f"hand-solved 2x2 market reaches equilibrium at step {reached} (needs <= 50)")
 
-    passed = (
-        worst_equiv <= 1e-10 and worst_cons <= 1e-9
-        and worst_final_gap < 1e-3 and trend_ok and reached is not None
-    )
-    return SuiteResult(
-        "fisher", passed, lines,
-        {"worst_price_dev": worst_equiv, "worst_conservation": worst_cons,
-         "worst_final_gap": worst_final_gap, "trend_ok": trend_ok,
-         "ce_reached_step": reached},
-    )
+    return SuiteResult("fisher", [
+        Check("max |played - reference average| price dev", worst_equiv, "<=", TOL_IDENTITY),
+        Check("max price-conservation dev", worst_cons, "<=", TOL_CONSERVATION),
+        Check("max averaged-state gap at t=2000", worst_final_gap, "<", 1e-3),
+        Check("max averaged-state gap rise between checkpoints", worst_rise, "<=", 1e-12),
+        Check("hand-solved 2x2 market: steps to equilibrium", reached, "<=", steps),
+    ])
 
 
 @suite("determinism")
@@ -662,8 +578,7 @@ def check_determinism() -> SuiteResult:
          "epochs": 6, "seeds": [0, 1]},
         {"mode": "fisher", "market": {"m": 3, "n": 3, "seed": 2}, "T": 200, "seeds": [0]},
     ]
-    lines = []
-    all_ok = True
+    checks = []
     with tempfile.TemporaryDirectory() as tmp:
         for spec in specs:
             out = Path(tmp) / spec["mode"]
@@ -672,7 +587,6 @@ def check_determinism() -> SuiteResult:
             first = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
             harness.run(cfg)
             second = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-            same = first == second and len(first) == len(spec["seeds"])
-            all_ok = all_ok and same
-            lines.append(f"{spec['mode']}: {len(first)} CSVs byte-identical: {same}")
-    return SuiteResult("determinism", all_ok, lines, {})
+            checks.append(Check(f"{spec['mode']}: CSVs byte-identical on re-run",
+                                len(first) if first == second else 0, ">=", len(spec["seeds"])))
+    return SuiteResult("determinism", checks)

@@ -240,15 +240,14 @@ SUITE_CELLS = [
 def test_batched_run_matches_per_instance_runs(key):
     # One batched call over the suite seeds reproduces each one-instance run:
     # seed-invariant games run as 20 copies of the same game.
-    factory = {k: f for k, _, f in verify._suite1_games()}[key]
-    games = [factory(s) for s in verify.SEEDS]
+    games = [verify._game(key, s) for s in verify.SEEDS]
     for algo, weights in SUITE_CELLS:
         spec = LearnerSpec(algo=algo, eta=verify._suite1_eta(algo.removeprefix("a2l-")),
                            weights=weights)
         batch = run_full_feedback_batch(games, spec, 1000, verify.SEEDS)
         single = {}
         for s, game, tr in zip(verify.SEEDS, games, batch):
-            ref_key = s if key == "zs3d5" else 0
+            ref_key = s if len(verify._game_seeds(key)) > 1 else 0
             if ref_key not in single:
                 single[ref_key] = run_full_feedback(game, spec, 1000, seed=s)
             one = single[ref_key]

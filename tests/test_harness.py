@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2l import cli, harness, verify
-from a2l.harness import ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
+from a2l.harness import Check, ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
 
 
 def gradient_cfg(tmp_path, **overrides):
@@ -88,6 +88,21 @@ def test_certified_gradient_eta_refused(tmp_path):
     with pytest.raises(ConfigError, match=r"players\[1\]\.eta <= 1/\(2\(n-1\)\)"):
         load_config(gradient_cfg(tmp_path, players=players))
     load_config(gradient_cfg(tmp_path, players=players, certified=False))
+    # the certified bound has one eta, so the players' own must agree
+    players = [{"algo": "a2l-omwu", "eta": 0.01}, {"algo": "a2l-omwu", "eta": 0.3}]
+    with pytest.raises(ConfigError, match=r"one eta for all players; got players\[1\]\.eta"):
+        load_config(gradient_cfg(tmp_path, players=players))
+
+
+def test_certified_bound_uses_the_players_eta(tmp_path):
+    players = [{"algo": "a2l-omwu", "eta": 0.01}] * 2
+    summary = harness.run(load_config(gradient_cfg(
+        tmp_path, game={"kind": "random_zs", "n": 2, "d": 3, "seed": 5}, seeds=[0],
+        players=players)))
+    (result,) = summary["results"]
+    assert result["gap_bound"] == pytest.approx(np.log(9) / (0.01 * 200))
+    assert result["final_tgap_last"] > 0.5  # outside the eta = 0.5 bound of 0.022
+    assert summary["passed"]
 
 
 def test_certified_bandit_schedule_refused(tmp_path):
@@ -158,10 +173,15 @@ def test_gradient_run_outputs(tmp_path):
     out = tmp_path / "out"
     assert (out / "gradient_seed0.csv").exists()
     assert (out / "gradient_seed1.csv").exists()
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     assert summary["prng"] == "numpy-PCG64"
     assert summary["passed"]
     assert len(summary["results"]) == 2
+    for res in summary["results"]:
+        (check,) = res["checks"]
+        assert check["name"] == "bound_slack" and check["limit"] == -harness.TOL_BOUND
+        assert check["value"] == res["bound_slack"] and check["passed"]
+    assert summary["passed"] == all(c["passed"] for r in summary["results"] for c in r["checks"])
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk["config_hash"] == summary["config_hash"]
 
@@ -213,7 +233,12 @@ def test_bandit_run_outputs(tmp_path):
     })
     summary = harness.run(cfg)
     assert summary["passed"]
-    assert summary["results"][0]["recovery_slack_min"] >= -1e-6
+    (res,) = summary["results"]
+    assert res["recovery_slack_min"] >= -1e-6
+    assert [(c["name"], c["value"], c["limit"]) for c in res["checks"]] == [
+        (key, res[key], -harness.TOL_AUDIT)
+        for key in ("recovery_slack_min", "regret_bound_slack_min")]
+    assert summary["passed"] == all(c["passed"] for c in res["checks"])
     assert (tmp_path / "b" / "bandit_seed0.csv").exists()
 
 
@@ -227,7 +252,12 @@ def test_fisher_run_outputs(tmp_path):
     })
     summary = harness.run(cfg)
     assert summary["passed"]
-    assert summary["results"][0]["conservation_dev"] <= 1e-9
+    (res,) = summary["results"]
+    assert res["conservation_dev"] <= 1e-9
+    (check,) = res["checks"]
+    assert (check["name"], check["value"]) == ("conservation_dev", res["conservation_dev"])
+    assert check["limit"] == harness.TOL_CONSERVATION
+    assert summary["passed"] == check["passed"]
 
 
 # -- rate fitting ------------------------------------------------------------
@@ -265,6 +295,38 @@ def test_suite_runs_and_reports():
     res = verify.run_suite("mwu-contrast")
     assert res.passed
     assert "bare MWU" in res.report()
+
+
+@pytest.mark.parametrize("op, strict", [("<=", False), ("<", True), (">=", False), (">", True)])
+@pytest.mark.parametrize("offset", [-1e-3, 0.0, 1e-3])
+def test_check_compares_value_to_limit(op, strict, offset):
+    check = Check("x", 0.5 + offset, op, 0.5)
+    on_passing_side = offset < 0 if op.startswith("<") else offset > 0
+    assert check.passed == (on_passing_side or (offset == 0.0 and not strict))
+    assert check.slack == pytest.approx(abs(offset) if on_passing_side else -abs(offset))
+    # the slack's sign tells the verdict; strict comparisons fail at zero slack
+    assert check.passed == (check.slack > 0 if strict else check.slack >= 0)
+    assert check.to_dict() == {"name": "x", "value": 0.5 + offset, "op": op, "limit": 0.5,
+                               "slack": check.slack, "passed": check.passed}
+
+
+def test_suite_result_derives_from_its_checks():
+    good = Check("drift", 1e-13, "<=", 1e-12)
+    bad = Check("worst gap", 0.25, "<", 0.01)
+    res = verify.SuiteResult("demo", [good, bad], {"runs": 3})
+    assert not res.passed
+    text = res.report()
+    assert text.startswith("[FAIL] demo")
+    assert "[FAIL] worst gap = 0.25" in text and "runs = 3" in text
+    assert res.details["checks"][1] == {"name": "worst gap", "value": 0.25, "op": "<",
+                                        "limit": 0.01, "slack": bad.slack, "passed": False}
+    assert res.details["checks"][1]["slack"] == pytest.approx(-0.24)
+    assert res.details["runs"] == 3
+    assert verify.SuiteResult("demo", [good]).passed
+    # "all" nests the suite results as its checks
+    outer = verify.SuiteResult("all", [verify.SuiteResult("ok", [good]), res])
+    assert not outer.passed and "\n  [FAIL] demo\n" in outer.report()
+    assert "\n    [FAIL] worst gap" in outer.report()
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -327,3 +389,8 @@ def test_cli_verify_writes_report(tmp_path):
     assert rc == 0
     data = json.loads(report.read_text())
     assert data["passed"] is True
+    checks = data["details"]["checks"]
+    assert len(checks) == 2
+    for check in checks:
+        assert {"name", "value", "limit", "slack", "passed"} <= set(check)
+        assert check["passed"] is True
