@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from a2l.learners import MWU, OMWU
 from a2l.reduction import A2L, ProtocolError, WEIGHT_RULES, update_running_mean
 
 
@@ -167,3 +170,36 @@ def test_batched_wrapper_matches_per_row_wrappers(weights):
             assert np.array_equal(played[k], wrap.next_strategy())
             assert np.array_equal(rec[k], wrap.observe(ubar[k]))
     assert batch.cum_recovered.shape == (5, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda T: st.tuples(
+        st.lists(st.floats(0.1, 10.0), min_size=T, max_size=T),
+        st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                 min_size=T, max_size=T),
+    )),
+    st.sampled_from([MWU, OMWU]),
+    st.floats(0.05, 1.0),
+)
+def test_recovery_is_exact_under_random_weights_and_utilities(stream, cls, eta):
+    # The bare learner sees u^1..u^T.  The wrapper, with the same weights as
+    # one shared callable, sees the alpha-weighted running mean of that
+    # stream, as it would if its opponents played weighted averages in a
+    # game with linear utilities.  It must forward exactly u^t to its inner
+    # learner and play the alpha-weighted running mean of the bare iterates.
+    alphas, utils = np.array(stream[0]), np.array(stream[1])
+    cum_alpha = np.cumsum(alphas)
+    seen = np.cumsum(alphas[:, None] * utils, axis=0) / cum_alpha[:, None]
+    bare = cls(3, eta)
+    wrap = A2L(cls(3, eta), weights=lambda t: alphas[t - 1])
+    bare_xs, played, recovered = [], [], []
+    for u, ubar in zip(utils, seen):
+        bare_xs.append(bare.next_strategy())
+        bare.observe(u)
+        played.append(wrap.next_strategy())
+        recovered.append(wrap.observe(ubar))
+    want_play = np.cumsum(alphas[:, None] * np.array(bare_xs), axis=0) / cum_alpha[:, None]
+    # rounding in ubar^t is scaled by at most sum_{k<t} alpha_k / alpha_t < 4000
+    assert np.abs(np.array(recovered) - utils).max() <= 1e-11
+    assert np.abs(np.array(played) - want_play).max() <= 1e-12
