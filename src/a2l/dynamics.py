@@ -6,25 +6,33 @@ profile and observes it.  Players never see each other's state: the loop
 passes utility vectors only, so uncoupledness holds by construction.
 
 One loop, ``run_full_feedback_batch``, runs S games of one shape (same n,
-same action counts) at once: each player's learner holds state of shape
-(S, d_i) and works on the trailing action axis, and one block payoff
-tensor gives every utility vector of the round in a single matmul.
-``run_full_feedback`` is its S = 1 call.
+same action counts) at once, with all players of all games on array axes.
+``build_learner`` turns the n learner specs into one learner whose state
+has shape (S, n, d_max), d_max the largest action count: each player is a
+row with its own step size, optimism flag, weight rule, bias and wrapped
+or bare play, and a player's padded actions get a -inf logit, so its
+strategy is exactly zero there.  A round is then a fixed number of numpy
+calls whatever n is: one softmax, one running-average update, one matmul
+with the block payoff tensor of shape (S, n d_max, n d_max), one recovery
+step and one finiteness check.  ``run_full_feedback`` is its S = 1 call.
 
 A trajectory logs, per round and for every player, the played profile and
 utility vectors, the inner iterates (for average-playing wrappers these are
 the wrapped learner's iterates; for bare learners they coincide with the
 play), the total gap of the played profile, the total gap of the running
 uniform average of inner iterates, and per-player instantaneous regrets.
-The metadata is sufficient to reproduce the run exactly.
+The metadata is sufficient to reproduce the run exactly, and its
+``switch_round`` lists, per player, the round of its monitor switch (None
+when it never switched).
 
-The gradient mode's one robustness monitor is ``GuardedA2LOMWU``: it keeps
-the player's own running regret and switches to a safe no-regret fallback
+The gradient mode's one robustness monitor is ``RegretGuard``: each row
+keeps its own running regret and switches to a safe no-regret fallback
 once it crosses
 
     c * (sum_i log d_i / eta) * (1 + ln t)
 
 which self-play of the average-playing dynamics cannot reach for c >= 2.
+``guarded-a2l-omwu`` players are the guarded rows of the stacked state.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 
 from .csvrows import _csv_lines
 from .games import PolymatrixGame
-from .learners import MWU, OMWU, AnytimeMWU
+from .learners import MWU, OMWU, AnytimeMWU, padding
 from .reduction import A2L
 
 ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
@@ -72,23 +80,43 @@ class LearnerSpec:
         return asdict(self)
 
 
-def build_learner(spec: LearnerSpec, d: int, n: int, log_dim_sum=None):
-    algo = spec.algo.lower()
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {spec.algo!r}; choose from {ALGORITHMS}")
-    eta = gradient_step_size(n) if spec.eta is None else float(spec.eta)
-    bias = None if spec.bias is None else np.asarray(spec.bias, dtype=float)
-    if algo == "mwu":
-        return MWU(d, eta, bias=bias)
-    if algo == "omwu":
-        return OMWU(d, eta, bias=bias)
-    if algo == "a2l-mwu":
-        return A2L(MWU(d, eta, bias=bias), spec.weights)
-    if algo == "a2l-omwu":
-        return A2L(OMWU(d, eta, bias=bias), spec.weights)
-    return GuardedA2LOMWU(
-        d, eta, log_dim_sum=log_dim_sum, c=spec.monitor_c, weights=spec.weights, bias=bias
-    )
+def build_learner(specs, counts):
+    """One learner for all players, with state of shape (..., n, d_max).
+
+    specs holds one LearnerSpec per player and counts the players' action
+    counts.  Per-player parameters become per-row arrays of shape (n, 1).
+    """
+    algos = [spec.algo.lower() for spec in specs]
+    for spec, algo in zip(specs, algos):
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {spec.algo!r}; choose from {ALGORITHMS}")
+    n, d = len(counts), max(counts)
+    col = np.array(counts)[:, None]
+    eta = np.array([[gradient_step_size(n) if s.eta is None else float(s.eta)] for s in specs])
+    bias = None
+    if min(counts) < d or any(s.bias is not None for s in specs):
+        bias = padding(col)
+        for i, spec in enumerate(specs):
+            if spec.bias is not None:
+                bias[i, : counts[i]] += np.asarray(spec.bias, dtype=float)
+
+    def rows(names):
+        mask = np.array([[algo in names] for algo in algos])
+        return True if mask.all() else mask
+
+    optimistic = rows(("omwu", "a2l-omwu", "guarded-a2l-omwu"))
+    if optimistic is True or optimistic.any():
+        learner = OMWU(d, eta, bias=bias, rows=optimistic)
+    else:
+        learner = MWU(d, eta, bias=bias)
+    wrapped = rows(("a2l-mwu", "a2l-omwu", "guarded-a2l-omwu"))
+    if wrapped is True or wrapped.any():
+        learner = A2L(learner, [spec.weights for spec in specs], rows=wrapped)
+    guarded = np.array([algo == "guarded-a2l-omwu" for algo in algos])
+    if guarded.any():
+        c = np.where(guarded, [spec.monitor_c for spec in specs], np.inf)
+        learner = RegretGuard(learner, col, eta[:, 0], np.log(counts).sum(), c)
+    return learner
 
 
 @dataclass
@@ -129,13 +157,14 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
     """Simulate S games of one shape at once; one Trajectory per game.
 
     The games must share n and the action counts; the payoffs and the graph
-    may differ.  Each player is one learner object whose state has shape
-    (S, d_i), so every instance runs the same learner code as a single run
-    and stays uncoupled from the others.  Utilities come from one block
-    payoff tensor of shape (S, D, D), D = sum_i d_i, in which an edge absent
-    from an instance is a zero block and adds exact zeros.  seeds (default
-    all 0) are recorded in each trajectory's metadata.  The guarded learner
-    tracks one regret per player, so it runs one instance per call.
+    may differ.  One learner from ``build_learner`` advances every player
+    of every instance per call, each row running the same learner code as a
+    single run and staying uncoupled from the others.  Utilities come from
+    one block payoff tensor of shape (S, D, D), D = n d_max, in which an
+    absent edge or a padded action is a zero block and adds exact zeros.
+    seeds (default all 0) are recorded in each trajectory's metadata.  The
+    per-player arrays of a Trajectory are views into the stacked
+    (S, T, n, d_max) records.
     """
     games = list(games)
     S = len(games)
@@ -159,68 +188,59 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
         specs = [specs] * n
     if len(specs) != n:
         raise ValueError(f"{len(specs)} learner specs for {n} players")
-    if S > 1:
-        for i, spec in enumerate(specs):
-            if spec.algo.lower() == "guarded-a2l-omwu":
-                raise ValueError(
-                    f"specs[{i}].algo: {spec.algo!r} tracks one regret per player and "
-                    f"runs one instance per call, got {S} games"
-                )
-    log_dim_sum = float(np.log(counts).sum())
-    learners = [build_learner(specs[i], counts[i], n, log_dim_sum) for i in range(n)]
+    learner = build_learner(specs, counts)
 
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    cols = [slice(offsets[i], offsets[i + 1]) for i in range(n)]
-    blocks = np.zeros((S, offsets[-1], offsets[-1]))
+    d = max(counts)
+    D = n * d
+    blocks = np.zeros((S, n, d, n, d))
     for k, g in enumerate(games):
         for (i, j), mat in g.edges.items():
-            blocks[k, cols[i], cols[j]] = mat
-    profile = np.empty((S, offsets[-1], 1))
+            blocks[k, i, : counts[i], j, : counts[j]] = mat
+    blocks = blocks.reshape(S, D, D)
 
-    played = [np.empty((S, T, d)) for d in counts]
-    utils = [np.empty((S, T, d)) for d in counts]
-    inner = [np.empty((S, T, d)) for d in counts]
-    inner_utils = [np.empty((S, T, d)) for d in counts]
+    played = np.empty((S, T, n, d))
+    utils = np.empty((S, T, n, d))
+    # Bare play is its own inner iterate and feedback.
+    bare = not hasattr(learner, "last_inner")
+    inner = played if bare else np.empty((S, T, n, d))
+    inner_utils = utils if bare else np.empty((S, T, n, d))
 
-    for t in range(T):
-        try:
-            xs = [lr.next_strategy() for lr in learners]
-            for i in range(n):
-                profile[:, cols[i], 0] = xs[i]
-            util = np.matmul(blocks, profile)[..., 0]
-            for i, lr in enumerate(learners):
-                v = util[:, cols[i]]
-                rec = lr.observe(v)
-                if rec is None:
-                    rec = v
-                x_in = getattr(lr, "last_inner", None)
-                if x_in is None:
-                    x_in = xs[i]
-                played[i][:, t] = xs[i]
-                utils[i][:, t] = v
-                inner[i][:, t] = x_in
-                inner_utils[i][:, t] = rec
-        except Exception as exc:
-            raise SimulationError(
-                f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
-            ) from exc
+    t = 0
+    try:
+        for t in range(T):
+            x = learner.next_strategy()
+            v = np.matmul(blocks, x.reshape(-1, D, 1)).reshape(S, n, d)
+            rec = learner.observe(v)
+            played[:, t] = x
+            utils[:, t] = v
+            if not bare:
+                inner[:, t] = learner.last_inner
+                inner_utils[:, t] = rec
+    except Exception as exc:
+        raise SimulationError(
+            f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
+        ) from exc
 
     # Per-round statistics, vectorized over instances and rounds.
+    views = [
+        [a[:, :, i, :c] for i, c in enumerate(counts)] for a in (played, utils, inner, inner_utils)
+    ]
     instant_regret = np.stack(
-        [utils[i].max(axis=2) - np.einsum("std,std->st", played[i], utils[i]) for i in range(n)],
+        [v.max(axis=2) - np.einsum("std,std->st", x, v) for x, v in zip(views[0], views[1])],
         axis=2,
     )
     tgap_played = instant_regret.sum(axis=2)
     denom = np.arange(1.0, T + 1.0)[:, None]
     tgap_inner_avg = np.zeros((S, T))
-    for i in range(n):
+    for x, u in zip(views[2], views[3]):
         # Linearity makes the mean of recovered utilities equal the utility
         # vector at the mean inner profile.
-        xbar = np.cumsum(inner[i], axis=1)
+        xbar = np.cumsum(x, axis=1)
         xbar /= denom
-        ubar = np.cumsum(inner_utils[i], axis=1)
+        ubar = np.cumsum(u, axis=1)
         ubar /= denom
         tgap_inner_avg += ubar.max(axis=2) - np.einsum("std,std->st", xbar, ubar)
+    switch_rounds = np.broadcast_to(getattr(learner, "switch_rounds", 0), (S, n))
 
     return [
         Trajectory(
@@ -231,11 +251,9 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
                 "T": T,
                 "seed": seed,
                 "prng": "numpy-PCG64",
+                "switch_round": [int(r) if r else None for r in switch_rounds[k]],
             },
-            [x[k] for x in played],
-            [x[k] for x in utils],
-            [x[k] for x in inner],
-            [x[k] for x in inner_utils],
+            *([x[k] for x in v] for v in views),
             tgap_played[k],
             tgap_inner_avg[k],
             instant_regret[k],
@@ -306,49 +324,82 @@ def monitor_threshold(t, eta, log_dim_sum, c=2.0):
     return c * (log_dim_sum / eta) * (1.0 + np.log(t))
 
 
-class GuardedA2LOMWU:
-    """Average-playing OMWU guarded by the regret monitor.
+class RegretGuard:
+    """A learner guarded by the regret monitor, row by row.
 
-    Runs A2L-wrapped OMWU while its own anytime regret stays under the
-    monitor threshold; afterwards it plays the safe fallback (MWU with
-    decaying step size) for good.
+    Each row plays the primary learner while its own anytime regret stays
+    under ``monitor_threshold``; from the round it crosses, that row plays
+    the safe fallback (``AnytimeMWU``, MWU with decaying step size) for
+    good, with its own action count and its own round count.  counts, eta
+    and c are scalars or per-row arrays (counts with a trailing 1, as in
+    ``learners.padding``; eta and c over the leading axes); c = inf leaves
+    a row unguarded.  ``switch_rounds`` holds each row's switch round, 0
+    while it has not switched.
     """
 
-    def __init__(self, d, eta, log_dim_sum, c=2.0, weights="uniform", bias=None):
-        self.d = d
+    def __init__(self, primary, counts, eta, log_dim_sum, c=2.0):
+        self.primary = primary
+        self.counts = counts
         self.eta = eta
-        self.log_dim_sum = float(log_dim_sum if log_dim_sum is not None else np.log(d))
+        self.log_dim_sum = float(log_dim_sum)
         self.c = c
-        self.primary = A2L(OMWU(d, eta, bias=bias), weights)
         self.fallback = None
-        self.switch_round = None
         self.rounds = 0
-        self.cum_utils = np.zeros(d)
+        self.cum_utils = padding(counts) if np.ndim(counts) else np.zeros(counts)
         self.cum_earned = 0.0
+        self.switched = np.zeros((), dtype=bool)
+        self.switch_rounds = np.zeros((), dtype=int)
         self._x = None
 
     @property
+    def switch_round(self):
+        """First round at which a row switched; None before any switch."""
+        return int(self.switch_rounds[self.switched].min()) if self.switched.any() else None
+
+    @property
     def last_inner(self):
-        return self.primary.last_inner if self.fallback is None else self._x
+        inner = self.primary.last_inner
+        if self.fallback is None:
+            return inner
+        return np.where(self.switched[..., None], self._x, inner)
 
     def next_strategy(self) -> np.ndarray:
-        src = self.primary if self.fallback is None else self.fallback
-        self._x = src.next_strategy()
-        return self._x
+        x = self.primary.next_strategy()
+        if self.fallback is not None:
+            x = np.where(self.switched[..., None], self.fallback.next_strategy(), x)
+        self._x = x
+        return x
 
     def observe(self, u):
         u = np.asarray(u, dtype=float)
-        rec = (self.primary if self.fallback is None else self.fallback).observe(u)
+        rec = self.primary.observe(u)
+        if rec is None:
+            rec = u
+        if self.fallback is not None:
+            self.fallback.observe(u)
+            rec = np.where(self.switched[..., None], u, rec)
         self.rounds += 1
         self.cum_utils = self.cum_utils + u
-        self.cum_earned += float(np.vdot(self._x, u))
-        regret_now = self.cum_utils.max() - self.cum_earned
-        if self.fallback is None and regret_now > monitor_threshold(
-            self.rounds, self.eta, self.log_dim_sum, self.c
-        ):
-            self.switch_round = self.rounds
-            self.fallback = AnytimeMWU(self.d)
-        return rec if rec is not None else u
+        self.cum_earned = self.cum_earned + np.einsum("...d,...d->...", self._x, u)
+        regret_now = self.cum_utils.max(axis=-1) - self.cum_earned
+        crossed = regret_now > monitor_threshold(self.rounds, self.eta, self.log_dim_sum, self.c)
+        new = crossed & ~self.switched
+        if new.any():
+            self.switched = self.switched | new
+            self.switch_rounds = np.where(new, self.rounds, self.switch_rounds)
+            if self.fallback is None:
+                self.fallback = AnytimeMWU(self.counts)
+            self.fallback.restart(new)
+        return rec
+
+
+class GuardedA2LOMWU(RegretGuard):
+    """Average-playing OMWU guarded by the regret monitor."""
+
+    def __init__(self, d, eta, log_dim_sum, c=2.0, weights="uniform", bias=None):
+        if log_dim_sum is None:
+            log_dim_sum = np.log(d)
+        super().__init__(A2L(OMWU(d, eta, bias=bias), weights), d, eta, log_dim_sum, c)
 
 
 # -- persistence -------------------------------------------------------------

@@ -18,9 +18,12 @@ average of the bare run's iterates.  Everything is player-local: the wrapper
 touches only its own feedback.
 
 Strategies and utilities carry a trailing action axis: with an inner learner
-that runs a batch of instances (see ``learners``), iterates and feedback have
+that runs a batch of rows (see ``learners``), iterates and feedback have
 shape (..., d) and every update above applies row by row.  The weights depend
-on the round alone, so all rows share them.
+on the round alone.  One rule may serve all rows, or each row of axis -2
+(each player of a stacked state) may name its own; a boolean ``rows`` mask
+leaves the unmarked rows bare, playing the inner iterate and passing their
+feedback through unchanged.
 
 Weight rules are a fixed enumeration (uniform alpha_t = 1, linear
 alpha_t = t) so that independent players provably agree on the weights;
@@ -48,31 +51,56 @@ def update_running_mean(avg, x, weight, cum_weight):
     return avg + (weight / cum_weight) * (x - avg)
 
 
+def _named_rule(name):
+    try:
+        return WEIGHT_RULES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown weight rule {name!r}; choose from {sorted(WEIGHT_RULES)}"
+        ) from None
+
+
+def _row_rule(names):
+    """One weight function for rules named row by row along axis -2.
+
+    alpha_t has shape (len(names), 1); each distinct rule is evaluated once
+    per round, so the cost does not grow with the number of rows.
+    """
+    distinct = list(dict.fromkeys(names))
+    rules = [_named_rule(name) for name in distinct]
+    if len(rules) == 1:
+        return rules[0]
+    index = np.array([[distinct.index(name)] for name in names])
+    return lambda t: np.array([rule(t) for rule in rules])[index]
+
+
 class A2L:
     """Wrap a learner so the played iterate is its running average.
 
     The inner learner must expose next_strategy()/observe(u).  The wrapper
     satisfies the same contract, with the strict alternation enforced, for
     single strategies of shape (d,) and for batches of shape (..., d).
+    ``weights`` is a rule name, a shared callable, or a sequence of rule
+    names, one per row of axis -2.  ``rows`` (default: all) is a boolean
+    mask that broadcasts against the leading axes plus a trailing 1, e.g.
+    (n, 1); the rows it leaves out play bare.
     """
 
-    def __init__(self, inner, weights="uniform"):
+    def __init__(self, inner, weights="uniform", rows=True):
         if callable(weights):
             self._weight = weights
             self.weights = getattr(weights, "__name__", "custom")
-        else:
-            try:
-                self._weight = WEIGHT_RULES[weights]
-            except KeyError:
-                raise ValueError(
-                    f"unknown weight rule {weights!r}; choose from {sorted(WEIGHT_RULES)}"
-                ) from None
+        elif isinstance(weights, str):
+            self._weight = _named_rule(weights)
             self.weights = weights
+        else:
+            self.weights = tuple(weights)
+            self._weight = _row_rule(self.weights)
         self.inner = inner
+        self.rows = rows
         self.t = 0
         self.avg = None
         self.cum_weight = 0.0
-        self.cum_recovered = np.zeros(inner.d)
         self.last_inner = None
         self._prev_weight = 0.0
         self._prev_avg_util = np.zeros(inner.d)
@@ -97,7 +125,7 @@ class A2L:
         self.avg = update_running_mean(self.avg, x, self._alpha, self.cum_weight)
         self.last_inner = x
         self._awaiting = True
-        return self.avg.copy()
+        return self.avg.copy() if self.rows is True else np.where(self.rows, self.avg, x)
 
     def observe(self, avg_util) -> np.ndarray:
         """Feed the utility vector seen at the played average.
@@ -115,8 +143,9 @@ class A2L:
             raise ProtocolError("observe called before next_strategy")
         avg_util = np.asarray(avg_util, dtype=float)
         u = avg_util + (self._prev_weight / self._alpha) * (avg_util - self._prev_avg_util)
+        if self.rows is not True:
+            u = np.where(self.rows, u, avg_util)
         self.inner.observe(u)
-        self.cum_recovered = self.cum_recovered + self._alpha * u
         self._prev_avg_util = avg_util
         self.t += 1
         self._awaiting = False
