@@ -80,12 +80,28 @@ class ScheduleError(ValueError):
     """Epoch schedule parameters violate the type invariants."""
 
 
+class FallbackEpochError(RuntimeError):
+    """A post-switch epoch is too long to play round by round.
+
+    ``epoch`` is the epoch t whose length exceeded ``ROUND_EPOCH_CAP``.
+    """
+
+    def __init__(self, message, epoch=None):
+        super().__init__(message)
+        self.epoch = epoch
+
+
 # Joint action spaces of at most CELL_CAP cells are sampled as one
 # multinomial draw over a reward table; larger ones CHUNK_ROUNDS rounds at
 # a time.
 CELL_CAP = 2**16
 CHUNK_ROUNDS = 2**16
 INT64_MAX = np.iinfo(np.int64).max
+# After a monitor switch every round is played in Python.  An epoch longer
+# than this would run for minutes to years (B_t = t^4 passes 10^12 near
+# t = 1000), so it raises instead; the longest post-switch epoch any suite,
+# test or benchmark plays has 250 rounds.
+ROUND_EPOCH_CAP = 10**7
 
 
 def bandit_step_size(n: int) -> float:
@@ -465,8 +481,9 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     for B_t rounds with independent action draws per round and player (drawn
     as joint counts by ``JointSampler``), performs one OMWU update on the
     reconstructed estimate, and logs the total gap of the played profile.
-    After a monitor switch the epoch is played round by round; monitor_c =
-    inf never switches.  Audit and monitor columns are logged in every run,
+    After a monitor switch the epoch is played round by round, and an epoch
+    longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``; monitor_c
+    = inf never switches.  Audit and monitor columns are logged in every run,
     NaN after a switch.  A certified run needs a theory schedule and eta <= 1/(6n);
     violations warn and flag the run.
     """
@@ -519,6 +536,11 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
 
         if not any(p.switched for p in players):
             ests = sampler.epoch(rng, plays, B)
+        elif B > ROUND_EPOCH_CAP:
+            raise FallbackEpochError(
+                f"epoch t={t}: {B} rounds after a monitor switch exceed the "
+                f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=t
+            )
         else:
             ests = _play_rounds(rng, sampler, players, B)
 

@@ -438,3 +438,13 @@ def test_epoch_length_beyond_int64_names_the_epoch():
         EpochSchedule.custom(coeff=1, power=1000.0).epoch_length(3, 2)
     with pytest.warns(UserWarning), pytest.raises(ScheduleError, match="t=5"):
         run_bandit(small_game(), sched, epochs=6)
+
+
+def test_post_switch_epoch_beyond_the_cap_names_the_epoch():
+    # The monitor fires in epoch 1; epoch 2 has 2^30 rounds, which the
+    # round-by-round fallback path must refuse rather than start.
+    sched = EpochSchedule.custom(coeff=1, power=30)
+    assert sched.epoch_length(2, 2) > bandit.ROUND_EPOCH_CAP >= 250
+    with pytest.warns(UserWarning), pytest.raises(bandit.FallbackEpochError, match="t=2") as err:
+        run_bandit(small_game(), sched, epochs=3, seed=0, monitor_c=-1e9)
+    assert err.value.epoch == 2
