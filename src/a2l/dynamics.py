@@ -100,18 +100,17 @@ def build_learner(specs, counts):
             if spec.bias is not None:
                 bias[i, : counts[i]] += np.asarray(spec.bias, dtype=float)
 
-    def rows(names):
-        mask = np.array([[algo in names] for algo in algos])
-        return True if mask.all() else mask
-
-    optimistic = rows(("omwu", "a2l-omwu", "guarded-a2l-omwu"))
-    if optimistic is True or optimistic.any():
-        learner = OMWU(d, eta, bias=bias, rows=optimistic)
+    optimistic = np.array([[algo in ("omwu", "a2l-omwu", "guarded-a2l-omwu")] for algo in algos])
+    wrapped = np.array([[algo in ("a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")] for algo in algos])
+    if optimistic.any():
+        learner = OMWU(d, eta, bias=bias, rows=True if optimistic.all() else optimistic)
     else:
         learner = MWU(d, eta, bias=bias)
-    wrapped = rows(("a2l-mwu", "a2l-omwu", "guarded-a2l-omwu"))
-    if wrapped is True or wrapped.any():
-        learner = A2L(learner, [spec.weights for spec in specs], rows=wrapped)
+    if wrapped.any():
+        # Bare rows take a wrapped row's rule; they never use it.
+        rule = specs[int(np.argmax(wrapped))].weights
+        weights = [spec.weights if w else rule for spec, w in zip(specs, wrapped[:, 0])]
+        learner = A2L(learner, weights, rows=True if wrapped.all() else wrapped)
     guarded = np.array([algo == "guarded-a2l-omwu" for algo in algos])
     if guarded.any():
         c = np.where(guarded, [spec.monitor_c for spec in specs], np.inf)
@@ -327,7 +326,8 @@ def monitor_threshold(t, eta, log_dim_sum, c=2.0):
 class RegretGuard:
     """A learner guarded by the regret monitor, row by row.
 
-    Each row plays the primary learner while its own anytime regret stays
+    Each row plays the primary learner (average-playing: its ``observe``
+    returns the recovered utilities) while its own anytime regret stays
     under ``monitor_threshold``; from the round it crosses, that row plays
     the safe fallback (``AnytimeMWU``, MWU with decaying step size) for
     good, with its own action count and its own round count.  counts, eta
@@ -373,8 +373,6 @@ class RegretGuard:
     def observe(self, u):
         u = np.asarray(u, dtype=float)
         rec = self.primary.observe(u)
-        if rec is None:
-            rec = u
         if self.fallback is not None:
             self.fallback.observe(u)
             rec = np.where(self.switched[..., None], u, rec)
