@@ -163,7 +163,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
     absent edge or a padded action is a zero block and adds exact zeros.
     seeds (default all 0) are recorded in each trajectory's metadata.  The
     per-player arrays of a Trajectory are views into the stacked
-    (S, T, n, d_max) records.
+    (S, n, T, d_max) records.
     """
     games = list(games)
     S = len(games)
@@ -197,12 +197,14 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
             blocks[k, i, : counts[i], j, : counts[j]] = mat
     blocks = blocks.reshape(S, D, D)
 
-    played = np.empty((S, T, n, d))
-    utils = np.empty((S, T, n, d))
+    # Rounds before actions, so a player's (T, d_i) log is contiguous when
+    # d_i = d_max.
+    played = np.empty((S, n, T, d))
+    utils = np.empty((S, n, T, d))
     # Bare play is its own inner iterate and feedback.
     bare = not hasattr(learner, "last_inner")
-    inner = played if bare else np.empty((S, T, n, d))
-    inner_utils = utils if bare else np.empty((S, T, n, d))
+    inner = played if bare else np.empty((S, n, T, d))
+    inner_utils = utils if bare else np.empty((S, n, T, d))
 
     t = 0
     try:
@@ -210,11 +212,11 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
             x = learner.next_strategy()
             v = np.matmul(blocks, x.reshape(-1, D, 1)).reshape(S, n, d)
             rec = learner.observe(v)
-            played[:, t] = x
-            utils[:, t] = v
+            played[:, :, t] = x
+            utils[:, :, t] = v
             if not bare:
-                inner[:, t] = learner.last_inner
-                inner_utils[:, t] = rec
+                inner[:, :, t] = learner.last_inner
+                inner_utils[:, :, t] = rec
     except Exception as exc:
         raise SimulationError(
             f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
@@ -222,7 +224,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
 
     # Per-round statistics, vectorized over instances and rounds.
     views = [
-        [a[:, :, i, :c] for i, c in enumerate(counts)] for a in (played, utils, inner, inner_utils)
+        [a[:, i, :, :c] for i, c in enumerate(counts)] for a in (played, utils, inner, inner_utils)
     ]
     instant_regret = np.stack(
         [v.max(axis=2) - np.einsum("std,std->st", x, v) for x, v in zip(views[0], views[1])],
