@@ -206,7 +206,6 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
     inner = played if bare else np.empty((S, n, T, d))
     inner_utils = utils if bare else np.empty((S, n, T, d))
 
-    t = 0
     try:
         for t in range(T):
             x = learner.next_strategy()
