@@ -121,7 +121,9 @@ class A2L:
         x = self.inner.next_strategy()
         self._alpha = self._weight(self.t + 1)
         self._prev_weight = self.cum_weight
-        self.cum_weight += self._alpha
+        # Not +=: with per-row weights cum_weight is an array that
+        # _prev_weight must not share.
+        self.cum_weight = self.cum_weight + self._alpha
         self.avg = update_running_mean(self.avg, x, self._alpha, self.cum_weight)
         self.last_inner = x
         self._awaiting = True

@@ -160,14 +160,14 @@ def test_running_mean_helper():
     assert np.allclose(avg, [0.5, 0.5])
 
 
-@pytest.mark.parametrize("weights", ["uniform", "linear"])
+@pytest.mark.parametrize("weights", ["uniform", "linear", ("linear", "uniform") * 2 + ("linear",)])
 def test_batched_wrapper_matches_per_row_wrappers(weights):
-    from a2l.learners import OMWU
-
+    # A sequence gives each row of axis -2 its own rule.
     rng = np.random.default_rng(4)
     feedback = rng.uniform(-1, 1, size=(40, 5, 3))  # rounds x instances x actions
     batch = A2L(OMWU(3, 0.3), weights=weights)
-    rows = [A2L(OMWU(3, 0.3), weights=weights) for _ in range(5)]
+    rows = [A2L(OMWU(3, 0.3), weights=weights if isinstance(weights, str) else weights[k])
+            for k in range(5)]
     for ubar in feedback:
         played = np.broadcast_to(batch.next_strategy(), (5, 3))
         rec = batch.observe(ubar)
