@@ -51,23 +51,18 @@ def update_running_mean(avg, x, weight, cum_weight):
     return avg + (weight / cum_weight) * (x - avg)
 
 
-def _named_rule(name):
-    try:
-        return WEIGHT_RULES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown weight rule {name!r}; choose from {sorted(WEIGHT_RULES)}"
-        ) from None
+def _weight_rule(names):
+    """The weight function of a rule name, or of rules named row by row.
 
-
-def _row_rule(names):
-    """One weight function for rules named row by row along axis -2.
-
-    alpha_t has shape (len(names), 1); each distinct rule is evaluated once
-    per round, so the cost does not grow with the number of rows.
+    For a sequence of names, one per row of axis -2, alpha_t has shape
+    (len(names), 1); each distinct rule is evaluated once per round, so the
+    cost does not grow with the number of rows.
     """
-    distinct = list(dict.fromkeys(names))
-    rules = [_named_rule(name) for name in distinct]
+    distinct = list(dict.fromkeys([names] if isinstance(names, str) else names))
+    for name in distinct:
+        if name not in WEIGHT_RULES:
+            raise ValueError(f"unknown weight rule {name!r}; choose from {sorted(WEIGHT_RULES)}")
+    rules = [WEIGHT_RULES[name] for name in distinct]
     if len(rules) == 1:
         return rules[0]
     index = np.array([[distinct.index(name)] for name in names])
@@ -90,12 +85,9 @@ class A2L:
         if callable(weights):
             self._weight = weights
             self.weights = getattr(weights, "__name__", "custom")
-        elif isinstance(weights, str):
-            self._weight = _named_rule(weights)
-            self.weights = weights
         else:
-            self.weights = tuple(weights)
-            self._weight = _row_rule(self.weights)
+            self._weight = _weight_rule(weights)
+            self.weights = weights if isinstance(weights, str) else tuple(weights)
         self.inner = inner
         self.rows = rows
         self.t = 0

@@ -296,7 +296,8 @@ def test_guarded_batch_switches_row_by_row():
     mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
     games = [PolymatrixGame((2, 2), {(0, 1): mp, (1, 0): -scale * mp.T})
              for scale in (0.25, 0.5, 1.0, 5.0)]
-    specs = [LearnerSpec(algo="guarded-a2l-omwu"), LearnerSpec(algo="mwu", eta=2.0, bias=[1.0, 0.0])]
+    specs = [LearnerSpec(algo="guarded-a2l-omwu"),
+             LearnerSpec(algo="mwu", eta=2.0, bias=[1.0, 0.0])]
     batch = run_full_feedback_batch(games, specs, 1000)
     assert [tr.meta["switch_round"] for tr in batch] == [[None, None]] * 3 + [[737, None]]
     for game, tr in zip(games, batch):
