@@ -48,13 +48,15 @@ estimation.  The map is monotone and per-player affine, hence preserves
 argmax structure and regret ordering; gap statistics are reported in
 original payoff units.
 
-In simulator runs the true mixed strategies are known, so every run also
-logs the true average utility vectors and the per-epoch estimation errors
-(the audit columns), plus each player's importance-weighted regret estimate
-with its confidence radius (the monitor columns).  The monitor recommends
-switching to a safe bandit learner once the estimate exceeds c * T_t^{4/5}
-beyond the radius, where T_t is the cumulative round count; monitor_c = inf
-never switches.
+A run logs only what play produces: the played and inner strategies, the
+estimates and their counts, and each player's importance-weighted regret
+estimate with its confidence radius (the monitor columns).  The monitor
+recommends switching to a safe bandit learner once the estimate exceeds
+c * T_t^{4/5} beyond the radius, where T_t is the cumulative round count;
+monitor_c = inf never switches.  In simulator runs the game is known, so
+the audits take the run's log and the game: ``audit_truths`` evaluates the
+true utility vectors of every logged profile in one batched call of the
+game's linear map, and the audits and the CSV writer read them from it.
 """
 
 from __future__ import annotations
@@ -226,6 +228,11 @@ def estimate_epoch(actions, rewards, d) -> EpochEstimate:
                           np.bincount(actions, weights=rewards, minlength=d))
 
 
+def unit_rewards(raw, n):
+    """The reward map r -> (r + (n-1)) / (2(n-1)) of an n-player game."""
+    return (raw + float(n - 1)) / (2.0 * float(n - 1))
+
+
 class JointSampler:
     """Draws the players' per-action counts and [0, 1] reward sums of one
     epoch at fixed mixed strategies, with the law of i.i.d. rounds.
@@ -241,7 +248,6 @@ class JointSampler:
     def __init__(self, game: PolymatrixGame):
         n = game.n
         self.dims = tuple(game.action_counts)
-        self.offset, self.scale = float(n - 1), 2.0 * float(n - 1)
         self.edge_mats = [[(j, game.edges[(i, j)]) for j in game.neighbors(i)]
                           for i in range(n)]
         self.tables = self.bad_cells = None
@@ -257,7 +263,7 @@ class JointSampler:
         """Player i's [0, 1] rewards at the players' actions a: one array per
         player (broadcast together), or one round's actions."""
         raw = sum((m[a[i], a[j]] for j, m in self.edge_mats[i]), np.zeros(np.shape(a[i])))
-        return (raw + self.offset) / self.scale
+        return unit_rewards(raw, len(self.dims))
 
     def _round_rewards(self, a) -> list:
         """Every player's [0, 1] reward in one round of actions a."""
@@ -374,7 +380,6 @@ class BanditPlayer:
         self.spread = 0.0
         self.cum_iw = np.zeros(d)
         self.earned_iw = 0.0
-        self.iw = None
         self.reg_est = 0.0
         self.radius = None
         self.threshold = None
@@ -413,9 +418,9 @@ class BanditPlayer:
     def end_epoch(self, est: EpochEstimate) -> np.ndarray:
         """Feed the epoch's estimate before a switch; returns uhat^t."""
         uhat = self.learner.observe(est.estimate)
-        self.iw = est.sums / self.play
-        self.cum_iw += self.iw
-        self.earned_iw += float(self.iw @ self.play)
+        iw = est.sums / self.play
+        self.cum_iw += iw
+        self.earned_iw += float(iw @ self.play)
         self.reg_est = self.cum_iw.max() - self.earned_iw
         if self.reg_est > self.threshold + self.radius:
             self.fallback = Exp3Fallback(self.d)
@@ -439,14 +444,8 @@ class BanditTrajectory:
     recovered: list                # per player (E, d_i) uhat
     counts: list                   # per player (E, d_i) sample counts
     unsampled: np.ndarray          # (E, n) counts of never-sampled actions
-    true_mixed_avg: list           # audit: true average utility vectors
-    true_inner: list               # audit: true utility at inner profiles
-    delta_inf: np.ndarray          # audit: ||Uhat - truth||_inf
-    delta_bound: np.ndarray        # audit: high-probability bound
-    iw_estimates: list             # monitor: per-epoch IW vectors
     reg_est: np.ndarray            # monitor: anytime regret estimate
     radius: np.ndarray             # monitor: confidence radii
-    reg_threshold: np.ndarray
     switch_epoch: list             # per player, first epoch the switch fired
 
     @property
@@ -479,13 +478,14 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
 
     Every player runs the same schedule.  Each epoch plays the mixed average
     for B_t rounds with independent action draws per round and player (drawn
-    as joint counts by ``JointSampler``), performs one OMWU update on the
-    reconstructed estimate, and logs the total gap of the played profile.
-    After a monitor switch the epoch is played round by round, and an epoch
-    longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``; monitor_c
-    = inf never switches.  Audit and monitor columns are logged in every run,
-    NaN after a switch.  A certified run needs a theory schedule and eta <= 1/(6n);
-    violations warn and flag the run.
+    as joint counts by ``JointSampler``) and performs one OMWU update on the
+    reconstructed estimate; the epoch loop only plays and logs play.  The
+    total gap of every played profile is evaluated after the loop, in one
+    call.  After a monitor switch the epoch is played round by round, and an
+    epoch longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``;
+    monitor_c = inf never switches.  Monitor columns are logged in every
+    run, NaN after a switch.  A certified run needs a theory schedule and
+    eta <= 1/(6n); violations warn and flag the run.
     """
     n = game.n
     if n < 2:
@@ -502,30 +502,22 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     sampler = JointSampler(game)
     counts_d = game.action_counts
     dmax = game.dimensionality
-    offset, scale = sampler.offset, sampler.scale
     players = [BanditPlayer(d, eta, delta, monitor_c) for d in counts_d]
 
     E = epochs
-    epoch_ts = range(1, E + 1)  # Python ints: B_t * t^2 exceeds int64 for t > 1448
+    epoch_ts = range(1, E + 1)
     t_arr = np.array(epoch_ts)
     B_arr = np.array([schedule.epoch_length(t, dmax) for t in epoch_ts], dtype=np.int64)
     eps_arr = np.array([schedule.mixing(t) for t in epoch_ts])
     round_end = np.cumsum(B_arr)
-    tgap_mixed = np.empty(E)
     mixed = [np.empty((E, d)) for d in counts_d]
     inner = [np.empty((E, d)) for d in counts_d]
     estimates = [np.empty((E, d)) for d in counts_d]
     recovered = [np.empty((E, d)) for d in counts_d]
     counts = [np.empty((E, d), dtype=int) for d in counts_d]
     unsampled = np.zeros((E, n), dtype=int)
-    true_mixed_avg = [np.full((E, d), np.nan) for d in counts_d]
-    true_inner = [np.full((E, d), np.nan) for d in counts_d]
-    delta_inf = np.full((E, n), np.nan)
-    delta_bnd = np.full((E, n), np.nan)
-    iw_all = [np.full((E, d), np.nan) for d in counts_d]
     reg_est = np.full((E, n), np.nan)
     radius = np.full((E, n), np.nan)
-    reg_threshold = np.full(E, np.nan)
 
     for idx, t in enumerate(epoch_ts):
         B = int(B_arr[idx])
@@ -554,20 +546,8 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
                 continue
             inner[i][idx] = p.learner.last_inner
             recovered[i][idx] = p.end_epoch(est)
-            iw_all[i][idx] = p.iw
             reg_est[idx, i] = p.reg_est
             radius[idx, i] = p.radius
-        reg_threshold[idx] = players[0].threshold
-
-        if not any(p.switched for p in players):
-            inner_profile = [x[idx] for x in inner]
-            for i in range(n):
-                true_mixed_avg[i][idx] = (game.utility_vector(i, plays) + offset) / scale
-                true_inner[i][idx] = (game.utility_vector(i, inner_profile) + offset) / scale
-                delta_inf[idx, i] = np.abs(estimates[i][idx] - true_mixed_avg[i][idx]).max()
-                delta_bnd[idx, i] = estimation_bound(dmax, B, eps, t, delta)
-
-        tgap_mixed[idx] = game.total_gap(plays)
 
     meta = {
         "game": game.to_dict(),
@@ -579,13 +559,11 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         "epochs": epochs,
         "certified": certified,
         "monitor_c": monitor_c,
-        "reward_map": {"offset": offset, "scale": scale},
         "prng": "numpy-PCG64",
     }
     return BanditTrajectory(
-        meta, t_arr, B_arr, eps_arr, round_end, tgap_mixed, mixed, inner,
-        estimates, recovered, counts, unsampled, true_mixed_avg, true_inner,
-        delta_inf, delta_bnd, iw_all, reg_est, radius, reg_threshold,
+        meta, t_arr, B_arr, eps_arr, round_end, game.total_gap(mixed), mixed, inner,
+        estimates, recovered, counts, unsampled, reg_est, radius,
         [p.switch_epoch for p in players],
     )
 
@@ -593,19 +571,55 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
 # -- audits ------------------------------------------------------------------
 
 
-def estimation_error_audit(traj: BanditTrajectory) -> dict:
-    """Per-epoch, per-player estimation errors against the stored bound."""
-    violated = traj.delta_inf > traj.delta_bound
+def audit_truths(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
+    """The audits' truths, derived from a run's log and its game.
+
+    Returns, in [0, 1] reward units: "mixed_avg" and "inner", per player
+    (E, d_i) true utility vectors at the played profiles (each epoch's true
+    average utility vector) and at the inner profiles; "delta_inf", (E, n)
+    ||Uhat^t - mixed_avg^t||_inf; and "bound", (E,) its high-probability
+    bound ``estimation_bound``.  Rows from the first epoch in which any
+    monitor switched on, that epoch included, are NaN.
+    """
+    n = game.n
+    switched = [e for e in traj.switch_epoch if e is not None]
+    live = min(switched) - 1 if switched else traj.num_epochs
+
+    def truths(profile):
+        head = [x[:live] for x in profile]
+        out = []
+        for i, x in enumerate(profile):
+            u = np.full(x.shape, np.nan)
+            u[:live] = unit_rewards(game.utility_vector(i, head), n)
+            out.append(u)
+        return out
+
+    mixed_avg = truths(traj.mixed)
+    delta_inf = np.stack([np.abs(est - u).max(axis=1)
+                          for est, u in zip(traj.estimates, mixed_avg)], axis=1)
+    # Python ints: B_t * t^2 exceeds int64 for t > 1448.
+    bound = np.array([estimation_bound(game.dimensionality, int(B), float(eps), int(t),
+                                       traj.meta["delta"])
+                      for t, B, eps in zip(traj.t, traj.B, traj.eps)])
+    bound[live:] = np.nan
+    return {"mixed_avg": mixed_avg, "inner": truths(traj.inner),
+            "delta_inf": delta_inf, "bound": bound}
+
+
+def estimation_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
+    """Per-epoch, per-player estimation errors against their bound."""
+    truth = audit_truths(traj, game)
+    violated = truth["delta_inf"] > truth["bound"][:, None]
     return {
         "t": traj.t,
-        "delta_inf": traj.delta_inf,
-        "bound": traj.delta_bound,
+        "delta_inf": truth["delta_inf"],
+        "bound": truth["bound"],
         "violated": violated,
-        "violations": int(np.nansum(violated)),
+        "violations": int(violated.sum()),
     }
 
 
-def recovery_error_audit(traj: BanditTrajectory) -> dict:
+def recovery_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
     """Check the reconstruction-error inequalities at every epoch.
 
     With delta^t = uhat^t - u^t (u^t the true utility vector at the inner
@@ -616,13 +630,14 @@ def recovery_error_audit(traj: BanditTrajectory) -> dict:
 
     Returns the slacks (rhs - lhs), which must be nonnegative.
     """
-    E, n = traj.delta_inf.shape
+    truth = audit_truths(traj, game)
+    E, n = traj.num_epochs, traj.n
     slack1 = np.empty((E, n))
     slack2 = np.empty((E, n))
     for i in range(n):
-        delta = traj.recovered[i] - traj.true_inner[i]
+        delta = traj.recovered[i] - truth["inner"][i]
         dinf = np.abs(delta).max(axis=1)
-        tD = traj.t * traj.delta_inf[:, i]
+        tD = traj.t * truth["delta_inf"][:, i]
         tD_prev = np.concatenate([[0.0], tD[:-1]])
         rhs1 = tD + tD_prev + 2.0 * traj.eps
         slack1[:, i] = rhs1 - dinf
@@ -630,7 +645,7 @@ def recovery_error_audit(traj: BanditTrajectory) -> dict:
     return {"slack_first_order": slack1, "slack_second_order": slack2}
 
 
-def regret_error_bound_audit(traj: BanditTrajectory) -> dict:
+def regret_error_bound_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
     """Check the regret bound of the inner iterates against true utilities.
 
     For each player and every prefix length T, the regret of the inner OMWU
@@ -645,12 +660,13 @@ def regret_error_bound_audit(traj: BanditTrajectory) -> dict:
     with u^0 = 0 and x^0 = x^1.  Returns (E, n) arrays of regret, bound and
     slack, one row per prefix.
     """
+    truth = audit_truths(traj, game)
     eta = traj.meta["eta"]
-    E, n = traj.delta_inf.shape
+    E, n = traj.num_epochs, traj.n
     regret = np.empty((E, n))
     bound = np.empty((E, n))
     for i in range(n):
-        us = traj.true_inner[i]
+        us = truth["inner"][i]
         xs = traj.inner[i]
         d_i = us.shape[1]
         cum_u = np.cumsum(us, axis=0)
@@ -658,13 +674,13 @@ def regret_error_bound_audit(traj: BanditTrajectory) -> dict:
         regret[:, i] = cum_u.max(axis=1) - earned
         du2 = np.abs(np.diff(us, axis=0, prepend=np.zeros((1, d_i)))).max(axis=1) ** 2
         dx2 = np.abs(np.diff(xs, axis=0, prepend=xs[:1])).sum(axis=1) ** 2
-        tD2 = (traj.t * traj.delta_inf[:, i]) ** 2
-        tD2_before = np.concatenate([[0.0], np.cumsum(tD2)[:-1]])  # sum over t < T
+        tD = traj.t * truth["delta_inf"][:, i]
+        tD2_before = np.concatenate([[0.0], np.cumsum(tD**2)[:-1]])  # sum over t < T
         bound[:, i] = (
             np.log(d_i) / eta
             + 4.0 * eta * np.cumsum(du2)
             - np.cumsum(dx2) / (8.0 * eta)
-            + 2.0 * traj.t * traj.delta_inf[:, i]
+            + 2.0 * tD
             + 26.0 * eta * tD2_before
             + 4.0 * np.cumsum(traj.eps)
             + 16.0 * np.pi**2 * eta
@@ -683,8 +699,8 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     round of epoch t; the player observes only sampled entries.  Runs the
     estimation/reconstruction/OMWU pipeline with the importance-weighted
     regret monitor, and stops after the epoch in which the switch to the
-    Exp3-style fallback fires.  Returns per-epoch monitor statistics and the
-    true regret.
+    Exp3-style fallback fires, so every epoch it plays is an epoch of the
+    pipeline.  Returns per-epoch monitor statistics and the true regret.
     """
     rng = np.random.default_rng(seed)
     player = BanditPlayer(d, eta, delta, monitor_c)
@@ -701,18 +717,10 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
             raise DataError("environment utilities must lie in [0, 1]")
 
         play = player.begin_epoch(B, eps)
-        if not player.switched:
-            counts = rng.multinomial(B, play)
-            player.end_epoch(epoch_estimate(counts, counts * v))
-            cum_true += B * v
-            earned_true += B * float(play @ v)
-        else:
-            for _ in range(B):
-                p = player.round_strategy()
-                a = int(rng.choice(d, p=p))
-                player.observe_round(a, v[a])
-                cum_true += v
-                earned_true += float(p @ v)
+        counts = rng.multinomial(B, play)
+        player.end_epoch(epoch_estimate(counts, counts * v))
+        cum_true += B * v
+        earned_true += B * float(play @ v)
 
         rows["t"].append(t)
         rows["B"].append(B)
@@ -733,15 +741,16 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
 # -- persistence -------------------------------------------------------------
 
 
-def bandit_csv_lines(traj: BanditTrajectory):
+def bandit_csv_lines(traj: BanditTrajectory, game: PolymatrixGame):
     """Rows t, B, eps, tgap_mixed_avg, delta_inf_1..n, bound, unsampled_1..n."""
     n = traj.n
+    truth = audit_truths(traj, game)
     header = (
         ["t", "B", "eps", "tgap_mixed_avg"]
         + [f"delta_inf_{i + 1}" for i in range(n)]
         + ["bound"]
         + [f"unsampled_{i + 1}" for i in range(n)]
     )
-    columns = ([traj.t, traj.B, traj.eps, traj.tgap_mixed] + list(traj.delta_inf.T)
-               + [traj.delta_bound[:, 0]] + list(traj.unsampled.T))
+    columns = ([traj.t, traj.B, traj.eps, traj.tgap_mixed] + list(truth["delta_inf"].T)
+               + [truth["bound"]] + list(traj.unsampled.T))
     yield from _csv_lines(header, columns)

@@ -209,12 +209,15 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
     try:
         for t in range(T):
             x = learner.next_strategy()
+            if not bare:
+                # Before observe: a guarded row that switches in this round
+                # still played its primary learner's inner iterate.
+                inner[:, :, t] = learner.last_inner
             v = np.matmul(blocks, x.reshape(-1, D, 1)).reshape(S, n, d)
             rec = learner.observe(v)
             played[:, :, t] = x
             utils[:, :, t] = v
             if not bare:
-                inner[:, :, t] = learner.last_inner
                 inner_utils[:, :, t] = rec
     except Exception as exc:
         raise SimulationError(
@@ -302,18 +305,10 @@ def average_profile_gaps(game: PolymatrixGame, iterates) -> np.ndarray:
     """Total gap of the running uniform average profile, for every t.
 
     Fresh evaluation through the game's payoff matrices (no reuse of logged
-    utility vectors), vectorized over rounds.
+    utility vectors), in one call over the log of averages.
     """
-    T = len(iterates[0])
-    denom = np.arange(1.0, T + 1.0)[:, None]
-    avgs = [np.cumsum(x, axis=0) / denom for x in iterates]
-    gap = np.zeros(T)
-    for i in range(game.n):
-        v = np.zeros((T, game.action_counts[i]))
-        for j in game.neighbors(i):
-            v += avgs[j] @ game.edges[(i, j)].T
-        gap += v.max(axis=1) - np.einsum("td,td->t", avgs[i], v)
-    return gap
+    denom = np.arange(1.0, len(iterates[0]) + 1.0)[:, None]
+    return game.total_gap([np.cumsum(x, axis=0) / denom for x in iterates])
 
 
 # -- robustness --------------------------------------------------------------
@@ -353,11 +348,6 @@ class RegretGuard:
         self._x = None
 
     @property
-    def switch_round(self):
-        """First round at which a row switched; None before any switch."""
-        return int(self.switch_rounds[self.switched].min()) if self.switched.any() else None
-
-    @property
     def last_inner(self):
         inner = self.primary.last_inner
         if self.fallback is None:
@@ -390,15 +380,6 @@ class RegretGuard:
                 self.fallback = AnytimeMWU(self.counts)
             self.fallback.restart(new)
         return rec
-
-
-class GuardedA2LOMWU(RegretGuard):
-    """Average-playing OMWU guarded by the regret monitor."""
-
-    def __init__(self, d, eta, log_dim_sum, c=2.0, weights="uniform", bias=None):
-        if log_dim_sum is None:
-            log_dim_sum = np.log(d)
-        super().__init__(A2L(OMWU(d, eta, bias=bias), weights), d, eta, log_dim_sum, c)
 
 
 # -- persistence -------------------------------------------------------------

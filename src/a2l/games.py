@@ -19,7 +19,12 @@ every pure action profile a; the built-in generators guarantee this with the
 pairwise form A_ji = -A_ij^T, which is sufficient but not necessary.
 
 Strategies are plain numpy probability vectors ("MixedStrategy"); a profile
-is a sequence of such vectors, one per player.
+is a sequence of such vectors, one per player.  Utilities are linear in the
+opponents' strategies, so a whole log of profiles is one linear map over
+leading axes: ``utility_vector``, ``gap_terms`` and ``total_gap`` accept
+strategies of shape (..., d_i), all with the same leading axes, and compute
+each row bit for bit as for that row's profile alone (per-row matrix-vector
+products; ``X @ A.T`` or ``einsum`` would round differently).
 """
 
 from __future__ import annotations
@@ -137,17 +142,18 @@ class PolymatrixGame:
         if len(profile) != self.n:
             raise ValueError(f"profile has {len(profile)} strategies for {self.n} players")
         for i, x in enumerate(profile):
-            if len(x) != self.action_counts[i]:
-                raise DimensionMismatchError(i, self.action_counts[i], len(x))
+            d = np.shape(x)[-1]
+            if d != self.action_counts[i]:
+                raise DimensionMismatchError(i, self.action_counts[i], d)
 
     # -- utilities ---------------------------------------------------------
 
     def utility_vector(self, i: int, profile) -> np.ndarray:
         """Expected payoff of each pure action of player i: sum_j A_ij x_j."""
         self.check_profile(profile)
-        v = np.zeros(self.action_counts[i])
+        v = np.zeros(np.shape(profile[i])[:-1] + (self.action_counts[i],))
         for j in self._neighbors[i]:
-            v += self.edges[(i, j)] @ profile[j]
+            v += np.matmul(self.edges[(i, j)], np.asarray(profile[j])[..., None])[..., 0]
         return v
 
     def utility(self, profile) -> np.ndarray:
@@ -157,16 +163,19 @@ class PolymatrixGame:
         )
 
     def gap_terms(self, profile) -> np.ndarray:
-        """Per-player best-response improvement at the profile."""
-        out = np.empty(self.n)
+        """Per-player best-response improvement at the profile, on a last
+        axis of length n after the strategies' leading axes."""
+        terms = []
         for i in range(self.n):
             v = self.utility_vector(i, profile)
-            out[i] = float(v.max()) - float(profile[i] @ v)
-        return out
+            terms.append(v.max(axis=-1) - np.vecdot(profile[i], v))
+        return np.stack(terms, axis=-1)
 
-    def total_gap(self, profile) -> float:
-        """Sum of per-player best-response improvements; 0 iff Nash."""
-        return float(self.gap_terms(profile).sum())
+    def total_gap(self, profile):
+        """Sum of per-player best-response improvements; 0 iff Nash.  A float
+        for one profile, an array over the leading axes of a log."""
+        gap = self.gap_terms(profile).sum(axis=-1)
+        return float(gap) if gap.ndim == 0 else gap
 
     def best_response(self, i: int, profile) -> int:
         """Index of the best pure action; ties go to the lowest index."""

@@ -7,10 +7,10 @@ flag, its report (one line per check) and its machine-readable ``details``
 (what ``a2l verify --out`` writes) all derive from the checks: a suite
 passes when every check passes.  Runtime budgets are checks on wall time,
 timed with the monotonic ``time.perf_counter``.  Expensive shared
-computations (the long gradient sweep, the honest bandit runs) are memoized
-at module level so that related suites reuse them within a process.  The
-full-feedback suites run each (game, algorithm, weights) cell over all its
-seeds in one batched call.
+computations (the reference runs, the long gradient sweep, the honest
+bandit runs) are cached with ``functools.cache`` so that related suites
+reuse them within a process.  The full-feedback suites run each (game,
+algorithm, weights) cell over all its seeds in one batched call.
 
 Suite fixtures, pinned:
 - equivalence/identity/rvu suite: matching pennies, rock-paper-scissors and
@@ -28,6 +28,7 @@ Suite fixtures, pinned:
 
 from __future__ import annotations
 
+import functools
 import tempfile
 import time
 import warnings
@@ -144,24 +145,14 @@ def _suite1_eta(algo):
     return 0.15 if algo == "mwu" else None
 
 
-_REF_CACHE = {}
-
-
+@functools.cache
 def _reference_runs(key, algo):
-    """Bare self-play runs over the game's seeds, as (game, trajectory) pairs.
-
-    Seeds missing from the cache run together in one batched call; the
-    cache is shared across suites.
-    """
+    """Bare self-play runs over the game's seeds, as (game, trajectory) pairs,
+    in one batched call; shared across suites."""
     seeds = _game_seeds(key)
-    missing = [s for s in seeds if (key, s, algo) not in _REF_CACHE]
-    if missing:
-        games = [_game(key, s) for s in missing]
-        spec = dyn.LearnerSpec(algo=algo, eta=_suite1_eta(algo))
-        trajs = dyn.run_full_feedback_batch(games, spec, 1000, missing)
-        for s, game, traj in zip(missing, games, trajs):
-            _REF_CACHE[(key, s, algo)] = (game, traj)
-    return [_REF_CACHE[(key, s, algo)] for s in seeds]
+    games = [_game(key, s) for s in seeds]
+    spec = dyn.LearnerSpec(algo=algo, eta=_suite1_eta(algo))
+    return list(zip(games, dyn.run_full_feedback_batch(games, spec, 1000, seeds)))
 
 
 def _weighted_running_means(arr, weights):
@@ -240,7 +231,6 @@ def check_gap_regret_identity() -> SuiteResult:
 # -- gradient rate sweep (shared by two suites) -------------------------------
 
 
-_GRADIENT_STATS = None
 GRADIENT_T = 10_000
 
 
@@ -261,15 +251,13 @@ def _gradient_run_stats(game, tr) -> dict:
     }
 
 
+@functools.cache
 def _gradient_sweep() -> dict:
     """A2L-OMWU at eta = 1/(2(n-1)), T = 10^4, across games and seeds.
 
-    Caches, per run: the worst anytime slack of the gap bound, the fitted
+    Keeps, per run: the worst anytime slack of the gap bound, the fitted
     log-log slope of the played gap and the worst dynamic-regret slack.
     """
-    global _GRADIENT_STATS
-    if _GRADIENT_STATS is not None:
-        return _GRADIENT_STATS
     t0 = time.perf_counter()
     runs = []
     for key in _GAMES:
@@ -279,8 +267,7 @@ def _gradient_sweep() -> dict:
         spec = dyn.LearnerSpec(algo="a2l-omwu")
         runs += [_gradient_run_stats(game, tr) for game, tr in zip(
             games, dyn.run_full_feedback_batch(games, spec, GRADIENT_T, seeds))]
-    _GRADIENT_STATS = {"runs": runs, "elapsed_s": time.perf_counter() - t0}
-    return _GRADIENT_STATS
+    return {"runs": runs, "elapsed_s": time.perf_counter() - t0}
 
 
 @suite("gradient-rate")
@@ -370,7 +357,6 @@ def check_mwu_contrast() -> SuiteResult:
 
 # -- bandit suites -----------------------------------------------------------
 
-_BANDIT_STATS = None
 BANDIT_EPOCHS = 12
 BANDIT_DELTA = 0.05
 
@@ -379,11 +365,9 @@ def _bandit_game():
     return generate_game("random_zs", n=2, d=3, seed=11)
 
 
+@functools.cache
 def _bandit_sweep() -> dict:
     """Honest 12-epoch theory-schedule runs over 20 seeds, with audits."""
-    global _BANDIT_STATS
-    if _BANDIT_STATS is not None:
-        return _BANDIT_STATS
     t0 = time.perf_counter()
     game = _bandit_game()
     sched = bd.EpochSchedule.theory()
@@ -394,19 +378,19 @@ def _bandit_sweep() -> dict:
     for k, s in enumerate(SEEDS):
         traj = bd.run_bandit(game, sched, seed=s, delta=BANDIT_DELTA, epochs=BANDIT_EPOCHS)
         gaps[k] = traj.tgap_mixed
-        rec = bd.recovery_error_audit(traj)
+        rec = bd.recovery_error_audit(traj, game)
         min_rec_slack = min(min_rec_slack, float(rec["slack_first_order"].min()),
                             float(rec["slack_second_order"].min()))
-        min_reg_slack = min(min_reg_slack, float(bd.regret_error_bound_audit(traj)["slack"].min()))
+        reg = bd.regret_error_bound_audit(traj, game)
+        min_reg_slack = min(min_reg_slack, float(reg["slack"].min()))
         switches.extend(traj.switch_epoch)
-    _BANDIT_STATS = {
+    return {
         "gaps": gaps,
         "min_recovery_slack": min_rec_slack,
         "min_regret_slack": min_reg_slack,
         "switches": switches,
         "elapsed_s": time.perf_counter() - t0,
     }
-    return _BANDIT_STATS
 
 
 def _bandit_bias_se(estimator, resamples=10_000, seed=777) -> float:
@@ -424,8 +408,7 @@ def _bandit_bias_se(estimator, resamples=10_000, seed=777) -> float:
     t = 5
     B = int(traj.B[t - 1])
     plays = [x[t - 1] for x in traj.mixed]
-    offset, scale = traj.meta["reward_map"]["offset"], traj.meta["reward_map"]["scale"]
-    truth_avg = (game.edges[(0, 1)] @ plays[1] + offset) / scale  # true average utility vector
+    truth_avg = bd.audit_truths(traj, game)["mixed_avg"][0][t - 1]
     sampler = bd.JointSampler(game)
     rng = np.random.default_rng(seed)
     est = np.empty((resamples, len(plays[0])))
@@ -467,7 +450,7 @@ def check_bandit_audit() -> SuiteResult:
     for r in range(reps):
         traj = bd.run_bandit(game, sched, seed=1000 + r, delta=BANDIT_DELTA,
                              epochs=BANDIT_EPOCHS, monitor_c=np.inf)
-        audit = bd.estimation_error_audit(traj)
+        audit = bd.estimation_error_audit(traj, game)
         for k, t in enumerate(eligible):
             viol[k] += audit["violated"][t - 1]
     freq = viol / reps

@@ -15,6 +15,7 @@ from a2l.bandit import (
     Exp3Fallback,
     JointSampler,
     ScheduleError,
+    audit_truths,
     bandit_csv_lines,
     bandit_step_size,
     epoch_estimate,
@@ -180,7 +181,7 @@ def test_single_action_players_estimate_exactly():
         (1, 1), {(0, 1): [[0.5]], (1, 0): [[-0.5]]}, zero_sum=True
     )
     traj = run_bandit(game, EpochSchedule.theory(), epochs=4, seed=0)
-    assert np.abs(traj.delta_inf).max() == 0.0
+    assert np.abs(estimation_error_audit(traj, game)["delta_inf"]).max() == 0.0
     assert np.allclose(traj.tgap_mixed, 0.0)
 
 
@@ -188,19 +189,20 @@ def test_zero_variance_game_estimates_exactly_when_sampled():
     half = np.full((3, 3), 0.5)
     game = PolymatrixGame((3, 3), {(0, 1): half, (1, 0): -half}, zero_sum=True)
     traj = run_bandit(game, EpochSchedule.theory(), epochs=5, seed=0)
+    delta_inf = estimation_error_audit(traj, game)["delta_inf"]
     for k in range(5):
         if traj.unsampled[k].sum() == 0:
-            assert traj.delta_inf[k].max() == 0.0
+            assert delta_inf[k].max() == 0.0
 
 
 def test_audit_inequalities_hold():
     traj = quiet_run(epochs=10, seed=5)
-    rec = recovery_error_audit(traj)
+    rec = recovery_error_audit(traj, small_game())
     assert rec["slack_first_order"].min() >= -1e-6
     assert rec["slack_second_order"].min() >= -1e-6
-    reg = regret_error_bound_audit(traj)
+    reg = regret_error_bound_audit(traj, small_game())
     assert reg["slack"].min() >= -1e-6
-    audit = estimation_error_audit(traj)
+    audit = estimation_error_audit(traj, small_game())
     assert audit["violated"].shape == (10, 2)
 
 
@@ -209,9 +211,10 @@ def test_monitor_columns_logged():
     assert traj.reg_est.shape == (4, 2)
     assert np.all(np.isfinite(traj.radius))
     assert traj.switch_epoch == [None, None]
-    # audit columns too, in every run
-    assert np.all(np.isfinite(traj.delta_inf)) and np.all(np.isfinite(traj.delta_bound))
-    assert all(np.all(np.isfinite(u)) for u in traj.true_inner + traj.true_mixed_avg)
+    # audit truths too, in every run without a switch
+    truth = audit_truths(traj, small_game())
+    assert np.all(np.isfinite(truth["delta_inf"])) and np.all(np.isfinite(truth["bound"]))
+    assert all(np.all(np.isfinite(u)) for u in truth["inner"] + truth["mixed_avg"])
     # monitor_c = inf logs the monitor and never switches
     never = quiet_run(epochs=4, seed=0, monitor_c=np.inf)
     assert np.array_equal(never.reg_est, traj.reg_est)
@@ -228,6 +231,45 @@ def test_forced_switch_runs_fallback_path():
     assert traj.switch_epoch[0] == 1 and traj.switch_epoch[1] == 1
     assert np.all(np.isnan(traj.recovered[0][1:]))  # pipeline stopped
     assert traj.num_epochs == 4  # run still completes
+
+
+def test_audit_rows_are_nan_from_the_first_switch_epoch():
+    # the monitors switch in epochs 9 and 7; rows from epoch 7 on, epoch 7
+    # included, have no truth, and every audit reads them as NaN
+    sched = EpochSchedule.custom(coeff=200, power=1.0, eps_coeff=0.5, eps_power=0.0)
+    with pytest.warns(UserWarning):
+        traj = quiet_run(schedule=sched, epochs=14, seed=0, monitor_c=-15.0)
+    assert traj.switch_epoch == [9, 7]
+    game = small_game()
+    truth = audit_truths(traj, game)
+    rows = {
+        "delta_inf": truth["delta_inf"],
+        "bound": truth["bound"][:, None],
+        "mixed_avg": np.hstack(truth["mixed_avg"]),
+        "inner": np.hstack(truth["inner"]),
+        "recovery": recovery_error_audit(traj, game)["slack_first_order"],
+        "regret": regret_error_bound_audit(traj, game)["slack"],
+    }
+    for name, a in rows.items():
+        assert np.all(np.isfinite(a[:6])), name
+        assert np.all(np.isnan(a[6:])), name
+    assert estimation_error_audit(traj, game)["violated"][6:].sum() == 0
+
+
+def test_audit_truths_match_per_epoch_evaluation():
+    game = generate_game("random_zs", n=3, d=(2, 4, 3), seed=4)
+    traj = run_bandit(game, EpochSchedule.theory(), epochs=8, seed=9)
+    truth = audit_truths(traj, game)
+    for k in range(8):
+        plays = [x[k] for x in traj.mixed]
+        inner = [x[k] for x in traj.inner]
+        for i in range(3):
+            want = (game.utility_vector(i, plays) + 2.0) / 4.0
+            assert np.array_equal(truth["mixed_avg"][i][k], want)
+            assert truth["delta_inf"][k, i] == np.abs(traj.estimates[i][k] - want).max()
+            want = (game.utility_vector(i, inner) + 2.0) / 4.0
+            assert np.array_equal(truth["inner"][i][k], want)
+        assert traj.tgap_mixed[k] == game.total_gap(plays)
 
 
 def test_iw_monitor_per_comparator_unbiased():
@@ -305,6 +347,14 @@ def test_environment_run_validates_range():
                                   eta=0.1, epochs=2)
 
 
+def test_environment_run_stops_in_its_switch_epoch():
+    sched = EpochSchedule.custom(coeff=10, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    res = run_bandit_vs_environment(2, lambda t: np.array([0.2, 0.7]), sched,
+                                    eta=0.1, monitor_c=-1e9, epochs=5)
+    assert res["decision"] == "switch" and res["switch_epoch"] == 1
+    assert all(len(res[k]) == 1 for k in ("t", "B", "reg_est", "radius", "true_reg"))
+
+
 def test_exp3_fallback_learns():
     rng = np.random.default_rng(1)
     lrn = Exp3Fallback(3)
@@ -318,7 +368,7 @@ def test_exp3_fallback_learns():
 
 def test_csv_lines():
     traj = quiet_run(epochs=3, seed=0)
-    lines = list(bandit_csv_lines(traj))
+    lines = list(bandit_csv_lines(traj, small_game()))
     head = lines[0].split(",")
     assert head == ["t", "B", "eps", "tgap_mixed_avg", "delta_inf_1",
                     "delta_inf_2", "bound", "unsampled_1", "unsampled_2"]

@@ -5,8 +5,8 @@ import pytest
 
 import a2l.dynamics as dyn
 from a2l.dynamics import (
-    GuardedA2LOMWU,
     LearnerSpec,
+    RegretGuard,
     SimulationError,
     average_profile_gaps,
     build_learner,
@@ -104,12 +104,17 @@ def test_best_responder_has_zero_dynamic_regret():
     assert np.all(reg <= dreg + 1e-12)
 
 
+def guarded_omwu():
+    """A2L-OMWU on two actions at eta = 0.5, guarded at c = 2."""
+    return RegretGuard(A2L(OMWU(2, 0.5)), 2, 0.5, 2 * np.log(2), 2.0)
+
+
 def test_monitor_first_round_continues():
     # regret 0.5 after one round, far below the threshold 2 * (2 ln 2 / 0.5) = 5.5
-    g = GuardedA2LOMWU(2, 0.5, log_dim_sum=2 * np.log(2), c=2.0)
+    g = guarded_omwu()
     assert np.array_equal(g.next_strategy(), [0.5, 0.5])
     g.observe(np.array([1.0, 0.0]))
-    assert g.rounds == 1 and g.switch_round is None and g.fallback is None
+    assert g.rounds == 1 and g.switch_rounds == 0 and g.fallback is None
     assert g.cum_utils.max() - g.cum_earned == 0.5
 
 
@@ -128,18 +133,18 @@ def test_monitor_honest_selfplay_continues():
 def test_monitor_adversary_triggers_switch():
     # the switch fires at the first round whose regret, recomputed here from
     # the played strategies and utilities, crosses the threshold
-    g = GuardedA2LOMWU(2, 0.5, log_dim_sum=2 * np.log(2), c=2.0)
+    g = guarded_omwu()
     xs, us = play_against(g, bait_feedback, 600)
     reg = np.cumsum(us, axis=0).max(axis=1) - np.cumsum(np.einsum("td,td->t", xs, us))
     crossed = reg > monitor_threshold(np.arange(1, 601), 0.5, 2 * np.log(2), c=2.0)
     assert crossed.any()
-    assert g.switch_round == int(np.argmax(crossed)) + 1 < 600
+    assert g.switch_rounds == int(np.argmax(crossed)) + 1 < 600
 
 
 def test_guarded_learner_switches_to_fallback():
-    g = GuardedA2LOMWU(2, 0.5, log_dim_sum=2 * np.log(2), c=2.0)
+    g = guarded_omwu()
     play_against(g, bait_feedback, 400)
-    assert g.switch_round is not None
+    assert g.switch_rounds > 0
     assert g.fallback is not None and g.fallback.t > 0
 
 
@@ -308,6 +313,21 @@ def test_guarded_batch_switches_row_by_row():
                 got, want = getattr(tr, field)[i], getattr(one, field)[i]
                 assert np.abs(got - want).max() <= 1e-13, field
         assert np.abs(tr.tgap_inner_avg - one.tgap_inner_avg).max() <= 1e-13
+
+
+def test_guard_logs_the_inner_iterate_in_its_switch_round():
+    # In the switch round the guarded row still played its primary learner,
+    # so its logged inner iterate is the unguarded run's, not the play.
+    mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    game = PolymatrixGame((2, 2), {(0, 1): mp, (1, 0): -5.0 * mp.T})
+    opponent = LearnerSpec(algo="mwu", eta=2.0, bias=[1.0, 0.0])
+    guarded = run_full_feedback(game, [LearnerSpec(algo="guarded-a2l-omwu"), opponent], 1000)
+    plain = run_full_feedback(game, [LearnerSpec(algo="a2l-omwu"), opponent], 1000)
+    assert guarded.meta["switch_round"] == [737, None]
+    for field in ("inner", "inner_utils"):
+        assert np.array_equal(getattr(guarded, field)[0][:737], getattr(plain, field)[0][:737])
+    assert not np.array_equal(guarded.inner[0][736], guarded.played[0][736])
+    assert guarded.tgap_inner_avg[736] == pytest.approx(0.487415, abs=1e-6)
 
 
 def reference_loop(game, specs, T):

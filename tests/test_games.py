@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from a2l.games import (
     DimensionMismatchError,
@@ -80,6 +82,32 @@ def test_all_ones_matrix_gives_constant_utility():
     for _ in range(10):
         u = game.utility(random_profile(game, rng))
         assert abs(u[0] - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(2, 5), min_size=2, max_size=4),
+    graph=st.sampled_from(["complete", "gnp"]),
+    lead=st.sampled_from([(7,), (3, 5)]),
+)
+# A gnp draw with 2 of its 6 pairs, so player 2 has no neighbour at all.
+@example(seed=1, counts=[2, 3, 4, 2], graph="gnp", lead=(3, 5))
+def test_log_evaluation_equals_per_profile_evaluation(seed, counts, graph, lead):
+    # Over strategies with leading axes every row is bit-equal to the
+    # evaluation of that row's profile alone.
+    game = generate_game("random_zs", n=len(counts), d=counts, graph=graph, p=0.4, seed=seed)
+    rng = np.random.default_rng(seed)
+    log = [rng.dirichlet(np.ones(d), size=lead) for d in counts]
+    vectors = [game.utility_vector(i, log) for i in range(game.n)]
+    terms, gaps = game.gap_terms(log), game.total_gap(log)
+    assert terms.shape == lead + (game.n,) and gaps.shape == lead
+    for idx in np.ndindex(*lead):
+        profile = [x[idx] for x in log]
+        for i in range(game.n):
+            assert np.array_equal(vectors[i][idx], game.utility_vector(i, profile))
+        assert np.array_equal(terms[idx], game.gap_terms(profile))
+        assert gaps[idx] == game.total_gap(profile)
 
 
 def test_total_gap_matching_pennies():
