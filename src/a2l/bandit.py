@@ -35,7 +35,11 @@ players' axes, with R_i its reward table, built once per run.  This has the
 same law as B_t i.i.d. rounds.  Joint spaces above ``CELL_CAP`` cells are
 sampled round by round in chunks of ``CHUNK_ROUNDS``, each reduced to
 counts and sums at once, so an epoch's memory never depends on B_t.  Only
-the per-round path after a monitor switch handles single rounds.
+the per-round path after a monitor switch handles single rounds.  It too
+draws in chunks: one call gives a chunk's uniform doubles, and each round
+picks every player's action from its double with ``Generator.choice``'s own
+lookup, so actions and generator stream equal one ``choice`` per player and
+round.
 
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
@@ -53,15 +57,17 @@ estimates and their counts, and each player's importance-weighted regret
 estimate with its confidence radius (the monitor columns).  The monitor
 recommends switching to a safe bandit learner once the estimate exceeds
 c * T_t^{4/5} beyond the radius, where T_t is the cumulative round count;
-monitor_c = inf never switches.  In simulator runs the game is known, so
-the audits take the run's log and the game: ``audit_truths`` evaluates the
-true utility vectors of every logged profile in one batched call of the
-game's linear map, and the audits and the CSV writer read them from it.
+monitor_c = inf never switches.  In simulator runs the game is known:
+``audit_truths`` evaluates the true utility vectors of every logged profile
+in one batched call of the game's linear map, once per run, and the audits
+and the CSV writer take the run's log and those truths.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,7 +81,8 @@ from .reduction import A2L
 
 
 class DataError(ValueError):
-    """Bandit rewards outside the normalized [0, 1] range."""
+    """Bandit rewards or environment utilities that are not finite values
+    in the normalized [0, 1] range, or not one per action."""
 
 
 class ScheduleError(ValueError):
@@ -99,10 +106,14 @@ class FallbackEpochError(RuntimeError):
 CELL_CAP = 2**16
 CHUNK_ROUNDS = 2**16
 INT64_MAX = np.iinfo(np.int64).max
-# After a monitor switch every round is played in Python.  An epoch longer
-# than this would run for minutes to years (B_t = t^4 passes 10^12 near
-# t = 1000), so it raises instead; the longest post-switch epoch any suite,
-# test or benchmark plays has 250 rounds.
+# Generator.choice's tolerance on the sum of a probability vector.
+CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# After a monitor switch every round is played in Python, at about 35 us per
+# round for two players with three actions (2-core x86-64 VM, Python 3.11,
+# numpy 2.4), so this cap is about six minutes of play.  Longer epochs
+# would run for hours to years (B_t = t^4 passes 10^12 near t = 1000), so
+# they raise instead; the longest post-switch epoch any suite, test or
+# benchmark plays has 2800 rounds.
 ROUND_EPOCH_CAP = 10**7
 
 
@@ -322,7 +333,7 @@ def _confidence_radius(spread, d_i, t, delta):
     4 * sqrt(spread) * log(pi^2 d_i t^2 / (3 delta)); with eps_k = 1/k this
     is 4 d_i sqrt(sum_k k^2 B_k) log(pi^2 d_i t^2/(3 delta)).
     """
-    return 4.0 * np.sqrt(spread) * np.log(np.pi**2 * d_i * t * t / (3.0 * delta))
+    return 4.0 * math.sqrt(spread) * np.log(np.pi**2 * d_i * t * t / (3.0 * delta))
 
 
 def iw_radius(B_hist, eps_hist, d_i, t, delta):
@@ -340,19 +351,18 @@ class Exp3Fallback:
 
     def __init__(self, d):
         self.d = d
+        self.log_d = np.log(max(d, 2))
         self.cum = np.zeros(d)
         self.t = 0
         self._p = None
 
     def next_strategy(self):
-        eta = np.sqrt(np.log(max(self.d, 2)) / (self.d * (self.t + 1)))
+        eta = math.sqrt(self.log_d / (self.d * (self.t + 1)))
         self._p = softmax(eta * self.cum)
         return self._p
 
     def observe_reward(self, action, reward01):
-        est = np.zeros(self.d)
-        est[action] = reward01 / self._p[action]
-        self.cum += est
+        self.cum[action] += reward01 / self._p[action]
         self.t += 1
 
 
@@ -457,19 +467,40 @@ class BanditTrajectory:
         return len(self.t)
 
 
+def _draw_action(p, u) -> int:
+    """The action ``Generator.choice(len(p), p=p)`` draws with the uniform
+    double u, by choice's own lookup: after its check that p is a
+    distribution, the cumulative sums of p are divided by their last entry
+    and searched for u (``searchsorted(side="right")``).  In plain floats,
+    which round every step as numpy does and cost less at small d."""
+    p = p.tolist()
+    cdf = list(itertools.accumulate(p))
+    total = cdf[-1]
+    if not (abs(total - 1.0) <= CHOICE_ATOL and min(p) >= 0.0):  # NaN fails too
+        raise ValueError(f"round strategy is not a probability vector: {p}")
+    return bisect.bisect_right([c / total for c in cdf], u)
+
+
 def _play_rounds(rng, sampler, players, B):
     """One epoch played round by round, so that fallback learners update
-    within it; keeps per-action counts and reward sums."""
+    within it; keeps per-action counts and reward sums.
+
+    Each chunk of at most ``CHUNK_ROUNDS`` rounds draws its uniforms in one
+    call, round by round and player by player: the doubles, in the order,
+    that one ``rng.choice`` per player and round would draw.
+    """
     dims = sampler.dims
-    counts = [np.zeros(d, dtype=np.int64) for d in dims]
-    sums = [np.zeros(d) for d in dims]
-    for _ in range(B):
-        a = [int(rng.choice(d, p=p.round_strategy())) for d, p in zip(dims, players)]
-        for i, (p, r) in enumerate(zip(players, sampler._round_rewards(a))):
-            counts[i][a[i]] += 1
-            sums[i][a[i]] += r
-            p.observe_round(a[i], r)
-    return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
+    counts = [[0] * d for d in dims]
+    sums = [[0.0] * d for d in dims]
+    for start in range(0, B, CHUNK_ROUNDS):
+        for u in rng.random((min(CHUNK_ROUNDS, B - start), len(dims))):
+            a = [_draw_action(p.round_strategy(), ui) for p, ui in zip(players, u.tolist())]
+            for i, (p, r) in enumerate(zip(players, sampler._round_rewards(a))):
+                counts[i][a[i]] += 1
+                sums[i][a[i]] += r
+                p.observe_round(a[i], r)
+    return [epoch_estimate(np.array(c, dtype=np.int64), np.array(s))
+            for c, s in zip(counts, sums)]
 
 
 def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
@@ -606,9 +637,9 @@ def audit_truths(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
             "delta_inf": delta_inf, "bound": bound}
 
 
-def estimation_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
-    """Per-epoch, per-player estimation errors against their bound."""
-    truth = audit_truths(traj, game)
+def estimation_error_audit(traj: BanditTrajectory, truth: dict) -> dict:
+    """Per-epoch, per-player estimation errors against their bound; truth is
+    the run's ``audit_truths``."""
     violated = truth["delta_inf"] > truth["bound"][:, None]
     return {
         "t": traj.t,
@@ -619,8 +650,9 @@ def estimation_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict
     }
 
 
-def recovery_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
-    """Check the reconstruction-error inequalities at every epoch.
+def recovery_error_audit(traj: BanditTrajectory, truth: dict) -> dict:
+    """Check the reconstruction-error inequalities at every epoch; truth is
+    the run's ``audit_truths``.
 
     With delta^t = uhat^t - u^t (u^t the true utility vector at the inner
     profile, [0, 1] units) and Delta^t = Uhat^t - true epoch average:
@@ -630,7 +662,6 @@ def recovery_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
 
     Returns the slacks (rhs - lhs), which must be nonnegative.
     """
-    truth = audit_truths(traj, game)
     E, n = traj.num_epochs, traj.n
     slack1 = np.empty((E, n))
     slack2 = np.empty((E, n))
@@ -645,8 +676,9 @@ def recovery_error_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
     return {"slack_first_order": slack1, "slack_second_order": slack2}
 
 
-def regret_error_bound_audit(traj: BanditTrajectory, game: PolymatrixGame) -> dict:
-    """Check the regret bound of the inner iterates against true utilities.
+def regret_error_bound_audit(traj: BanditTrajectory, truth: dict) -> dict:
+    """Check the regret bound of the inner iterates against true utilities
+    (truth is the run's ``audit_truths``).
 
     For each player and every prefix length T, the regret of the inner OMWU
     iterates measured on the true ([0, 1]-unit) utility sequence must not
@@ -660,7 +692,6 @@ def regret_error_bound_audit(traj: BanditTrajectory, game: PolymatrixGame) -> di
     with u^0 = 0 and x^0 = x^1.  Returns (E, n) arrays of regret, bound and
     slack, one row per prefix.
     """
-    truth = audit_truths(traj, game)
     eta = traj.meta["eta"]
     E, n = traj.num_epochs, traj.n
     regret = np.empty((E, n))
@@ -696,55 +727,66 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     """One player's bandit pipeline against an arbitrary environment.
 
     utility_fn(t) returns the true utility vector in [0, 1]^d used for every
-    round of epoch t; the player observes only sampled entries.  Runs the
-    estimation/reconstruction/OMWU pipeline with the importance-weighted
-    regret monitor, and stops after the epoch in which the switch to the
-    Exp3-style fallback fires, so every epoch it plays is an epoch of the
-    pipeline.  Returns per-epoch monitor statistics and the true regret.
+    round of epoch t (``DataError`` naming t otherwise); the player observes
+    only sampled entries.  Runs the estimation/reconstruction/OMWU pipeline
+    with the importance-weighted regret monitor, and stops after the epoch
+    in which the switch to the Exp3-style fallback fires, so every epoch it
+    plays is an epoch of the pipeline.  Returns per-epoch monitor statistics
+    and the true regret, computed after the loop from the logged plays and
+    utility vectors.
     """
     rng = np.random.default_rng(seed)
     player = BanditPlayer(d, eta, delta, monitor_c)
-    cum_true = np.zeros(d)
-    earned_true = 0.0
-    rows = {"t": [], "B": [], "reg_est": [], "radius": [], "threshold": [],
-            "true_reg": []}
+    plays = np.empty((epochs, d))
+    utils = np.empty((epochs, d))
+    rows = {"t": [], "B": [], "reg_est": [], "radius": [], "threshold": []}
 
     for t in range(1, epochs + 1):
         B = schedule.epoch_length(t, d)
         eps = schedule.mixing(t)
         v = np.asarray(utility_fn(t), dtype=float)
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise DataError("environment utilities must lie in [0, 1]")
+        if v.shape != (d,):
+            raise DataError(f"epoch t={t}: environment utility vector has shape "
+                            f"{v.shape}, expected ({d},)")
+        lo, hi = v.min(), v.max()
+        if not 0.0 <= lo <= hi <= 1.0:  # NaN fails every comparison
+            problem = ("are not finite" if not np.isfinite(v).all()
+                       else f"lie outside [0, 1]: [{lo}, {hi}]")
+            raise DataError(f"epoch t={t}: environment utilities {problem}")
 
-        play = player.begin_epoch(B, eps)
+        plays[t - 1] = play = player.begin_epoch(B, eps)
+        utils[t - 1] = v
         counts = rng.multinomial(B, play)
         player.end_epoch(epoch_estimate(counts, counts * v))
-        cum_true += B * v
-        earned_true += B * float(play @ v)
 
         rows["t"].append(t)
         rows["B"].append(B)
         rows["reg_est"].append(player.reg_est)
         rows["radius"].append(player.radius)
         rows["threshold"].append(player.threshold)
-        rows["true_reg"].append(cum_true.max() - earned_true)
         if player.switched:
             break
 
+    out = {k: np.array(vv) for k, vv in rows.items()}
+    E = len(out["t"])
+    B = out["B"].astype(float)
+    cum_true = np.cumsum(B[:, None] * utils[:E], axis=0)
+    earned_true = np.cumsum(B * np.vecdot(plays[:E], utils[:E]))
     return {
         "switch_epoch": player.switch_epoch,
         "decision": "switch" if player.switched else "continue",
-        **{k: np.array(vv) for k, vv in rows.items()},
+        **out,
+        "true_reg": cum_true.max(axis=1) - earned_true,
     }
 
 
 # -- persistence -------------------------------------------------------------
 
 
-def bandit_csv_lines(traj: BanditTrajectory, game: PolymatrixGame):
-    """Rows t, B, eps, tgap_mixed_avg, delta_inf_1..n, bound, unsampled_1..n."""
+def bandit_csv_lines(traj: BanditTrajectory, truth: dict):
+    """Rows t, B, eps, tgap_mixed_avg, delta_inf_1..n, bound, unsampled_1..n;
+    truth is the run's ``audit_truths``."""
     n = traj.n
-    truth = audit_truths(traj, game)
     header = (
         ["t", "B", "eps", "tgap_mixed_avg"]
         + [f"delta_inf_{i + 1}" for i in range(n)]

@@ -327,9 +327,10 @@ def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
             game, sched, eta=cfg.eta, seed=seed, delta=cfg.delta,
             epochs=cfg.epochs, monitor_c=cfg.monitor_c,
         )
-    rec = bandit_mod.recovery_error_audit(traj, game)
-    reg = bandit_mod.regret_error_bound_audit(traj, game)
-    est = bandit_mod.estimation_error_audit(traj, game)
+    truth = bandit_mod.audit_truths(traj, game)
+    rec = bandit_mod.recovery_error_audit(traj, truth)
+    reg = bandit_mod.regret_error_bound_audit(traj, truth)
+    est = bandit_mod.estimation_error_audit(traj, truth)
     result = {
         "seed": seed,
         "final_tgap_mixed": float(traj.tgap_mixed[-1]),
@@ -343,7 +344,7 @@ def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
     }
     checks = [Check(key, result[key], ">=", -TOL_AUDIT)
               for key in ("recovery_slack_min", "regret_bound_slack_min")]
-    csv_text = "\n".join(bandit_mod.bandit_csv_lines(traj, game)) + "\n"
+    csv_text = "\n".join(bandit_mod.bandit_csv_lines(traj, truth)) + "\n"
     return {"result": result, "csv": csv_text, "checks": checks}
 
 

@@ -378,10 +378,11 @@ def _bandit_sweep() -> dict:
     for k, s in enumerate(SEEDS):
         traj = bd.run_bandit(game, sched, seed=s, delta=BANDIT_DELTA, epochs=BANDIT_EPOCHS)
         gaps[k] = traj.tgap_mixed
-        rec = bd.recovery_error_audit(traj, game)
+        truth = bd.audit_truths(traj, game)
+        rec = bd.recovery_error_audit(traj, truth)
         min_rec_slack = min(min_rec_slack, float(rec["slack_first_order"].min()),
                             float(rec["slack_second_order"].min()))
-        reg = bd.regret_error_bound_audit(traj, game)
+        reg = bd.regret_error_bound_audit(traj, truth)
         min_reg_slack = min(min_reg_slack, float(reg["slack"].min()))
         switches.extend(traj.switch_epoch)
     return {
@@ -450,7 +451,7 @@ def check_bandit_audit() -> SuiteResult:
     for r in range(reps):
         traj = bd.run_bandit(game, sched, seed=1000 + r, delta=BANDIT_DELTA,
                              epochs=BANDIT_EPOCHS, monitor_c=np.inf)
-        audit = bd.estimation_error_audit(traj, game)
+        audit = bd.estimation_error_audit(traj, bd.audit_truths(traj, game))
         for k, t in enumerate(eligible):
             viol[k] += audit["violated"][t - 1]
     freq = viol / reps

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from a2l import bandit
 from a2l.bandit import (
     BanditPlayer,
+    BanditTrajectory,
     DataError,
     EpochEstimate,
     EpochSchedule,
@@ -29,7 +31,7 @@ from a2l.bandit import (
     run_bandit_vs_environment,
 )
 from a2l.games import PolymatrixGame, generate_game
-from a2l.learners import OMWU
+from a2l.learners import OMWU, softmax
 from a2l.reduction import A2L
 
 
@@ -181,7 +183,8 @@ def test_single_action_players_estimate_exactly():
         (1, 1), {(0, 1): [[0.5]], (1, 0): [[-0.5]]}, zero_sum=True
     )
     traj = run_bandit(game, EpochSchedule.theory(), epochs=4, seed=0)
-    assert np.abs(estimation_error_audit(traj, game)["delta_inf"]).max() == 0.0
+    truth = audit_truths(traj, game)
+    assert np.abs(estimation_error_audit(traj, truth)["delta_inf"]).max() == 0.0
     assert np.allclose(traj.tgap_mixed, 0.0)
 
 
@@ -189,7 +192,7 @@ def test_zero_variance_game_estimates_exactly_when_sampled():
     half = np.full((3, 3), 0.5)
     game = PolymatrixGame((3, 3), {(0, 1): half, (1, 0): -half}, zero_sum=True)
     traj = run_bandit(game, EpochSchedule.theory(), epochs=5, seed=0)
-    delta_inf = estimation_error_audit(traj, game)["delta_inf"]
+    delta_inf = estimation_error_audit(traj, audit_truths(traj, game))["delta_inf"]
     for k in range(5):
         if traj.unsampled[k].sum() == 0:
             assert delta_inf[k].max() == 0.0
@@ -197,12 +200,13 @@ def test_zero_variance_game_estimates_exactly_when_sampled():
 
 def test_audit_inequalities_hold():
     traj = quiet_run(epochs=10, seed=5)
-    rec = recovery_error_audit(traj, small_game())
+    truth = audit_truths(traj, small_game())
+    rec = recovery_error_audit(traj, truth)
     assert rec["slack_first_order"].min() >= -1e-6
     assert rec["slack_second_order"].min() >= -1e-6
-    reg = regret_error_bound_audit(traj, small_game())
+    reg = regret_error_bound_audit(traj, truth)
     assert reg["slack"].min() >= -1e-6
-    audit = estimation_error_audit(traj, small_game())
+    audit = estimation_error_audit(traj, truth)
     assert audit["violated"].shape == (10, 2)
 
 
@@ -247,13 +251,13 @@ def test_audit_rows_are_nan_from_the_first_switch_epoch():
         "bound": truth["bound"][:, None],
         "mixed_avg": np.hstack(truth["mixed_avg"]),
         "inner": np.hstack(truth["inner"]),
-        "recovery": recovery_error_audit(traj, game)["slack_first_order"],
-        "regret": regret_error_bound_audit(traj, game)["slack"],
+        "recovery": recovery_error_audit(traj, truth)["slack_first_order"],
+        "regret": regret_error_bound_audit(traj, truth)["slack"],
     }
     for name, a in rows.items():
         assert np.all(np.isfinite(a[:6])), name
         assert np.all(np.isnan(a[6:])), name
-    assert estimation_error_audit(traj, game)["violated"][6:].sum() == 0
+    assert estimation_error_audit(traj, truth)["violated"][6:].sum() == 0
 
 
 def test_audit_truths_match_per_epoch_evaluation():
@@ -340,11 +344,73 @@ def test_running_radius_equals_history_radius(coeff, power, eps_coeff, eps_power
         assert player.rounds == sum(B_hist)
 
 
+def environment_failing_at(t_bad, bad):
+    """Utility vectors in [0, 1]^2 until epoch t_bad, then ``bad``."""
+    return lambda t: np.array(bad if t == t_bad else [0.2, 0.7])
+
+
 def test_environment_run_validates_range():
     sched = EpochSchedule.custom(coeff=10, power=0.0, eps_coeff=0.5, eps_power=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="epoch t=1: .*outside \\[0, 1\\]"):
         run_bandit_vs_environment(2, lambda t: np.array([2.0, 0.0]), sched,
                                   eta=0.1, epochs=2)
+    with pytest.raises(DataError, match="epoch t=3: .*outside \\[0, 1\\]"):
+        run_bandit_vs_environment(2, environment_failing_at(3, [-0.5, 0.5]), sched,
+                                  eta=0.1, monitor_c=np.inf, epochs=5)
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ([np.nan, 0.5], "not finite"),
+    ([0.5, np.inf], "not finite"),
+    ([0.2, 0.3, 0.5], "shape \\(3,\\), expected \\(2,\\)"),
+    ([0.5], "shape \\(1,\\), expected \\(2,\\)"),
+])
+def test_environment_run_rejects_bad_utilities_naming_the_epoch(bad, problem):
+    sched = EpochSchedule.custom(coeff=10, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    with pytest.raises(DataError, match=f"epoch t=3: .*{problem}"):
+        run_bandit_vs_environment(2, environment_failing_at(3, bad), sched,
+                                  eta=0.1, monitor_c=np.inf, epochs=5)
+
+
+def bait(t):
+    """The bandit-monitor adversary: alternating utility vectors."""
+    return np.array([1.0, 0.0]) if t % 2 == 1 else np.array([0.475, 0.525])
+
+
+def random_utilities(d):
+    return lambda t: np.random.default_rng(t).random(d)
+
+
+@pytest.mark.parametrize("d, utility_fn, coeff, monitor_c", [
+    (2, bait, 4000, 4.0),               # the bandit-monitor adversary, 3639 epochs
+    (5, random_utilities(5), 37, np.inf),
+    (17, random_utilities(17), 5, 4.0),
+])
+def test_environment_true_regret_equals_running_bookkeeping(monkeypatch, d, utility_fn,
+                                                            coeff, monitor_c):
+    # true_reg, computed after the loop, equals the running sums kept in it
+    plays = []
+    begin = BanditPlayer.begin_epoch
+
+    def spy(self, B, eps):
+        play = begin(self, B, eps)
+        plays.append(play.copy())
+        return play
+
+    monkeypatch.setattr(BanditPlayer, "begin_epoch", spy)
+    sched = EpochSchedule.custom(coeff=coeff, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    res = run_bandit_vs_environment(d, utility_fn, sched, eta=1.0 / 12, seed=3,
+                                    monitor_c=monitor_c, epochs=6000 if d == 2 else 300)
+    cum_true = np.zeros(d)
+    earned_true = 0.0
+    want = []
+    for t, play in zip(res["t"], plays, strict=True):
+        B, v = sched.epoch_length(int(t), d), utility_fn(t)
+        cum_true += B * v
+        earned_true += B * float(play @ v)
+        want.append(cum_true.max() - earned_true)
+    assert res["true_reg"].dtype == np.float64
+    assert np.array_equal(res["true_reg"], np.array(want))
 
 
 def test_environment_run_stops_in_its_switch_epoch():
@@ -368,7 +434,7 @@ def test_exp3_fallback_learns():
 
 def test_csv_lines():
     traj = quiet_run(epochs=3, seed=0)
-    lines = list(bandit_csv_lines(traj, small_game()))
+    lines = list(bandit_csv_lines(traj, audit_truths(traj, small_game())))
     head = lines[0].split(",")
     assert head == ["t", "B", "eps", "tgap_mixed_avg", "delta_inf_1",
                     "delta_inf_2", "bound", "unsampled_1", "unsampled_2"]
@@ -498,3 +564,166 @@ def test_post_switch_epoch_beyond_the_cap_names_the_epoch():
     with pytest.warns(UserWarning), pytest.raises(bandit.FallbackEpochError, match="t=2") as err:
         run_bandit(small_game(), sched, epochs=3, seed=0, monitor_c=-1e9)
     assert err.value.epoch == 2
+
+
+# -- the per-round path after a monitor switch ---------------------------------
+
+
+class ReferenceExp3:
+    """``Exp3Fallback`` with numpy's log and sqrt every round and a zeros
+    temporary per update."""
+
+    def __init__(self, d):
+        self.d = d
+        self.cum = np.zeros(d)
+        self.t = 0
+        self._p = None
+
+    def next_strategy(self):
+        eta = np.sqrt(np.log(max(self.d, 2)) / (self.d * (self.t + 1)))
+        self._p = softmax(eta * self.cum)
+        return self._p
+
+    def observe_reward(self, action, reward01):
+        est = np.zeros(self.d)
+        est[action] = reward01 / self._p[action]
+        self.cum += est
+        self.t += 1
+
+
+def reference_play_rounds(rng, sampler, players, B):
+    """A post-switch epoch with one ``rng.choice`` per player and round."""
+    dims = sampler.dims
+    counts = [np.zeros(d, dtype=np.int64) for d in dims]
+    sums = [np.zeros(d) for d in dims]
+    for _ in range(B):
+        a = [int(rng.choice(d, p=p.round_strategy())) for d, p in zip(dims, players)]
+        for i, (p, r) in enumerate(zip(players, sampler._round_rewards(a))):
+            counts[i][a[i]] += 1
+            sums[i][a[i]] += r
+            p.observe_round(a[i], r)
+    return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
+
+
+def reference_run(monkeypatch, **kw):
+    with monkeypatch.context() as m:
+        m.setattr(bandit, "_play_rounds", reference_play_rounds)
+        m.setattr(bandit, "Exp3Fallback", ReferenceExp3)
+        return quiet_run(**kw)
+
+
+def assert_same_trajectory(a, b):
+    for field in dataclasses.fields(BanditTrajectory):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name in ("meta", "switch_epoch"):
+            assert x == y, field.name
+            continue
+        if isinstance(x, np.ndarray):
+            x, y = [x], [y]
+        assert len(x) == len(y), field.name
+        for u, v in zip(x, y):
+            assert u.dtype == v.dtype, field.name
+            assert np.array_equal(u, v, equal_nan=True), field.name
+
+
+# name -> (run_bandit arguments, switch epochs)
+SWITCHING_RUNS = {
+    "forced in epoch 1": (dict(
+        schedule=EpochSchedule.custom(coeff=30, power=0.0, eps_coeff=0.5, eps_power=0.0),
+        epochs=5, seed=0, monitor_c=-1e9), [1, 1]),
+    "mid-run": (dict(
+        schedule=EpochSchedule.custom(coeff=200, power=1.0, eps_coeff=0.5, eps_power=0.0),
+        epochs=14, seed=0, monitor_c=-15.0), [9, 7]),
+    "(2, 4, 3) actions": (dict(
+        game=generate_game("random_zs", n=3, d=(2, 4, 3), seed=4),
+        schedule=EpochSchedule.custom(coeff=100, power=1.0, eps_coeff=0.5, eps_power=0.0),
+        epochs=8, seed=0, monitor_c=-30.0), [1, 6, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(SWITCHING_RUNS))
+def test_switching_runs_equal_the_per_round_choice_loop(monkeypatch, name):
+    kw, switch_epochs = SWITCHING_RUNS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the custom schedules are uncertified
+        want = reference_run(monkeypatch, **kw)
+        got = quiet_run(**kw)
+    assert got.switch_epoch == switch_epochs
+    assert_same_trajectory(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 30])
+def test_chunked_draws_cross_chunk_boundaries_like_choice(monkeypatch, chunk):
+    # 30-round post-switch epochs in chunks of 1, 7 (a partial last chunk)
+    # and 30 rounds: every post-switch epoch, and so the stream each one
+    # leaves to the next, matches per-round choice
+    kw, _ = SWITCHING_RUNS["forced in epoch 1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = reference_run(monkeypatch, **kw)
+        monkeypatch.setattr(bandit, "CHUNK_ROUNDS", chunk)
+        got = quiet_run(**kw)
+    assert got.B.tolist() == [30] * 5
+    assert_same_trajectory(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=8)
+    .filter(lambda w: sum(w) > 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_picks_the_action_generator_choice_picks(weights, seed):
+    p = np.array(weights) / np.sum(weights)
+    want = np.random.default_rng(seed).choice(len(p), p=p, size=16)
+    u = np.random.default_rng(seed).random(16)
+    assert [bandit._draw_action(p, x) for x in u.tolist()] == want.tolist()
+    # ties, which random doubles in [0, 1) almost never hit: u = 0 and u on
+    # a cumulative sum land right of it, so a zero-probability action is
+    # never drawn
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for x in [0.0, *(c for c in cdf.tolist() if c < 1.0)]:
+        a = bandit._draw_action(p, x)
+        assert a == cdf.searchsorted(x, side="right") and p[a] > 0
+
+
+@pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [1.2, -0.2], [0.5, 0.4],
+                               [np.inf, 0.0]])
+def test_draw_refuses_what_generator_choice_refuses(p):
+    p = np.array(p)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), p=p)
+    with pytest.raises(ValueError, match="not a probability vector"):
+        bandit._draw_action(p, 0.5)
+
+
+def test_post_switch_epoch_memory_scales_with_the_chunk(monkeypatch):
+    # One post-switch epoch of 8 x 256 rounds in chunks of 256.  Its peak
+    # holds at most two chunks of uniforms (a chunk's last row keeps it
+    # alive while the next is drawn) plus per-round temporaries; drawing
+    # the whole epoch at once would hold 8 chunks.
+    monkeypatch.setattr(bandit, "CHUNK_ROUNDS", 256)
+    play_rounds = bandit._play_rounds
+    peaks = []
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = play_rounds(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(bandit, "_play_rounds", measured)
+    game = small_game()
+    sched = EpochSchedule.custom(coeff=8 * 256, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            traj = run_bandit(game, sched, epochs=2, seed=0, monitor_c=-1e9)
+        finally:
+            tracemalloc.stop()
+    assert traj.switch_epoch == [1, 1] and len(peaks) == 1
+    chunk_bytes = 256 * game.n * 8
+    assert peaks[0] < 2 * chunk_bytes + 12 * 2**10
