@@ -20,26 +20,22 @@ inner iterate,
     uhat^t = t * Uhat^t - (t - 1) * Uhat^{t-1},
 
 are the package's one reduction, ``reduction.A2L``, wrapped around OMWU
-and fed Uhat^t once per epoch.  ``BanditPlayer`` holds one player's whole
-pipeline (reduction, monitor, fallback); ``run_bandit`` drives one per
-player on a game, ``run_bandit_vs_environment`` one against an
-environment callback.
+and fed Uhat^t once per epoch.  An importance-weighted regret monitor
+passes a player to a safe round-by-round learner once its regret estimate
+exceeds c * T_t^{4/5} beyond a confidence radius (T_t the cumulative round
+count; monitor_c = inf never switches).  ``BanditPipeline`` runs this
+pipeline for all players as the rows of one stacked state of shape
+(n, d_max): one ``A2L(OMWU)``, per-row monitor sums and a per-row switch
+mask, with each player's actions beyond its own count padded to exact
+zeros.  ``run_bandit`` drives it on a game; ``run_bandit_vs_environment``
+is its single-player use, without a row axis, against an environment.
 
 Sampling: the estimator and the monitor need only each player's per-action
-sample counts and reward sums, so an epoch is drawn as those statistics,
-not as B_t rounds.  The players sample independently, so the joint action
-counts of an epoch are N ~ Multinomial(B_t, x_1 (x) ... (x) x_n) over the
-prod_i d_i joint cells (``JointSampler``, one multinomial draw per epoch);
-player i's counts and reward sums are N and N * R_i summed over the other
-players' axes, with R_i its reward table, built once per run.  This has the
-same law as B_t i.i.d. rounds.  Joint spaces above ``CELL_CAP`` cells are
-sampled round by round in chunks of ``CHUNK_ROUNDS``, each reduced to
-counts and sums at once, so an epoch's memory never depends on B_t.  Only
-the per-round path after a monitor switch handles single rounds.  It too
-draws in chunks: one call gives a chunk's uniform doubles, and each round
-picks every player's action from its double with ``Generator.choice``'s own
-lookup, so actions and generator stream equal one ``choice`` per player and
-round.
+sample counts and reward sums, so ``JointSampler`` draws an epoch as those
+statistics, with the law of B_t i.i.d. rounds and memory that does not grow
+with B_t.  After a monitor switch ``_play_rounds`` plays round by round,
+with the actions and generator stream of one ``Generator.choice`` per
+player and round.
 
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
@@ -53,14 +49,10 @@ argmax structure and regret ordering; gap statistics are reported in
 original payoff units.
 
 A run logs only what play produces: the played and inner strategies, the
-estimates and their counts, and each player's importance-weighted regret
-estimate with its confidence radius (the monitor columns).  The monitor
-recommends switching to a safe bandit learner once the estimate exceeds
-c * T_t^{4/5} beyond the radius, where T_t is the cumulative round count;
-monitor_c = inf never switches.  In simulator runs the game is known:
-``audit_truths`` evaluates the true utility vectors of every logged profile
-in one batched call of the game's linear map, once per run, and the audits
-and the CSV writer take the run's log and those truths.
+estimates and their counts, and the monitor columns.  In simulator runs
+the game is known: ``audit_truths`` evaluates the true utility vectors of
+every logged profile in one batched call, once per run, and the audits and
+the CSV writer take the run's log and those truths.
 """
 
 from __future__ import annotations
@@ -76,7 +68,7 @@ import numpy as np
 
 from .csvrows import _csv_lines
 from .games import PolymatrixGame
-from .learners import OMWU, softmax
+from .learners import OMWU, padding, softmax
 from .reduction import A2L
 
 
@@ -198,19 +190,13 @@ class EpochEstimate:
     unsampled: np.ndarray  # boolean mask of never-sampled actions
 
 
-def mix_uniform(avg, eps):
-    """(1 - eps) * avg + eps * uniform; every coordinate ends up >= eps/d."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"mixing rate must be in [0, 1], got {eps}")
-    avg = np.asarray(avg, dtype=float)
-    return (1.0 - eps) * avg + eps / avg.size
-
-
-def _check_rewards(rewards):
-    """Raise ``DataError`` unless every reward lies in [0, 1]."""
+def _check_rewards(rewards, player=None):
+    """Raise ``DataError`` unless every reward lies in [0, 1]; the message
+    names the player when one is given."""
     lo, hi = np.min(rewards), np.max(rewards)
     if lo < -1e-12 or hi > 1.0 + 1e-12:
-        raise DataError(f"rewards outside [0, 1] after normalization: [{lo}, {hi}]")
+        who = "" if player is None else f"player {player}: "
+        raise DataError(f"{who}rewards outside [0, 1] after normalization: [{lo}, {hi}]")
 
 
 def epoch_estimate(counts, sums) -> EpochEstimate:
@@ -248,7 +234,9 @@ class JointSampler:
     """Draws the players' per-action counts and [0, 1] reward sums of one
     epoch at fixed mixed strategies, with the law of i.i.d. rounds.
 
-    Up to ``CELL_CAP`` joint cells, each player's reward table R_i over the
+    Strategies, counts and sums are stacked (n, d_max) arrays, one row per
+    player; padded actions have strategy 0 and get 0 counts and 0 sums.  Up
+    to ``CELL_CAP`` joint cells, each player's reward table R_i over the
     joint cells is built once; an epoch draws the joint counts N ~
     Multinomial(B, x_1 (x) ... (x) x_n) and reduces N and N * R_i over the
     other players' axes, at O(prod_i d_i) cost whatever B is.  Larger joint
@@ -259,6 +247,8 @@ class JointSampler:
     def __init__(self, game: PolymatrixGame):
         n = game.n
         self.dims = tuple(game.action_counts)
+        self.width = max(self.dims)
+        self.others = [tuple(k for k in range(n) if k != i) for i in range(n)]
         self.edge_mats = [[(j, game.edges[(i, j)]) for j in game.neighbors(i)]
                           for i in range(n)]
         self.tables = self.bad_cells = None
@@ -280,45 +270,41 @@ class JointSampler:
         """Every player's [0, 1] reward in one round of actions a."""
         if self.tables is None:
             r = [float(self._rewards01(i, a)) for i in range(len(self.dims))]
-            _check_rewards(r)
-            return r
-        a = tuple(a)
-        r = [float(R[a]) for R in self.tables]
-        if self.bad_cells is not None and self.bad_cells[a]:
-            _check_rewards(r)
+        else:
+            a = tuple(a)
+            r = [float(R[a]) for R in self.tables]
+            if self.bad_cells is None or not self.bad_cells[a]:
+                return r
+        for i, x in enumerate(r):
+            _check_rewards(x, i)
         return r
 
-    def epoch(self, rng, plays, B) -> list:
-        """One epoch of B rounds at the strategies ``plays``; returns one
-        ``EpochEstimate`` per player."""
+    def epoch(self, rng, plays, B):
+        """One epoch of B rounds at the stacked strategies ``plays``; returns
+        the (n, d_max) sample counts and reward sums."""
+        counts = np.zeros(plays.shape, dtype=np.int64)
+        sums = np.zeros(plays.shape)
         if self.tables is None:
-            return self._epoch_in_chunks(rng, plays, B)
-        N = rng.multinomial(B, functools.reduce(np.multiply.outer, plays).ravel())
+            for start in range(0, B, CHUNK_ROUNDS):
+                size = min(CHUNK_ROUNDS, B - start)
+                acts = [rng.choice(d, size=size, p=x[:d]) for d, x in zip(self.dims, plays)]
+                for i, d in enumerate(self.dims):
+                    r = self._rewards01(i, acts)
+                    _check_rewards(r, i)
+                    counts[i, :d] += np.bincount(acts[i], minlength=d)
+                    sums[i, :d] += np.bincount(acts[i], weights=r, minlength=d)
+            return counts, sums
+        xs = [x[:d] for x, d in zip(plays, self.dims)]
+        N = rng.multinomial(B, functools.reduce(np.multiply.outer, xs).ravel())
         N = N.reshape(self.dims)
         if self.bad_cells is not None and N[self.bad_cells].any():
             sampled = N > 0
-            for R in self.tables:
-                _check_rewards(R[sampled])
-        n = len(self.dims)
-        ests = []
-        for i in range(n):
-            others = tuple(k for k in range(n) if k != i)
-            ests.append(epoch_estimate(N.sum(axis=others),
-                                       (N * self.tables[i]).sum(axis=others)))
-        return ests
-
-    def _epoch_in_chunks(self, rng, plays, B):
-        counts = [np.zeros(d, dtype=np.int64) for d in self.dims]
-        sums = [np.zeros(d) for d in self.dims]
-        for start in range(0, B, CHUNK_ROUNDS):
-            size = min(CHUNK_ROUNDS, B - start)
-            acts = [rng.choice(d, size=size, p=x) for d, x in zip(self.dims, plays)]
-            for i, d in enumerate(self.dims):
-                r = self._rewards01(i, acts)
-                _check_rewards(r)
-                counts[i] += np.bincount(acts[i], minlength=d)
-                sums[i] += np.bincount(acts[i], weights=r, minlength=d)
-        return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
+            for i, R in enumerate(self.tables):
+                _check_rewards(R[sampled], i)
+        for i, (R, others, d) in enumerate(zip(self.tables, self.others, self.dims)):
+            counts[i, :d] = N.sum(axis=others)
+            sums[i, :d] = (N * R).sum(axis=others)
+        return counts, sums
 
 
 def estimation_bound(d, B, eps, t, delta):
@@ -331,9 +317,10 @@ def _confidence_radius(spread, d_i, t, delta):
     t, from the spread sum_{k<=t} B_k (d_i/eps_k)^2:
 
     4 * sqrt(spread) * log(pi^2 d_i t^2 / (3 delta)); with eps_k = 1/k this
-    is 4 d_i sqrt(sum_k k^2 B_k) log(pi^2 d_i t^2/(3 delta)).
+    is 4 d_i sqrt(sum_k k^2 B_k) log(pi^2 d_i t^2/(3 delta)).  spread and
+    d_i may be per-row arrays.
     """
-    return 4.0 * math.sqrt(spread) * np.log(np.pi**2 * d_i * t * t / (3.0 * delta))
+    return 4.0 * np.sqrt(spread) * np.log(np.pi**2 * d_i * t * t / (3.0 * delta))
 
 
 def iw_radius(B_hist, eps_hist, d_i, t, delta):
@@ -343,98 +330,109 @@ def iw_radius(B_hist, eps_hist, d_i, t, delta):
     return _confidence_radius(float((B_hist * (d_i / eps_hist) ** 2).sum()), d_i, t, delta)
 
 
-class Exp3Fallback:
-    """Importance-weighted MWU with eta_t = sqrt(log d / (d t)).
+class BanditPipeline:
+    """Every player's epoch pipeline, as the rows of one stacked state.
 
-    Safe per-round bandit learner used after a robustness switch.
+    counts holds one action count per row (player), or one count for a
+    single player without a row axis; B and eps are the run's epoch lengths
+    and mixing rates.  Strategies, estimates and IW vectors have shape
+    (..., d_max); a row's padded actions stay at exact zeros.  The monitor's
+    radius and threshold depend on the schedule alone, so ``radius``
+    (E, ...) and ``threshold`` (E,) hold them for every epoch; per epoch it
+    adds to per-row sums of IW utility vectors and of their value under the
+    played strategies.  A row whose reg_est exceeds threshold + radius plays
+    Exp3 (IW MWU, eta = sqrt(log d_i / (d_i s)) in its s-th round) for good,
+    learning round by round (``round_strategy``, ``observe_round``; rows
+    only).  ``switched`` marks those rows and ``switch_epoch`` holds their
+    switch epochs (0 for the others); their reduction and monitor run on
+    unread.
     """
 
-    def __init__(self, d):
-        self.d = d
-        self.log_d = np.log(max(d, 2))
-        self.cum = np.zeros(d)
+    def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=4.0):
+        self.counts = np.asarray(counts)
+        col = self.counts[..., None]
+        self.pad = padding(col) if self.counts.min() < self.counts.max() else None
+        self._real = True if self.pad is None else self.pad == 0
+        self.learner = A2L(OMWU(int(self.counts.max()), eta, bias=self.pad))
+        # Plans for every epoch, computed with epochs on the last axis and
+        # stored one row per epoch.  cumsum adds the spread's terms epoch by
+        # epoch; float_power squares with the C library's pow, as Python's
+        # ** does (** on an array multiplies, which rounds differently in
+        # about one value in 1000).
+        self.eps = np.asarray(eps, dtype=float)
+        self._d = col.astype(float)
+        spread = np.cumsum(np.asarray(B, dtype=float) * np.float_power(self._d / self.eps, 2),
+                           axis=-1)
+        radius = _confidence_radius(spread, self._d, np.arange(1.0, len(self.eps) + 1.0),
+                                    delta)
+        # Summed as Python ints, which do not overflow.
+        self.rounds = np.array(list(itertools.accumulate(np.asarray(B).tolist())), dtype=float)
+        self.threshold = monitor_c * np.float_power(self.rounds, 0.8)
+        self.radius = radius.T
+        self._limit = (self.threshold + radius).T
         self.t = 0
+        # -inf at padded actions, which never count as a comparator.
+        self.cum_iw = padding(col)
+        self.earned_iw = np.zeros(self.counts.shape)
+        self.reg_est = np.zeros(self.counts.shape)
+        self.play = None
+        self.switched = np.zeros(self.counts.shape, dtype=bool)
+        self.switch_epoch = np.zeros(self.counts.shape, dtype=int)
+        self._switched_rows = []
+        # Exp3 state.  A row learns only once it has switched, so it is
+        # still fresh when it does.
+        self.exp3_cum = np.zeros(self.cum_iw.shape)
+        self.exp3_rounds = np.zeros(self.counts.shape, dtype=int)
+        self._log_d = np.log(np.maximum(col, 2))
         self._p = None
 
-    def next_strategy(self):
-        eta = math.sqrt(self.log_d / (self.d * (self.t + 1)))
-        self._p = softmax(eta * self.cum)
+    def _exp3_strategy(self) -> np.ndarray:
+        z = np.sqrt(self._log_d / (self._d * (self.exp3_rounds[..., None] + 1))) * self.exp3_cum
+        self._p = softmax(z if self.pad is None else z + self.pad)
         return self._p
 
-    def observe_reward(self, action, reward01):
-        self.cum[action] += reward01 / self._p[action]
+    def begin_epoch(self) -> np.ndarray:
+        """Start the next epoch; returns the strategies played in it (a
+        switched row's: its fallback's at the epoch's start)."""
+        eps = self.eps[self.t]
         self.t += 1
-
-
-class BanditPlayer:
-    """One player's epoch pipeline; it sees only its own actions and rewards.
-
-    Each epoch it plays the eps-mixed running average of its inner OMWU
-    iterates (``A2L(OMWU)``) and feeds the epoch's estimate Uhat^t to the
-    wrapper, which reconstructs uhat^t = t Uhat^t - (t-1) Uhat^{t-1} and
-    updates OMWU.  The importance-weighted regret monitor keeps running
-    sums (IW utility vectors, their value under the played strategies, the
-    round count T_t and the radius spread sum_k B_k (d/eps_k)^2), so an
-    epoch costs O(d).  Once reg_est exceeds threshold + radius, play passes
-    for good to an ``Exp3Fallback``, which learns round by round.
-    monitor_c = inf never switches.
-    """
-
-    def __init__(self, d, eta, delta=0.05, monitor_c=4.0):
-        self.d = d
-        self.learner = A2L(OMWU(d, eta))
-        self.delta = delta
-        self.monitor_c = monitor_c
-        self.t = 0
-        self.rounds = 0
-        self.spread = 0.0
-        self.cum_iw = np.zeros(d)
-        self.earned_iw = 0.0
-        self.reg_est = 0.0
-        self.radius = None
-        self.threshold = None
-        self.play = None
-        self.fallback = None
-        self.switch_epoch = None
-
-    @property
-    def switched(self) -> bool:
-        return self.fallback is not None
-
-    def begin_epoch(self, B, eps) -> np.ndarray:
-        """Start the next epoch of B rounds; returns the strategy played in it
-        (after a switch, the fallback's strategy at the epoch's start)."""
-        self.t += 1
-        self.rounds += B
-        self.spread += B * (self.d / eps) ** 2
-        self.radius = _confidence_radius(self.spread, self.d, self.t, self.delta)
-        self.threshold = self.monitor_c * self.rounds ** 0.8
-        if self.fallback is None:
-            self.play = mix_uniform(self.learner.next_strategy(), eps)
-        else:
-            self.play = self.fallback.next_strategy().copy()
-        return self.play
+        play = (1.0 - eps) * self.learner.next_strategy() + eps / self._d
+        if self.pad is not None:
+            play = np.where(self.pad < 0, 0.0, play)
+        if self._switched_rows:
+            play = np.where(self.switched[..., None], self._exp3_strategy(), play)
+        self.play = play
+        return play
 
     def round_strategy(self) -> np.ndarray:
-        """Strategy for the next round of the per-round path."""
-        return self.play if self.fallback is None else self.fallback.next_strategy()
+        """Strategies for the next round of the per-round path."""
+        return np.where(self.switched[..., None], self._exp3_strategy(), self.play)
 
-    def observe_round(self, action, reward01) -> None:
-        """One round's own action and [0, 1] reward; only the fallback
-        learns within an epoch."""
-        if self.fallback is not None:
-            self.fallback.observe_reward(action, reward01)
+    def observe_round(self, actions, rewards01) -> None:
+        """One round's actions and [0, 1] rewards, one per row; only the
+        switched rows learn within an epoch."""
+        for i in self._switched_rows:
+            a = actions[i]
+            self.exp3_cum[i, a] += rewards01[i] / self._p[i, a]
+            self.exp3_rounds[i] += 1
 
     def end_epoch(self, est: EpochEstimate) -> np.ndarray:
-        """Feed the epoch's estimate before a switch; returns uhat^t."""
+        """Feed the epoch's estimate; returns uhat^t."""
         uhat = self.learner.observe(est.estimate)
-        iw = est.sums / self.play
-        self.cum_iw += iw
-        self.earned_iw += float(iw @ self.play)
-        self.reg_est = self.cum_iw.max() - self.earned_iw
-        if self.reg_est > self.threshold + self.radius:
-            self.fallback = Exp3Fallback(self.d)
-            self.switch_epoch = self.t
+        # Padded actions have no IW value; a switched row's Exp3 may also
+        # play 0 on a real action.
+        live = self.play > 0 if self._switched_rows else self._real
+        iw = np.divide(est.sums, self.play, out=np.zeros(self.play.shape), where=live)
+        self.cum_iw = self.cum_iw + iw
+        self.earned_iw = self.earned_iw + np.vecdot(iw, self.play)
+        self.reg_est = self.cum_iw.max(axis=-1) - self.earned_iw
+        new = self.reg_est > self._limit[self.t - 1]
+        if self._switched_rows:
+            new &= ~self.switched
+        if np.count_nonzero(new):
+            self.switched = self.switched | new
+            self.switch_epoch = np.where(new, self.t, self.switch_epoch)
+            self._switched_rows = np.flatnonzero(self.switched).tolist()
         return uhat
 
 
@@ -471,56 +469,66 @@ def _draw_action(p, u) -> int:
     """The action ``Generator.choice(len(p), p=p)`` draws with the uniform
     double u, by choice's own lookup: after its check that p is a
     distribution, the cumulative sums of p are divided by their last entry
-    and searched for u (``searchsorted(side="right")``).  In plain floats,
-    which round every step as numpy does and cost less at small d."""
-    p = p.tolist()
+    and searched for u (``searchsorted(side="right")``).  In plain floats (p
+    a list), which round every step as numpy does and cost less at small d."""
     cdf = list(itertools.accumulate(p))
     total = cdf[-1]
     if not (abs(total - 1.0) <= CHOICE_ATOL and min(p) >= 0.0):  # NaN fails too
-        raise ValueError(f"round strategy is not a probability vector: {p}")
+        raise ValueError(f"round strategy is not a probability vector: {list(p)}")
     return bisect.bisect_right([c / total for c in cdf], u)
 
 
-def _play_rounds(rng, sampler, players, B):
-    """One epoch played round by round, so that fallback learners update
-    within it; keeps per-action counts and reward sums.
+def _play_rounds(rng, sampler, pipeline, B):
+    """One epoch played round by round, so that fallback rows learn within
+    it; returns the stacked per-action counts and reward sums.
 
     Each chunk of at most ``CHUNK_ROUNDS`` rounds draws its uniforms in one
     call, round by round and player by player: the doubles, in the order,
     that one ``rng.choice`` per player and round would draw.
     """
     dims = sampler.dims
-    counts = [[0] * d for d in dims]
-    sums = [[0.0] * d for d in dims]
+    counts = [[0] * sampler.width for _ in dims]
+    sums = [[0.0] * sampler.width for _ in dims]
     for start in range(0, B, CHUNK_ROUNDS):
         for u in rng.random((min(CHUNK_ROUNDS, B - start), len(dims))):
-            a = [_draw_action(p.round_strategy(), ui) for p, ui in zip(players, u.tolist())]
-            for i, (p, r) in enumerate(zip(players, sampler._round_rewards(a))):
-                counts[i][a[i]] += 1
-                sums[i][a[i]] += r
-                p.observe_round(a[i], r)
-    return [epoch_estimate(np.array(c, dtype=np.int64), np.array(s))
-            for c, s in zip(counts, sums)]
+            ps = pipeline.round_strategy().tolist()
+            a = [_draw_action(p[:d], ui) for p, d, ui in zip(ps, dims, u.tolist())]
+            r = sampler._round_rewards(a)
+            for c, s, ai, ri in zip(counts, sums, a, r):
+                c[ai] += 1
+                s[ai] += ri
+            pipeline.observe_round(a, r)
+    return np.array(counts, dtype=np.int64), np.array(sums)
+
+
+def _check_run_args(epochs, delta):
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
 def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
                delta=0.05, epochs=12, monitor_c=4.0) -> BanditTrajectory:
     """Simulate the epoch-based bandit dynamics on a polymatrix game.
 
-    Every player runs the same schedule.  Each epoch plays the mixed average
-    for B_t rounds with independent action draws per round and player (drawn
-    as joint counts by ``JointSampler``) and performs one OMWU update on the
-    reconstructed estimate; the epoch loop only plays and logs play.  The
-    total gap of every played profile is evaluated after the loop, in one
-    call.  After a monitor switch the epoch is played round by round, and an
-    epoch longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``;
-    monitor_c = inf never switches.  Monitor columns are logged in every
-    run, NaN after a switch.  A certified run needs a theory schedule and
-    eta <= 1/(6n); violations warn and flag the run.
+    Every player runs the same schedule, as a row of one ``BanditPipeline``.
+    Each epoch plays the mixed average for B_t rounds with independent
+    action draws per round and player and performs one OMWU update on the
+    reconstructed estimate; the epoch loop only plays and logs play, into
+    (n, E, d_max) logs that the trajectory's per-player arrays are views of.
+    The total gap of every played profile is evaluated after the loop.
+    After a monitor switch the epoch is played round by round, and an epoch
+    longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``.  Monitor
+    columns are logged in every run, NaN after a switch.  A reward outside
+    [0, 1] raises ``DataError`` naming the epoch and the player.  A
+    certified run needs a theory schedule and eta <= 1/(6n); violations
+    warn and flag the run.
     """
     n = game.n
     if n < 2:
         raise ValueError("bandit dynamics need at least two players")
+    _check_run_args(epochs, delta)
     if eta is None:
         eta = bandit_step_size(n)
     certified = schedule.certified and eta <= bandit_step_size(n) + 1e-12
@@ -531,54 +539,46 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         )
     rng = np.random.default_rng(seed)
     sampler = JointSampler(game)
-    counts_d = game.action_counts
-    dmax = game.dimensionality
-    players = [BanditPlayer(d, eta, delta, monitor_c) for d in counts_d]
-
-    E = epochs
-    epoch_ts = range(1, E + 1)
-    t_arr = np.array(epoch_ts)
-    B_arr = np.array([schedule.epoch_length(t, dmax) for t in epoch_ts], dtype=np.int64)
+    epoch_ts = range(1, epochs + 1)
+    B_arr = np.array([schedule.epoch_length(t, sampler.width) for t in epoch_ts],
+                     dtype=np.int64)
     eps_arr = np.array([schedule.mixing(t) for t in epoch_ts])
-    round_end = np.cumsum(B_arr)
-    mixed = [np.empty((E, d)) for d in counts_d]
-    inner = [np.empty((E, d)) for d in counts_d]
-    estimates = [np.empty((E, d)) for d in counts_d]
-    recovered = [np.empty((E, d)) for d in counts_d]
-    counts = [np.empty((E, d), dtype=int) for d in counts_d]
-    unsampled = np.zeros((E, n), dtype=int)
-    reg_est = np.full((E, n), np.nan)
-    radius = np.full((E, n), np.nan)
+    pipe = BanditPipeline(game.action_counts, eta, B_arr, eps_arr, delta, monitor_c)
+    # Epochs before actions, so a player's (E, d_i) log is contiguous when
+    # d_i = d_max.
+    shape = (n, epochs, sampler.width)
+    mixed, inner, estimates, recovered = (np.empty(shape) for _ in range(4))
+    counts = np.empty(shape, dtype=int)
+    reg_est = np.empty((epochs, n))
 
     for idx, t in enumerate(epoch_ts):
         B = int(B_arr[idx])
-        eps = float(eps_arr[idx])
-        plays = [p.begin_epoch(B, eps) for p in players]
-        for i in range(n):
-            mixed[i][idx] = plays[i]
+        play = pipe.begin_epoch()
+        mixed[:, idx] = play
+        try:
+            if not pipe.switched.any():
+                stats = sampler.epoch(rng, play, B)
+            elif B > ROUND_EPOCH_CAP:
+                raise FallbackEpochError(
+                    f"epoch t={t}: {B} rounds after a monitor switch exceed the "
+                    f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=t
+                )
+            else:
+                stats = _play_rounds(rng, sampler, pipe, B)
+        except DataError as exc:
+            raise DataError(f"epoch t={t}: {exc}") from exc
+        est = epoch_estimate(*stats)
+        estimates[:, idx] = est.estimate
+        counts[:, idx] = est.counts
+        inner[:, idx] = pipe.learner.last_inner
+        recovered[:, idx] = pipe.end_epoch(est)
+        reg_est[idx] = pipe.reg_est
 
-        if not any(p.switched for p in players):
-            ests = sampler.epoch(rng, plays, B)
-        elif B > ROUND_EPOCH_CAP:
-            raise FallbackEpochError(
-                f"epoch t={t}: {B} rounds after a monitor switch exceed the "
-                f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=t
-            )
-        else:
-            ests = _play_rounds(rng, sampler, players, B)
-
-        for i, (p, est) in enumerate(zip(players, ests)):
-            estimates[i][idx] = est.estimate
-            counts[i][idx] = est.counts
-            unsampled[idx, i] = int(est.unsampled.sum())
-            if p.switched:
-                recovered[i][idx] = np.nan
-                inner[i][idx] = np.nan
-                continue
-            inner[i][idx] = p.learner.last_inner
-            recovered[i][idx] = p.end_epoch(est)
-            reg_est[idx, i] = p.reg_est
-            radius[idx, i] = p.radius
+    # A switched player's pipeline is not logged after its switch epoch.
+    after = pipe.switched & (np.array(epoch_ts)[:, None] > pipe.switch_epoch)
+    radius = np.where(after, np.nan, pipe.radius)
+    reg_est[after] = inner[after.T] = recovered[after.T] = np.nan
+    unsampled = (counts == 0).sum(axis=2).T - (sampler.width - pipe.counts)
 
     meta = {
         "game": game.to_dict(),
@@ -592,10 +592,14 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         "monitor_c": monitor_c,
         "prng": "numpy-PCG64",
     }
+    mixed, inner, estimates, recovered, counts = (
+        [a[i, :, :d] for i, d in enumerate(game.action_counts)]
+        for a in (mixed, inner, estimates, recovered, counts)
+    )
     return BanditTrajectory(
-        meta, t_arr, B_arr, eps_arr, round_end, game.total_gap(mixed), mixed, inner,
-        estimates, recovered, counts, unsampled, reg_est, radius,
-        [p.switch_epoch for p in players],
+        meta, np.array(epoch_ts), B_arr, eps_arr, np.cumsum(B_arr), game.total_gap(mixed),
+        mixed, inner, estimates, recovered, counts, unsampled, reg_est, radius,
+        [int(e) if e else None for e in pipe.switch_epoch],
     )
 
 
@@ -662,18 +666,13 @@ def recovery_error_audit(traj: BanditTrajectory, truth: dict) -> dict:
 
     Returns the slacks (rhs - lhs), which must be nonnegative.
     """
-    E, n = traj.num_epochs, traj.n
-    slack1 = np.empty((E, n))
-    slack2 = np.empty((E, n))
-    for i in range(n):
-        delta = traj.recovered[i] - truth["inner"][i]
-        dinf = np.abs(delta).max(axis=1)
-        tD = traj.t * truth["delta_inf"][:, i]
-        tD_prev = np.concatenate([[0.0], tD[:-1]])
-        rhs1 = tD + tD_prev + 2.0 * traj.eps
-        slack1[:, i] = rhs1 - dinf
-        slack2[:, i] = 3.0 * tD**2 + 3.0 * tD_prev**2 + 12.0 * traj.eps**2 - dinf**2
-    return {"slack_first_order": slack1, "slack_second_order": slack2}
+    dinf = np.stack([np.abs(rec - u).max(axis=1)
+                     for rec, u in zip(traj.recovered, truth["inner"])], axis=1)
+    tD = traj.t[:, None] * truth["delta_inf"]
+    tD_prev = np.vstack([np.zeros((1, traj.n)), tD[:-1]])
+    eps = traj.eps[:, None]
+    return {"slack_first_order": tD + tD_prev + 2.0 * eps - dinf,
+            "slack_second_order": 3.0 * tD**2 + 3.0 * tD_prev**2 + 12.0 * eps**2 - dinf**2}
 
 
 def regret_error_bound_audit(traj: BanditTrajectory, truth: dict) -> dict:
@@ -724,7 +723,8 @@ def regret_error_bound_audit(traj: BanditTrajectory, truth: dict) -> dict:
 
 def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
                               seed=0, delta=0.05, monitor_c=4.0, epochs=50) -> dict:
-    """One player's bandit pipeline against an arbitrary environment.
+    """One player's bandit pipeline against an arbitrary environment: a
+    ``BanditPipeline`` without a row axis, planned for all ``epochs``.
 
     utility_fn(t) returns the true utility vector in [0, 1]^d used for every
     round of epoch t (``DataError`` naming t otherwise); the player observes
@@ -735,15 +735,16 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     and the true regret, computed after the loop from the logged plays and
     utility vectors.
     """
+    _check_run_args(epochs, delta)
     rng = np.random.default_rng(seed)
-    player = BanditPlayer(d, eta, delta, monitor_c)
+    ts = range(1, epochs + 1)
+    B = [schedule.epoch_length(t, d) for t in ts]
+    pipe = BanditPipeline(d, eta, B, [schedule.mixing(t) for t in ts], delta, monitor_c)
     plays = np.empty((epochs, d))
     utils = np.empty((epochs, d))
-    rows = {"t": [], "B": [], "reg_est": [], "radius": [], "threshold": []}
+    reg_est = np.empty(epochs)
 
-    for t in range(1, epochs + 1):
-        B = schedule.epoch_length(t, d)
-        eps = schedule.mixing(t)
+    for t in ts:
         v = np.asarray(utility_fn(t), dtype=float)
         if v.shape != (d,):
             raise DataError(f"epoch t={t}: environment utility vector has shape "
@@ -754,29 +755,22 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
                        else f"lie outside [0, 1]: [{lo}, {hi}]")
             raise DataError(f"epoch t={t}: environment utilities {problem}")
 
-        plays[t - 1] = play = player.begin_epoch(B, eps)
+        plays[t - 1] = play = pipe.begin_epoch()
         utils[t - 1] = v
-        counts = rng.multinomial(B, play)
-        player.end_epoch(epoch_estimate(counts, counts * v))
-
-        rows["t"].append(t)
-        rows["B"].append(B)
-        rows["reg_est"].append(player.reg_est)
-        rows["radius"].append(player.radius)
-        rows["threshold"].append(player.threshold)
-        if player.switched:
+        counts = rng.multinomial(B[t - 1], play)
+        pipe.end_epoch(epoch_estimate(counts, counts * v))
+        reg_est[t - 1] = pipe.reg_est
+        if pipe.switched:
             break
 
-    out = {k: np.array(vv) for k, vv in rows.items()}
-    E = len(out["t"])
-    B = out["B"].astype(float)
-    cum_true = np.cumsum(B[:, None] * utils[:E], axis=0)
-    earned_true = np.cumsum(B * np.vecdot(plays[:E], utils[:E]))
+    B = np.array(B[:t])
+    cum_true = np.cumsum(B[:, None] * utils[:t], axis=0)
+    earned_true = np.cumsum(B * np.vecdot(plays[:t], utils[:t]))
     return {
-        "switch_epoch": player.switch_epoch,
-        "decision": "switch" if player.switched else "continue",
-        **out,
-        "true_reg": cum_true.max(axis=1) - earned_true,
+        "switch_epoch": int(pipe.switch_epoch) if pipe.switched else None,
+        "decision": "switch" if pipe.switched else "continue",
+        "t": np.arange(1, t + 1), "B": B, "reg_est": reg_est[:t], "radius": pipe.radius[:t],
+        "threshold": pipe.threshold[:t], "true_reg": cum_true.max(axis=1) - earned_true,
     }
 
 

@@ -408,15 +408,15 @@ def _bandit_bias_se(estimator, resamples=10_000, seed=777) -> float:
                          delta=BANDIT_DELTA, epochs=5, monitor_c=np.inf)
     t = 5
     B = int(traj.B[t - 1])
-    plays = [x[t - 1] for x in traj.mixed]
+    plays = np.stack([x[t - 1] for x in traj.mixed])  # both players have d = 3
     truth_avg = bd.audit_truths(traj, game)["mixed_avg"][0][t - 1]
     sampler = bd.JointSampler(game)
     rng = np.random.default_rng(seed)
     est = np.empty((resamples, len(plays[0])))
     sums = np.empty_like(est)
     for r in range(resamples):
-        ests = sampler.epoch(rng, plays, B)
-        est[r], sums[r] = ests[0].estimate, ests[0].sums
+        counts, totals = sampler.epoch(rng, plays, B)
+        est[r], sums[r] = bd.epoch_estimate(counts[0], totals[0]).estimate, totals[0]
     if estimator == "epoch":
         values, truth = est, truth_avg
     else:

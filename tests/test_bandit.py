@@ -1,4 +1,8 @@
+import collections
 import dataclasses
+import functools
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -9,12 +13,11 @@ from hypothesis import strategies as st
 
 from a2l import bandit
 from a2l.bandit import (
-    BanditPlayer,
+    BanditPipeline,
     BanditTrajectory,
     DataError,
     EpochEstimate,
     EpochSchedule,
-    Exp3Fallback,
     JointSampler,
     ScheduleError,
     audit_truths,
@@ -24,7 +27,6 @@ from a2l.bandit import (
     estimate_epoch,
     estimation_error_audit,
     iw_radius,
-    mix_uniform,
     recovery_error_audit,
     regret_error_bound_audit,
     run_bandit,
@@ -73,16 +75,6 @@ def test_custom_schedule():
 
 
 # -- estimator pieces ---------------------------------------------------------
-
-
-def test_mix_uniform():
-    assert np.allclose(mix_uniform([1.0, 0.0], 1.0), [0.5, 0.5])
-    assert np.allclose(mix_uniform([0.3, 0.7], 0.0), [0.3, 0.7])
-    assert np.allclose(mix_uniform([1.0, 0.0], 0.5), [0.75, 0.25])
-    x = mix_uniform([0.9, 0.05, 0.05], 0.3)
-    assert x.min() >= 0.1 - 1e-15  # every coordinate >= eps/d
-    with pytest.raises(ValueError):
-        mix_uniform([1.0, 0.0], 1.5)
 
 
 def test_estimate_epoch_constant_rewards():
@@ -296,14 +288,14 @@ def test_iw_monitor_per_comparator_unbiased():
 
 
 def run_monitor(iw_hist, B_hist, eps_hist):
-    """Feed a player epoch estimates whose IW vectors are iw_hist."""
-    player = BanditPlayer(2, bandit_step_size(2), delta=0.05)
-    for B, eps, iw in zip(B_hist, eps_hist, iw_hist):
-        x = player.begin_epoch(B, eps)
-        counts = np.full(2, B // 2)
+    """Feed a one-row pipeline epoch estimates whose IW vectors are iw_hist."""
+    pipe = BanditPipeline([2], bandit_step_size(2), B_hist, eps_hist, delta=0.05)
+    for B, iw in zip(B_hist, iw_hist):
+        x = pipe.begin_epoch()
+        counts = np.full((1, 2), B // 2)
         sums = np.asarray(iw) * x
-        player.end_epoch(EpochEstimate(sums, counts, sums / counts, counts == 0))
-    return player
+        pipe.end_epoch(EpochEstimate(sums, counts, sums / counts, counts == 0))
+    return pipe
 
 
 def test_iw_regret_monitor_switch_rule():
@@ -311,13 +303,13 @@ def test_iw_regret_monitor_switch_rule():
     B_hist = [10, 10, 10]
     eps_hist = [1.0, 0.5, 1 / 3]
     calm = np.tile([5.0, 5.0], (3, 1))
-    player = run_monitor(calm, B_hist, eps_hist)
-    assert np.allclose(player.play, [0.5, 0.5])
-    assert not player.switched and player.switch_epoch is None
+    pipe = run_monitor(calm, B_hist, eps_hist)
+    assert np.allclose(pipe.play, [[0.5, 0.5]])
+    assert pipe.switched.tolist() == [False] and pipe.switch_epoch.tolist() == [0]
     spiked = calm.copy()
     spiked[2, 0] = 1e9
-    player = run_monitor(spiked, B_hist, eps_hist)
-    assert player.switched and player.switch_epoch == 3
+    pipe = run_monitor(spiked, B_hist, eps_hist)
+    assert pipe.switched.tolist() == [True] and pipe.switch_epoch.tolist() == [3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -331,17 +323,16 @@ def test_iw_regret_monitor_switch_rule():
 )
 def test_running_radius_equals_history_radius(coeff, power, eps_coeff, eps_power, d, epochs):
     sched = EpochSchedule.custom(coeff, power, eps_coeff, eps_power)
-    player = BanditPlayer(d, 0.1, delta=0.05, monitor_c=np.inf)
-    B_hist, eps_hist = [], []
+    B_hist = [sched.epoch_length(t, d) for t in range(1, epochs + 1)]
+    eps_hist = [sched.mixing(t) for t in range(1, epochs + 1)]
+    pipe = BanditPipeline([d], 0.1, B_hist, eps_hist, delta=0.05, monitor_c=np.inf)
     for t in range(1, epochs + 1):
-        B_hist.append(sched.epoch_length(t, d))
-        eps_hist.append(sched.mixing(t))
-        player.begin_epoch(B_hist[-1], eps_hist[-1])
-        zero = np.zeros(d)
-        player.end_epoch(EpochEstimate(zero, np.ones(d, dtype=int), zero, zero > 0))
-        ref = iw_radius(B_hist, eps_hist, d, t, 0.05)
-        assert player.radius == pytest.approx(ref, rel=1e-12)
-        assert player.rounds == sum(B_hist)
+        pipe.begin_epoch()
+        zero = np.zeros((1, d))
+        pipe.end_epoch(EpochEstimate(zero, np.ones((1, d), dtype=int), zero, zero > 0))
+        ref = iw_radius(B_hist[:t], eps_hist[:t], d, t, 0.05)
+        assert pipe.radius[t - 1, 0] == pytest.approx(ref, rel=1e-12)
+        assert pipe.rounds[t - 1] == sum(B_hist[:t])
 
 
 def environment_failing_at(t_bad, bad):
@@ -390,14 +381,14 @@ def test_environment_true_regret_equals_running_bookkeeping(monkeypatch, d, util
                                                             coeff, monitor_c):
     # true_reg, computed after the loop, equals the running sums kept in it
     plays = []
-    begin = BanditPlayer.begin_epoch
+    begin = BanditPipeline.begin_epoch
 
-    def spy(self, B, eps):
-        play = begin(self, B, eps)
+    def spy(self):
+        play = begin(self)
         plays.append(play.copy())
         return play
 
-    monkeypatch.setattr(BanditPlayer, "begin_epoch", spy)
+    monkeypatch.setattr(BanditPipeline, "begin_epoch", spy)
     sched = EpochSchedule.custom(coeff=coeff, power=0.0, eps_coeff=0.5, eps_power=0.0)
     res = run_bandit_vs_environment(d, utility_fn, sched, eta=1.0 / 12, seed=3,
                                     monitor_c=monitor_c, epochs=6000 if d == 2 else 300)
@@ -422,14 +413,20 @@ def test_environment_run_stops_in_its_switch_epoch():
 
 
 def test_exp3_fallback_learns():
+    # monitor_c = -inf switches the row in epoch 1; from epoch 2 it plays
+    # Exp3 from its first round
     rng = np.random.default_rng(1)
-    lrn = Exp3Fallback(3)
+    pipe = BanditPipeline([3], 0.1, [1, 3000], [1.0, 1.0], monitor_c=-np.inf)
+    pipe.begin_epoch()
+    pipe.end_epoch(epoch_estimate(np.zeros((1, 3), dtype=int), np.zeros((1, 3))))
+    assert pipe.switched.tolist() == [True] and pipe.exp3_rounds.tolist() == [0]
+    pipe.begin_epoch()
     u = np.array([0.1, 0.9, 0.2])
     for _ in range(3000):
-        p = lrn.next_strategy()
+        p = pipe.round_strategy()[0]
         a = int(rng.choice(3, p=p))
-        lrn.observe_reward(a, u[a])
-    assert lrn.next_strategy()[1] > 0.8
+        pipe.observe_round([a], [u[a]])
+    assert pipe.round_strategy()[0][1] > 0.8
 
 
 def test_csv_lines():
@@ -480,12 +477,16 @@ def test_joint_sampler_has_the_law_of_per_round_draws(monkeypatch, n, d, branch)
     assert (sampler.tables is None) == (branch == "chunks")
     rng = np.random.default_rng(12)
     plays = [rng.dirichlet(np.ones(k)) for k in game.action_counts]
+    stacked = np.zeros((n, sampler.width))
+    for i, x in enumerate(plays):
+        stacked[i, : len(x)] = x
     B, reps = 40, 3000
     joint = [[np.empty((reps, k)) for k in game.action_counts] for _ in range(2)]
     for r in range(reps):
-        ests = sampler.epoch(rng, plays, B)
-        for i, est in enumerate(ests):
-            joint[0][i][r], joint[1][i][r] = est.counts, est.sums
+        counts, sums = sampler.epoch(rng, stacked, B)
+        assert not counts[stacked == 0].any() and not sums[stacked == 0].any()
+        for i, k in enumerate(game.action_counts):
+            joint[0][i][r], joint[1][i][r] = counts[i, :k], sums[i, :k]
     ref = per_round_statistics(game, plays, B, reps, rng)
     for a_stat, b_stat in zip(joint, ref):
         for a, b in zip(a_stat, b_stat):
@@ -541,8 +542,39 @@ def test_out_of_range_rewards_raise(monkeypatch, cap):
     monkeypatch.setattr(bandit, "CELL_CAP", cap)
     big = np.array([[3.0, 0.0], [0.0, 0.0]])
     game = PolymatrixGame((2, 2), {(0, 1): big, (1, 0): -big.T}, zero_sum=True)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"^epoch t=2: player 0: rewards outside \[0, 1\] "
+                                        r"after normalization: \[0\.5, 2\.0\]$"):
         run_bandit(game, EpochSchedule.theory(), epochs=6, seed=0)
+
+
+@pytest.mark.parametrize("cap, seed, t", [(bandit.CELL_CAP, 1, 4), (0, 0, 3)])
+def test_out_of_range_reward_in_a_per_round_epoch_names_epoch_and_player(monkeypatch, cap,
+                                                                        seed, t):
+    # Only player 1 is paid outside [0, 1], at the action pair (1, 1).  The
+    # monitor switches in epoch 1, whose one round misses that pair, so the
+    # run meets it in a per-round epoch.
+    monkeypatch.setattr(bandit, "CELL_CAP", cap)
+    big = np.array([[0.0, 0.0], [0.0, 3.0]])
+    game = PolymatrixGame((2, 2), {(0, 1): np.zeros((2, 2)), (1, 0): big}, zero_sum=False)
+    sched = EpochSchedule.custom(coeff=1, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    with pytest.warns(UserWarning), pytest.raises(DataError,
+                                                  match=f"^epoch t={t}: player 1: rewards"):
+        run_bandit(game, sched, epochs=20, seed=seed, monitor_c=-1e9)
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"epochs": 0}, "epochs"),
+    ({"epochs": -1}, "epochs"),
+    ({"delta": 0.0}, "delta"),
+    ({"delta": 1.0}, "delta"),
+    ({"delta": np.nan}, "delta"),
+])
+def test_bad_run_arguments_are_refused_by_name(kw, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        quiet_run(**kw)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        run_bandit_vs_environment(2, lambda t: np.array([0.2, 0.7]), EpochSchedule.theory(),
+                                  eta=0.1, **kw)
 
 
 def test_epoch_length_beyond_int64_names_the_epoch():
@@ -566,12 +598,17 @@ def test_post_switch_epoch_beyond_the_cap_names_the_epoch():
     assert err.value.epoch == 2
 
 
-# -- the per-round path after a monitor switch ---------------------------------
+# -- the per-player reference ---------------------------------------------------
+#
+# The bandit pipeline as it ran before its players were stacked: one
+# ReferencePlayer per player, each with its own A2L(OMWU(d_i)), scalar
+# monitor sums and Exp3 learner, a per-player epoch loop, and one
+# rng.choice per player and round after a switch.
 
 
 class ReferenceExp3:
-    """``Exp3Fallback`` with numpy's log and sqrt every round and a zeros
-    temporary per update."""
+    """The per-player Exp3 fallback, eta = sqrt(log d / (d t)), with numpy's
+    log and sqrt every round and a zeros temporary per update."""
 
     def __init__(self, d):
         self.d = d
@@ -591,6 +628,77 @@ class ReferenceExp3:
         self.t += 1
 
 
+class ReferencePlayer:
+    """One player's epoch pipeline: reduction, IW monitor, Exp3 fallback."""
+
+    def __init__(self, d, eta, delta, monitor_c):
+        self.d = d
+        self.learner = A2L(OMWU(d, eta))
+        self.delta = delta
+        self.monitor_c = monitor_c
+        self.t = 0
+        self.rounds = 0
+        self.spread = 0.0
+        self.cum_iw = np.zeros(d)
+        self.earned_iw = 0.0
+        self.reg_est = 0.0
+        self.radius = None
+        self.threshold = None
+        self.play = None
+        self.fallback = None
+        self.switch_epoch = None
+
+    @property
+    def switched(self):
+        return self.fallback is not None
+
+    def begin_epoch(self, B, eps):
+        self.t += 1
+        self.rounds += B
+        self.spread += B * (self.d / eps) ** 2
+        self.radius = 4.0 * math.sqrt(self.spread) * np.log(
+            np.pi**2 * self.d * self.t * self.t / (3.0 * self.delta))
+        self.threshold = self.monitor_c * self.rounds ** 0.8
+        if self.fallback is None:
+            avg = self.learner.next_strategy()
+            self.play = (1.0 - eps) * avg + eps / avg.size
+        else:
+            self.play = self.fallback.next_strategy().copy()
+        return self.play
+
+    def round_strategy(self):
+        return self.play if self.fallback is None else self.fallback.next_strategy()
+
+    def observe_round(self, action, reward01):
+        if self.fallback is not None:
+            self.fallback.observe_reward(action, reward01)
+
+    def end_epoch(self, est):
+        uhat = self.learner.observe(est.estimate)
+        iw = est.sums / self.play
+        self.cum_iw += iw
+        self.earned_iw += float(iw @ self.play)
+        self.reg_est = self.cum_iw.max() - self.earned_iw
+        if self.reg_est > self.threshold + self.radius:
+            self.fallback = ReferenceExp3(self.d)
+            self.switch_epoch = self.t
+        return uhat
+
+
+def reference_epoch(sampler, rng, plays, B):
+    """A pre-switch epoch from the joint counts, one estimate per player."""
+    assert sampler.tables is not None
+    N = rng.multinomial(B, functools.reduce(np.multiply.outer, plays).ravel())
+    N = N.reshape(sampler.dims)
+    n = len(sampler.dims)
+    ests = []
+    for i in range(n):
+        others = tuple(k for k in range(n) if k != i)
+        ests.append(epoch_estimate(N.sum(axis=others),
+                                   (N * sampler.tables[i]).sum(axis=others)))
+    return ests
+
+
 def reference_play_rounds(rng, sampler, players, B):
     """A post-switch epoch with one ``rng.choice`` per player and round."""
     dims = sampler.dims
@@ -605,11 +713,57 @@ def reference_play_rounds(rng, sampler, players, B):
     return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
 
 
-def reference_run(monkeypatch, **kw):
-    with monkeypatch.context() as m:
-        m.setattr(bandit, "_play_rounds", reference_play_rounds)
-        m.setattr(bandit, "Exp3Fallback", ReferenceExp3)
-        return quiet_run(**kw)
+def reference_run(game=None, schedule=EpochSchedule.theory(), eta=None, seed=0,
+                  delta=0.05, epochs=12, monitor_c=4.0):
+    """``run_bandit`` with one ReferencePlayer per player."""
+    game = small_game() if game is None else game
+    n = game.n
+    eta = bandit_step_size(n) if eta is None else eta
+    rng = np.random.default_rng(seed)
+    sampler = JointSampler(game)
+    dims = game.action_counts
+    players = [ReferencePlayer(d, eta, delta, monitor_c) for d in dims]
+    ts = range(1, epochs + 1)
+    B_arr = np.array([schedule.epoch_length(t, game.dimensionality) for t in ts],
+                     dtype=np.int64)
+    eps_arr = np.array([schedule.mixing(t) for t in ts])
+    mixed, inner, estimates, recovered = ([np.empty((epochs, d)) for d in dims]
+                                          for _ in range(4))
+    counts = [np.empty((epochs, d), dtype=int) for d in dims]
+    unsampled = np.zeros((epochs, n), dtype=int)
+    reg_est = np.full((epochs, n), np.nan)
+    radius = np.full((epochs, n), np.nan)
+    for idx in range(epochs):
+        B, eps = int(B_arr[idx]), float(eps_arr[idx])
+        plays = [p.begin_epoch(B, eps) for p in players]
+        for i in range(n):
+            mixed[i][idx] = plays[i]
+        if not any(p.switched for p in players):
+            ests = reference_epoch(sampler, rng, plays, B)
+        else:
+            ests = reference_play_rounds(rng, sampler, players, B)
+        for i, (p, est) in enumerate(zip(players, ests)):
+            estimates[i][idx] = est.estimate
+            counts[i][idx] = est.counts
+            unsampled[idx, i] = int(est.unsampled.sum())
+            if p.switched:
+                recovered[i][idx] = inner[i][idx] = np.nan
+                continue
+            inner[i][idx] = p.learner.last_inner
+            recovered[i][idx] = p.end_epoch(est)
+            reg_est[idx, i] = p.reg_est
+            radius[idx, i] = p.radius
+    meta = {
+        "game": game.to_dict(), "game_name": game.name, "schedule": schedule.to_dict(),
+        "eta": eta, "seed": seed, "delta": delta, "epochs": epochs,
+        "certified": schedule.certified and eta <= bandit_step_size(n) + 1e-12,
+        "monitor_c": monitor_c, "prng": "numpy-PCG64",
+    }
+    return BanditTrajectory(
+        meta, np.array(ts), B_arr, eps_arr, np.cumsum(B_arr), game.total_gap(mixed),
+        mixed, inner, estimates, recovered, counts, unsampled, reg_est, radius,
+        [p.switch_epoch for p in players],
+    )
 
 
 def assert_same_trajectory(a, b):
@@ -642,14 +796,101 @@ SWITCHING_RUNS = {
 
 
 @pytest.mark.parametrize("name", list(SWITCHING_RUNS))
-def test_switching_runs_equal_the_per_round_choice_loop(monkeypatch, name):
+def test_switching_runs_equal_the_per_round_choice_loop(name):
     kw, switch_epochs = SWITCHING_RUNS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the custom schedules are uncertified
-        want = reference_run(monkeypatch, **kw)
+        want = reference_run(**kw)
         got = quiet_run(**kw)
     assert got.switch_epoch == switch_epochs
     assert_same_trajectory(got, want)
+
+
+# -- the stacked pipeline against the per-player reference ---------------------
+
+
+def random_game(counts, seed):
+    """A pairwise zero-sum game on the complete graph with payoffs uniform
+    in [-1, 1]; unlike ``generate_game`` it allows one-action players."""
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for i, j in itertools.combinations(range(len(counts)), 2):
+        a = rng.uniform(-1.0, 1.0, size=(counts[i], counts[j]))
+        edges[(i, j)], edges[(j, i)] = a, -a.T
+    return PolymatrixGame(tuple(counts), edges, zero_sum=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+    game_seed=st.integers(0, 2**16),
+    coeff=st.floats(1.0, 40.0),
+    power=st.floats(0.0, 1.5),
+    eps_coeff=st.floats(0.05, 1.0),
+    eps_power=st.floats(-1.0, 0.0),
+    monitor_c=st.one_of(st.sampled_from([np.inf, 4.0, -1e9]),
+                        st.floats(1.0, 3.0).map(lambda e: -(10**e))),
+    epochs=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_pipeline_equals_the_per_player_reference(counts, game_seed, coeff, power,
+                                                          eps_coeff, eps_power, monitor_c,
+                                                          epochs, seed):
+    kw = dict(game=random_game(counts, game_seed), epochs=epochs, seed=seed,
+              schedule=EpochSchedule.custom(coeff, power, eps_coeff, eps_power),
+              monitor_c=monitor_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = reference_run(**kw)
+        got = quiet_run(**kw)
+    assert_same_trajectory(got, want)
+
+
+@pytest.mark.parametrize("monitor_c", [np.inf, -50.0])
+def test_wide_padded_rows_stay_within_rounding_of_the_reference(monitor_c):
+    # With d_max >= 8, numpy sums a row's trailing axis in eight interleaved
+    # partial sums, so a row padded with zeros adds its entries in another
+    # order than the player's own (d_i,) array: softmax normalizers and IW
+    # values may differ in the last bits.  Counts and switch epochs stay
+    # equal, and every float within 1e-12.
+    kw = dict(game=random_game((9, 3, 5), 2), epochs=10, seed=0, monitor_c=monitor_c,
+              schedule=EpochSchedule.custom(coeff=60, power=1.0, eps_coeff=0.5, eps_power=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = reference_run(**kw)
+        got = quiet_run(**kw)
+    assert got.switch_epoch == want.switch_epoch
+    assert (monitor_c < 0) == any(got.switch_epoch)
+
+    def pairs(name):
+        x, y = getattr(got, name), getattr(want, name)
+        return zip(x, y) if isinstance(x, list) else [(x, y)]
+
+    for name in ("counts", "unsampled"):
+        assert all(np.array_equal(u, v) for u, v in pairs(name)), name
+    for name in ("mixed", "inner", "estimates", "recovered", "reg_est", "radius",
+                 "tgap_mixed"):
+        for u, v in pairs(name):
+            np.testing.assert_allclose(u, v, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_one_pre_switch_epoch_is_one_stacked_reduction_step(monkeypatch, n):
+    # no Python loop over players: one epoch of n players makes one
+    # A2L.next_strategy call and one A2L.observe call
+    calls = collections.Counter()
+    for name in ("next_strategy", "observe"):
+        def spy(self, *args, _name=name, _method=getattr(A2L, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(A2L, name, spy)
+    traj = run_bandit(generate_game("random_zs", n=n, d=3, seed=1), EpochSchedule.theory(),
+                      epochs=1, seed=0, monitor_c=np.inf)
+    assert traj.n == n
+    assert calls == {"next_strategy": 1, "observe": 1}
+
+
+# -- the per-round path after a monitor switch ---------------------------------
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 30])
@@ -660,7 +901,7 @@ def test_chunked_draws_cross_chunk_boundaries_like_choice(monkeypatch, chunk):
     kw, _ = SWITCHING_RUNS["forced in epoch 1"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        want = reference_run(monkeypatch, **kw)
+        want = reference_run(**kw)
         monkeypatch.setattr(bandit, "CHUNK_ROUNDS", chunk)
         got = quiet_run(**kw)
     assert got.B.tolist() == [30] * 5
