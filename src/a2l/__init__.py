@@ -11,7 +11,7 @@ from .dynamics import (
 )
 from .fisher import FisherMarket, run_a2l_prd, run_prd, verify_ce
 from .games import PolymatrixGame, generate_game, load_game, save_game
-from .learners import MWU, OMWU, LearnerState, mwu_next, omwu_next, rvu_diagnostic
+from .learners import MWU, OMWU, mwu_next, omwu_next, rvu_diagnostic
 from .reduction import A2L, ProtocolError
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "EpochSchedule",
     "FisherMarket",
     "LearnerSpec",
-    "LearnerState",
     "MWU",
     "OMWU",
     "PolymatrixGame",

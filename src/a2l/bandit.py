@@ -21,13 +21,14 @@ inner iterate,
 
 are the package's one reduction, ``reduction.A2L``, wrapped around OMWU
 and fed Uhat^t once per epoch.  An importance-weighted regret monitor
-passes a player to a safe round-by-round learner once its regret estimate
-exceeds c * T_t^{4/5} beyond a confidence radius (T_t the cumulative round
-count; monitor_c = inf never switches).  ``BanditPipeline`` runs this
-pipeline for all players as the rows of one stacked state of shape
-(n, d_max): one ``A2L(OMWU)``, per-row monitor sums and a per-row switch
-mask, with each player's actions beyond its own count padded to exact
-zeros.  ``run_bandit`` drives it on a game; ``run_bandit_vs_environment``
+passes a player to Exp3 (``learners.AnytimeMWU`` on importance-weighted
+rewards, learning round by round) once its regret estimate exceeds
+c * T_t^{4/5} beyond a confidence radius (T_t the cumulative round count;
+monitor_c = inf never switches).  ``BanditPipeline`` runs this pipeline
+for all players as the rows of one stacked state of shape (n, d_max): one
+``A2L(OMWU)``, per-row monitor sums, one ``AnytimeMWU`` and a per-row
+switch mask, with each player's actions beyond its own count padded to
+exact zeros.  ``run_bandit`` drives it on a game; ``run_bandit_vs_environment``
 is its single-player use, without a row axis, against an environment.
 
 Sampling: the estimator and the monitor need only each player's per-action
@@ -68,7 +69,7 @@ import numpy as np
 
 from .csvrows import _csv_lines
 from .games import PolymatrixGame
-from .learners import OMWU, padding, softmax
+from .learners import OMWU, AnytimeMWU, padding
 from .reduction import A2L
 
 
@@ -341,8 +342,9 @@ class BanditPipeline:
     (E, ...) and ``threshold`` (E,) hold them for every epoch; per epoch it
     adds to per-row sums of IW utility vectors and of their value under the
     played strategies.  A row whose reg_est exceeds threshold + radius plays
-    Exp3 (IW MWU, eta = sqrt(log d_i / (d_i s)) in its s-th round) for good,
-    learning round by round (``round_strategy``, ``observe_round``; rows
+    its row of ``fallback`` for good: Exp3, an ``AnytimeMWU`` with scale d_i
+    that is restarted at the row's switch and fed one importance-weighted
+    reward vector per round (``round_strategy``, ``observe_round``; rows
     only).  ``switched`` marks those rows and ``switch_epoch`` holds their
     switch epochs (0 for the others); their reduction and monitor run on
     unread.
@@ -379,17 +381,10 @@ class BanditPipeline:
         self.switched = np.zeros(self.counts.shape, dtype=bool)
         self.switch_epoch = np.zeros(self.counts.shape, dtype=int)
         self._switched_rows = []
-        # Exp3 state.  A row learns only once it has switched, so it is
-        # still fresh when it does.
-        self.exp3_cum = np.zeros(self.cum_iw.shape)
-        self.exp3_rounds = np.zeros(self.counts.shape, dtype=int)
-        self._log_d = np.log(np.maximum(col, 2))
+        # Exp3: restarted at a row's switch, so a row learns only once it
+        # has switched.
+        self.fallback = AnytimeMWU(col, scale=self._d)
         self._p = None
-
-    def _exp3_strategy(self) -> np.ndarray:
-        z = np.sqrt(self._log_d / (self._d * (self.exp3_rounds[..., None] + 1))) * self.exp3_cum
-        self._p = softmax(z if self.pad is None else z + self.pad)
-        return self._p
 
     def begin_epoch(self) -> np.ndarray:
         """Start the next epoch; returns the strategies played in it (a
@@ -400,21 +395,24 @@ class BanditPipeline:
         if self.pad is not None:
             play = np.where(self.pad < 0, 0.0, play)
         if self._switched_rows:
-            play = np.where(self.switched[..., None], self._exp3_strategy(), play)
+            play = np.where(self.switched[..., None], self.fallback.next_strategy(), play)
         self.play = play
         return play
 
     def round_strategy(self) -> np.ndarray:
         """Strategies for the next round of the per-round path."""
-        return np.where(self.switched[..., None], self._exp3_strategy(), self.play)
+        self._p = self.fallback.next_strategy()
+        return np.where(self.switched[..., None], self._p, self.play)
 
     def observe_round(self, actions, rewards01) -> None:
         """One round's actions and [0, 1] rewards, one per row; only the
-        switched rows learn within an epoch."""
+        switched rows learn within an epoch, from the importance-weighted
+        reward r / p at the drawn action."""
+        iw = np.zeros(self._p.shape)
         for i in self._switched_rows:
             a = actions[i]
-            self.exp3_cum[i, a] += rewards01[i] / self._p[i, a]
-            self.exp3_rounds[i] += 1
+            iw[i, a] = rewards01[i] / self._p[i, a]
+        self.fallback.observe(iw)
 
     def end_epoch(self, est: EpochEstimate) -> np.ndarray:
         """Feed the epoch's estimate; returns uhat^t."""
@@ -433,6 +431,7 @@ class BanditPipeline:
             self.switched = self.switched | new
             self.switch_epoch = np.where(new, self.t, self.switch_epoch)
             self._switched_rows = np.flatnonzero(self.switched).tolist()
+            self.fallback.restart(new)
         return uhat
 
 
@@ -444,7 +443,7 @@ class BanditTrajectory:
     t: np.ndarray
     B: np.ndarray
     eps: np.ndarray
-    round_end: np.ndarray          # cumulative rounds T_t
+    round_end: np.ndarray          # cumulative rounds T_t, float64
     tgap_mixed: np.ndarray         # total gap of the played mixed profile
     mixed: list                    # per player (E, d_i) played strategies
     inner: list                    # per player (E, d_i) inner OMWU iterates
@@ -597,7 +596,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         for a in (mixed, inner, estimates, recovered, counts)
     )
     return BanditTrajectory(
-        meta, np.array(epoch_ts), B_arr, eps_arr, np.cumsum(B_arr), game.total_gap(mixed),
+        meta, np.array(epoch_ts), B_arr, eps_arr, pipe.rounds, game.total_gap(mixed),
         mixed, inner, estimates, recovered, counts, unsampled, reg_est, radius,
         [int(e) if e else None for e in pipe.switch_epoch],
     )

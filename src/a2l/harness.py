@@ -201,6 +201,13 @@ def validate_config(cfg: ExperimentConfig) -> list:
     if cfg.mode == "gradient":
         learner["algo"] = cfg.algo
     errors += _learner_errors(learner)
+    # A field the mode does not read is refused rather than dropped.
+    if cfg.mode == "gradient" and cfg.monitor_c != ExperimentConfig.monitor_c:
+        errors.append("monitor_c is not read in gradient mode: set players[i].monitor_c "
+                      "for each guarded-a2l-omwu player")
+    if cfg.mode == "bandit" and cfg.players is not None:
+        errors.append("players is not read in bandit mode: every player runs the top-level "
+                      "eta and monitor_c")
     if not (_number(cfg.delta) and 0.0 < cfg.delta < 1.0):
         errors.append(f"delta must be a number in (0, 1), got {cfg.delta!r}")
     if not isinstance(cfg.certified, bool):

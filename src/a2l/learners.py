@@ -12,21 +12,25 @@ and the optimistic variant OMWU counts the most recent utility twice:
 
     x^t[a] ~ exp( eta * ( sum_{k < t} u^k[a] + u^{t-1}[a] ) )
 
-with u^0 := 0, so both start uniform.  States store cumulative utilities
-rather than log-weights, and the exponent is max-shifted before
-exponentiation, so long runs neither drift nor overflow.
+with u^0 := 0, so both start uniform.  ``MWU`` is the one class of the
+family: it holds the state, and ``OMWU`` and ``AnytimeMWU`` (decaying step,
+the fallback of the gradient monitor and, fed importance-weighted rewards,
+the bandit's Exp3) are its subclasses.  Every one of them plays through
+``mwu_next`` or ``omwu_next`` and learns through ``advance``.  States store
+cumulative utilities rather than log-weights, and the exponent is
+max-shifted before exponentiation, so long runs neither drift nor overflow.
 
 The math is written once over arrays with a trailing action axis: a state
 and its feedback may have shape (..., d), where the leading axes index
-independent rows (seeds, games of one shape, or players) that share the
-round counter.  A state starts with shape (d,) and takes the batch shape of
-its first utility array, so one learner object runs a whole batch with the
-same code as a single run.  Parameters may differ by row: the step size is
-a scalar or an array that broadcasts against the state (say (n, 1) for one
-step size per player), and the bias may carry -inf at actions a row does
-not have, so rows of different action counts share one padded width and
-get exact zeros there.  Inputs are validated on the last axis, and the
-finiteness check covers the whole array.
+independent rows (seeds, games of one shape, or players).  A state starts
+with shape (d,) and takes the batch shape of its first utility array, so
+one learner object runs a whole batch with the same code as a single run.
+Parameters may differ by row: the step size is a scalar or an array that
+broadcasts against the state (say (n, 1) for one step size per player),
+and the bias may carry -inf at actions a row does not have, so rows of
+different action counts share one padded width and get exact zeros there.
+Inputs are validated on the last axis, and the finiteness check covers the
+whole array.
 
 ``rvu_diagnostic`` evaluates the regret-bounded-by-variation-in-utilities
 inequality for OMWU trajectories:
@@ -39,8 +43,6 @@ where regret compares against the best fixed action in hindsight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -50,38 +52,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     w = np.exp(z - z.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     return w
-
-
-@dataclass
-class LearnerState:
-    """State shared by the multiplicative-weights family.
-
-    cum_utils holds sum_{k <= t} u^k and last_util holds u^t, both zero
-    before any feedback; both have shape (d,) or, once batched feedback has
-    arrived, (..., d).  ``eta`` is a scalar or a per-row array.  ``bias``
-    is an optional fixed log-weight offset that moves the initial strategy
-    away from uniform (softmax of ``bias`` at t = 0), of shape (d,) or per
-    row (..., d); it defaults to None, i.e. a uniform start.
-    """
-
-    d: int
-    eta: float | np.ndarray
-    cum_utils: np.ndarray = None
-    last_util: np.ndarray = None
-    t: int = 0
-    bias: np.ndarray = None
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.eta) > 0):
-            raise ValueError(f"step size must be positive, got {self.eta}")
-        if self.cum_utils is None:
-            self.cum_utils = np.zeros(self.d)
-        if self.last_util is None:
-            self.last_util = np.zeros(self.d)
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=float)
-            if self.bias.ndim == 0 or self.bias.shape[-1] != self.d:
-                raise ValueError("bias must have one entry per action")
 
 
 def padding(counts):
@@ -96,56 +66,63 @@ def padding(counts):
     return np.where(np.arange(counts.max()) < counts, 0.0, -np.inf)
 
 
-def mwu_next(state: LearnerState) -> np.ndarray:
-    z = state.eta * state.cum_utils
-    if state.bias is not None:
-        z = z + state.bias
+def mwu_next(lrn: MWU) -> np.ndarray:
+    z = lrn.eta * lrn.cum_utils
+    if lrn.bias is not None:
+        z = z + lrn.bias
     return softmax(z)
 
 
-def omwu_next(state: LearnerState, rows=True) -> np.ndarray:
+def omwu_next(lrn: MWU, rows=True) -> np.ndarray:
     """OMWU's strategy.  ``rows``, a 0/1 array that broadcasts like a
     per-row eta, limits the optimism to the rows marked 1; the rows marked
     0 get exactly MWU's strategy."""
-    last = state.last_util if rows is True else rows * state.last_util
-    z = state.eta * (state.cum_utils + last)
-    if state.bias is not None:
-        z = z + state.bias
+    last = lrn.last_util if rows is True else rows * lrn.last_util
+    z = lrn.eta * (lrn.cum_utils + last)
+    if lrn.bias is not None:
+        z = z + lrn.bias
     return softmax(z)
 
 
-def advance(state: LearnerState, u) -> None:
+def advance(lrn: MWU, u) -> None:
     u = np.asarray(u, dtype=float)
-    if u.ndim == 0 or u.shape[-1] != state.d:
-        raise ValueError(f"utility vector has shape {u.shape}, expected (..., {state.d})")
+    if u.ndim == 0 or u.shape[-1] != lrn.d:
+        raise ValueError(f"utility vector has shape {u.shape}, expected (..., {lrn.d})")
     if not np.isfinite(u).all():
         raise ValueError("utility vector has non-finite entries")
-    state.cum_utils = state.cum_utils + u
-    state.last_util = u
-    state.t += 1
+    lrn.cum_utils = lrn.cum_utils + u
+    lrn.last_util = u
 
 
 class MWU:
-    """Multiplicative weights update under the pull/push contract."""
+    """Multiplicative weights update under the pull/push contract.
 
-    optimistic = False
+    cum_utils holds sum_{k <= t} u^k and last_util holds u^t, both zero
+    before any feedback; both have shape (d,) or, once batched feedback has
+    arrived, (..., d).  ``eta`` is a scalar or a per-row array.  ``bias``
+    is an optional fixed log-weight offset that moves the initial strategy
+    away from uniform (softmax of ``bias`` at t = 0), of shape (d,) or per
+    row (..., d); None means a uniform start.
+    """
 
     def __init__(self, d, eta, bias=None):
-        self.state = LearnerState(d=d, eta=eta, bias=bias)
-
-    @property
-    def d(self):
-        return self.state.d
-
-    @property
-    def eta(self):
-        return self.state.eta
+        if not np.all(np.asarray(eta) > 0):
+            raise ValueError(f"step size must be positive, got {eta}")
+        if bias is not None:
+            bias = np.asarray(bias, dtype=float)
+            if bias.ndim == 0 or bias.shape[-1] != d:
+                raise ValueError("bias must have one entry per action")
+        self.d = d
+        self.eta = eta
+        self.bias = bias
+        self.cum_utils = np.zeros(d)
+        self.last_util = np.zeros(d)
 
     def next_strategy(self) -> np.ndarray:
-        return mwu_next(self.state)
+        return mwu_next(self)
 
     def observe(self, u) -> None:
-        advance(self.state, u)
+        advance(self, u)
 
 
 class OMWU(MWU):
@@ -155,42 +132,39 @@ class OMWU(MWU):
     one state.
     """
 
-    optimistic = True
-
     def __init__(self, d, eta, bias=None, rows=True):
         super().__init__(d, eta, bias=bias)
         self.rows = rows
 
     def next_strategy(self) -> np.ndarray:
-        return omwu_next(self.state, self.rows)
+        return omwu_next(self, self.rows)
 
 
-class AnytimeMWU:
-    """MWU with the horizon-free decaying step size eta_t = sqrt(log d / t).
-
-    Standard O(sqrt(T))-regret fallback; used after a robustness switch.
+class AnytimeMWU(MWU):
+    """MWU with the horizon-free step eta = sqrt(log d / (scale s)) in a
+    row's s-th round: the O(sqrt(T))-regret fallback, with scale = 1 for
+    full feedback and, as Exp3, scale = d on importance-weighted rewards.
     ``d`` is an action count or an integer array of per-row counts, as in
-    ``padding``; rows are then padded to the largest count.  Each row keeps
-    its own round count, and ``restart`` starts chosen rows afresh.
+    ``padding`` (unequal counts are padded to the largest; ``scale``
+    broadcasts like them).  Each row keeps its own round count, and
+    ``restart`` starts chosen rows afresh.
     """
 
-    def __init__(self, d):
+    def __init__(self, d, scale=1):
         counts = np.asarray(d)
-        self.d = int(counts.max())
         self.log_d = np.log(np.maximum(counts, 2))
-        self.pad = padding(counts) if counts.ndim else None
-        self.cum_utils = np.zeros(self.d)
+        self.scale = scale
         self.t = np.zeros((), dtype=int)
+        pad = counts.ndim and counts.min() < counts.max()
+        super().__init__(int(counts.max()), np.sqrt(self.log_d / scale),
+                         bias=padding(counts) if pad else None)
 
     def next_strategy(self) -> np.ndarray:
-        eta = np.sqrt(self.log_d / (self.t[..., None] + 1))
-        z = eta * self.cum_utils
-        if self.pad is not None:
-            z = z + self.pad
-        return softmax(z)
+        self.eta = np.sqrt(self.log_d / (self.scale * (self.t[..., None] + 1)))
+        return mwu_next(self)
 
     def observe(self, u) -> None:
-        self.cum_utils = self.cum_utils + np.asarray(u, dtype=float)
+        advance(self, u)
         self.t = self.t + 1
 
     def restart(self, rows) -> None:

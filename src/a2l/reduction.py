@@ -82,12 +82,7 @@ class A2L:
     """
 
     def __init__(self, inner, weights="uniform", rows=True):
-        if callable(weights):
-            self._weight = weights
-            self.weights = getattr(weights, "__name__", "custom")
-        else:
-            self._weight = _weight_rule(weights)
-            self.weights = weights if isinstance(weights, str) else tuple(weights)
+        self._weight = weights if callable(weights) else _weight_rule(weights)
         self.inner = inner
         self.rows = rows
         self.t = 0
@@ -102,10 +97,6 @@ class A2L:
     @property
     def d(self):
         return self.inner.d
-
-    @property
-    def eta(self):
-        return getattr(self.inner, "eta", None)
 
     def next_strategy(self) -> np.ndarray:
         if self._awaiting:

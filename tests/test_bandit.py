@@ -33,7 +33,7 @@ from a2l.bandit import (
     run_bandit_vs_environment,
 )
 from a2l.games import PolymatrixGame, generate_game
-from a2l.learners import OMWU, softmax
+from a2l.learners import OMWU, AnytimeMWU, softmax
 from a2l.reduction import A2L
 
 
@@ -419,7 +419,7 @@ def test_exp3_fallback_learns():
     pipe = BanditPipeline([3], 0.1, [1, 3000], [1.0, 1.0], monitor_c=-np.inf)
     pipe.begin_epoch()
     pipe.end_epoch(epoch_estimate(np.zeros((1, 3), dtype=int), np.zeros((1, 3))))
-    assert pipe.switched.tolist() == [True] and pipe.exp3_rounds.tolist() == [0]
+    assert pipe.switched.tolist() == [True] and pipe.fallback.t.tolist() == [0]
     pipe.begin_epoch()
     u = np.array([0.1, 0.9, 0.2])
     for _ in range(3000):
@@ -586,6 +586,16 @@ def test_epoch_length_beyond_int64_names_the_epoch():
         EpochSchedule.custom(coeff=1, power=1000.0).epoch_length(3, 2)
     with pytest.warns(UserWarning), pytest.raises(ScheduleError, match="t=5"):
         run_bandit(small_game(), sched, epochs=6)
+
+
+def test_round_end_counts_rounds_past_int64():
+    # T_3 = 1.2e19 passes 2^63 - 1: an int64 cumulative sum of B_t wraps
+    # negative there, the logged count stays exact
+    sched = EpochSchedule.custom(coeff=4e18, power=0.0)
+    with pytest.warns(UserWarning):
+        traj = run_bandit(small_game(), sched, epochs=3, seed=0, monitor_c=np.inf)
+    assert traj.round_end.dtype == np.float64
+    assert traj.round_end.tolist() == [4e18, 8e18, 12e18]
 
 
 def test_post_switch_epoch_beyond_the_cap_names_the_epoch():
@@ -760,7 +770,8 @@ def reference_run(game=None, schedule=EpochSchedule.theory(), eta=None, seed=0,
         "monitor_c": monitor_c, "prng": "numpy-PCG64",
     }
     return BanditTrajectory(
-        meta, np.array(ts), B_arr, eps_arr, np.cumsum(B_arr), game.total_gap(mixed),
+        meta, np.array(ts), B_arr, eps_arr,
+        np.array(list(itertools.accumulate(B_arr.tolist())), dtype=float), game.total_gap(mixed),
         mixed, inner, estimates, recovered, counts, unsampled, reg_est, radius,
         [p.switch_epoch for p in players],
     )
@@ -804,6 +815,33 @@ def test_switching_runs_equal_the_per_round_choice_loop(name):
         got = quiet_run(**kw)
     assert got.switch_epoch == switch_epochs
     assert_same_trajectory(got, want)
+
+
+def test_anytime_mwu_is_the_per_player_exp3_row_by_row():
+    # One AnytimeMWU over padded rows of 2, 4 and 3 actions with scale d_i,
+    # fed one importance-weighted vector per round and restarted row by row
+    # mid-run, plays each row's ReferenceExp3 bit for bit.
+    dims = (2, 4, 3)
+    col = np.array(dims)[:, None]
+    stacked = AnytimeMWU(col, scale=col.astype(float))
+    refs = [ReferenceExp3(d) for d in dims]
+    rng = np.random.default_rng(5)
+    restarts = {150: 0, 400: 1}  # round -> row
+    for k in range(600):
+        if k in restarts:
+            row = restarts[k]
+            stacked.restart(np.arange(len(dims)) == row)
+            refs[row] = ReferenceExp3(dims[row])
+        p = stacked.next_strategy()
+        iw = np.zeros(p.shape)
+        for i, (d, ref) in enumerate(zip(dims, refs)):
+            q = ref.next_strategy()
+            assert np.array_equal(p[i, :d], q) and not p[i, d:].any()
+            a, r = int(rng.choice(d, p=q)), float(rng.random())
+            iw[i, a] = r / p[i, a]
+            ref.observe_reward(a, r)
+        stacked.observe(iw)
+    assert stacked.t.tolist() == [450, 200, 600]
 
 
 # -- the stacked pipeline against the per-player reference ---------------------

@@ -155,13 +155,27 @@ def test_config_round_trip_keeps_its_hash(mode, eta_share, weights, T, epochs, s
         "market": {"m": 2, "n": 3, "seed": 1},
         "eta": None if eta_share is None else eta_share * limit,
         "weights": weights, "T": T, "epochs": epochs, "seeds": seeds, "delta": delta,
-        "monitor_c": monitor_c, "out_dir": out_dir, "workers": workers,
+        "out_dir": out_dir, "workers": workers,
+        **({"monitor_c": monitor_c} if mode == "bandit" else {}),  # read in bandit mode only
     })
     again = load_config(json.loads(json.dumps(cfg.to_dict())))
     assert again.to_dict() == cfg.to_dict()
     assert config_hash(again) == config_hash(cfg)
     moved = load_config({**cfg.to_dict(), "out_dir": out_dir + "2", "workers": workers + 1})
     assert config_hash(moved) == config_hash(cfg)
+
+
+def test_gradient_mode_refuses_the_top_level_monitor_c(tmp_path):
+    # guarded players read players[i].monitor_c, never the top-level field
+    with pytest.raises(ConfigError, match=r"monitor_c is not read.*players\[i\]\.monitor_c"):
+        load_config(gradient_cfg(tmp_path, algo="guarded-a2l-omwu", monitor_c=-1e9))
+    guarded = {"algo": "guarded-a2l-omwu", "monitor_c": -1e9}
+    load_config(gradient_cfg(tmp_path, players=[guarded, guarded]))
+
+
+def test_bandit_mode_refuses_players(tmp_path):
+    with pytest.raises(ConfigError, match="players is not read in bandit mode"):
+        load_config(gradient_cfg(tmp_path, mode="bandit", players=[{}, {}]))
 
 
 # -- runs ------------------------------------------------------------------

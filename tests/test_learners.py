@@ -7,7 +7,6 @@ from a2l.learners import (
     MWU,
     OMWU,
     AnytimeMWU,
-    LearnerState,
     mwu_next,
     omwu_next,
     regret,
@@ -22,6 +21,14 @@ MWU_ONE = 0.7310585786300049
 OMWU_TWO = 0.8807970779778823
 
 
+def mwu_with(d, eta, cum_utils, last_util):
+    """An MWU learner whose sums are set to the given values."""
+    lrn = MWU(d, eta)
+    lrn.cum_utils = np.array(cum_utils)
+    lrn.last_util = np.array(last_util)
+    return lrn
+
+
 def test_first_strategy_is_uniform():
     for cls in (MWU, OMWU):
         lrn = cls(4, eta=0.3)
@@ -29,54 +36,44 @@ def test_first_strategy_is_uniform():
 
 
 def test_omwu_closed_form_two_actions():
-    state = LearnerState(d=2, eta=0.5, cum_utils=np.array([1.0, 0.0]),
-                         last_util=np.array([0.0, 0.0]), t=1)
-    x = omwu_next(state)
+    lrn = mwu_with(2, 0.5, [1.0, 0.0], [0.0, 0.0])
+    x = omwu_next(lrn)
     assert x[0] == pytest.approx(OMWU_HALF, abs=1e-15)
     assert x[1] == pytest.approx(1.0 - OMWU_HALF, abs=1e-15)
 
 
 def test_softmax_shift_invariance():
-    state = LearnerState(d=3, eta=0.7, cum_utils=np.array([0.5, -1.0, 2.0]),
-                         last_util=np.array([0.2, 0.0, -0.3]), t=2)
-    x = omwu_next(state)
-    shifted = LearnerState(d=3, eta=0.7, cum_utils=state.cum_utils + 10.0,
-                           last_util=state.last_util, t=2)
+    lrn = mwu_with(3, 0.7, [0.5, -1.0, 2.0], [0.2, 0.0, -0.3])
+    x = omwu_next(lrn)
     # adding a constant to cum + last shifts every exponent equally
-    shifted.last_util = state.last_util + 5.0
-    shifted.cum_utils = state.cum_utils + 5.0
+    shifted = mwu_with(3, 0.7, lrn.cum_utils + 5.0, lrn.last_util + 5.0)
     y = omwu_next(shifted)
     assert np.abs(x - y).max() < 1e-12
 
 
 def test_mwu_equals_omwu_without_last_utility():
-    state = LearnerState(d=3, eta=1.2, cum_utils=np.array([1.0, 0.5, -0.5]),
-                         last_util=np.zeros(3), t=3)
-    assert np.array_equal(mwu_next(state), omwu_next(state))
+    lrn = mwu_with(3, 1.2, [1.0, 0.5, -0.5], np.zeros(3))
+    assert np.array_equal(mwu_next(lrn), omwu_next(lrn))
 
 
 def test_mwu_and_omwu_differ_with_last_utility():
-    state = LearnerState(d=2, eta=1.0, cum_utils=np.array([1.0, 0.0]),
-                         last_util=np.array([1.0, 0.0]), t=1)
-    x_mwu = mwu_next(state)    # softmax(1, 0)
-    x_omwu = omwu_next(state)  # softmax(2, 0): last utility counted twice
+    lrn = mwu_with(2, 1.0, [1.0, 0.0], [1.0, 0.0])
+    x_mwu = mwu_next(lrn)    # softmax(1, 0)
+    x_omwu = omwu_next(lrn)  # softmax(2, 0): last utility counted twice
     assert x_mwu[0] == pytest.approx(MWU_ONE, abs=1e-15)
     assert x_omwu[0] == pytest.approx(OMWU_TWO, abs=1e-15)
     assert x_omwu[0] > x_mwu[0]
 
 
 def test_determinism_bitwise():
-    s1 = LearnerState(d=4, eta=0.4, cum_utils=np.array([0.1, 0.2, 0.3, 0.4]),
-                      last_util=np.array([0.0, 0.1, 0.0, -0.1]), t=2)
-    s2 = LearnerState(d=4, eta=0.4, cum_utils=s1.cum_utils.copy(),
-                      last_util=s1.last_util.copy(), t=2)
+    s1 = mwu_with(4, 0.4, [0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.0, -0.1])
+    s2 = mwu_with(4, 0.4, s1.cum_utils.copy(), s1.last_util.copy())
     assert np.array_equal(omwu_next(s1), omwu_next(s2))
 
 
 def test_no_overflow_for_large_exponents():
-    state = LearnerState(d=3, eta=1.0, cum_utils=np.array([700.0, -700.0, 0.0]),
-                         last_util=np.zeros(3), t=1)
-    x = mwu_next(state)
+    lrn = mwu_with(3, 1.0, [700.0, -700.0, 0.0], np.zeros(3))
+    x = mwu_next(lrn)
     assert np.all(np.isfinite(x)) and abs(x.sum() - 1.0) < 1e-12
 
 
@@ -100,7 +97,7 @@ def test_batched_state_runs_each_row_as_a_single_learner():
                 assert np.array_equal(xb[k], lrn.next_strategy())
                 lrn.observe(u[k])
             batch.observe(u)
-        assert batch.state.cum_utils.shape == (4, 3)
+        assert batch.cum_utils.shape == (4, 3)
 
 
 def test_batched_observe_validates_input():
@@ -127,7 +124,7 @@ def test_observe_validates_input():
     with pytest.raises(ValueError):
         lrn.observe(np.array([1.0, np.inf, 0.0]))
     with pytest.raises(ValueError):
-        LearnerState(d=2, eta=0.0)
+        MWU(2, 0.0)
 
 
 def test_state_tracks_cumulative_and_last():
@@ -135,9 +132,8 @@ def test_state_tracks_cumulative_and_last():
     lrn.next_strategy()
     lrn.observe(np.array([1.0, 0.0]))
     lrn.observe(np.array([0.5, 0.5]))
-    assert np.array_equal(lrn.state.cum_utils, [1.5, 0.5])
-    assert np.array_equal(lrn.state.last_util, [0.5, 0.5])
-    assert lrn.state.t == 2
+    assert np.array_equal(lrn.cum_utils, [1.5, 0.5])
+    assert np.array_equal(lrn.last_util, [0.5, 0.5])
 
 
 def test_bias_moves_initial_strategy():
@@ -200,3 +196,14 @@ def test_anytime_mwu_learns_best_action():
         lrn.next_strategy()
         lrn.observe(u)
     assert lrn.next_strategy()[1] > 0.95
+
+
+def test_anytime_mwu_observe_validates_input():
+    lrn = AnytimeMWU(np.array([[2], [3]]))
+    with pytest.raises(ValueError, match="expected"):
+        lrn.observe(np.zeros((2, 2)))
+    bad = np.zeros((2, 3))
+    bad[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        lrn.observe(bad)
+    assert lrn.t.tolist() == 0 and not lrn.cum_utils.any()
