@@ -108,6 +108,8 @@ CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # they raise instead; the longest post-switch epoch any suite, test or
 # benchmark plays has 2800 rounds.
 ROUND_EPOCH_CAP = 10**7
+# The IW monitor's threshold constant c in c * T^{4/5} when none is given.
+MONITOR_C = 4.0
 
 
 def bandit_step_size(n: int) -> float:
@@ -350,7 +352,7 @@ class BanditPipeline:
     unread.
     """
 
-    def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=4.0):
+    def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=MONITOR_C):
         self.counts = np.asarray(counts)
         col = self.counts[..., None]
         self.pad = padding(col) if self.counts.min() < self.counts.max() else None
@@ -508,7 +510,7 @@ def _check_run_args(epochs, delta):
 
 
 def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
-               delta=0.05, epochs=12, monitor_c=4.0) -> BanditTrajectory:
+               delta=0.05, epochs=12, monitor_c=MONITOR_C) -> BanditTrajectory:
     """Simulate the epoch-based bandit dynamics on a polymatrix game.
 
     Every player runs the same schedule, as a row of one ``BanditPipeline``.
@@ -721,7 +723,7 @@ def regret_error_bound_audit(traj: BanditTrajectory, truth: dict) -> dict:
 
 
 def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
-                              seed=0, delta=0.05, monitor_c=4.0, epochs=50) -> dict:
+                              seed=0, delta=0.05, monitor_c=MONITOR_C, epochs=50) -> dict:
     """One player's bandit pipeline against an arbitrary environment: a
     ``BanditPipeline`` without a row axis, planned for all ``epochs``.
 

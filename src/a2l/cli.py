@@ -57,9 +57,13 @@ def _run_mode(mode, args) -> int:
     overrides = {"mode": mode}
     if args.out:
         overrides["out_dir"] = args.out
-    if args.seeds:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if args.workers:
+    if args.seeds is not None:
+        try:
+            overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise harness.ConfigError(f"--seeds must be comma-separated integers, "
+                                      f"got {args.seeds!r}") from None
+    if args.workers is not None:
         overrides["workers"] = args.workers
     with open(args.config) as fh:
         data = json.load(fh)

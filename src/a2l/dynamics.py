@@ -47,6 +47,8 @@ from .learners import MWU, OMWU, AnytimeMWU, padding
 from .reduction import A2L
 
 ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
+# The guard's budget constant c in monitor_threshold when a spec sets none.
+MONITOR_C = 2.0
 
 
 class SimulationError(ValueError):
@@ -74,7 +76,7 @@ class LearnerSpec:
     eta: float | None = None  # None resolves to gradient_step_size(n)
     weights: str = "uniform"
     bias: list | None = None
-    monitor_c: float = 2.0
+    monitor_c: float = MONITOR_C
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -314,7 +316,7 @@ def average_profile_gaps(game: PolymatrixGame, iterates) -> np.ndarray:
 # -- robustness --------------------------------------------------------------
 
 
-def monitor_threshold(t, eta, log_dim_sum, c=2.0):
+def monitor_threshold(t, eta, log_dim_sum, c=MONITOR_C):
     """Anytime regret budget c * (sum_i log d_i / eta) * (1 + ln t)."""
     return c * (log_dim_sum / eta) * (1.0 + np.log(t))
 
@@ -333,7 +335,7 @@ class RegretGuard:
     while it has not switched.
     """
 
-    def __init__(self, primary, counts, eta, log_dim_sum, c=2.0):
+    def __init__(self, primary, counts, eta, log_dim_sum, c=MONITOR_C):
         self.primary = primary
         self.counts = counts
         self.eta = eta

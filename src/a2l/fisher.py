@@ -70,8 +70,8 @@ class FisherMarket:
 
     def __init__(self, budgets, valuations=None, gradient=None):
         self.budgets = np.asarray(budgets, dtype=float)
-        if self.budgets.ndim != 1 or np.any(self.budgets <= 0):
-            raise ValueError("budgets must be a vector of positive numbers")
+        if self.budgets.ndim != 1 or self.budgets.size == 0 or np.any(self.budgets <= 0):
+            raise ValueError("budgets must be a nonempty vector of positive numbers")
         if (valuations is None) == (gradient is None):
             raise ValueError("pass exactly one of valuations or gradient")
         self.m_agents = self.budgets.size

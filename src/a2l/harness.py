@@ -1,14 +1,14 @@
 """Config-driven experiment runner: validation, execution, persistence.
 
-Configs are plain JSON.  A run produces one CSV per seed plus a summary
-JSON (schema_version, config hash, PRNG name, per-seed results).  Each
-seed's result lists its invariant checks as ``Check`` records (name,
+Configs are plain JSON; ``MODE_FIELDS`` lists the fields each mode reads.
+A run produces one CSV per seed plus a summary JSON (schema_version, the
+fields the mode read, the full config's hash, PRNG name, per-seed results).
+Each seed's result lists its invariant checks as ``Check`` records (name,
 observed value, comparison, limit, slack, passed); the summary's "passed"
 is true exactly when every check passed.  The verify suites report through
 the same record.  Identical configs reproduce byte-identical CSVs.  Random
-games and markets described without an explicit seed are regenerated per
-run seed, so multi-seed suites sweep instances; with an explicit seed the
-instance is fixed and only the sampling varies.
+games and markets described without a seed are regenerated per run seed,
+so multi-seed suites sweep instances.
 
 Certified runs are refused when the step size or schedule violates the
 conditions that back the convergence guarantees (gradient: eta <= 1/(2(n-1));
@@ -98,13 +98,31 @@ class ExperimentConfig:
     schedule: dict = field(default_factory=lambda: {"mode": "theory"})
     seeds: list = field(default_factory=lambda: [0])
     delta: float = 0.05
-    monitor_c: float = 4.0
+    monitor_c: float = bandit_mod.MONITOR_C
     certified: bool = True
     out_dir: str = "out"
     workers: int = 1
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}
+
+
+# The fields each mode reads beyond COMMON_FIELDS.  Any other field must keep
+# its default (validate_config), and summary.json's "config" lists only these.
+COMMON_FIELDS = ("mode", "seeds", "out_dir", "workers")
+MODE_FIELDS = {
+    "gradient": ("game", "algo", "players", "eta", "weights", "T", "certified"),
+    "bandit": ("game", "eta", "epochs", "schedule", "delta", "monitor_c", "certified"),
+    "fisher": ("market", "T"),
+}
+# For a field one mode does not read: what that mode reads in its place.
+_UNREAD_HINTS = {
+    ("monitor_c", "gradient"): "set players[i].monitor_c for each guarded-a2l-omwu player",
+    ("players", "bandit"): "every player runs the top-level eta and monitor_c",
+}
+# Certified step-size rule of each mode that certifies runs: (rule, n -> limit).
+_STEP_LIMITS = {"gradient": ("1/(2(n-1))", dyn.gradient_step_size),
+                "bandit": ("1/(6n)", bandit_mod.bandit_step_size)}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -141,20 +159,27 @@ def _number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
-# Learner fields checked alike at the top level and in each "players" entry:
-# field -> (test, what the value must be).
-_LEARNER_CHECKS = {
+# Field checks, alike in every mode: field -> (test, what the value must be).
+# The learner fields of each "players" entry take the same tests.
+_FIELD_CHECKS = {
+    "mode": (lambda v: isinstance(v, str) and v in MODE_FIELDS, "gradient, bandit or fisher"),
+    "seeds": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_integer, v)),
+              "a nonempty list of integers"),
+    **dict.fromkeys(("T", "epochs", "workers"),
+                    (lambda v: _integer(v) and v >= 1, "a positive integer")),
     "algo": (lambda v: v in dyn.ALGORITHMS, f"one of {dyn.ALGORITHMS}"),
     "eta": (lambda v: v is None or (_number(v) and 0 < v < math.inf), "a positive finite number"),
     "weights": (lambda v: v in sorted(WEIGHT_RULES), f"one of {sorted(WEIGHT_RULES)}"),
     "monitor_c": (lambda v: _number(v) and not math.isnan(v), "a number"),
+    "delta": (lambda v: _number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "certified": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
-def _learner_errors(fields: dict, prefix="") -> list:
-    """Problems of the learner fields present in ``fields``, named prefix + field."""
+def _field_errors(fields: dict, prefix="") -> list:
+    """Problems of the checked fields present in ``fields``, named prefix + field."""
     return [f"{prefix}{k} must be {what}, got {fields[k]!r}"
-            for k, (ok, what) in _LEARNER_CHECKS.items() if k in fields and not ok(fields[k])]
+            for k, (ok, what) in _FIELD_CHECKS.items() if k in fields and not ok(fields[k])]
 
 
 def _player_errors(players, dims) -> list:
@@ -167,7 +192,7 @@ def _player_errors(players, dims) -> list:
     for i, spec in enumerate(players):
         errors += [f"players[{i}].{k} must not be set: unknown player field"
                    for k in sorted(set(spec) - set(dyn.LearnerSpec.__dataclass_fields__))]
-        errors += _learner_errors(spec, f"players[{i}].")
+        errors += _field_errors(spec, prefix=f"players[{i}].")
         bias = spec.get("bias")
         if bias is not None and i < len(dims) and not (
                 isinstance(bias, list) and len(bias) == dims[i]
@@ -179,62 +204,50 @@ def _player_errors(players, dims) -> list:
 def validate_config(cfg: ExperimentConfig) -> list:
     """Collect every validation problem; empty list means the config is fine.
 
-    Field types are checked before any range, so a wrongly typed field is
-    reported by name instead of failing a comparison.
+    Every field is checked alike in every mode, its type before its range.
+    A field the mode does not read (``MODE_FIELDS``) must keep its default,
+    and the mode's game or market is built here, so a bad spec fails at load.
     """
-    errors = []
-    if cfg.mode not in ("gradient", "bandit", "fisher"):
-        errors.append(f"mode must be gradient, bandit or fisher, got {cfg.mode!r}")
-    seeds_ok = (isinstance(cfg.seeds, list) and len(cfg.seeds) > 0
-                and all(_integer(s) for s in cfg.seeds))
-    if not seeds_ok:
-        errors.append(f"seeds must be a nonempty list of integers, got {cfg.seeds!r}")
-    used = {"T": cfg.mode in ("gradient", "fisher"), "epochs": cfg.mode == "bandit",
-            "workers": True}
-    for name, in_use in used.items():
-        value = getattr(cfg, name)
-        if not _integer(value):
-            errors.append(f"{name} must be an integer, got {value!r}")
-        elif in_use and value < 1:
-            errors.append(f"{name} must be at least 1")
-    learner = {"eta": cfg.eta, "weights": cfg.weights, "monitor_c": cfg.monitor_c}
-    if cfg.mode == "gradient":
-        learner["algo"] = cfg.algo
-    errors += _learner_errors(learner)
-    # A field the mode does not read is refused rather than dropped.
-    if cfg.mode == "gradient" and cfg.monitor_c != ExperimentConfig.monitor_c:
-        errors.append("monitor_c is not read in gradient mode: set players[i].monitor_c "
-                      "for each guarded-a2l-omwu player")
-    if cfg.mode == "bandit" and cfg.players is not None:
-        errors.append("players is not read in bandit mode: every player runs the top-level "
-                      "eta and monitor_c")
-    if not (_number(cfg.delta) and 0.0 < cfg.delta < 1.0):
-        errors.append(f"delta must be a number in (0, 1), got {cfg.delta!r}")
-    if not isinstance(cfg.certified, bool):
-        errors.append(f"certified must be true or false, got {cfg.certified!r}")
+    fields, defaults = vars(cfg), vars(ExperimentConfig())
+    errors = _field_errors(fields)
+    reads = MODE_FIELDS[cfg.mode] if _FIELD_CHECKS["mode"][0](cfg.mode) else ()
+    for name, value in fields.items():
+        if reads and name not in COMMON_FIELDS + reads and value != defaults[name]:
+            hint = _UNREAD_HINTS.get((name, cfg.mode))
+            errors.append(f"{name} is not read in {cfg.mode} mode" + (f": {hint}" if hint else ""))
+    try:
+        sched = resolve_schedule(cfg.schedule)
+    except Exception as exc:
+        errors.append(f"schedule invalid: {exc}")
+    else:
+        if "schedule" in reads and cfg.certified and not sched.certified:
+            errors.append("certified bandit runs need a theory schedule "
+                          "(B_t >= t^4, eps_t = 1/t); set certified: false to override")
 
-    game = None
-    if cfg.mode in ("gradient", "bandit"):
-        if cfg.game is None:
-            errors.append("game spec is required")
-        else:
-            if "file" in cfg.game and not Path(cfg.game["file"]).exists():
-                errors.append(f"game file not found: {cfg.game['file']}")
+    seed = cfg.seeds[0] if _FIELD_CHECKS["seeds"][0](cfg.seeds) else 0
+    instances = {}
+    for name, resolve in (("game", resolve_game), ("market", resolve_market)):
+        if name in reads and fields[name] is None:
+            errors.append(f"{name} spec is required")
+        elif name in reads:
             try:
-                game = resolve_game(cfg.game, seed=cfg.seeds[0] if seeds_ok else 0)
+                instances[name] = resolve(fields[name], seed=seed)
+            except FileNotFoundError as exc:
+                errors.append(f"{name} file not found: {exc.filename}")
             except Exception as exc:  # surfaced as config problem
-                errors.append(f"game spec invalid: {exc}")
+                errors.append(f"{name} spec invalid: {exc}")
+    game = instances.get("game")
     if cfg.players is not None:
         errors += _player_errors(cfg.players, game.action_counts if game is not None else ())
     if game is not None and cfg.certified:
         etas = {"eta": cfg.eta}
-        if cfg.mode == "gradient" and isinstance(cfg.players, list):
+        if "players" in reads and isinstance(cfg.players, list):
             etas.update((f"players[{i}].eta", p.get("eta"))
                         for i, p in enumerate(cfg.players) if isinstance(p, dict))
-        rule, limit = (("1/(2(n-1))", dyn.gradient_step_size(game.n)) if cfg.mode == "gradient"
-                       else ("1/(6n)", bandit_mod.bandit_step_size(game.n)))
+        rule, step_size = _STEP_LIMITS[cfg.mode]
+        limit = step_size(game.n)
         for name, eta in etas.items():
-            if eta is not None and not _learner_errors({"eta": eta}) and eta > limit + 1e-12:
+            if eta is not None and not _field_errors({"eta": eta}) and eta > limit + 1e-12:
                 errors.append(f"certified {cfg.mode} runs need {name} <= {rule} = {limit}; "
                               f"got {name} = {eta}")
         # The certified gap bound has one eta: the one every player runs.
@@ -244,21 +257,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
         if odd:
             errors.append(f"certified gradient runs need one eta for all players; "
                           f"got {odd[0]} but {own[0][0]} = {own[0][1]}")
-    if cfg.mode == "bandit":
-        try:
-            sched = resolve_schedule(cfg.schedule)
-            if cfg.certified and not sched.certified:
-                errors.append(
-                    "certified bandit runs need a theory schedule "
-                    "(B_t >= t^4, eps_t = 1/t); set certified: false to override"
-                )
-        except Exception as exc:
-            errors.append(f"schedule invalid: {exc}")
-    if cfg.mode == "fisher":
-        if cfg.market is None:
-            errors.append("market spec is required")
-        elif "file" in cfg.market and not Path(cfg.market["file"]).exists():
-            errors.append(f"market file not found: {cfg.market['file']}")
     return errors
 
 
@@ -279,13 +277,14 @@ def resolve_game(spec: dict, seed=0) -> PolymatrixGame:
 
 
 def resolve_market(spec: dict, seed=0) -> fisher_mod.FisherMarket:
+    """Market from {"file": path}, {"budgets", "valuations"} or {"m", "n"[, "seed"]}."""
     if "file" in spec:
         return fisher_mod.load_market(spec["file"])
     if "budgets" in spec:
         return fisher_mod.FisherMarket.from_dict(spec)
-    kw = dict(spec)
-    kw.setdefault("seed", seed)
-    return fisher_mod.random_linear_market(kw["m"], kw["n"], seed=kw["seed"])
+    if set(spec) - {"seed"} != {"m", "n"} or not all(map(_integer, spec.values())):
+        raise ValueError(f"a random market takes integers m, n and optionally seed: {spec!r}")
+    return fisher_mod.random_linear_market(spec["m"], spec["n"], seed=spec.get("seed", seed))
 
 
 def resolve_schedule(spec: dict) -> bandit_mod.EpochSchedule:
@@ -411,7 +410,8 @@ def run(cfg: ExperimentConfig) -> dict:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "mode": cfg.mode,
-        "config": cfg.to_dict(),
+        "config": {k: v for k, v in cfg.to_dict().items()
+                   if k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
         "config_hash": config_hash(cfg),
         "prng": PRNG_NAME,
         "results": results,

@@ -37,6 +37,8 @@ def test_market_validation():
         FisherMarket([1.0], valuations=[[1.0]], gradient=lambda i, x: x)
     with pytest.raises(ValueError):
         FisherMarket([1.0])
+    with pytest.raises(ValueError, match="nonempty"):  # no agents, as games need players
+        FisherMarket([], valuations=np.zeros((0, 3)))
 
 
 def test_single_good_is_fixed_point():

@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,19 +152,112 @@ def test_config_hash_stable(tmp_path):
 def test_config_round_trip_keeps_its_hash(mode, eta_share, weights, T, epochs, seeds,
                                           delta, monitor_c, out_dir, workers):
     limit = 0.5 if mode == "gradient" else 1 / 12  # certified step sizes for n = 2
-    cfg = load_config({
-        "mode": mode, "game": {"kind": "random_zs", "n": 2, "d": 3, "seed": 7},
+    drawn = {
+        "game": {"kind": "random_zs", "n": 2, "d": 3, "seed": 7},
         "market": {"m": 2, "n": 3, "seed": 1},
         "eta": None if eta_share is None else eta_share * limit,
-        "weights": weights, "T": T, "epochs": epochs, "seeds": seeds, "delta": delta,
-        "out_dir": out_dir, "workers": workers,
-        **({"monitor_c": monitor_c} if mode == "bandit" else {}),  # read in bandit mode only
+        "weights": weights, "T": T, "epochs": epochs, "delta": delta, "monitor_c": monitor_c,
+    }
+    cfg = load_config({
+        "mode": mode, "seeds": seeds, "out_dir": out_dir, "workers": workers,
+        **{k: v for k, v in drawn.items() if k in harness.MODE_FIELDS[mode]},
     })
     again = load_config(json.loads(json.dumps(cfg.to_dict())))
     assert again.to_dict() == cfg.to_dict()
     assert config_hash(again) == config_hash(cfg)
     moved = load_config({**cfg.to_dict(), "out_dir": out_dir + "2", "workers": workers + 1})
     assert config_hash(moved) == config_hash(cfg)
+
+
+# A valid non-default value of every field beyond harness.COMMON_FIELDS.
+NON_DEFAULT = {
+    "game": {"kind": "matching_pennies"},
+    "market": {"m": 2, "n": 2, "seed": 3},
+    "algo": "mwu",
+    "players": [{}, {}],
+    "eta": 0.05,
+    "weights": "linear",
+    "T": 50,
+    "epochs": 3,
+    "schedule": {"mode": "theory_d"},
+    "delta": 0.1,
+    "monitor_c": 1.0,
+    "certified": False,
+}
+MODE_BASE = {
+    "gradient": {"game": {"kind": "random_zs", "n": 2, "d": 3, "seed": 7}},
+    "bandit": {"game": {"kind": "random_zs", "n": 2, "d": 3, "seed": 7}},
+    "fisher": {"market": {"m": 3, "n": 3, "seed": 4}},
+}
+
+
+def test_every_field_is_common_or_listed_for_a_mode():
+    fields = set(ExperimentConfig.__dataclass_fields__) - set(harness.COMMON_FIELDS)
+    assert set(NON_DEFAULT) == fields
+    assert set().union(*harness.MODE_FIELDS.values()) == fields
+    defaults = ExperimentConfig().to_dict()
+    assert all(NON_DEFAULT[k] != defaults[k] for k in fields)
+
+
+@pytest.mark.parametrize("mode, field", [(m, f) for m in MODE_BASE for f in NON_DEFAULT])
+def test_a_mode_accepts_its_fields_and_refuses_the_rest(tmp_path, mode, field):
+    cfg = {"mode": mode, **MODE_BASE[mode], field: NON_DEFAULT[field],
+           "out_dir": str(tmp_path / "o")}
+    if field in harness.MODE_FIELDS[mode]:
+        assert getattr(load_config(cfg), field) == NON_DEFAULT[field]
+    else:
+        with pytest.raises(ConfigError, match=rf"- {field} is not read in {mode} mode"):
+            load_config(cfg)
+
+
+def test_fisher_mode_refuses_the_learner_fields():
+    with pytest.raises(ConfigError) as err:
+        load_config({"mode": "fisher", "market": {"m": 2, "n": 3, "seed": 1},
+                     "players": [{"algo": "mwu"}], "eta": 0.3, "algo": "guarded-a2l-omwu",
+                     "weights": "linear", "monitor_c": -5})
+    for field in ("players", "eta", "algo", "weights", "monitor_c"):
+        assert f"- {field} is not read in fisher mode" in str(err.value)
+
+
+@pytest.mark.parametrize("market", [
+    {"m": 2},
+    {"m": 2.5, "n": 3},
+    {"m": 0, "n": 3},
+    {"m": 2, "n": 3, "foo": 1},
+    {"m": 2, "n": 3, "seed": None},  # would draw a fresh market on every run
+])
+def test_bad_market_spec_fails_at_load(market):
+    with pytest.raises(ConfigError, match="- market spec invalid"):
+        load_config({"mode": "fisher", "market": market})
+
+
+def test_missing_market_file_listed(tmp_path):
+    with pytest.raises(ConfigError, match="- market file not found"):
+        load_config({"mode": "fisher", "market": {"file": str(tmp_path / "nope.json")}})
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("gradient", {"T": 20, "algo": "guarded-a2l-omwu"}),
+    ("bandit", {"epochs": 2, "monitor_c": float("inf")}),
+    ("fisher", {"T": 20}),
+])
+def test_summary_records_the_fields_the_mode_read(tmp_path, mode, extra):
+    summary = harness.run(load_config({
+        "mode": mode, **MODE_BASE[mode], **extra, "out_dir": str(tmp_path / "o")}))
+    assert set(summary["config"]) == set(harness.COMMON_FIELDS + harness.MODE_FIELDS[mode])
+    on_disk = json.loads((tmp_path / "o" / "summary.json").read_text())
+    for recorded in (summary["config"], on_disk["config"]):
+        assert config_hash(load_config(recorded)) == summary["config_hash"]
+
+
+def test_readme_lists_the_fields_each_mode_reads():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| mode | fields it reads"))
+    assert tuple(re.findall(r"`(\w+)`", lines[start])) == harness.COMMON_FIELDS
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    listed = {re.findall(r"`(\w+)`", row)[0]: tuple(re.findall(r"`(\w+)`", row)[1:])
+              for row in rows}
+    assert listed == harness.MODE_FIELDS
 
 
 def test_gradient_mode_refuses_the_top_level_monitor_c(tmp_path):
@@ -389,6 +484,21 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "T must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "1,,2", "--seeds must be comma-separated integers, got '1,,2'"),
+    ("--seeds", "a", "--seeds must be comma-separated integers, got 'a'"),
+    ("--workers", "0", "workers must be a positive integer, got 0"),
+])
+def test_cli_refuses_bad_overrides(tmp_path, capsys, flag, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"game": {"kind": "rps"}, "T": 10, "seeds": [0]}))
+    rc = cli.main(["run-gradient", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                   flag, value])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_unknown_suite(tmp_path, capsys):
