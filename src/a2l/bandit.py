@@ -67,7 +67,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import _csv_lines
 from .games import PolymatrixGame
 from .learners import OMWU, AnytimeMWU, padding
 from .reduction import A2L
@@ -778,9 +777,9 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
 # -- persistence -------------------------------------------------------------
 
 
-def bandit_csv_lines(traj: BanditTrajectory, truth: dict):
-    """Rows t, B, eps, tgap_mixed_avg, delta_inf_1..n, bound, unsampled_1..n;
-    truth is the run's ``audit_truths``."""
+def bandit_csv_columns(traj: BanditTrajectory, truth: dict):
+    """Header and columns t, B, eps, tgap_mixed_avg, delta_inf_1..n, bound,
+    unsampled_1..n; truth is the run's ``audit_truths``."""
     n = traj.n
     header = (
         ["t", "B", "eps", "tgap_mixed_avg"]
@@ -790,4 +789,4 @@ def bandit_csv_lines(traj: BanditTrajectory, truth: dict):
     )
     columns = ([traj.t, traj.B, traj.eps, traj.tgap_mixed] + list(truth["delta_inf"].T)
                + [truth["bound"]] + list(traj.unsampled.T))
-    yield from _csv_lines(header, columns)
+    return header, columns

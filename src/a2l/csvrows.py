@@ -1,4 +1,6 @@
-"""The one CSV row formatter behind every ``*_csv_lines`` writer.
+"""The one CSV row formatter: it writes the files of ``harness.run``, line
+by line from each run's header and columns (``*_csv_columns``), and the
+lines of ``dynamics.trajectory_csv_lines``.
 
 Float columns print with ``%.17g`` (round-trip exact; nan, inf and -0
 print as ``nan``, ``inf`` and ``-0``), integer columns with ``%d``.

@@ -16,14 +16,23 @@ calls whatever n is: one softmax, one running-average update, one matmul
 with the block payoff tensor of shape (S, n d_max, n d_max), one recovery
 step and one finiteness check.  ``run_full_feedback`` is its S = 1 call.
 
-A trajectory logs, per round and for every player, the played profile and
-utility vectors, the inner iterates (for average-playing wrappers these are
-the wrapped learner's iterates; for bare learners they coincide with the
-play), the total gap of the played profile, the total gap of the running
-uniform average of inner iterates, and per-player instantaneous regrets.
-The metadata is sufficient to reproduce the run exactly, and its
-``switch_round`` lists, per player, the round of its monitor switch (None
-when it never switched).
+A trajectory holds, per round, the total gap of the played profile, the
+total gap of the running uniform average of inner iterates (for
+average-playing wrappers these are the wrapped learner's iterates; for
+bare learners they coincide with the play), and per player the
+instantaneous, external and dynamic regrets of the play.  The loop folds
+these statistics in every ``CHUNK_ROUNDS`` rounds, carrying its running
+sums across chunks, so they equal their formulas over the whole run bit
+for bit.  With ``records=True`` (the default) the trajectory also keeps,
+per round and for every player, the played profile and utility vectors,
+the inner iterates and the recovered utilities: 4 S n T d_max floats for
+S instances.  With ``records=False`` a run holds one chunk of rounds
+instead, and its memory grows with T only by the 3n + 2 floats of
+statistics per instance and round; the harness's gradient runs and the
+verify rate sweep run so, while the equivalence checks, the RVU suite and
+the reports on inner iterates keep records.  The metadata is sufficient
+to reproduce the run exactly, and its ``switch_round`` lists, per player,
+the round of its monitor switch (None when it never switched).
 
 The gradient mode's one robustness monitor is ``RegretGuard``: each row
 keeps its own running regret and switches to a safe no-regret fallback
@@ -49,6 +58,9 @@ from .reduction import A2L
 ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
 # The guard's budget constant c in monitor_threshold when a spec sets none.
 MONITOR_C = 2.0
+# Rounds per fold of the per-round statistics; the rounds a run without
+# records keeps.
+CHUNK_ROUNDS = 256
 
 
 class SimulationError(ValueError):
@@ -124,17 +136,23 @@ def build_learner(specs, counts):
 class Trajectory:
     """Columnar per-round log of one simulation run.
 
-    played/utils/inner/inner_utils hold one (T, d_i) array per player.
+    played/utils/inner/inner_utils hold one (T, d_i) array per player, or
+    are None when the run kept no records (``records=False``).  The
+    per-round statistics are always there: the total gaps (T,), and the
+    instantaneous, external and dynamic regrets of the played iterates
+    (T, n), one column per player.
     """
 
     meta: dict
-    played: list
-    utils: list
-    inner: list
-    inner_utils: list
+    played: list | None
+    utils: list | None
+    inner: list | None
+    inner_utils: list | None
     tgap_played: np.ndarray
     tgap_inner_avg: np.ndarray
     instant_regret: np.ndarray
+    reg: np.ndarray
+    dreg: np.ndarray
 
     @property
     def T(self) -> int:
@@ -145,16 +163,16 @@ class Trajectory:
         return self.instant_regret.shape[1]
 
 
-def run_full_feedback(game, specs, T, seed=0) -> Trajectory:
+def run_full_feedback(game, specs, T, seed=0, records=True) -> Trajectory:
     """Simulate T rounds of simultaneous-move uncoupled play.
 
     specs: one LearnerSpec per player, or a single spec applied to all.
     This is the one-instance call of ``run_full_feedback_batch``.
     """
-    return run_full_feedback_batch([game], specs, T, [seed])[0]
+    return run_full_feedback_batch([game], specs, T, [seed], records=records)[0]
 
 
-def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
+def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
     """Simulate S games of one shape at once; one Trajectory per game.
 
     The games must share n and the action counts; the payoffs and the graph
@@ -163,9 +181,14 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
     single run and staying uncoupled from the others.  Utilities come from
     one block payoff tensor of shape (S, D, D), D = n d_max, in which an
     absent edge or a padded action is a zero block and adds exact zeros.
-    seeds (default all 0) are recorded in each trajectory's metadata.  The
-    per-player arrays of a Trajectory are views into the stacked
-    (S, n, T, d_max) records.
+    seeds (default all 0) are recorded in each trajectory's metadata.
+
+    The statistics are folded in every ``CHUNK_ROUNDS`` rounds.  With
+    ``records=True`` the rounds are logged into stacked (S, n, T, d_max)
+    records, and the per-player arrays of a Trajectory are views into them.
+    With ``records=False`` one (S, n, CHUNK_ROUNDS, d_max) buffer is reused
+    chunk after chunk and the Trajectory's four record fields are None, so
+    memory grows with T only by the per-round statistics.
     """
     games = list(games)
     S = len(games)
@@ -201,51 +224,46 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
 
     # Rounds before actions, so a player's (T, d_i) log is contiguous when
     # d_i = d_max.
-    played = np.empty((S, n, T, d))
-    utils = np.empty((S, n, T, d))
+    K = CHUNK_ROUNDS
+    shape = (S, n, T if records else min(K, T), d)
+    played = np.empty(shape)
+    utils = np.empty(shape)
     # Bare play is its own inner iterate and feedback.
     bare = not hasattr(learner, "last_inner")
-    inner = played if bare else np.empty((S, n, T, d))
-    inner_utils = utils if bare else np.empty((S, n, T, d))
+    inner = played if bare else np.empty(shape)
+    inner_utils = utils if bare else np.empty(shape)
+    logs = (played, utils, inner, inner_utils)
+    stats = _Statistics(S, T, counts)
 
-    try:
-        for t in range(T):
-            x = learner.next_strategy()
-            if not bare:
-                # Before observe: a guarded row that switches in this round
-                # still played its primary learner's inner iterate.
-                inner[:, :, t] = learner.last_inner
-            v = np.matmul(blocks, x.reshape(-1, D, 1)).reshape(S, n, d)
-            rec = learner.observe(v)
-            played[:, :, t] = x
-            utils[:, :, t] = v
-            if not bare:
-                inner_utils[:, :, t] = rec
-    except Exception as exc:
-        raise SimulationError(
-            f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
-        ) from exc
+    for t0 in range(0, T, K):
+        t1 = min(t0 + K, T)
+        off = 0 if records else t0  # buffer row of round t0
+        try:
+            for t in range(t0, t1):
+                x = learner.next_strategy()
+                if not bare:
+                    # Before observe: a guarded row that switches in this
+                    # round still played its primary learner's inner iterate.
+                    inner[:, :, t - off] = learner.last_inner
+                v = np.matmul(blocks, x.reshape(-1, D, 1)).reshape(S, n, d)
+                rec = learner.observe(v)
+                played[:, :, t - off] = x
+                utils[:, :, t - off] = v
+                if not bare:
+                    inner_utils[:, :, t - off] = rec
+        except Exception as exc:
+            raise SimulationError(
+                f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
+            ) from exc
+        stats.fold(t0, *(a[:, :, t0 - off:t1 - off] for a in logs))
 
-    # Per-round statistics, vectorized over instances and rounds.
-    views = [
-        [a[:, i, :, :c] for i, c in enumerate(counts)] for a in (played, utils, inner, inner_utils)
-    ]
-    instant_regret = np.stack(
-        [v.max(axis=2) - np.einsum("std,std->st", x, v) for x, v in zip(views[0], views[1])],
-        axis=2,
-    )
-    tgap_played = instant_regret.sum(axis=2)
-    denom = np.arange(1.0, T + 1.0)[:, None]
-    tgap_inner_avg = np.zeros((S, T))
-    for x, u in zip(views[2], views[3]):
-        # Linearity makes the mean of recovered utilities equal the utility
-        # vector at the mean inner profile.
-        xbar = np.cumsum(x, axis=1)
-        xbar /= denom
-        ubar = np.cumsum(u, axis=1)
-        ubar /= denom
-        tgap_inner_avg += ubar.max(axis=2) - np.einsum("std,std->st", xbar, ubar)
+    tgap_played = stats.instant_regret.sum(axis=2)
     switch_rounds = np.broadcast_to(getattr(learner, "switch_rounds", 0), (S, n))
+
+    def player_logs(k):
+        if not records:
+            return [None] * 4
+        return [[a[k, i, :, :c] for i, c in enumerate(counts)] for a in logs]
 
     return [
         Trajectory(
@@ -258,13 +276,76 @@ def run_full_feedback_batch(games, specs, T, seeds=None) -> list:
                 "prng": "numpy-PCG64",
                 "switch_round": [int(r) if r else None for r in switch_rounds[k]],
             },
-            *([x[k] for x in v] for v in views),
+            *player_logs(k),
             tgap_played[k],
-            tgap_inner_avg[k],
-            instant_regret[k],
+            stats.tgap_inner_avg[k],
+            stats.instant_regret[k],
+            stats.reg[k],
+            stats.dreg[k],
         )
         for k, (g, seed) in enumerate(zip(games, seeds))
     ]
+
+
+def _cumsum(a, carry):
+    """Cumulative sum along axis 1 that continues from ``carry``, the sum
+    before a's first row (None at the start of the run).
+
+    The carry enters as the first addition, so chunk after chunk this adds
+    the same numbers in the same order as one cumsum over the whole run.
+    Without a carry nothing is added: 0.0 + (-0.0) would turn a leading
+    -0.0 into +0.0.
+    """
+    if carry is None:
+        return np.cumsum(a, axis=1)
+    out = a.copy()
+    out[:, 0] += carry
+    return np.cumsum(out, axis=1, out=out)
+
+
+class _Statistics:
+    """Per-round statistics of S runs, folded in one chunk of rounds at a time.
+
+    Per instance, round and player: the instantaneous regret of the play,
+    its running external regret Reg_i(t) and dynamic regret DReg_i(t); per
+    instance and round, the total gap of the running uniform average of the
+    inner iterates.  Every running sum carries across chunks (``_cumsum``),
+    so each statistic is bit-identical to its formula over full records.
+    """
+
+    def __init__(self, S, T, counts):
+        n = len(counts)
+        self.counts = counts
+        self.instant_regret = np.empty((S, T, n))
+        self.reg = np.empty((S, T, n))
+        self.dreg = np.empty((S, T, n))
+        self.tgap_inner_avg = np.zeros((S, T))
+        # Per player: the running sums of the played utilities, of the
+        # earned and the best utility, of the inner iterates and of the
+        # inner utilities, as of the last folded round.
+        self.carry = [(None,) * 5] * n
+
+    def fold(self, t0, played, utils, inner, inner_utils):
+        """Fold rounds t0 + 1 .. t0 + K, logged as (S, n, K, d_max) arrays."""
+        K = played.shape[2]
+        rounds = slice(t0, t0 + K)
+        denom = np.arange(t0 + 1.0, t0 + K + 1.0)[:, None]
+        for i, c in enumerate(self.counts):
+            x, v, y, w = (a[:, i, :, :c] for a in (played, utils, inner, inner_utils))
+            best = v.max(axis=2)
+            dot = np.einsum("std,std->st", x, v)
+            sums = [_cumsum(a, prev) for a, prev in zip((v, dot, best, y, w), self.carry[i])]
+            self.carry[i] = tuple(a[:, -1].copy() for a in sums)
+            cum_v, earned, cum_best, ybar, wbar = sums
+            self.instant_regret[:, rounds, i] = best - dot
+            self.reg[:, rounds, i] = cum_v.max(axis=2) - earned
+            self.dreg[:, rounds, i] = cum_best - earned
+            # Linearity makes the mean of recovered utilities equal the
+            # utility vector at the mean inner profile.
+            ybar /= denom
+            wbar /= denom
+            self.tgap_inner_avg[:, rounds] += (
+                wbar.max(axis=2) - np.einsum("std,std->st", ybar, wbar))
 
 
 # -- regret reports ----------------------------------------------------------
@@ -285,11 +366,15 @@ def regret_report(traj: Trajectory) -> dict:
     DReg_i dominates Reg_i everywhere since the per-round best response is
     at least the best fixed action.
     """
-    return _report(traj.played, traj.utils)
+    return {"reg": traj.reg, "dreg": traj.dreg,
+            "final_reg": traj.reg[-1], "final_dreg": traj.dreg[-1]}
 
 
 def inner_regret_report(traj: Trajectory) -> dict:
-    """Same as regret_report but on inner iterates and recovered utilities."""
+    """Same as regret_report but on inner iterates and recovered utilities;
+    needs the run's records."""
+    if traj.inner is None:
+        raise ValueError("inner_regret_report needs a run with records=True")
     return _report(traj.inner, traj.inner_utils)
 
 
@@ -387,9 +472,8 @@ class RegretGuard:
 # -- persistence -------------------------------------------------------------
 
 
-def trajectory_csv_lines(traj: Trajectory):
-    """Rows t, tgap_last, tgap_avg, reg_1..reg_n, dreg_1..dreg_n."""
-    rep = regret_report(traj)
+def trajectory_csv_columns(traj: Trajectory):
+    """Header and columns t, tgap_last, tgap_avg, reg_1..reg_n, dreg_1..dreg_n."""
     n = traj.n
     header = (
         ["t", "tgap_last", "tgap_avg"]
@@ -398,6 +482,11 @@ def trajectory_csv_lines(traj: Trajectory):
     )
     columns = (
         [np.arange(1, traj.T + 1), traj.tgap_played, traj.tgap_inner_avg]
-        + list(rep["reg"].T) + list(rep["dreg"].T)
+        + list(traj.reg.T) + list(traj.dreg.T)
     )
-    yield from _csv_lines(header, columns)
+    return header, columns
+
+
+def trajectory_csv_lines(traj: Trajectory):
+    """The CSV lines of ``trajectory_csv_columns``, header first."""
+    yield from _csv_lines(*trajectory_csv_columns(traj))

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import _csv_lines
 from .reduction import A2L
 
 
@@ -363,12 +362,12 @@ def verify_ce(market, p, x, tol=1e-6) -> CEReport:
     )
 
 
-def price_csv_lines(price_hist, gaps=None):
-    """Rows t, p_1..p_n, max_bpb_violation."""
+def price_csv_columns(price_hist, gaps=None):
+    """Header and columns t, p_1..p_n, max_bpb_violation."""
     T, n = price_hist.shape
     header = ["t"] + [f"p_{j + 1}" for j in range(n)] + ["max_bpb_violation"]
     columns = (
         [np.arange(1, T + 1)] + list(price_hist.T)
         + [np.full(T, np.nan) if gaps is None else gaps]
     )
-    yield from _csv_lines(header, columns)
+    return header, columns

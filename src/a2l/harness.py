@@ -6,7 +6,9 @@ fields the mode read, the full config's hash, PRNG name, per-seed results).
 Each seed's result lists its invariant checks as ``Check`` records (name,
 observed value, comparison, limit, slack, passed); the summary's "passed"
 is true exactly when every check passed.  The verify suites report through
-the same record.  Identical configs reproduce byte-identical CSVs.  Random
+the same record.  Each seed's run returns its CSV as a header and columns;
+once every seed has run, the CSVs are written line by line, so a failed run
+writes none.  Identical configs reproduce byte-identical CSVs.  Random
 games and markets described without a seed are regenerated per run seed,
 so multi-seed suites sweep instances.
 
@@ -24,6 +26,7 @@ import logging
 import math
 import operator
 import os
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -34,6 +37,7 @@ import numpy as np
 from . import bandit as bandit_mod
 from . import dynamics as dyn
 from . import fisher as fisher_mod
+from .csvrows import _csv_lines
 from .games import PolymatrixGame, generate_game, load_game
 from .reduction import WEIGHT_RULES
 
@@ -125,9 +129,33 @@ _STEP_LIMITS = {"gradient": ("1/(2(n-1))", dyn.gradient_step_size),
                 "bandit": ("1/(6n)", bandit_mod.bandit_step_size)}
 
 
+def _as_declared(fields: dict, cls) -> dict:
+    """fields with each number converted to the type ``cls`` declares for it."""
+    hints = typing.get_type_hints(cls)
+    out = dict(fields)
+    for k, v in fields.items():
+        declared = typing.get_args(hints.get(k)) or (hints.get(k),)
+        if _number(v) and float in declared:
+            out[k] = float(v)
+        elif _integer(v) and int in declared:
+            out[k] = int(v)
+    return out
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the fields that change results: not out_dir, not workers."""
-    fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
+    """Hash of the fields that change results: not out_dir, not workers.
+
+    Numbers are hashed as their declared type, here and in each players
+    entry and the schedule, so ``monitor_c`` written 4, written 4.0 or left
+    at its default 4.0 hashes alike.
+    """
+    fields = {k: v for k, v in _as_declared(cfg.to_dict(), ExperimentConfig).items()
+              if k not in ("out_dir", "workers")}
+    if isinstance(fields["players"], list):
+        fields["players"] = [_as_declared(p, dyn.LearnerSpec) if isinstance(p, dict) else p
+                             for p in fields["players"]]
+    if isinstance(fields["schedule"], dict):
+        fields["schedule"] = _as_declared(fields["schedule"], bandit_mod.EpochSchedule)
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -156,7 +184,14 @@ def _integer(v) -> bool:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    """A real number that converts to a float: no bool, no int past 2^1024."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 # Field checks, alike in every mode: field -> (test, what the value must be).
@@ -260,18 +295,30 @@ def validate_config(cfg: ExperimentConfig) -> list:
     return errors
 
 
+def _only_keys(spec: dict, keys: tuple):
+    """Refuse keys of an instance spec beside the ones its form reads."""
+    extra = sorted(set(spec) - set(keys))
+    if extra:
+        raise ValueError(f"unexpected key {extra[0]!r} beside {' and '.join(map(repr, keys))}")
+
+
 def resolve_game(spec: dict, seed=0) -> PolymatrixGame:
     """Game from {"file": path}, {"inline": dict} or generator kwargs.
 
-    Generator specs without an explicit "seed" use the run seed, so seed
-    sweeps range over game instances.
+    Generator specs without a "seed" use the run seed, so seed sweeps range
+    over game instances; a "seed" given must be an integer.
     """
     if "file" in spec:
+        _only_keys(spec, ("file",))
         return load_game(spec["file"])
     if "inline" in spec:
+        _only_keys(spec, ("inline",))
         return PolymatrixGame.from_dict(spec["inline"])
     kw = dict(spec)
     kind = kw.pop("kind")
+    if "seed" in kw and not _integer(kw["seed"]):
+        raise ValueError(f"game.seed must be an integer (omit it to use the run seed), "
+                         f"got {kw['seed']!r}")
     kw.setdefault("seed", seed)
     return generate_game(kind, **kw)
 
@@ -279,8 +326,10 @@ def resolve_game(spec: dict, seed=0) -> PolymatrixGame:
 def resolve_market(spec: dict, seed=0) -> fisher_mod.FisherMarket:
     """Market from {"file": path}, {"budgets", "valuations"} or {"m", "n"[, "seed"]}."""
     if "file" in spec:
+        _only_keys(spec, ("file",))
         return fisher_mod.load_market(spec["file"])
     if "budgets" in spec:
+        _only_keys(spec, ("budgets", "valuations"))
         return fisher_mod.FisherMarket.from_dict(spec)
     if set(spec) - {"seed"} != {"m", "n"} or not all(map(_integer, spec.values())):
         raise ValueError(f"a random market takes integers m, n and optionally seed: {spec!r}")
@@ -306,7 +355,7 @@ def _learner_specs(cfg: ExperimentConfig, game: PolymatrixGame):
 def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
     game = resolve_game(cfg.game, seed=seed)
     specs = _learner_specs(cfg, game)
-    traj = dyn.run_full_feedback(game, specs, cfg.T, seed=seed)
+    traj = dyn.run_full_feedback(game, specs, cfg.T, seed=seed, records=False)
     # Certified runs have one eta (validate_config); otherwise the loosest bound.
     eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in specs)
     bound = float(np.log(game.action_counts).sum()) / (eta * cfg.T)
@@ -318,9 +367,8 @@ def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
         "gap_bound": bound,
         "bound_slack": bound - final_gap,
     }
-    csv_text = "\n".join(dyn.trajectory_csv_lines(traj)) + "\n"
     checks = [Check("bound_slack", bound - final_gap, ">=", -TOL_BOUND)] if cfg.certified else []
-    return {"result": result, "csv": csv_text, "checks": checks}
+    return {"result": result, "csv": dyn.trajectory_csv_columns(traj), "checks": checks}
 
 
 def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
@@ -350,8 +398,7 @@ def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
     }
     checks = [Check(key, result[key], ">=", -TOL_AUDIT)
               for key in ("recovery_slack_min", "regret_bound_slack_min")]
-    csv_text = "\n".join(bandit_mod.bandit_csv_lines(traj, truth)) + "\n"
-    return {"result": result, "csv": csv_text, "checks": checks}
+    return {"result": result, "csv": bandit_mod.bandit_csv_columns(traj, truth), "checks": checks}
 
 
 def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
@@ -366,9 +413,8 @@ def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
         "final_gap": float(gaps[-1]),
         "conservation_dev": conservation,
     }
-    csv_text = "\n".join(fisher_mod.price_csv_lines(p, gaps)) + "\n"
     checks = [Check("conservation_dev", conservation, "<=", TOL_CONSERVATION)]
-    return {"result": result, "csv": csv_text, "checks": checks}
+    return {"result": result, "csv": fisher_mod.price_csv_columns(p, gaps), "checks": checks}
 
 
 _CELLS = {"gradient": _gradient_cell, "bandit": _bandit_cell, "fisher": _fisher_cell}
@@ -403,7 +449,7 @@ def run(cfg: ExperimentConfig) -> dict:
     for seed, cell in zip(seeds, cells):  # merged in deterministic seed order
         csv_path = out_dir / f"{cfg.mode}_seed{seed}.csv"
         with open(csv_path, "w", newline="\n") as f:
-            f.write(cell["csv"])
+            f.writelines(line + "\n" for line in _csv_lines(*cell["csv"]))
         results.append({**cell["result"], "checks": [c.to_dict() for c in cell["checks"]]})
         log.info("seed %s -> %s", seed, csv_path)
 

@@ -21,7 +21,7 @@ from a2l.bandit import (
     JointSampler,
     ScheduleError,
     audit_truths,
-    bandit_csv_lines,
+    bandit_csv_columns,
     bandit_step_size,
     epoch_estimate,
     estimate_epoch,
@@ -32,6 +32,7 @@ from a2l.bandit import (
     run_bandit,
     run_bandit_vs_environment,
 )
+from a2l.csvrows import _csv_lines
 from a2l.games import PolymatrixGame, generate_game
 from a2l.learners import OMWU, AnytimeMWU, softmax
 from a2l.reduction import A2L
@@ -431,7 +432,7 @@ def test_exp3_fallback_learns():
 
 def test_csv_lines():
     traj = quiet_run(epochs=3, seed=0)
-    lines = list(bandit_csv_lines(traj, audit_truths(traj, small_game())))
+    lines = list(_csv_lines(*bandit_csv_columns(traj, audit_truths(traj, small_game()))))
     head = lines[0].split(",")
     assert head == ["t", "B", "eps", "tgap_mixed_avg", "delta_inf_1",
                     "delta_inf_2", "bound", "unsampled_1", "unsampled_2"]

@@ -373,3 +373,135 @@ def test_unequal_action_counts_match_per_player_loop(algos):
             assert np.abs(got - ref[i]).max() <= tol[field], (field, i)
     for x in traj.played:
         assert np.abs(x.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+# -- statistics folded chunk by chunk ------------------------------------------
+
+
+def record_statistics(tr):
+    """The statistics by their formulas over the run's full records."""
+    T = tr.T
+    instant = np.stack([u.max(axis=1) - np.einsum("td,td->t", x, u)
+                        for x, u in zip(tr.played, tr.utils)], axis=1)
+    denom = np.arange(1.0, T + 1.0)[:, None]
+    tgap_avg = np.zeros(T)
+    for x, u in zip(tr.inner, tr.inner_utils):
+        xbar = np.cumsum(x, axis=0) / denom
+        ubar = np.cumsum(u, axis=0) / denom
+        tgap_avg += ubar.max(axis=1) - np.einsum("td,td->t", xbar, ubar)
+    regrets = [dyn._cumulative_regrets(x, u) for x, u in zip(tr.played, tr.utils)]
+    return {
+        "instant_regret": instant,
+        "tgap_played": instant.sum(axis=1),
+        "tgap_inner_avg": tgap_avg,
+        "reg": np.stack([r for r, _ in regrets], axis=1),
+        "dreg": np.stack([r for _, r in regrets], axis=1),
+    }
+
+
+STATISTICS = ("instant_regret", "tgap_played", "tgap_inner_avg", "reg", "dreg")
+
+
+def same_bits(a, b):
+    """Equal bit for bit: signs of zero and NaN positions included."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def fold_cell(name, S):
+    """S games and the player specs of one kind of run; the guarded row of
+    "guarded" switches in round 13 (scale 1) and round 5 (scale 5), and
+    never at scale 1/4."""
+    if name == "guarded":
+        mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        games = [PolymatrixGame((2, 2), {(0, 1): mp, (1, 0): -scale * mp.T})
+                 for scale in (1.0, 5.0, 0.25)[:S]]
+        return games, [LearnerSpec(algo="guarded-a2l-omwu", monitor_c=0.2),
+                       LearnerSpec(algo="mwu", eta=2.0, bias=[1.0, 0.0])]
+    if name == "mixed":  # unequal action counts: padded rows
+        games = [generate_game("random_zs", n=3, d=(3, 7, 4), seed=s) for s in range(S)]
+        return games, [LearnerSpec(algo=a, weights="linear")
+                       for a in ("a2l-omwu", "omwu", "a2l-mwu")]
+    games = [generate_game("random_zs", n=3, d=4, seed=s) for s in range(S)]
+    return games, LearnerSpec(algo={"bare": "omwu", "wrapped": "a2l-omwu"}[name])
+
+
+def test_chunked_cumsum_equals_one_cumsum_bit_for_bit():
+    # Leading -0.0s stay -0.0 (no carry is added to the first chunk), and
+    # a NaN carries to the end of its own column only.
+    a = np.random.default_rng(0).standard_normal((3, 23, 4))
+    a[:, :2] = -0.0
+    a[1, 9, 2] = np.nan
+    want = np.cumsum(a, axis=1)
+    for K in (1, 6, 7, 8, 23):
+        parts, carry = [], None
+        for t0 in range(0, 23, K):
+            parts.append(dyn._cumsum(a[:, t0:t0 + K], carry))
+            carry = parts[-1][:, -1].copy()
+        assert same_bits(np.concatenate(parts, axis=1), want), K
+
+
+@pytest.mark.parametrize("name", ["bare", "wrapped", "mixed", "guarded"])
+@pytest.mark.parametrize("S", [1, 3])
+def test_folded_statistics_equal_the_record_formulas(monkeypatch, name, S):
+    monkeypatch.setattr(dyn, "CHUNK_ROUNDS", 7)
+    games, specs = fold_cell(name, S)
+    for T in (1, 6, 7, 8, 23):
+        kept = run_full_feedback_batch(games, specs, T)
+        streamed = run_full_feedback_batch(games, specs, T, records=False)
+        for tr, lean in zip(kept, streamed):
+            want = record_statistics(tr)
+            for stat in STATISTICS:
+                assert same_bits(getattr(tr, stat), want[stat]), (T, stat)
+                assert same_bits(getattr(lean, stat), want[stat]), (T, stat)
+            assert lean.meta == tr.meta
+            assert (lean.played, lean.utils, lean.inner, lean.inner_utils) == (None,) * 4
+    if name == "guarded":
+        assert [tr.meta["switch_round"][0] for tr in kept] == [13, 5, None][:S]
+
+
+def test_run_without_records_writes_the_same_csv(tmp_path):
+    # The harness runs without records; its CSV equals the lines formatted
+    # from the record formulas of a run that kept them.
+    from a2l import harness
+    from a2l.csvrows import _csv_lines
+
+    cfg = harness.load_config({"mode": "gradient", "T": 600, "seeds": [3],
+                               "game": {"kind": "random_zs", "n": 3, "d": 4},
+                               "out_dir": str(tmp_path / "out")})
+    harness.run(cfg)
+    game = harness.resolve_game(cfg.game, seed=3)
+    tr = run_full_feedback(game, harness._learner_specs(cfg, game), 600, seed=3)
+    want = record_statistics(tr)
+    header, _ = dyn.trajectory_csv_columns(tr)
+    columns = ([np.arange(1, 601), want["tgap_played"], want["tgap_inner_avg"]]
+               + list(want["reg"].T) + list(want["dreg"].T))
+    text = "".join(line + "\n" for line in _csv_lines(header, columns))
+    assert (tmp_path / "out" / "gradient_seed3.csv").read_text() == text
+    assert "".join(line + "\n" for line in trajectory_csv_lines(tr)) == text
+
+
+def test_run_without_records_needs_memory_independent_of_T():
+    import tracemalloc
+
+    n, d = 4, 10
+    game = generate_game("random_zs", n=n, d=d, seed=1)
+    spec = LearnerSpec(algo="a2l-omwu")
+
+    def traced(T):
+        tracemalloc.start()
+        try:
+            tr = run_full_feedback(game, spec, T, records=False)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.T == T and tr.played is None
+        return held, peak
+
+    short_held, short_peak = traced(10_000)
+    long_held, long_peak = traced(40_000)
+    # What a run needs beyond the per-round statistics it returns does not
+    # grow with T ...
+    assert (long_peak - long_held) / (short_peak - short_held) < 1.5
+    # ... and its whole peak is under a quarter of the four (T, n, d) records
+    # a run with records=True holds (and so under a quarter of that run's peak).
+    assert long_peak < 4 * n * 40_000 * d * 8 / 4

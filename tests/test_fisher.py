@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2l.csvrows import _csv_lines
 from a2l.fisher import (
     CEReport,
     DegenerateMarketError,
@@ -13,7 +14,7 @@ from a2l.fisher import (
     load_market,
     market_gap,
     prd_step,
-    price_csv_lines,
+    price_csv_columns,
     prices,
     random_linear_market,
     run_a2l_prd,
@@ -214,7 +215,7 @@ def test_json_round_trip(tmp_path):
 
 def test_price_csv_lines():
     hist = np.array([[1.0, 2.0], [1.5, 1.5]])
-    lines = list(price_csv_lines(hist, gaps=np.array([0.5, 0.25])))
+    lines = list(_csv_lines(*price_csv_columns(hist, gaps=np.array([0.5, 0.25]))))
     assert lines[0] == "t,p_1,p_2,max_bpb_violation"
     assert lines[1] == "1,1,2,0.5"
     assert len(lines) == 3

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2l import cli, harness, verify
+from a2l.games import generate_game
 from a2l.harness import Check, ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
 
 
@@ -56,6 +57,8 @@ def test_all_errors_enumerated(tmp_path):
     ("delta", 0.0),
     ("delta", 1.0),
     ("monitor_c", float("nan")),
+    ("monitor_c", 10**400),  # no float: was an OverflowError at load
+    ("eta", 10**400),
     ("players", 3),
     ("players[0].foo", 1),
     ("players[1].weights", "quadratic"),
@@ -134,6 +137,25 @@ def test_config_hash_stable(tmp_path):
     # where a run is written and how many processes run it change no result
     for where in ({"out_dir": str(tmp_path / "elsewhere")}, {"workers": 2}):
         assert config_hash(load_config(gradient_cfg(tmp_path, **where))) == config_hash(cfg1)
+
+
+@pytest.mark.parametrize("mode", ["gradient", "bandit"])
+def test_config_hash_reads_numbers_as_their_declared_type(mode):
+    # monitor_c written as an int, as a float or left at its default 4.0
+    # means the same run; so do an int and a float in a players entry or in
+    # the schedule.
+    def hash_of(**fields):
+        return config_hash(load_config({"mode": mode, **MODE_BASE[mode], **fields}))
+
+    assert hash_of() == hash_of(monitor_c=4) == hash_of(monitor_c=4.0)
+    if mode == "gradient":
+        players = [{"eta": 0.5, "monitor_c": 2}, {"eta": 0.5}]
+        assert hash_of(players=players) == hash_of(
+            players=[{"eta": 0.5, "monitor_c": 2.0}, {"eta": 0.5}])
+    else:
+        schedule = {"mode": "custom", "coeff": 10, "power": 1}
+        assert hash_of(certified=False, schedule=schedule) == hash_of(
+            certified=False, schedule={**schedule, "coeff": 10.0, "power": 1.0})
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,6 +251,37 @@ def test_fisher_mode_refuses_the_learner_fields():
 def test_bad_market_spec_fails_at_load(market):
     with pytest.raises(ConfigError, match="- market spec invalid"):
         load_config({"mode": "fisher", "market": market})
+
+
+def test_game_seed_null_fails_at_load(tmp_path):
+    # A null seed would draw a fresh game on every run of one config hash.
+    with pytest.raises(ConfigError, match=r"- game spec invalid: game\.seed must be an integer"):
+        load_config(gradient_cfg(tmp_path, game={"kind": "random_zs", "n": 2, "d": 2,
+                                                  "seed": None}))
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("game", {"file": "game.json", "foo": 1}),
+    ("game", {"inline": {}, "foo": 1}),
+    ("game", {"kind": "random_zs", "n": 2, "d": 2, "foo": 1}),
+    ("market", {"file": "market.json", "foo": 1}),
+    ("market", {"budgets": [1, 1], "valuations": [[1, 0], [0, 1]], "foo": 1}),
+])
+def test_extra_key_in_an_instance_spec_fails_at_load(tmp_path, field, spec):
+    # Written out, the file and inline forms would load but for the extra key.
+    harness_io = {"game": ("game.json", generate_game("rps").to_dict()),
+                  "market": ("market.json", {"budgets": [1, 1],
+                                             "valuations": [[1, 0], [0, 1]]})}
+    name, data = harness_io[field]
+    (tmp_path / name).write_text(json.dumps(data))
+    spec = {**spec, **({"file": str(tmp_path / name)} if "file" in spec else {})}
+    if "inline" in spec:
+        spec["inline"] = data
+    mode = "fisher" if field == "market" else "gradient"
+    with pytest.raises(ConfigError, match=rf"- {field} spec invalid: .*'foo'"):
+        load_config({"mode": mode, field: spec})
+    del spec["foo"]
+    load_config({"mode": mode, field: spec})
 
 
 def test_missing_market_file_listed(tmp_path):
