@@ -57,8 +57,6 @@ def test_all_errors_enumerated(tmp_path):
     ("delta", 0.0),
     ("delta", 1.0),
     ("monitor_c", float("nan")),
-    ("monitor_c", 10**400),  # no float: was an OverflowError at load
-    ("eta", 10**400),
     ("players", 3),
     ("players[0].foo", 1),
     ("players[1].weights", "quadratic"),
@@ -67,6 +65,9 @@ def test_all_errors_enumerated(tmp_path):
     ("players[0].bias", [0.0, 1.0]),
     ("players[1].bias", [0.0, float("inf"), 1.0]),
     ("players", [{}, {}, {}]),
+    # ints beyond the float range: was an OverflowError at load
+    pytest.param("monitor_c", 10**400, id="monitor_c-int_above_float_max"),
+    pytest.param("eta", 10**400, id="eta-int_above_float_max"),
 ])
 @pytest.mark.parametrize("mode", ["gradient", "bandit"])
 def test_bad_field_raises_config_error_naming_it(tmp_path, mode, field, value):
