@@ -47,7 +47,9 @@ Rewards: built-in games pay in [-(n-1), n-1], so each player's bandit reward
 is mapped affinely through r -> (r + (n-1)) / (2(n-1)) into [0, 1] before
 estimation.  The map is monotone and per-player affine, hence preserves
 argmax structure and regret ordering; gap statistics are reported in
-original payoff units.
+original payoff units.  A game whose mapped rewards leave [0, 1] is refused
+when its ``JointSampler`` is built, before any draw (``check_reward_range``,
+exact, from the payoff matrices' row extremes).
 
 A run logs only what play produces: the played and inner strategies, the
 estimates and their counts, and the monitor columns.  In simulator runs
@@ -192,15 +194,6 @@ class EpochEstimate:
     unsampled: np.ndarray  # boolean mask of never-sampled actions
 
 
-def _check_rewards(rewards, player=None):
-    """Raise ``DataError`` unless every reward lies in [0, 1]; the message
-    names the player when one is given."""
-    lo, hi = np.min(rewards), np.max(rewards)
-    if lo < -1e-12 or hi > 1.0 + 1e-12:
-        who = "" if player is None else f"player {player}: "
-        raise DataError(f"{who}rewards outside [0, 1] after normalization: [{lo}, {hi}]")
-
-
 def epoch_estimate(counts, sums) -> EpochEstimate:
     """Empirical per-action means from one epoch's sample counts and [0, 1]
     reward sums; never-sampled actions get estimate 0 and are flagged."""
@@ -221,8 +214,9 @@ def estimate_epoch(actions, rewards, d) -> EpochEstimate:
     rewards = np.asarray(rewards, dtype=float)
     if actions.shape != rewards.shape or actions.ndim != 1:
         raise ValueError("actions and rewards must be equal-length vectors")
-    if rewards.size:
-        _check_rewards(rewards)
+    if rewards.size and not -1e-12 <= rewards.min() <= rewards.max() <= 1.0 + 1e-12:
+        raise DataError(f"rewards outside [0, 1] after normalization: "
+                        f"[{rewards.min()}, {rewards.max()}]")
     return epoch_estimate(np.bincount(actions, minlength=d),
                           np.bincount(actions, weights=rewards, minlength=d))
 
@@ -230,6 +224,27 @@ def estimate_epoch(actions, rewards, d) -> EpochEstimate:
 def unit_rewards(raw, n):
     """The reward map r -> (r + (n-1)) / (2(n-1)) of an n-player game."""
     return (raw + float(n - 1)) / (2.0 * float(n - 1))
+
+
+def check_reward_range(game: PolymatrixGame) -> list:
+    """Each player's exact least and largest mapped reward over pure
+    profiles, as (lo, hi) pairs; raises ``DataError`` naming the first
+    player whose range leaves [0, 1] by more than 1e-12.
+
+    Each neighbour j adds A_ij[a_i, a_j] at its own action, so summing the
+    row minima (maxima) in the order ``JointSampler`` adds rewards gives,
+    float addition being monotone, the exact least (largest) reward.
+    """
+    ranges = []
+    for i, d in enumerate(game.action_counts):
+        mats = [game.edges[(i, j)] for j in game.neighbors(i)]
+        lo = unit_rewards(sum((m.min(axis=1) for m in mats), np.zeros(d)), game.n).min()
+        hi = unit_rewards(sum((m.max(axis=1) for m in mats), np.zeros(d)), game.n).max()
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
+            raise DataError(f"player {i}: rewards outside [0, 1] after normalization: "
+                            f"[{lo}, {hi}]")
+        ranges.append((lo, hi))
+    return ranges
 
 
 class JointSampler:
@@ -243,24 +258,23 @@ class JointSampler:
     Multinomial(B, x_1 (x) ... (x) x_n) and reduces N and N * R_i over the
     other players' axes, at O(prod_i d_i) cost whatever B is.  Larger joint
     spaces draw each player's actions ``CHUNK_ROUNDS`` rounds at a time and
-    reduce every chunk to counts and sums.
+    reduce every chunk to counts and sums.  A game whose rewards leave [0, 1]
+    is refused here (``check_reward_range``), before any draw.
     """
 
     def __init__(self, game: PolymatrixGame):
+        check_reward_range(game)
         n = game.n
         self.dims = tuple(game.action_counts)
         self.width = max(self.dims)
         self.others = [tuple(k for k in range(n) if k != i) for i in range(n)]
         self.edge_mats = [[(j, game.edges[(i, j)]) for j in game.neighbors(i)]
                           for i in range(n)]
-        self.tables = self.bad_cells = None
+        self.tables = None
         if math.prod(self.dims) <= CELL_CAP:
             grid = np.indices(self.dims, sparse=True)
             self.tables = [np.broadcast_to(self._rewards01(i, grid), self.dims)
                            for i in range(n)]
-            bad = functools.reduce(np.logical_or, [(R < -1e-12) | (R > 1.0 + 1e-12)
-                                                   for R in self.tables])
-            self.bad_cells = bad if bad.any() else None
 
     def _rewards01(self, i, a):
         """Player i's [0, 1] rewards at the players' actions a: one array per
@@ -271,15 +285,9 @@ class JointSampler:
     def _round_rewards(self, a) -> list:
         """Every player's [0, 1] reward in one round of actions a."""
         if self.tables is None:
-            r = [float(self._rewards01(i, a)) for i in range(len(self.dims))]
-        else:
-            a = tuple(a)
-            r = [float(R[a]) for R in self.tables]
-            if self.bad_cells is None or not self.bad_cells[a]:
-                return r
-        for i, x in enumerate(r):
-            _check_rewards(x, i)
-        return r
+            return [float(self._rewards01(i, a)) for i in range(len(self.dims))]
+        a = tuple(a)
+        return [float(R[a]) for R in self.tables]
 
     def epoch(self, rng, plays, B):
         """One epoch of B rounds at the stacked strategies ``plays``; returns
@@ -292,17 +300,12 @@ class JointSampler:
                 acts = [rng.choice(d, size=size, p=x[:d]) for d, x in zip(self.dims, plays)]
                 for i, d in enumerate(self.dims):
                     r = self._rewards01(i, acts)
-                    _check_rewards(r, i)
                     counts[i, :d] += np.bincount(acts[i], minlength=d)
                     sums[i, :d] += np.bincount(acts[i], weights=r, minlength=d)
             return counts, sums
         xs = [x[:d] for x, d in zip(plays, self.dims)]
         N = rng.multinomial(B, functools.reduce(np.multiply.outer, xs).ravel())
         N = N.reshape(self.dims)
-        if self.bad_cells is not None and N[self.bad_cells].any():
-            sampled = N > 0
-            for i, R in enumerate(self.tables):
-                _check_rewards(R[sampled], i)
         for i, (R, others, d) in enumerate(zip(self.tables, self.others, self.dims)):
             counts[i, :d] = N.sum(axis=others)
             sums[i, :d] = (N * R).sum(axis=others)
@@ -520,10 +523,10 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     The total gap of every played profile is evaluated after the loop.
     After a monitor switch the epoch is played round by round, and an epoch
     longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``.  Monitor
-    columns are logged in every run, NaN after a switch.  A reward outside
-    [0, 1] raises ``DataError`` naming the epoch and the player.  A
-    certified run needs a theory schedule and eta <= 1/(6n); violations
-    warn and flag the run.
+    columns are logged in every run, NaN after a switch.  A game whose
+    rewards leave [0, 1] raises ``DataError`` naming the player when the
+    sampler is built, before any draw.  A certified run needs a theory
+    schedule and eta <= 1/(6n); violations warn and flag the run.
     """
     n = game.n
     if n < 2:
@@ -555,18 +558,15 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         B = int(B_arr[idx])
         play = pipe.begin_epoch()
         mixed[:, idx] = play
-        try:
-            if not pipe.switched.any():
-                stats = sampler.epoch(rng, play, B)
-            elif B > ROUND_EPOCH_CAP:
-                raise FallbackEpochError(
-                    f"epoch t={t}: {B} rounds after a monitor switch exceed the "
-                    f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=t
-                )
-            else:
-                stats = _play_rounds(rng, sampler, pipe, B)
-        except DataError as exc:
-            raise DataError(f"epoch t={t}: {exc}") from exc
+        if not pipe.switched.any():
+            stats = sampler.epoch(rng, play, B)
+        elif B > ROUND_EPOCH_CAP:
+            raise FallbackEpochError(
+                f"epoch t={t}: {B} rounds after a monitor switch exceed the "
+                f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=t
+            )
+        else:
+            stats = _play_rounds(rng, sampler, pipe, B)
         est = epoch_estimate(*stats)
         estimates[:, idx] = est.estimate
         counts[:, idx] = est.counts

@@ -1,16 +1,14 @@
-"""Proportional response dynamics in Fisher markets, with average-playing variant.
+"""Proportional response dynamics in linear Fisher markets, with average-playing variant.
 
 A Fisher market has m agents with budgets B_i > 0 and n divisible goods in
-unit supply.  Agents repeatedly split their budgets: given a spending matrix
-b (rows sum to budgets), prices are column sums p_j = sum_i b_ij and goods
-are allocated proportionally to spending, x_ij = b_ij / p_j.  Proportional
-response then reweights each agent's spending by the utility earned per
-good:
+unit supply; agent i has the linear utility u_i(x_i) = <a_i, x_i>, with
+finite valuations a_i >= 0, a_i != 0.  Agents repeatedly split their
+budgets: given a spending matrix b (rows sum to budgets), prices are column
+sums p_j = sum_i b_ij and goods are allocated proportionally to spending,
+x_ij = b_ij / p_j.  Proportional response then reweights each agent's
+spending by the utility earned per good:
 
-    b'_ij = B_i * x_ij grad_j u_i(x_i) / sum_j' x_ij' grad_j' u_i(x_i)
-
-For linear utilities u_i(x_i) = <a_i, x_i> the gradient is the constant
-valuation vector a_i.
+    b'_ij = B_i * x_ij a_ij / sum_j' x_ij' a_ij'
 
 The average-playing variant is the package's one reduction,
 ``reduction.A2L``, wrapped around the agents' proportional response
@@ -59,52 +57,23 @@ class StallError(RuntimeError):
 
 
 class FisherMarket:
-    """Market instance: budgets plus either linear valuations or a gradient.
+    """Linear market instance: finite budgets B_i > 0 and finite valuation
+    rows a_i >= 0, a_i != 0, one per agent."""
 
-    For linear utilities pass `valuations` with rows a_i >= 0, a_i != 0.
-    Other (e.g. gross-substitutes) utilities are supported only through a
-    user-supplied `gradient(i, bundle) -> vector`; no validity check is
-    performed on such oracles.
-    """
-
-    def __init__(self, budgets, valuations=None, gradient=None):
+    def __init__(self, budgets, valuations):
         self.budgets = np.asarray(budgets, dtype=float)
-        if self.budgets.ndim != 1 or self.budgets.size == 0 or np.any(self.budgets <= 0):
-            raise ValueError("budgets must be a nonempty vector of positive numbers")
-        if (valuations is None) == (gradient is None):
-            raise ValueError("pass exactly one of valuations or gradient")
-        self.m_agents = self.budgets.size
-        if valuations is not None:
-            v = np.asarray(valuations, dtype=float)
-            if v.ndim != 2 or v.shape[0] != self.m_agents:
-                raise ValueError("valuations must be one row per agent")
-            if np.any(v < 0) or np.any(v.sum(axis=1) == 0):
-                raise ValueError("linear valuations need a_i >= 0 and a_i != 0")
-            self.valuations = v
-            self.n_goods = v.shape[1]
-            self._gradient = None
-        else:
-            self.valuations = None
-            self._gradient = gradient
-            self.n_goods = None  # unknown until first bundle is seen
-
-    @property
-    def linear(self) -> bool:
-        return self.valuations is not None
-
-    def gradient(self, i, bundle) -> np.ndarray:
-        if self.linear:
-            return self.valuations[i]
-        return np.asarray(self._gradient(i, bundle), dtype=float)
-
-    def utility(self, i, bundle) -> float:
-        if not self.linear:
-            raise ValueError("utility values are only defined for linear markets")
-        return float(self.valuations[i] @ bundle)
+        if self.budgets.ndim != 1 or self.budgets.size == 0 or not np.all(
+                (self.budgets > 0) & (self.budgets < np.inf)):  # NaN fails too
+            raise ValueError("budgets must be a nonempty vector of positive finite numbers")
+        v = np.asarray(valuations, dtype=float)
+        if v.ndim != 2 or v.shape[0] != self.budgets.size:
+            raise ValueError("valuations must be one row per agent")
+        if not np.all((v >= 0) & (v < np.inf)) or np.any(v.sum(axis=1) == 0):
+            raise ValueError("linear valuations need finite a_i >= 0 and a_i != 0")
+        self.valuations = v
+        self.m_agents, self.n_goods = v.shape
 
     def to_dict(self) -> dict:
-        if not self.linear:
-            raise ValueError("only linear markets serialize to JSON")
         return {"budgets": self.budgets.tolist(), "valuations": self.valuations.tolist()}
 
     @classmethod
@@ -133,8 +102,6 @@ def random_linear_market(m, n, seed=None, value_range=(0.25, 1.0),
 
 def uniform_spending(market) -> np.ndarray:
     """Interior start b_ij = B_i / n; every price starts positive."""
-    if market.n_goods is None:
-        raise ValueError("market needs a known number of goods")
     return np.tile(market.budgets[:, None] / market.n_goods, (1, market.n_goods))
 
 
@@ -159,14 +126,8 @@ def check_spending(market, spend, tol=1e-9):
 
 
 def _respond(market, alloc) -> np.ndarray:
-    """Proportional response of every agent (row) to its allocation row.
-
-    The gradient oracle of a non-linear market is called once per row.
-    """
-    if market.linear:
-        w = alloc * market.valuations
-    else:
-        w = np.stack([alloc[i] * market.gradient(i, alloc[i]) for i in range(len(alloc))])
+    """Proportional response of every agent (row) to its allocation row."""
+    w = alloc * market.valuations
     denom = w.sum(axis=1)
     stalled = np.flatnonzero(denom <= 0)
     if stalled.size:
@@ -199,7 +160,7 @@ def run_prd(market, T, spend0=None) -> dict:
         avg_spends[t] = bbar
         avg_prices[t] = prices(bbar)
         b = prd_step(market, b)
-    gaps = market_gap(market, avg_prices, spend=avg_spends).max(axis=1) if market.linear else None
+    gaps = market_gap(market, avg_prices, spend=avg_spends).max(axis=1)
     return {
         "spends": spends,
         "prices": price_hist,
@@ -287,14 +248,12 @@ def market_gap(market, p, x=None, *, spend=None) -> np.ndarray:
     """Per-agent utility shortfall against the best bang-per-buck bundle.
 
     gap_i = B_i * max_j a_ij / p_j - <a_i, x_i>; zero for every agent
-    exactly at a competitive equilibrium.  Linear markets only.  Pass the
-    allocation x, or the spending, whose allocation x = spend / p is then
-    never formed.  Leading axes broadcast: prices (T, n) with (T, m, n)
+    exactly at a competitive equilibrium.  Pass the allocation x, or the
+    spending, whose allocation x = spend / p is then never formed.  Leading
+    axes broadcast: prices (T, n) with (T, m, n)
     allocations or spends give the (T, m) gaps of T rounds in one call,
     with no temporary of the spends' size.
     """
-    if not market.linear:
-        raise ValueError("equilibrium gap is only defined for linear markets")
     a = market.valuations
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
@@ -362,12 +321,8 @@ def verify_ce(market, p, x, tol=1e-6) -> CEReport:
     )
 
 
-def price_csv_columns(price_hist, gaps=None):
+def price_csv_columns(price_hist, gaps):
     """Header and columns t, p_1..p_n, max_bpb_violation."""
     T, n = price_hist.shape
     header = ["t"] + [f"p_{j + 1}" for j in range(n)] + ["max_bpb_violation"]
-    columns = (
-        [np.arange(1, T + 1)] + list(price_hist.T)
-        + [np.full(T, np.nan) if gaps is None else gaps]
-    )
-    return header, columns
+    return header, [np.arange(1, T + 1)] + list(price_hist.T) + [gaps]

@@ -15,8 +15,11 @@ profile to Nash equilibrium is measured by the total gap
 
 which is nonnegative and zero exactly at Nash equilibria.  Bimatrix games are
 the n = 2, single-pair case.  A game is zero-sum when sum_i u_i(a) = 0 for
-every pure action profile a; the built-in generators guarantee this with the
-pairwise form A_ji = -A_ij^T, which is sufficient but not necessary.
+every pure action profile a.  The sum is a sum of pairwise terms
+C_ij[a_i, a_j] with C_ij = A_ij + A_ji^T, so ``PolymatrixGame`` checks a
+declared zero-sum game exactly from those blocks, without enumerating
+profiles.  The built-in generators use the pairwise form A_ji = -A_ij^T,
+which makes every block exactly zero.
 
 Strategies are plain numpy probability vectors ("MixedStrategy"); a profile
 is a sequence of such vectors, one per player.  Utilities are linear in the
@@ -30,17 +33,11 @@ products; ``X @ A.T`` or ``einsum`` would round differently).
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 SIMPLEX_TOL = 1e-9
 ZERO_SUM_TOL = 1e-9
-
-# Profile budget for the exhaustive zero-sum check; above it we sample.
-_EXHAUSTIVE_LIMIT = 10**6
-_SAMPLED_PROFILES = 10**4
-_ZS_CHECK_SEED = 0x5EED
 
 
 class DimensionMismatchError(ValueError):
@@ -88,9 +85,11 @@ class PolymatrixGame:
     action_counts : per-player action counts d_1..d_n
     edges : mapping (i, j) -> payoff matrix of shape (d_i, d_j); the reverse
         edge (j, i) must also be present
-    zero_sum : declare the game zero-sum; verified over pure profiles at
-        construction (exhaustively when the profile count is at most 10^6,
-        otherwise on 10^4 sampled profiles)
+    zero_sum : declare the game zero-sum; checked at construction, where
+        ``zero_sum_bound()`` must not exceed ``ZERO_SUM_TOL`` = 1e-9.  The
+        bound is at least max_a |sum_i u_i(a)| over pure profiles, so the
+        criterion is sufficient for max_a |sum_i u_i(a)| <= 1e-9, and it is
+        0 exactly when every sum is 0.
     """
 
     def __init__(self, action_counts, edges, zero_sum=False, name=None):
@@ -121,8 +120,10 @@ class PolymatrixGame:
         self._neighbors = tuple(
             tuple(j for (a, j) in sorted(checked) if a == i) for i in range(self.n)
         )
-        if self.zero_sum:
-            self._verify_zero_sum()
+        if self.zero_sum and (bound := self.zero_sum_bound()) > ZERO_SUM_TOL:
+            raise ZeroSumViolationError(
+                f"declared zero-sum, but the pairwise blocks bound |sum_i u_i| over pure "
+                f"profiles by {bound:.3e} > {ZERO_SUM_TOL}")
 
     # -- structure ---------------------------------------------------------
 
@@ -130,10 +131,6 @@ class PolymatrixGame:
     def dimensionality(self) -> int:
         """Largest action count over players."""
         return max(self.action_counts)
-
-    @property
-    def num_profiles(self) -> int:
-        return math.prod(self.action_counts)
 
     def neighbors(self, i):
         return self._neighbors[i]
@@ -181,28 +178,32 @@ class PolymatrixGame:
         """Index of the best pure action; ties go to the lowest index."""
         return int(np.argmax(self.utility_vector(i, profile)))
 
-    def pure_utility_sums(self, profiles: np.ndarray) -> np.ndarray:
-        """sum_i u_i(a) for each pure profile row of `profiles`."""
-        total = np.zeros(len(profiles))
-        for (i, j), mat in self.edges.items():
-            total += mat[profiles[:, i], profiles[:, j]]
-        return total
+    def zero_sum_bound(self) -> float:
+        """Upper bound on max_a |sum_i u_i(a)| over pure profiles a, in
+        O(sum over edges of d_i d_j).
 
-    def _verify_zero_sum(self, tol=ZERO_SUM_TOL):
-        if self.num_profiles <= _EXHAUSTIVE_LIMIT:
-            grids = np.meshgrid(*[np.arange(d) for d in self.action_counts], indexing="ij")
-            profiles = np.stack([g.reshape(-1) for g in grids], axis=1)
-        else:
-            rng = np.random.default_rng(_ZS_CHECK_SEED)
-            profiles = np.stack(
-                [rng.integers(0, d, size=_SAMPLED_PROFILES) for d in self.action_counts],
-                axis=1,
-            )
-        worst = float(np.abs(self.pure_utility_sums(profiles)).max()) if len(profiles) else 0.0
-        if worst > tol:
-            raise ZeroSumViolationError(
-                f"utility sums over pure profiles reach {worst:.3e} > {tol}"
-            )
+        sum_i u_i(a) = sum_{i<j} C_ij[a_i, a_j] with C_ij = A_ij + A_ji^T.
+        Each block splits into its mean, row effects, column effects and
+        double-centred residual.  Means and effects add up to a constant
+        plus one term per player, whose largest absolute value is taken
+        exactly; each residual adds its largest absolute entry.  The bound
+        is 0 exactly when every utility sum is 0.
+        """
+        const, interaction = 0.0, 0.0
+        effects = [np.zeros(d) for d in self.action_counts]
+        for (i, j), mat in self.edges.items():
+            if i > j:
+                continue
+            c = mat + self.edges[(j, i)].T
+            mean = c.mean()
+            rows, cols = c.mean(axis=1) - mean, c.mean(axis=0) - mean
+            const += mean
+            effects[i] += rows
+            effects[j] += cols
+            interaction += float(np.abs(c - mean - rows[:, None] - cols).max())
+        low = const + sum(float(e.min()) for e in effects)
+        high = const + sum(float(e.max()) for e in effects)
+        return max(abs(low), abs(high)) + interaction
 
     # -- serialization -----------------------------------------------------
 

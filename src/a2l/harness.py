@@ -241,7 +241,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
 
     Every field is checked alike in every mode, its type before its range.
     A field the mode does not read (``MODE_FIELDS``) must keep its default,
-    and the mode's game or market is built here, so a bad spec fails at load.
+    and the mode's game or market is built here, so a bad spec fails at load;
+    so does a bandit game whose rewards leave [0, 1].
     """
     fields, defaults = vars(cfg), vars(ExperimentConfig())
     errors = _field_errors(fields)
@@ -272,6 +273,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
             except Exception as exc:  # surfaced as config problem
                 errors.append(f"{name} spec invalid: {exc}")
     game = instances.get("game")
+    if game is not None and cfg.mode == "bandit":
+        try:
+            bandit_mod.check_reward_range(game)
+        except bandit_mod.DataError as exc:
+            errors.append(f"game invalid in bandit mode: {exc}")
     if cfg.players is not None:
         errors += _player_errors(cfg.players, game.action_counts if game is not None else ())
     if game is not None and cfg.certified:

@@ -538,29 +538,58 @@ def test_large_game_runs_through_chunks():
     assert np.all(np.isfinite(traj.tgap_mixed))
 
 
+def no_draws(monkeypatch):
+    """Make every way of drawing an epoch fail the test."""
+    def fail(*args):
+        pytest.fail("an epoch was drawn")
+    monkeypatch.setattr(JointSampler, "epoch", fail)
+    monkeypatch.setattr(bandit, "_play_rounds", fail)
+
+
 @pytest.mark.parametrize("cap", [bandit.CELL_CAP, 0])
 def test_out_of_range_rewards_raise(monkeypatch, cap):
+    # The sampler refuses the game when it is built, before any draw.
     monkeypatch.setattr(bandit, "CELL_CAP", cap)
+    no_draws(monkeypatch)
     big = np.array([[3.0, 0.0], [0.0, 0.0]])
     game = PolymatrixGame((2, 2), {(0, 1): big, (1, 0): -big.T}, zero_sum=True)
-    with pytest.raises(DataError, match=r"^epoch t=2: player 0: rewards outside \[0, 1\] "
-                                        r"after normalization: \[0\.5, 2\.0\]$"):
+    message = r"^player 0: rewards outside \[0, 1\] after normalization: \[0\.5, 2\.0\]$"
+    with pytest.raises(DataError, match=message):
+        JointSampler(game)
+    with pytest.raises(DataError, match=message):
         run_bandit(game, EpochSchedule.theory(), epochs=6, seed=0)
 
 
-@pytest.mark.parametrize("cap, seed, t", [(bandit.CELL_CAP, 1, 4), (0, 0, 3)])
-def test_out_of_range_reward_in_a_per_round_epoch_names_epoch_and_player(monkeypatch, cap,
-                                                                        seed, t):
-    # Only player 1 is paid outside [0, 1], at the action pair (1, 1).  The
-    # monitor switches in epoch 1, whose one round misses that pair, so the
-    # run meets it in a per-round epoch.
+@pytest.mark.parametrize("cap", [bandit.CELL_CAP, 0])
+def test_reward_out_of_range_at_one_cell_fails_before_any_draw(monkeypatch, cap):
+    # Only player 1 is paid outside [0, 1], at the action pair (1, 1), which
+    # a run with a switched monitor and one-round epochs meets only in a
+    # later, per-round epoch.  The sampler refuses the game when built.
     monkeypatch.setattr(bandit, "CELL_CAP", cap)
+    no_draws(monkeypatch)
     big = np.array([[0.0, 0.0], [0.0, 3.0]])
     game = PolymatrixGame((2, 2), {(0, 1): np.zeros((2, 2)), (1, 0): big}, zero_sum=False)
     sched = EpochSchedule.custom(coeff=1, power=0.0, eps_coeff=0.5, eps_power=0.0)
-    with pytest.warns(UserWarning), pytest.raises(DataError,
-                                                  match=f"^epoch t={t}: player 1: rewards"):
-        run_bandit(game, sched, epochs=20, seed=seed, monitor_c=-1e9)
+    with pytest.warns(UserWarning), pytest.raises(
+            DataError, match=r"^player 1: rewards outside \[0, 1\] after normalization: "
+                             r"\[0\.5, 2\.0\]$"):
+        run_bandit(game, sched, epochs=20, seed=0, monitor_c=-1e9)
+
+
+def test_reward_range_equals_the_reward_tables():
+    # Random general-sum games, complete and sparse graphs, mixed counts;
+    # gnp at p = 0.3 leaves some players without neighbours.
+    isolated = 0
+    for seed in range(24):
+        n = 2 + seed % 3
+        counts = tuple(2 + (seed + k) % 3 for k in range(n))
+        graph = "gnp" if seed % 2 else "complete"
+        game = generate_game("random_general", n=n, d=counts, graph=graph, p=0.3, seed=seed)
+        isolated += sum(not game.neighbors(i) for i in range(n))
+        ranges = bandit.check_reward_range(game)
+        tables = JointSampler(game).tables
+        assert ranges == [(R.min(), R.max()) for R in tables]
+    assert isolated > 0
 
 
 @pytest.mark.parametrize("kw, name", [

@@ -34,12 +34,15 @@ def test_market_validation():
         FisherMarket([1.0, -1.0], valuations=[[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         FisherMarket([1.0], valuations=[[0.0, 0.0]])  # values nothing
-    with pytest.raises(ValueError):
-        FisherMarket([1.0], valuations=[[1.0]], gradient=lambda i, x: x)
-    with pytest.raises(ValueError):
-        FisherMarket([1.0])
+    with pytest.raises(ValueError, match="one row per agent"):
+        FisherMarket([1.0, 1.0], valuations=[1.0, 1.0])
     with pytest.raises(ValueError, match="nonempty"):  # no agents, as games need players
         FisherMarket([], valuations=np.zeros((0, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            FisherMarket([bad, 1.0], [[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="finite a_i"):
+            FisherMarket([1.0, 1.0], [[1.0, bad], [0.5, 1.0]])
 
 
 def test_single_good_is_fixed_point():
@@ -69,9 +72,10 @@ def test_price_conservation_every_step():
 
 
 def test_stall_error_names_agent():
-    market = FisherMarket([1.0, 1.0], gradient=lambda i, x: np.zeros(2))
+    # Agent 0 values only good 0 and spends nothing on it.
+    market = FisherMarket([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(StallError) as err:
-        prd_step(market, np.full((2, 2), 0.5))
+        prd_step(market, np.array([[0.0, 1.0], [0.5, 0.5]]))
     assert err.value.agent == 0
 
 

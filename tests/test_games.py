@@ -261,8 +261,9 @@ def test_loader_rejects_invalid():
         )
 
 
-def test_zero_sum_check_sampled_branch():
-    # more than 10^6 pure profiles forces the sampled check
+def test_zero_sum_check_is_exact_beyond_enumeration():
+    # 6^8 > 10^6 pure profiles: the block check needs no enumeration, and it
+    # finds one entry raised by 1e-6 in a cycle of eight players.
     n, d = 8, 6
     edges = {}
     rng = np.random.default_rng(0)
@@ -271,8 +272,80 @@ def test_zero_sum_check_sampled_branch():
         a = rng.uniform(-1, 1, size=(d, d))
         edges[(i, j)] = a
         edges[(j, i)] = -a.T
-    game = PolymatrixGame((d,) * n, edges, zero_sum=True)
-    assert game.num_profiles > 10**6
+    assert PolymatrixGame((d,) * n, edges, zero_sum=True).zero_sum_bound() == 0.0
+    edges[(3, 4)] = edges[(3, 4)].copy()
+    edges[(3, 4)][5, 0] += 1e-6
+    with pytest.raises(ZeroSumViolationError):
+        PolymatrixGame((d,) * n, edges, zero_sum=True)
+
+
+def test_one_raised_entry_among_millions_of_profiles_is_not_zero_sum():
+    # 200^3 pure profiles; the sum is 1 on the 200 profiles through (199, 199).
+    game = generate_game("random_zs", n=3, d=200, seed=1)
+    edges = {k: m.copy() for k, m in game.edges.items()}
+    edges[(0, 1)][199, 199] += 1
+    with pytest.raises(ZeroSumViolationError):
+        PolymatrixGame(game.action_counts, edges, zero_sum=True)
+
+
+def pure_utility_sums(game):
+    """Oracle: sum_i u_i(a) at every pure profile a, by enumeration."""
+    grid = np.indices(game.action_counts, sparse=True)
+    return sum((m[grid[i], grid[j]] for (i, j), m in game.edges.items()),
+               np.zeros(game.action_counts))
+
+
+def cancelling_game(counts, seed, noise):
+    """Pairwise zero-sum blocks plus main effects and constants that cancel
+    across each player's edges; ``noise`` is added to one random entry."""
+    rng = np.random.default_rng(seed)
+    n = len(counts)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {}
+    for i, j in pairs:
+        a = rng.uniform(-1, 1, size=(counts[i], counts[j]))
+        edges[(i, j)], edges[(j, i)] = a, -a.T
+    for i in range(n):
+        out = [(i, j) for j in range(n) if j != i]
+        effects = rng.uniform(-1, 1, size=(len(out), counts[i])) + rng.uniform(-1, 1)
+        effects -= effects.mean(axis=0)  # sums to 0 over the edges, up to rounding
+        for (a, b), e in zip(out, effects):
+            edges[(a, b)] = edges[(a, b)] + e[:, None]
+    i, j = pairs[rng.integers(len(pairs))]
+    edges[(i, j)][rng.integers(counts[i]), rng.integers(counts[j])] += noise
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-6, 0.5])
+def test_zero_sum_verdict_equals_enumeration(seed, noise):
+    n = 2 + seed % 3
+    counts = tuple(2 + (seed + k) % 3 for k in range(n))
+    edges = cancelling_game(counts, seed, noise)
+    game = PolymatrixGame(counts, edges)
+    brute = float(np.abs(pure_utility_sums(game)).max())
+    assert brute <= game.zero_sum_bound() + 1e-15
+    assert (game.zero_sum_bound() <= 1e-9) == (brute <= 1e-9) == (noise < 1e-9)
+    if noise < 1e-9:
+        PolymatrixGame(counts, edges, zero_sum=True)
+    else:
+        with pytest.raises(ZeroSumViolationError):
+            PolymatrixGame(counts, edges, zero_sum=True)
+    # General-sum games: the verdict still equals enumeration.
+    general = generate_game("random_general", n=n, d=counts, seed=seed)
+    assert general.zero_sum_bound() > 1e-9
+    assert float(np.abs(pure_utility_sums(general)).max()) > 1e-9
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("matching_pennies", {}), ("rps", {}),
+    ("random_zs", {"n": 2, "d": 7}), ("random_zs", {"n": 4, "d": (2, 5, 3, 4)}),
+    ("random_zs", {"n": 5, "d": 3, "graph": "cycle"}),
+    ("random_zs", {"n": 6, "d": 4, "graph": "gnp", "p": 0.4}),
+])
+def test_generated_zero_sum_games_have_bound_exactly_zero(kind, kw):
+    for seed in range(5):
+        assert generate_game(kind, seed=seed, **kw).zero_sum_bound() == 0.0
 
 
 def test_dimension_error_names_player():

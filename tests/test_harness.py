@@ -248,6 +248,10 @@ def test_fisher_mode_refuses_the_learner_fields():
     {"m": 0, "n": 3},
     {"m": 2, "n": 3, "foo": 1},
     {"m": 2, "n": 3, "seed": None},  # would draw a fresh market on every run
+    pytest.param({"budgets": [np.nan, 1.0], "valuations": [[1.0, 0.5], [0.5, 1.0]]},
+                 id="nan-budget"),
+    pytest.param({"budgets": [1.0, 1.0], "valuations": [[1.0, np.inf], [0.5, 1.0]]},
+                 id="inf-valuation"),
 ])
 def test_bad_market_spec_fails_at_load(market):
     with pytest.raises(ConfigError, match="- market spec invalid"):
@@ -538,6 +542,20 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "T must" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_bandit_game_paying_outside_the_unit_interval(tmp_path, capsys):
+    # Player 0 is paid 3 at (0, 0): reward 2.0 after the map r -> (r + 1) / 2.
+    game = {"n": 2, "action_counts": [2, 2], "zero_sum": True, "edges": [
+        {"i": 0, "j": 1, "matrix": [[3.0, 0.0], [0.0, 0.0]]},
+        {"i": 1, "j": 0, "matrix": [[-3.0, 0.0], [0.0, 0.0]]}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"game": {"inline": game}, "epochs": 3, "seeds": [0]}))
+    rc = cli.main(["run-bandit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("- game invalid in bandit mode: player 0: rewards outside [0, 1] after "
+            "normalization: [0.5, 2.0]") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
