@@ -122,7 +122,8 @@ def bandit_step_size(n: int) -> float:
 class EpochSchedule:
     """Epoch length rule t -> B_t and mixing rule t -> eps_t.
 
-    theory modes satisfy B_t >= t^4 and eps_t = 1/t exactly; custom rules
+    theory modes satisfy B_t >= t^4 and eps_t = 1/t exactly and read no
+    other field, so they refuse a non-default one; custom rules
     B_t = ceil(coeff * t^power), eps_t = min(1, eps_coeff * t^eps_power) run
     flagged as non-certified.
     """
@@ -138,6 +139,10 @@ class EpochSchedule:
             raise ScheduleError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "custom" and self.coeff < 1:
             raise ScheduleError("custom schedule needs coeff >= 1 so B_t >= 1")
+        for name in ("coeff", "power", "eps_coeff", "eps_power"):
+            if self.mode != "custom" and getattr(self, name) != getattr(EpochSchedule, name):
+                raise ScheduleError(f"{name} is not read by a {self.mode} schedule, "
+                                    f"got {getattr(self, name)!r}")
 
     @classmethod
     def theory(cls):

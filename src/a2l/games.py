@@ -85,11 +85,9 @@ class PolymatrixGame:
     action_counts : per-player action counts d_1..d_n
     edges : mapping (i, j) -> payoff matrix of shape (d_i, d_j); the reverse
         edge (j, i) must also be present
-    zero_sum : declare the game zero-sum; checked at construction, where
-        ``zero_sum_bound()`` must not exceed ``ZERO_SUM_TOL`` = 1e-9.  The
-        bound is at least max_a |sum_i u_i(a)| over pure profiles, so the
-        criterion is sufficient for max_a |sum_i u_i(a)| <= 1e-9, and it is
-        0 exactly when every sum is 0.
+    zero_sum : declare the game zero-sum; construction then needs
+        ``zero_sum_bound()`` <= ``ZERO_SUM_TOL`` = 1e-9, which is sufficient
+        for max_a |sum_i u_i(a)| <= 1e-9 over pure profiles a
     """
 
     def __init__(self, action_counts, edges, zero_sum=False, name=None):
@@ -179,15 +177,14 @@ class PolymatrixGame:
         return int(np.argmax(self.utility_vector(i, profile)))
 
     def zero_sum_bound(self) -> float:
-        """Upper bound on max_a |sum_i u_i(a)| over pure profiles a, in
-        O(sum over edges of d_i d_j).
+        """Upper bound on max_a |sum_i u_i(a)| over pure profiles a; 0
+        exactly when every such sum is 0.  Costs O(sum_edges d_i d_j).
 
         sum_i u_i(a) = sum_{i<j} C_ij[a_i, a_j] with C_ij = A_ij + A_ji^T.
-        Each block splits into its mean, row effects, column effects and
-        double-centred residual.  Means and effects add up to a constant
-        plus one term per player, whose largest absolute value is taken
-        exactly; each residual adds its largest absolute entry.  The bound
-        is 0 exactly when every utility sum is 0.
+        Each block splits into its mean, row and column effects and
+        double-centred residual.  Means and effects add up to a constant plus
+        one term per player, bounded exactly; each residual adds its largest
+        absolute entry.
         """
         const, interaction = 0.0, 0.0
         effects = [np.zeros(d) for d in self.action_counts]

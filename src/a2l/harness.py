@@ -142,20 +142,29 @@ def _as_declared(fields: dict, cls) -> dict:
     return out
 
 
+def _filled(spec: dict, cls) -> dict:
+    """A nested spec with every field of ``cls``, defaults filled in."""
+    return _as_declared({**asdict(cls()), **spec}, cls)
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the fields that change results: not out_dir, not workers.
 
-    Numbers are hashed as their declared type, here and in each players
-    entry and the schedule, so ``monitor_c`` written 4, written 4.0 or left
-    at its default 4.0 hashes alike.
+    Numbers are hashed as their declared type, so ``monitor_c`` written 4,
+    written 4.0 or left at its default 4.0 hashes alike.  Nested specs are
+    hashed filled with their defaults; a players list whose every entry is
+    the spec the top-level fields give hashes as no list, and a schedule
+    that means the default one as the default.
     """
     fields = {k: v for k, v in _as_declared(cfg.to_dict(), ExperimentConfig).items()
               if k not in ("out_dir", "workers")}
-    if isinstance(fields["players"], list):
-        fields["players"] = [_as_declared(p, dyn.LearnerSpec) if isinstance(p, dict) else p
-                             for p in fields["players"]]
-    if isinstance(fields["schedule"], dict):
-        fields["schedule"] = _as_declared(fields["schedule"], bandit_mod.EpochSchedule)
+    own = _filled({"algo": cfg.algo, "eta": cfg.eta, "weights": cfg.weights}, dyn.LearnerSpec)
+    players = [_filled(p, dyn.LearnerSpec) for p in cfg.players or ()]
+    fields["players"] = None if all(p == own for p in players) else players
+    default = ExperimentConfig().schedule
+    schedule = _filled(cfg.schedule, bandit_mod.EpochSchedule)
+    fields["schedule"] = (default if schedule == _filled(default, bandit_mod.EpochSchedule)
+                          else schedule)
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -251,6 +260,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
         if reads and name not in COMMON_FIELDS + reads and value != defaults[name]:
             hint = _UNREAD_HINTS.get((name, cfg.mode))
             errors.append(f"{name} is not read in {cfg.mode} mode" + (f": {hint}" if hint else ""))
+    if "players" in reads and cfg.players is not None:  # each entry sets its own
+        errors += [f"{name} is not read when players is set: set players[i].{name}"
+                   for name in ("algo", "eta", "weights") if fields[name] != defaults[name]]
     try:
         sched = resolve_schedule(cfg.schedule)
     except Exception as exc:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2l import cli, harness, verify
+from a2l.bandit import EpochSchedule, ScheduleError
 from a2l.games import generate_game
 from a2l.harness import Check, ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
 
@@ -157,6 +158,49 @@ def test_config_hash_reads_numbers_as_their_declared_type(mode):
         schedule = {"mode": "custom", "coeff": 10, "power": 1}
         assert hash_of(certified=False, schedule=schedule) == hash_of(
             certified=False, schedule={**schedule, "coeff": 10.0, "power": 1.0})
+
+
+def test_config_hash_fills_nested_specs_with_their_defaults():
+    def hash_of(mode, **fields):
+        return config_hash(load_config({"mode": mode, **MODE_BASE[mode], **fields}))
+
+    # Every entry is the spec the top-level fields give: hashed as no players.
+    assert hash_of("gradient") == hash_of("gradient", players=[{}, {}]) == hash_of(
+        "gradient", players=[{"eta": None}, {"algo": "a2l-omwu", "weights": "uniform"}])
+    assert hash_of("gradient", players=[{"algo": "mwu"}, {}]) == hash_of(
+        "gradient", players=[{"algo": "mwu", "monitor_c": 2}, {"bias": None}])
+    assert hash_of("gradient", players=[{"algo": "mwu"}, {}]) != hash_of("gradient")
+    assert hash_of("bandit") == hash_of("bandit", schedule={"mode": "theory"}) == hash_of(
+        "bandit", schedule={"mode": "theory", "coeff": 1.0, "eps_power": -1})
+    assert hash_of("bandit", schedule={"mode": "theory_d"}) == hash_of(
+        "bandit", schedule={"mode": "theory_d", "power": 4})
+    custom = {"mode": "custom", "coeff": 10, "power": 1}
+    assert hash_of("bandit", certified=False, schedule=custom) == hash_of(
+        "bandit", certified=False, schedule={**custom, "eps_coeff": 1, "eps_power": -1.0})
+
+
+def test_players_refuse_the_top_level_learner_fields():
+    # Each players entry carries its own algo, eta and weights.
+    with pytest.raises(ConfigError) as err:
+        load_config({"mode": "gradient", **MODE_BASE["gradient"], "algo": "mwu", "eta": 0.3,
+                     "weights": "linear", "players": [{}, {}], "certified": False})
+    for name in ("algo", "eta", "weights"):
+        assert f"- {name} is not read when players is set: set players[i].{name}" in str(
+            err.value)
+
+
+@pytest.mark.parametrize("mode", ["theory", "theory_d"])
+@pytest.mark.parametrize("field, value", [("coeff", 7.0), ("power", 3.0), ("eps_coeff", 0.5),
+                                          ("eps_power", -2.0)])
+def test_theory_schedules_refuse_the_custom_fields(mode, field, value):
+    with pytest.raises(ScheduleError, match=f"^{field} is not read by a {mode} schedule"):
+        EpochSchedule(mode=mode, **{field: value})
+    with pytest.raises(ConfigError, match=f"- schedule invalid: {field} is not read"):
+        load_config({"mode": "bandit", **MODE_BASE["bandit"],
+                     "schedule": {"mode": mode, field: value}})
+    # The default written out is the same schedule.
+    assert EpochSchedule(mode=mode, **{field: getattr(EpochSchedule, field)}) == EpochSchedule(
+        mode=mode)
 
 
 @settings(max_examples=40, deadline=None)
