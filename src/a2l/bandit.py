@@ -69,6 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _number
 from .games import PolymatrixGame
 from .learners import OMWU, AnytimeMWU, padding
 from .reduction import A2L
@@ -125,7 +126,7 @@ class EpochSchedule:
     theory modes satisfy B_t >= t^4 and eps_t = 1/t exactly and read no
     other field, so they refuse a non-default one; custom rules
     B_t = ceil(coeff * t^power), eps_t = min(1, eps_coeff * t^eps_power) run
-    flagged as non-certified.
+    flagged as non-certified.  The four numbers are held as floats.
     """
 
     mode: str = "theory"
@@ -137,12 +138,16 @@ class EpochSchedule:
     def __post_init__(self):
         if self.mode not in ("theory", "theory_d", "custom"):
             raise ScheduleError(f"unknown schedule mode {self.mode!r}")
+        for name in ("coeff", "power", "eps_coeff", "eps_power"):
+            value = getattr(self, name)
+            if not _number(value):
+                raise ScheduleError(f"{name} must be a number, got {value!r}")
+            if self.mode != "custom" and value != getattr(EpochSchedule, name):
+                raise ScheduleError(f"{name} is not read by a {self.mode} schedule, "
+                                    f"got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.mode == "custom" and self.coeff < 1:
             raise ScheduleError("custom schedule needs coeff >= 1 so B_t >= 1")
-        for name in ("coeff", "power", "eps_coeff", "eps_power"):
-            if self.mode != "custom" and getattr(self, name) != getattr(EpochSchedule, name):
-                raise ScheduleError(f"{name} is not read by a {self.mode} schedule, "
-                                    f"got {getattr(self, name)!r}")
 
     @classmethod
     def theory(cls):

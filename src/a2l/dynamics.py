@@ -46,6 +46,7 @@ which self-play of the average-playing dynamics cannot reach for c >= 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -53,7 +54,7 @@ import numpy as np
 from .csvrows import _csv_lines
 from .games import PolymatrixGame
 from .learners import MWU, OMWU, AnytimeMWU, padding
-from .reduction import A2L
+from .reduction import A2L, WEIGHT_RULES
 
 ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
 # The guard's budget constant c in monitor_threshold when a spec sets none.
@@ -80,15 +81,52 @@ def gradient_step_size(n: int) -> float:
     return 1.0 / (2.0 * max(n - 1, 1))
 
 
+def _number(v) -> bool:
+    """A real number that converts to a float: no bool, no int past 2^1024."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
+# The learner contract, which the harness's config checks share: field -> (test, what).
+LEARNER_RULES = {
+    "algo": (lambda v: v in ALGORITHMS, f"one of {ALGORITHMS}"),
+    "eta": (lambda v: v is None or (_number(v) and 0 < v < math.inf), "a positive finite number"),
+    "weights": (lambda v: v in sorted(WEIGHT_RULES), f"one of {sorted(WEIGHT_RULES)}"),
+    "bias": (lambda v: v is None or (isinstance(v, (list, tuple, np.ndarray)) and all(
+        _number(b) and math.isfinite(b) for b in v)), "a list of finite numbers"),
+    "monitor_c": (lambda v: _number(v) and not math.isnan(v), "a number"),
+}
+
+
+def rule_errors(rules: dict, fields: dict, prefix="") -> list:
+    """Problems of the ruled fields present in ``fields``, named prefix + field."""
+    return [f"{prefix}{k} must be {what}, got {fields[k]!r}"
+            for k, (ok, what) in rules.items() if k in fields and not ok(fields[k])]
+
+
 @dataclass
 class LearnerSpec:
-    """Per-player algorithm choice for a simulation run."""
+    """Per-player algorithm choice for a simulation run, checked by ``LEARNER_RULES``
+    when built (a ValueError names every bad field); eta, bias and monitor_c held as floats."""
 
     algo: str = "a2l-omwu"
     eta: float | None = None  # None resolves to gradient_step_size(n)
     weights: str = "uniform"
     bias: list | None = None
     monitor_c: float = MONITOR_C
+
+    def __post_init__(self):
+        errors = rule_errors(LEARNER_RULES, vars(self))
+        if errors:
+            raise ValueError("; ".join(errors))
+        self.eta = None if self.eta is None else float(self.eta)
+        self.bias = None if self.bias is None else [float(b) for b in self.bias]
+        self.monitor_c = float(self.monitor_c)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,22 +138,18 @@ def build_learner(specs, counts):
     specs holds one LearnerSpec per player and counts the players' action
     counts.  Per-player parameters become per-row arrays of shape (n, 1).
     """
-    algos = [spec.algo.lower() for spec in specs]
-    for spec, algo in zip(specs, algos):
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {spec.algo!r}; choose from {ALGORITHMS}")
     n, d = len(counts), max(counts)
     col = np.array(counts)[:, None]
-    eta = np.array([[gradient_step_size(n) if s.eta is None else float(s.eta)] for s in specs])
+    eta = np.array([[gradient_step_size(n) if s.eta is None else s.eta] for s in specs])
     bias = None
     if min(counts) < d or any(s.bias is not None for s in specs):
         bias = padding(col)
         for i, spec in enumerate(specs):
             if spec.bias is not None:
-                bias[i, : counts[i]] += np.asarray(spec.bias, dtype=float)
+                bias[i, : counts[i]] += spec.bias
 
-    optimistic = np.array([[algo in ("omwu", "a2l-omwu", "guarded-a2l-omwu")] for algo in algos])
-    wrapped = np.array([[algo in ("a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")] for algo in algos])
+    optimistic = np.array([[s.algo in ("omwu", "a2l-omwu", "guarded-a2l-omwu")] for s in specs])
+    wrapped = np.array([[s.algo in ("a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")] for s in specs])
     if optimistic.any():
         learner = OMWU(d, eta, bias=bias, rows=True if optimistic.all() else optimistic)
     else:
@@ -125,7 +159,7 @@ def build_learner(specs, counts):
         rule = specs[int(np.argmax(wrapped))].weights
         weights = [spec.weights if w else rule for spec, w in zip(specs, wrapped[:, 0])]
         learner = A2L(learner, weights, rows=True if wrapped.all() else wrapped)
-    guarded = np.array([algo == "guarded-a2l-omwu" for algo in algos])
+    guarded = np.array([s.algo == "guarded-a2l-omwu" for s in specs])
     if guarded.any():
         c = np.where(guarded, [spec.monitor_c for spec in specs], np.inf)
         learner = RegretGuard(learner, col, eta[:, 0], np.log(counts).sum(), c)

@@ -23,10 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import operator
 import os
-import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -39,7 +37,6 @@ from . import dynamics as dyn
 from . import fisher as fisher_mod
 from .csvrows import _csv_lines
 from .games import PolymatrixGame, generate_game, load_game
-from .reduction import WEIGHT_RULES
 
 SCHEMA_VERSION = 3  # 3: each per-seed result carries its "checks" records
 PRNG_NAME = "numpy-PCG64"
@@ -107,6 +104,15 @@ class ExperimentConfig:
     out_dir: str = "out"
     workers: int = 1
 
+    def __post_init__(self):
+        """Numbers in canonical type, seeds sorted; other values are left for validate_config."""
+        for name, kind in {**dict.fromkeys(("eta", "delta", "monitor_c"), float),
+                           **dict.fromkeys(("T", "epochs", "workers"), int)}.items():
+            if (dyn._number if kind is float else _integer)(getattr(self, name)):
+                setattr(self, name, kind(getattr(self, name)))
+        if isinstance(self.seeds, list) and all(map(_integer, self.seeds)):
+            self.seeds = sorted(map(int, self.seeds))
+
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}
 
@@ -129,42 +135,21 @@ _STEP_LIMITS = {"gradient": ("1/(2(n-1))", dyn.gradient_step_size),
                 "bandit": ("1/(6n)", bandit_mod.bandit_step_size)}
 
 
-def _as_declared(fields: dict, cls) -> dict:
-    """fields with each number converted to the type ``cls`` declares for it."""
-    hints = typing.get_type_hints(cls)
-    out = dict(fields)
-    for k, v in fields.items():
-        declared = typing.get_args(hints.get(k)) or (hints.get(k),)
-        if _number(v) and float in declared:
-            out[k] = float(v)
-        elif _integer(v) and int in declared:
-            out[k] = int(v)
-    return out
-
-
-def _filled(spec: dict, cls) -> dict:
-    """A nested spec with every field of ``cls``, defaults filled in."""
-    return _as_declared({**asdict(cls()), **spec}, cls)
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the fields that change results: not out_dir, not workers.
 
-    Numbers are hashed as their declared type, so ``monitor_c`` written 4,
-    written 4.0 or left at its default 4.0 hashes alike.  Nested specs are
-    hashed filled with their defaults; a players list whose every entry is
-    the spec the top-level fields give hashes as no list, and a schedule
-    that means the default one as the default.
+    The config is hashed as built, so configs that mean one run hash alike:
+    numbers in their canonical type, seeds sorted, and the nested specs as
+    the ``LearnerSpec`` and ``EpochSchedule`` they build.  A players list
+    whose every entry is the spec the top-level fields give hashes as no
+    list, and a schedule equal to the default one as the default.
     """
-    fields = {k: v for k, v in _as_declared(cfg.to_dict(), ExperimentConfig).items()
-              if k not in ("out_dir", "workers")}
-    own = _filled({"algo": cfg.algo, "eta": cfg.eta, "weights": cfg.weights}, dyn.LearnerSpec)
-    players = [_filled(p, dyn.LearnerSpec) for p in cfg.players or ()]
-    fields["players"] = None if all(p == own for p in players) else players
-    default = ExperimentConfig().schedule
-    schedule = _filled(cfg.schedule, bandit_mod.EpochSchedule)
-    fields["schedule"] = (default if schedule == _filled(default, bandit_mod.EpochSchedule)
-                          else schedule)
+    fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
+    own, players = _learner_specs(cfg)
+    fields["players"] = None if all(p == own for p in players) else list(map(asdict, players))
+    schedule = bandit_mod.EpochSchedule(**cfg.schedule)
+    fields["schedule"] = (ExperimentConfig().schedule if schedule == bandit_mod.EpochSchedule()
+                          else asdict(schedule))
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -192,38 +177,26 @@ def _integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _number(v) -> bool:
-    """A real number that converts to a float: no bool, no int past 2^1024."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
 # Field checks, alike in every mode: field -> (test, what the value must be).
-# The learner fields of each "players" entry take the same tests.
+# The learner fields take the rules LearnerSpec is built by.
 _FIELD_CHECKS = {
     "mode": (lambda v: isinstance(v, str) and v in MODE_FIELDS, "gradient, bandit or fisher"),
-    "seeds": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_integer, v)),
-              "a nonempty list of integers"),
+    "seeds": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_integer, v))
+              and len(set(v)) == len(v), "a nonempty list of distinct integers"),
     **dict.fromkeys(("T", "epochs", "workers"),
                     (lambda v: _integer(v) and v >= 1, "a positive integer")),
-    "algo": (lambda v: v in dyn.ALGORITHMS, f"one of {dyn.ALGORITHMS}"),
-    "eta": (lambda v: v is None or (_number(v) and 0 < v < math.inf), "a positive finite number"),
-    "weights": (lambda v: v in sorted(WEIGHT_RULES), f"one of {sorted(WEIGHT_RULES)}"),
-    "monitor_c": (lambda v: _number(v) and not math.isnan(v), "a number"),
-    "delta": (lambda v: _number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    **{k: dyn.LEARNER_RULES[k] for k in ("algo", "eta", "weights", "monitor_c")},
+    "delta": (lambda v: dyn._number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
     "certified": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
-def _field_errors(fields: dict, prefix="") -> list:
-    """Problems of the checked fields present in ``fields``, named prefix + field."""
-    return [f"{prefix}{k} must be {what}, got {fields[k]!r}"
-            for k, (ok, what) in _FIELD_CHECKS.items() if k in fields and not ok(fields[k])]
+def _unread_learner_fields(spec: dict, prefix="") -> list:
+    """Learner fields set off their default that the spec's algo does not read."""
+    algo = spec.get("algo", dyn.LearnerSpec.algo)
+    unread = {"weights": algo in ("mwu", "omwu"), "monitor_c": algo != "guarded-a2l-omwu"}
+    return [f"{prefix}{k} is not read by {algo} players" for k, no in unread.items()
+            if no and k in spec and spec[k] != getattr(dyn.LearnerSpec, k)]
 
 
 def _player_errors(players, dims) -> list:
@@ -234,14 +207,14 @@ def _player_errors(players, dims) -> list:
     if dims and len(players) != len(dims):
         errors.append(f"players must have one spec per player ({len(dims)}), got {len(players)}")
     for i, spec in enumerate(players):
-        errors += [f"players[{i}].{k} must not be set: unknown player field"
-                   for k in sorted(set(spec) - set(dyn.LearnerSpec.__dataclass_fields__))]
-        errors += _field_errors(spec, prefix=f"players[{i}].")
+        prefix = f"players[{i}]."
+        errors += [f"{prefix}{k} must not be set: unknown player field"
+                   for k in sorted(set(spec) - set(dyn.LEARNER_RULES))]
+        bad = dyn.rule_errors(dyn.LEARNER_RULES, spec, prefix)
         bias = spec.get("bias")
-        if bias is not None and i < len(dims) and not (
-                isinstance(bias, list) and len(bias) == dims[i]
-                and all(_number(b) and math.isfinite(b) for b in bias)):
-            errors.append(f"players[{i}].bias must be {dims[i]} finite numbers, got {bias!r}")
+        if not bad and bias is not None and i < len(dims) and len(bias) != dims[i]:
+            bad.append(f"{prefix}bias must be {dims[i]} finite numbers, got {bias!r}")
+        errors += bad or _unread_learner_fields(spec, prefix)
     return errors
 
 
@@ -250,27 +223,33 @@ def validate_config(cfg: ExperimentConfig) -> list:
 
     Every field is checked alike in every mode, its type before its range.
     A field the mode does not read (``MODE_FIELDS``) must keep its default,
-    and the mode's game or market is built here, so a bad spec fails at load;
-    so does a bandit game whose rewards leave [0, 1].
+    as must a learner field that the player's algo does not read.  The
+    mode's game or market is built here, so a bad spec fails at load; so
+    does a bandit game whose rewards leave [0, 1].
     """
-    fields, defaults = vars(cfg), vars(ExperimentConfig())
-    errors = _field_errors(fields)
+    fields = vars(cfg)
+    errors = dyn.rule_errors(_FIELD_CHECKS, fields)
+    try:
+        schedule = bandit_mod.EpochSchedule(**cfg.schedule)
+    except Exception as exc:
+        errors.append(f"schedule invalid: {exc}")
+        schedule = None
+    # The schedule is compared as built, so a written-out default is the default.
+    defaults = {**vars(ExperimentConfig()), "schedule": bandit_mod.EpochSchedule()}
     reads = MODE_FIELDS[cfg.mode] if _FIELD_CHECKS["mode"][0](cfg.mode) else ()
-    for name, value in fields.items():
+    for name, value in {**fields, "schedule": schedule}.items():
         if reads and name not in COMMON_FIELDS + reads and value != defaults[name]:
             hint = _UNREAD_HINTS.get((name, cfg.mode))
             errors.append(f"{name} is not read in {cfg.mode} mode" + (f": {hint}" if hint else ""))
     if "players" in reads and cfg.players is not None:  # each entry sets its own
         errors += [f"{name} is not read when players is set: set players[i].{name}"
                    for name in ("algo", "eta", "weights") if fields[name] != defaults[name]]
-    try:
-        sched = resolve_schedule(cfg.schedule)
-    except Exception as exc:
-        errors.append(f"schedule invalid: {exc}")
-    else:
-        if "schedule" in reads and cfg.certified and not sched.certified:
-            errors.append("certified bandit runs need a theory schedule "
-                          "(B_t >= t^4, eps_t = 1/t); set certified: false to override")
+    elif "players" in reads:
+        errors += _unread_learner_fields({"algo": cfg.algo, "weights": cfg.weights})
+    if "schedule" in reads and cfg.certified and schedule is not None \
+            and not schedule.certified:
+        errors.append("certified bandit runs need a theory schedule "
+                      "(B_t >= t^4, eps_t = 1/t); set certified: false to override")
 
     seed = cfg.seeds[0] if _FIELD_CHECKS["seeds"][0](cfg.seeds) else 0
     instances = {}
@@ -300,7 +279,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
         rule, step_size = _STEP_LIMITS[cfg.mode]
         limit = step_size(game.n)
         for name, eta in etas.items():
-            if eta is not None and not _field_errors({"eta": eta}) and eta > limit + 1e-12:
+            if eta is not None and _FIELD_CHECKS["eta"][0](eta) and eta > limit + 1e-12:
                 errors.append(f"certified {cfg.mode} runs need {name} <= {rule} = {limit}; "
                               f"got {name} = {eta}")
         # The certified gap bound has one eta: the one every player runs.
@@ -354,17 +333,10 @@ def resolve_market(spec: dict, seed=0) -> fisher_mod.FisherMarket:
     return fisher_mod.random_linear_market(spec["m"], spec["n"], seed=spec.get("seed", seed))
 
 
-def resolve_schedule(spec: dict) -> bandit_mod.EpochSchedule:
-    return bandit_mod.EpochSchedule(**spec)
-
-
-def _learner_specs(cfg: ExperimentConfig, game: PolymatrixGame):
-    if cfg.players is not None:
-        return [dyn.LearnerSpec(**p) for p in cfg.players]
-    return [
-        dyn.LearnerSpec(algo=cfg.algo, eta=cfg.eta, weights=cfg.weights)
-        for _ in range(game.n)
-    ]
+def _learner_specs(cfg: ExperimentConfig):
+    """The built top-level learner spec and the built players entries."""
+    own = dyn.LearnerSpec(algo=cfg.algo, eta=cfg.eta, weights=cfg.weights)
+    return own, [dyn.LearnerSpec(**p) for p in cfg.players or ()]
 
 
 # -- per-seed cells ----------------------------------------------------------
@@ -372,10 +344,10 @@ def _learner_specs(cfg: ExperimentConfig, game: PolymatrixGame):
 
 def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
     game = resolve_game(cfg.game, seed=seed)
-    specs = _learner_specs(cfg, game)
-    traj = dyn.run_full_feedback(game, specs, cfg.T, seed=seed, records=False)
+    own, players = _learner_specs(cfg)
+    traj = dyn.run_full_feedback(game, players or own, cfg.T, seed=seed, records=False)
     # Certified runs have one eta (validate_config); otherwise the loosest bound.
-    eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in specs)
+    eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in players or [own])
     bound = float(np.log(game.action_counts).sum()) / (eta * cfg.T)
     final_gap = float(traj.tgap_played[-1])
     result = {
@@ -391,7 +363,7 @@ def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
 
 def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
     game = resolve_game(cfg.game, seed=seed)
-    sched = resolve_schedule(cfg.schedule)
+    sched = bandit_mod.EpochSchedule(**cfg.schedule)
     with warnings.catch_warnings():
         if not cfg.certified:
             warnings.simplefilter("ignore")
@@ -438,11 +410,6 @@ def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
 _CELLS = {"gradient": _gradient_cell, "bandit": _bandit_cell, "fisher": _fisher_cell}
 
 
-def _run_cell(cfg_dict: dict, seed: int) -> dict:
-    cfg = ExperimentConfig(**cfg_dict)
-    return _CELLS[cfg.mode](cfg, seed)
-
-
 def run(cfg: ExperimentConfig) -> dict:
     """Execute all seeds of a validated config and persist the outputs.
 
@@ -453,18 +420,18 @@ def run(cfg: ExperimentConfig) -> dict:
     errors = validate_config(cfg)
     if errors:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(errors))
+    cfg_hash = config_hash(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds = sorted(cfg.seeds)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(_run_cell, [cfg.to_dict()] * len(seeds), seeds))
+            cells = list(pool.map(_CELLS[cfg.mode], [cfg] * len(cfg.seeds), cfg.seeds))
     else:
-        cells = [_run_cell(cfg.to_dict(), s) for s in seeds]
+        cells = [_CELLS[cfg.mode](cfg, s) for s in cfg.seeds]
 
     results = []
-    for seed, cell in zip(seeds, cells):  # merged in deterministic seed order
+    for seed, cell in zip(cfg.seeds, cells):  # merged in (sorted) seed order
         csv_path = out_dir / f"{cfg.mode}_seed{seed}.csv"
         with open(csv_path, "w", newline="\n") as f:
             f.writelines(line + "\n" for line in _csv_lines(*cell["csv"]))
@@ -476,7 +443,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "mode": cfg.mode,
         "config": {k: v for k, v in cfg.to_dict().items()
                    if k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg_hash,
         "prng": PRNG_NAME,
         "results": results,
         "passed": all(c.passed for cell in cells for c in cell["checks"]),

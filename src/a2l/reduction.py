@@ -122,7 +122,9 @@ class A2L:
 
             u^t = ubar^t + (sum_{k<t} alpha_k / alpha_t) (ubar^t - ubar^{t-1})
 
-        which avoids multiplying rounding error by t.
+        The rounding in ubar^t - ubar^{t-1} is multiplied by sum_{k<t} alpha_k / alpha_t,
+        so the recovered vector's rounding error can grow linearly in t: on zs3d5, A2L-OMWU's
+        max |recovered - bare utility| is 3.7e-13, 3.9e-12 and 5.1e-11 at T = 10^3, 10^4, 10^5.
         """
         if not self._awaiting:
             raise ProtocolError("observe called before next_strategy")

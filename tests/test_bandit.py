@@ -69,6 +69,11 @@ def test_custom_schedule():
     assert not s.certified
     assert s.epoch_length(4, 10) == 48
     assert s.mixing(4) == 0.4
+    # held as floats, so an int and a float written for one number build one schedule
+    assert s == EpochSchedule.custom(coeff=3.0, power=2.0, eps_coeff=0.4, eps_power=0)
+    assert all(type(getattr(s, k)) is float for k in ("coeff", "power", "eps_coeff", "eps_power"))
+    with pytest.raises(ScheduleError, match="^power must be a number, got '2'"):
+        EpochSchedule.custom(coeff=3, power="2")
     with pytest.raises(ScheduleError):
         EpochSchedule(mode="nope")
     with pytest.raises(ScheduleError):

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,24 @@ def test_spec_validation():
         run_full_feedback(game, [LearnerSpec()], 10)  # one spec, two players
     with pytest.raises(ValueError):
         build_learner([LearnerSpec(algo="ftrl")] * 2, (2, 2))
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"algo": "MWU"}, "algo must be one of"),  # no second spelling
+    ({"bias": [float("nan"), 0.0]}, "bias must be a list of finite numbers"),
+    ({"eta": 0.0, "weights": "quadratic"}, "eta must be a positive finite number, got 0.0; "
+                                           "weights must be one of"),
+    ({"monitor_c": float("nan")}, "monitor_c must be a number"),
+], ids=["algo", "bias", "eta-and-weights", "monitor_c"])
+def test_learner_spec_refuses_a_bad_field_by_name(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        LearnerSpec(**kw)
+
+
+def test_learner_spec_holds_its_numbers_as_floats():
+    spec = LearnerSpec(algo="mwu", eta=1, bias=(1, np.int64(0)), monitor_c=np.float32(3))
+    assert spec == LearnerSpec(algo="mwu", eta=1.0, bias=[1.0, 0.0], monitor_c=3.0)
+    assert [type(v) for v in (spec.eta, *spec.bias, spec.monitor_c)] == [float] * 4
 
 
 def test_default_step_size():
@@ -470,7 +489,8 @@ def test_run_without_records_writes_the_same_csv(tmp_path):
                                "out_dir": str(tmp_path / "out")})
     harness.run(cfg)
     game = harness.resolve_game(cfg.game, seed=3)
-    tr = run_full_feedback(game, harness._learner_specs(cfg, game), 600, seed=3)
+    own, _ = harness._learner_specs(cfg)  # no players: every player runs the top-level spec
+    tr = run_full_feedback(game, own, 600, seed=3)
     want = record_statistics(tr)
     header, _ = dyn.trajectory_csv_columns(tr)
     columns = ([np.arange(1, 601), want["tgap_played"], want["tgap_inner_avg"]]

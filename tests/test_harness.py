@@ -69,6 +69,9 @@ def test_all_errors_enumerated(tmp_path):
     # ints beyond the float range: was an OverflowError at load
     pytest.param("monitor_c", 10**400, id="monitor_c-int_above_float_max"),
     pytest.param("eta", 10**400, id="eta-int_above_float_max"),
+    pytest.param("seeds", [0, 0], id="seeds-duplicate"),  # would run and write seed 0 twice
+    ("algo", "MWU"),  # one spelling per algorithm
+    ("players[0].algo", "MWU"),
 ])
 @pytest.mark.parametrize("mode", ["gradient", "bandit"])
 def test_bad_field_raises_config_error_naming_it(tmp_path, mode, field, value):
@@ -151,9 +154,9 @@ def test_config_hash_reads_numbers_as_their_declared_type(mode):
 
     assert hash_of() == hash_of(monitor_c=4) == hash_of(monitor_c=4.0)
     if mode == "gradient":
-        players = [{"eta": 0.5, "monitor_c": 2}, {"eta": 0.5}]
+        players = [{"eta": 0.5, "monitor_c": 2, "bias": [1, 0, 0]}, {"eta": 0.5}]
         assert hash_of(players=players) == hash_of(
-            players=[{"eta": 0.5, "monitor_c": 2.0}, {"eta": 0.5}])
+            players=[{"eta": 0.5, "monitor_c": 2.0, "bias": [1.0, 0.0, 0.0]}, {"eta": 0.5}])
     else:
         schedule = {"mode": "custom", "coeff": 10, "power": 1}
         assert hash_of(certified=False, schedule=schedule) == hash_of(
@@ -172,6 +175,9 @@ def test_config_hash_fills_nested_specs_with_their_defaults():
     assert hash_of("gradient", players=[{"algo": "mwu"}, {}]) != hash_of("gradient")
     assert hash_of("bandit") == hash_of("bandit", schedule={"mode": "theory"}) == hash_of(
         "bandit", schedule={"mode": "theory", "coeff": 1.0, "eps_power": -1})
+    # A mode that reads no schedule takes the default one written out.
+    for mode in ("gradient", "fisher"):
+        assert hash_of(mode) == hash_of(mode, schedule={"mode": "theory", "coeff": 1.0})
     assert hash_of("bandit", schedule={"mode": "theory_d"}) == hash_of(
         "bandit", schedule={"mode": "theory_d", "power": 4})
     custom = {"mode": "custom", "coeff": 10, "power": 1}
@@ -210,7 +216,7 @@ def test_theory_schedules_refuse_the_custom_fields(mode, field, value):
     weights=st.sampled_from(["uniform", "linear"]),
     T=st.integers(1, 10**6),
     epochs=st.integers(1, 40),
-    seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=4),
+    seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True),
     delta=st.floats(0.001, 0.999),
     monitor_c=st.floats(-1e9, 1e9) | st.just(float("inf")),
     out_dir=st.text("abc/_-", min_size=1, max_size=12),
@@ -370,6 +376,18 @@ def test_gradient_mode_refuses_the_top_level_monitor_c(tmp_path):
     load_config(gradient_cfg(tmp_path, players=[guarded, guarded]))
 
 
+@pytest.mark.parametrize("fields, refused", [
+    ({"players": [{"monitor_c": 7}, {}]}, "players[0].monitor_c is not read by a2l-omwu players"),
+    ({"players": [{}, {"algo": "omwu", "weights": "linear"}]},
+     "players[1].weights is not read by omwu players"),
+    ({"algo": "mwu", "weights": "linear"}, "weights is not read by mwu players"),
+], ids=["players-monitor_c", "players-weights", "weights"])
+def test_learner_fields_the_algorithm_does_not_read_are_refused(tmp_path, fields, refused):
+    # Set off its default, such a field would change the hash but no output.
+    with pytest.raises(ConfigError, match=re.escape(f"- {refused}")):
+        load_config(gradient_cfg(tmp_path, certified=False, **fields))
+
+
 def test_bandit_mode_refuses_players(tmp_path):
     with pytest.raises(ConfigError, match="players is not read in bandit mode"):
         load_config(gradient_cfg(tmp_path, mode="bandit", players=[{}, {}]))
@@ -395,6 +413,23 @@ def test_gradient_run_outputs(tmp_path):
     assert summary["passed"] == all(c["passed"] for r in summary["results"] for c in r["checks"])
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk["config_hash"] == summary["config_hash"]
+
+
+@pytest.mark.parametrize("written", [
+    pytest.param({"T": np.int64(50), "seeds": [np.int64(0), np.int64(1)]}, id="numpy-ints"),
+    pytest.param({"T": 50, "seeds": [1, 0]}, id="unsorted-seeds"),
+])
+def test_configs_that_mean_one_run_write_one_summary(tmp_path, written):
+    for name, fields in (("plain", {"T": 50, "seeds": [0, 1]}), ("written", written)):
+        harness.run(load_config(gradient_cfg(tmp_path, **fields, out_dir=str(tmp_path / name))))
+    summaries = [json.loads((tmp_path / name / "summary.json").read_text())
+                 for name in ("plain", "written")]
+    for summary in summaries:
+        del summary["config"]["out_dir"]
+    assert summaries[0] == summaries[1]
+    assert summaries[1]["config"]["seeds"] == [0, 1]
+    for csv in ("gradient_seed0.csv", "gradient_seed1.csv"):
+        assert (tmp_path / "plain" / csv).read_bytes() == (tmp_path / "written" / csv).read_bytes()
 
 
 def test_rerun_byte_identical(tmp_path):
