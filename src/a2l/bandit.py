@@ -40,7 +40,7 @@ player and round.
 
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
-but is flagged non-certified.  The certified step size is eta <= 1/(6n).
+but is flagged non-certified (``certificate_misses``).
 B_t must fit in int64, the multinomial sampler's limit.
 
 Rewards: built-in games pay in [-(n-1), n-1], so each player's bandit reward
@@ -119,6 +119,16 @@ def bandit_step_size(n: int) -> float:
     return 1.0 / (6.0 * n)
 
 
+def certificate_misses(schedule, eta, n) -> list:
+    """The bandit certificate's conditions that an n-player run at ``eta`` (None:
+    ``bandit_step_size``) misses, as ``dynamics.certificate_misses`` lists them,
+    with player None: a theory schedule and eta <= 1/(6n); not yet monitor_c."""
+    limit = bandit_step_size(n)
+    return [(None, field, need) for field, miss, need in (
+        ("schedule", schedule.mode == "custom", "a theory schedule (B_t >= t^4, eps_t = 1/t)"),
+        ("eta", eta is not None and eta > limit + 1e-12, f"{{}} <= 1/(6n) = {limit}")) if miss]
+
+
 @dataclass(frozen=True)
 class EpochSchedule:
     """Epoch length rule t -> B_t and mixing rule t -> eps_t.
@@ -161,10 +171,6 @@ class EpochSchedule:
     def custom(cls, coeff, power, eps_coeff=1.0, eps_power=-1.0):
         return cls(mode="custom", coeff=coeff, power=power,
                    eps_coeff=eps_coeff, eps_power=eps_power)
-
-    @property
-    def certified(self) -> bool:
-        return self.mode in ("theory", "theory_d")
 
     def epoch_length(self, t: int, d: int) -> int:
         """B_t; raises ``ScheduleError`` naming t when it exceeds int64."""
@@ -535,8 +541,8 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``.  Monitor
     columns are logged in every run, NaN after a switch.  A game whose
     rewards leave [0, 1] raises ``DataError`` naming the player when the
-    sampler is built, before any draw.  A certified run needs a theory
-    schedule and eta <= 1/(6n); violations warn and flag the run.
+    sampler is built, before any draw.  A run that misses the certificate
+    (``certificate_misses``) warns and is flagged.
     """
     n = game.n
     if n < 2:
@@ -544,12 +550,10 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     _check_run_args(epochs, delta)
     if eta is None:
         eta = bandit_step_size(n)
-    certified = schedule.certified and eta <= bandit_step_size(n) + 1e-12
-    if not certified:
-        warnings.warn(
-            "non-certified bandit run: need a theory schedule and eta <= 1/(6n)",
-            stacklevel=2,
-        )
+    misses = certificate_misses(schedule, eta, n)
+    if misses:
+        warnings.warn("non-certified bandit run: need "
+                      + " and ".join(need.format(field) for _, field, need in misses), stacklevel=2)
     rng = np.random.default_rng(seed)
     sampler = JointSampler(game)
     epoch_ts = range(1, epochs + 1)
@@ -598,7 +602,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         "seed": seed,
         "delta": delta,
         "epochs": epochs,
-        "certified": certified,
+        "certified": not misses,
         "monitor_c": monitor_c,
         "prng": "numpy-PCG64",
     }

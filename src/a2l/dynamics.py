@@ -81,6 +81,30 @@ def gradient_step_size(n: int) -> float:
     return 1.0 / (2.0 * max(n - 1, 1))
 
 
+def certificate_misses(specs) -> list:
+    """(player, field, requirement) for each condition of ``gap_bound`` that
+    self-play of ``specs``, one LearnerSpec per player, misses: A2L-OMWU,
+    guarded with monitor_c >= MONITOR_C or not, uniform weights, the uniform
+    start (the bound's log d_i is the divergence from it) and one eta <=
+    1/(2(n-1)).  ``{}`` in a requirement stands for the field's name."""
+    limit = gradient_step_size(len(specs))
+    etas = [limit if s.eta is None else s.eta for s in specs]
+    return [(i, field, need) for i, s in enumerate(specs) for field, miss, need in (
+        ("algo", s.algo not in ("a2l-omwu", "guarded-a2l-omwu"),
+         "{} in (a2l-omwu, guarded-a2l-omwu)"),
+        ("weights", s.weights != "uniform", "{} = uniform"),
+        ("bias", any(s.bias or ()), "{} absent or all zeros (the uniform start)"),
+        ("monitor_c", s.algo == "guarded-a2l-omwu" and s.monitor_c < MONITOR_C,
+         f"{{}} >= {MONITOR_C}"),
+        ("eta", etas[i] > limit + 1e-12, f"{{}} <= 1/(2(n-1)) = {limit}"),
+        ("eta", etas[i] != etas[0], "one eta for all players")) if miss]
+
+
+def gap_bound(counts, eta, t):
+    """The certified last-iterate gap bound sum_i log d_i / (eta t)."""
+    return float(np.log(counts).sum()) / (eta * t)
+
+
 def _number(v) -> bool:
     """A real number that converts to a float: no bool, no int past 2^1024."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
@@ -127,9 +151,6 @@ class LearnerSpec:
         self.eta = None if self.eta is None else float(self.eta)
         self.bias = None if self.bias is None else [float(b) for b in self.bias]
         self.monitor_c = float(self.monitor_c)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_learner(specs, counts):
@@ -304,7 +325,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
             {
                 "game": g.to_dict(),
                 "game_name": g.name,
-                "specs": [s.to_dict() for s in specs],
+                "specs": [asdict(s) for s in specs],
                 "T": T,
                 "seed": seed,
                 "prng": "numpy-PCG64",

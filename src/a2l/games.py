@@ -270,7 +270,7 @@ def _graph_pairs(n, graph, rng, p):
     raise ValueError(f"unknown graph spec {graph!r} (complete, cycle, gnp)")
 
 
-def generate_game(kind, n=2, d=2, graph="complete", seed=None, p=0.5) -> PolymatrixGame:
+def generate_game(kind, *, n=2, d=2, graph="complete", seed=None, p=0.5) -> PolymatrixGame:
     """Build one of the built-in games.
 
     kinds: "matching_pennies", "rps", "random_zs" (pairwise zero-sum with

@@ -12,10 +12,9 @@ writes none.  Identical configs reproduce byte-identical CSVs.  Random
 games and markets described without a seed are regenerated per run seed,
 so multi-seed suites sweep instances.
 
-Certified runs are refused when the step size or schedule violates the
-conditions that back the convergence guarantees (gradient: eta <= 1/(2(n-1));
-bandit: theory schedule and eta <= 1/(6n)).  Set "certified": false to run
-anyway; bandit runs then proceed flagged, with a warning.
+A certified run must meet its mode's certificate (``certificate_misses`` in
+``dynamics`` and ``bandit``).  Set "certified": false to run anyway; bandit
+runs then proceed flagged, with a warning.
 """
 
 from __future__ import annotations
@@ -112,6 +111,7 @@ class ExperimentConfig:
                 setattr(self, name, kind(getattr(self, name)))
         if isinstance(self.seeds, list) and all(map(_integer, self.seeds)):
             self.seeds = sorted(map(int, self.seeds))
+        self.game, self.market = _plain(self.game), _plain(self.market)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}
@@ -130,9 +130,6 @@ _UNREAD_HINTS = {
     ("monitor_c", "gradient"): "set players[i].monitor_c for each guarded-a2l-omwu player",
     ("players", "bandit"): "every player runs the top-level eta and monitor_c",
 }
-# Certified step-size rule of each mode that certifies runs: (rule, n -> limit).
-_STEP_LIMITS = {"gradient": ("1/(2(n-1))", dyn.gradient_step_size),
-                "bandit": ("1/(6n)", bandit_mod.bandit_step_size)}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -175,6 +172,13 @@ def load_config(source) -> ExperimentConfig:
 
 def _integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _plain(v):
+    """v with its numpy scalars and arrays, in dicts and lists too, as Python numbers and lists."""
+    if isinstance(v, (dict, list, tuple)):
+        return {k: _plain(x) for k, x in v.items()} if isinstance(v, dict) else list(map(_plain, v))
+    return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
 
 
 # Field checks, alike in every mode: field -> (test, what the value must be).
@@ -223,9 +227,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
 
     Every field is checked alike in every mode, its type before its range.
     A field the mode does not read (``MODE_FIELDS``) must keep its default,
-    as must a learner field that the player's algo does not read.  The
-    mode's game or market is built here, so a bad spec fails at load; so
-    does a bandit game whose rewards leave [0, 1].
+    as must a learner field that the player's algo does not read.  A bad
+    game or market spec fails here, as does a bandit game paying outside
+    [0, 1]; a valid certified config must then meet its mode's certificate.
     """
     fields = vars(cfg)
     errors = dyn.rule_errors(_FIELD_CHECKS, fields)
@@ -246,10 +250,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
                    for name in ("algo", "eta", "weights") if fields[name] != defaults[name]]
     elif "players" in reads:
         errors += _unread_learner_fields({"algo": cfg.algo, "weights": cfg.weights})
-    if "schedule" in reads and cfg.certified and schedule is not None \
-            and not schedule.certified:
-        errors.append("certified bandit runs need a theory schedule "
-                      "(B_t >= t^4, eps_t = 1/t); set certified: false to override")
 
     seed = cfg.seeds[0] if _FIELD_CHECKS["seeds"][0](cfg.seeds) else 0
     instances = {}
@@ -271,25 +271,15 @@ def validate_config(cfg: ExperimentConfig) -> list:
             errors.append(f"game invalid in bandit mode: {exc}")
     if cfg.players is not None:
         errors += _player_errors(cfg.players, game.action_counts if game is not None else ())
-    if game is not None and cfg.certified:
-        etas = {"eta": cfg.eta}
-        if "players" in reads and isinstance(cfg.players, list):
-            etas.update((f"players[{i}].eta", p.get("eta"))
-                        for i, p in enumerate(cfg.players) if isinstance(p, dict))
-        rule, step_size = _STEP_LIMITS[cfg.mode]
-        limit = step_size(game.n)
-        for name, eta in etas.items():
-            if eta is not None and _FIELD_CHECKS["eta"][0](eta) and eta > limit + 1e-12:
-                errors.append(f"certified {cfg.mode} runs need {name} <= {rule} = {limit}; "
-                              f"got {name} = {eta}")
-        # The certified gap bound has one eta: the one every player runs.
-        own = [(name, dyn.gradient_step_size(game.n) if eta is None else eta)
-               for name, eta in etas.items() if name != "eta"]
-        odd = [f"{name} = {eta}" for name, eta in own if eta != own[0][1]]
-        if odd:
-            errors.append(f"certified gradient runs need one eta for all players; "
-                          f"got {odd[0]} but {own[0][0]} = {own[0][1]}")
-    return errors
+    if game is not None and cfg.certified and not errors:  # the mode's certificate
+        own, players = _learner_specs(cfg)
+        for i, field, need in (dyn.certificate_misses(players or [own] * game.n)
+                               if cfg.mode == "gradient"
+                               else bandit_mod.certificate_misses(schedule, cfg.eta, game.n)):
+            name, spec = (f"players[{i}].{field}", players[i]) if players else (field, cfg)
+            errors.append(f"certified {cfg.mode} runs need {need.format(name)}; "
+                          f"got {name} = {getattr(spec, field)!r}")
+    return list(dict.fromkeys(errors))  # the top-level spec's misses once, not per player
 
 
 def _only_keys(spec: dict, keys: tuple):
@@ -316,6 +306,11 @@ def resolve_game(spec: dict, seed=0) -> PolymatrixGame:
     if "seed" in kw and not _integer(kw["seed"]):
         raise ValueError(f"game.seed must be an integer (omit it to use the run seed), "
                          f"got {kw['seed']!r}")
+    fixed = kind in ("matching_pennies", "rps")
+    for key in kw if fixed else ["p"] if "p" in kw and kw.get("graph") != "gnp" else []:
+        if kw[key] != generate_game.__kwdefaults__.get(key, kw[key]):  # unread: at its default
+            where = kind if fixed else f"{kw.get('graph', 'complete')} graph"
+            raise ValueError(f"game.{key} is not read by {where} games")
     kw.setdefault("seed", seed)
     return generate_game(kind, **kw)
 
@@ -348,7 +343,7 @@ def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
     traj = dyn.run_full_feedback(game, players or own, cfg.T, seed=seed, records=False)
     # Certified runs have one eta (validate_config); otherwise the loosest bound.
     eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in players or [own])
-    bound = float(np.log(game.action_counts).sum()) / (eta * cfg.T)
+    bound = dyn.gap_bound(game.action_counts, eta, cfg.T)
     final_gap = float(traj.tgap_played[-1])
     result = {
         "seed": seed,

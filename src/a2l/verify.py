@@ -6,10 +6,10 @@ pass flag), plus ``info``, the counts that are not checks.  The suite's pass
 flag, its report (one line per check) and its machine-readable ``details``
 (what ``a2l verify --out`` writes) all derive from the checks: a suite
 passes when every check passes.  Runtime budgets are checks on wall time,
-timed with the monotonic ``time.perf_counter``.  Expensive shared
-computations (the reference runs, the long gradient sweep, the honest
-bandit runs) are cached with ``functools.cache`` so that related suites
-reuse them within a process.  The full-feedback suites run each (game,
+timed with the monotonic ``time.perf_counter``.  Shared computations (the
+reference and wrapped runs, the long gradient sweep, the honest bandit runs,
+the bias resamples) are cached with ``functools.cache`` so that related
+suites reuse them within a process.  The full-feedback suites run each (game,
 algorithm, weights) cell over all its seeds in one batched call.
 
 Suite fixtures, pinned:
@@ -155,6 +155,15 @@ def _reference_runs(key, algo):
     return list(zip(games, dyn.run_full_feedback_batch(games, spec, 1000, seeds)))
 
 
+@functools.cache
+def _wrapped_runs(key, algo, weights):
+    """A2L runs over the reference runs' games, in one batched call; shared
+    across suites."""
+    spec = dyn.LearnerSpec(algo=f"a2l-{algo}", eta=_suite1_eta(algo), weights=weights)
+    games = [game for game, _ in _reference_runs(key, algo)]
+    return dyn.run_full_feedback_batch(games, spec, 1000, _game_seeds(key))
+
+
 def _weighted_running_means(arr, weights):
     t = np.arange(1.0, len(arr) + 1.0)
     w = t if weights == "linear" else np.ones_like(t)
@@ -174,14 +183,10 @@ def check_reduction_equivalence() -> SuiteResult:
     worst_u = 0.0
     cells = 0
     for key in _SUITE1_GAMES:
-        seeds = _game_seeds(key)
         for algo in ("mwu", "omwu"):
             refs = _reference_runs(key, algo)
-            games = [game for game, _ in refs]
             for weights in ("uniform", "linear"):
-                spec = dyn.LearnerSpec(algo=f"a2l-{algo}", eta=_suite1_eta(algo), weights=weights)
-                wrapped = dyn.run_full_feedback_batch(games, spec, 1000, seeds)
-                for (game, ref), tr in zip(refs, wrapped):
+                for (game, ref), tr in zip(refs, _wrapped_runs(key, algo, weights)):
                     for i in range(game.n):
                         means = _weighted_running_means(ref.played[i], weights)
                         worst_x = max(worst_x, float(np.abs(means - tr.played[i]).max()))
@@ -208,14 +213,7 @@ def check_gap_regret_identity() -> SuiteResult:
     for key in _SUITE1_GAMES:
         for algo in ("mwu", "omwu"):
             refs = _reference_runs(key, algo)
-            games = [game for game, _ in refs]
-            wrapped = dyn.run_full_feedback_batch(
-                games,
-                dyn.LearnerSpec(algo=f"a2l-{algo}", eta=_suite1_eta(algo)),
-                1000,
-                _game_seeds(key),
-            )
-            for (game, ref), wr in zip(refs, wrapped):
+            for (game, ref), wr in zip(refs, _wrapped_runs(key, algo, "uniform")):
                 for tr in (ref, wr):
                     gaps = dyn.average_profile_gaps(game, tr.inner)
                     rep = dyn.inner_regret_report(tr)
@@ -236,16 +234,15 @@ GRADIENT_T = 10_000
 
 def _gradient_run_stats(game, tr) -> dict:
     eta = dyn.gradient_step_size(game.n)
-    log_dim = float(np.log(game.action_counts).sum())
     ts = np.arange(1.0, GRADIENT_T + 1.0)
-    bound = log_dim / (eta * ts)
     try:
         slope = harness.fit_rate(ts, tr.tgap_played, t_min=100, t_max=GRADIENT_T)["slope"]
     except ValueError:
         slope = None  # gap identically ~0: converged at the start
-    dreg_bound = (log_dim / eta) * (1.0 + np.log(ts))
+    # The dynamic-regret budget is the guard's threshold at c = 1.
+    dreg_bound = dyn.monitor_threshold(ts, eta, float(np.log(game.action_counts).sum()), 1.0)
     return {
-        "gap_violation": float((tr.tgap_played - bound).max()),
+        "gap_violation": float((tr.tgap_played - dyn.gap_bound(game.action_counts, eta, ts)).max()),
         "slope": slope,
         "dreg_violation": float((dyn.regret_report(tr)["dreg"] - dreg_bound[:, None]).max()),
     }
@@ -395,14 +392,15 @@ def _bandit_sweep() -> dict:
     }
 
 
-def _bandit_bias_se(estimator, resamples=10_000, seed=777) -> float:
+@functools.cache
+def _bandit_bias_se(resamples=10_000, seed=777) -> dict:
     """Worst per-action bias of one epoch's estimates, in standard errors.
 
     Monte-Carlo resampling at fixed strategies: the seed-0 honest run's
-    epoch-5 mixed profile (B = 625, eps = 1/5), for either the
-    per-action-mean estimator ("epoch") or the importance-weighted
-    accumulator ("iw").  Each resample is drawn by ``bandit.JointSampler``,
-    the sampler ``run_bandit`` uses.
+    epoch-5 mixed profile (B = 625, eps = 1/5), for the per-action-mean
+    estimator ("epoch") and the importance-weighted accumulator ("iw"),
+    from the same resamples.  Each resample is drawn by
+    ``bandit.JointSampler``, the sampler ``run_bandit`` uses.
     """
     game = _bandit_game()
     traj = bd.run_bandit(game, bd.EpochSchedule.theory(), seed=0,
@@ -418,12 +416,11 @@ def _bandit_bias_se(estimator, resamples=10_000, seed=777) -> float:
     for r in range(resamples):
         counts, totals = sampler.epoch(rng, plays, B)
         est[r], sums[r] = bd.epoch_estimate(counts[0], totals[0]).estimate, totals[0]
-    if estimator == "epoch":
-        values, truth = est, truth_avg
-    else:
-        values, truth = sums / plays[0], B * truth_avg
-    se = values.std(axis=0, ddof=1) / np.sqrt(resamples)
-    return float((np.abs(values.mean(axis=0) - truth) / se).max())
+    worst = {}
+    for name, values, truth in (("epoch", est, truth_avg), ("iw", sums / plays[0], B * truth_avg)):
+        se = values.std(axis=0, ddof=1) / np.sqrt(resamples)
+        worst[name] = float((np.abs(values.mean(axis=0) - truth) / se).max())
+    return worst
 
 
 @suite("bandit-audit")
@@ -440,7 +437,7 @@ def check_bandit_audit() -> SuiteResult:
     """
     t0 = time.perf_counter()
     stats = _bandit_sweep()
-    bias_se = _bandit_bias_se("epoch")
+    bias_se = _bandit_bias_se()["epoch"]
 
     game = _bandit_game()
     sched = bd.EpochSchedule.theory()
@@ -497,7 +494,7 @@ def check_bandit_monitor() -> SuiteResult:
         Check("honest self-play switches", sum(sw is not None for sw in stats["switches"]),
               "<=", 0),
         Check("adversary switch epoch", np.inf if switch is None else switch, "<=", epochs),
-        Check("importance-weighted bias (standard errors)", _bandit_bias_se("iw"),
+        Check("importance-weighted bias (standard errors)", _bandit_bias_se()["iw"],
               "<=", MAX_BIAS_SE),
     ], {"honest_runs": len(SEEDS),
         "adversary_rounds": 0 if switch is None else int(adv["B"][:switch].sum())})

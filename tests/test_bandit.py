@@ -55,7 +55,7 @@ def test_theory_schedule_values():
     s = EpochSchedule.theory()
     assert [s.epoch_length(t, 3) for t in (1, 2, 3)] == [1, 16, 81]
     assert [s.mixing(t) for t in (1, 2, 4)] == [1.0, 0.5, 0.25]
-    assert s.certified
+    assert bandit.certificate_misses(s, None, 2) == []
 
 
 def test_theory_d_schedule_scales_by_dimension():
@@ -66,7 +66,7 @@ def test_theory_d_schedule_scales_by_dimension():
 
 def test_custom_schedule():
     s = EpochSchedule.custom(coeff=3, power=2, eps_coeff=0.4, eps_power=0.0)
-    assert not s.certified
+    assert [field for _, field, _ in bandit.certificate_misses(s, None, 2)] == ["schedule"]
     assert s.epoch_length(4, 10) == 48
     assert s.mixing(4) == 0.4
     # held as floats, so an int and a float written for one number build one schedule
@@ -159,6 +159,16 @@ def test_uncertified_run_warns():
     with pytest.warns(UserWarning):
         traj = run_bandit(game, EpochSchedule.theory(), eta=1.0, epochs=2)
     assert not traj.meta["certified"]
+
+
+def test_certificate_misses_name_the_schedule_and_the_step_size():
+    assert bandit.certificate_misses(EpochSchedule.theory(), None, 2) == []
+    assert bandit.certificate_misses(EpochSchedule.theory_d(), 1 / 12, 2) == []
+    custom = EpochSchedule.custom(coeff=10, power=1)
+    misses = bandit.certificate_misses(custom, 1 / 12 + 1e-9, 2)
+    assert [(player, field) for player, field, _ in misses] == [(None, "schedule"), (None, "eta")]
+    with pytest.warns(UserWarning, match=r"need a theory schedule .* and eta <= 1/\(6n\) = "):
+        run_bandit(small_game(), custom, eta=0.2, epochs=2)
 
 
 def test_default_step_size_is_certified():
@@ -503,13 +513,14 @@ def test_joint_sampler_has_the_law_of_per_round_draws(monkeypatch, n, d, branch)
                       <= 4 * np.sqrt(B * x * (1 - x) / reps) + 1e-12)
 
 
-@pytest.mark.parametrize("kind", ["self-play", "forced-switch", "chunks"])
+@pytest.mark.parametrize("kind", ["self-play", "forced-switch", "chunks",
+                                  "forced-switch-chunks"])
 def test_epoch_counts_sum_to_epoch_length(monkeypatch, kind):
     kw = {"epochs": 5, "seed": 3}
-    if kind == "forced-switch":
+    if kind.startswith("forced-switch"):
         kw.update(schedule=EpochSchedule.custom(coeff=30, power=0.0, eps_coeff=0.5,
                                                 eps_power=0.0), monitor_c=-1e9)
-    if kind == "chunks":
+    if kind.endswith("chunks"):  # with the switch: per-round rewards without tables
         monkeypatch.setattr(bandit, "CELL_CAP", 0)
         monkeypatch.setattr(bandit, "CHUNK_ROUNDS", 50)
     with warnings.catch_warnings():
@@ -519,6 +530,16 @@ def test_epoch_counts_sum_to_epoch_length(monkeypatch, kind):
     for i in range(traj.n):
         assert np.array_equal(traj.counts[i].sum(axis=1), traj.B)
         assert np.array_equal((traj.counts[i] == 0).sum(axis=1), traj.unsampled[:, i])
+
+
+def test_round_rewards_without_tables_equal_the_table_lookup(monkeypatch):
+    game = generate_game("random_zs", n=3, d=(2, 4, 3), seed=4)
+    with_tables = JointSampler(game)
+    monkeypatch.setattr(bandit, "CELL_CAP", 0)
+    without = JointSampler(game)
+    assert with_tables.tables is not None and without.tables is None
+    for a in itertools.product(*map(range, game.action_counts)):
+        assert without._round_rewards(a) == with_tables._round_rewards(a)
 
 
 def test_theory_run_memory_does_not_grow_with_epoch_length():
@@ -801,7 +822,7 @@ def reference_run(game=None, schedule=EpochSchedule.theory(), eta=None, seed=0,
     meta = {
         "game": game.to_dict(), "game_name": game.name, "schedule": schedule.to_dict(),
         "eta": eta, "seed": seed, "delta": delta, "epochs": epochs,
-        "certified": schedule.certified and eta <= bandit_step_size(n) + 1e-12,
+        "certified": schedule.mode != "custom" and eta <= bandit_step_size(n) + 1e-12,
         "monitor_c": monitor_c, "prng": "numpy-PCG64",
     }
     return BanditTrajectory(

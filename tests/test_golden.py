@@ -57,6 +57,12 @@ CONFIGS = {
                              "game": {"kind": "random_zs", "n": 3, "d": 5, "seed": 0},
                              "schedule": {"mode": "theory"}, "epochs": 30, "seeds": [0]},
                             _BLAS),
+    # Unequal action counts: the padded stacked pipeline.
+    "bandit-counts-2-4-3-theory": ({"mode": "bandit",
+                                    "game": {"kind": "random_zs", "n": 3, "d": [2, 4, 3],
+                                             "seed": 4},
+                                    "schedule": {"mode": "theory"}, "epochs": 24,
+                                    "seeds": [0]}, _BLAS),
     "fisher-10x8": ({"mode": "fisher", "market": {"m": 10, "n": 8, "seed": 0},
                      "T": 1000, "seeds": [0]}, _FISHER),
     # Matching pennies against a follow-the-leader exploiter: the guarded

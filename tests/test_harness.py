@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2l import cli, harness, verify
+from a2l import dynamics as dyn
 from a2l.bandit import EpochSchedule, ScheduleError
 from a2l.games import generate_game
 from a2l.harness import Check, ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
@@ -104,6 +105,52 @@ def test_certified_gradient_eta_refused(tmp_path):
         load_config(gradient_cfg(tmp_path, players=players))
 
 
+GUARDED_LOW = {"algo": "guarded-a2l-omwu", "monitor_c": -1}
+
+
+# Configs that break a condition of the gradient certificate, and the field
+# named for it.  Certified, their bound check can fail, or pass although the
+# reduction is broken, so only an uncertified run may load them.
+UNCERTIFIED = {
+    "mwu": ({"algo": "mwu"}, "algo"),
+    "omwu": ({"algo": "omwu"}, "algo"),
+    "a2l-mwu": ({"algo": "a2l-mwu"}, "algo"),
+    "linear-weights": ({"weights": "linear"}, "weights"),
+    "bias-0": ({"players": [{"bias": [8, 0, 0]}, {}]}, "players[0].bias"),
+    "bias-1": ({"players": [{}, {"bias": [0, 8, 0]}]}, "players[1].bias"),
+    "mixed-weights": ({"players": [{"weights": "uniform"}, {"weights": "linear"}]},
+                      "players[1].weights"),
+    "mixed-algos": ({"players": [{"algo": "a2l-omwu"}, {"algo": "omwu"}]}, "players[1].algo"),
+    "guarded-monitor_c": ({"players": [GUARDED_LOW, GUARDED_LOW]}, "players[0].monitor_c"),
+}
+
+
+@pytest.mark.parametrize("name", list(UNCERTIFIED))
+def test_certified_gradient_runs_refuse_what_the_certificate_excludes(tmp_path, name):
+    fields, named = UNCERTIFIED[name]
+    with pytest.raises(ConfigError) as err:
+        load_config(gradient_cfg(tmp_path, **fields))
+    assert str(err.value).count(f"- certified gradient runs need {named} ") == 1
+    summary = harness.run(load_config(gradient_cfg(tmp_path, certified=False, T=50, **fields)))
+    assert summary["results"][0]["checks"] == []  # an uncertified run checks no bound
+
+
+def test_certified_bandit_eta_refused(tmp_path):
+    cfg = {"mode": "bandit", **MODE_BASE["bandit"], "eta": 0.1}  # above 1/(6n) = 1/12
+    with pytest.raises(ConfigError, match=r"- certified bandit runs need eta <= 1/\(6n\)"):
+        load_config(cfg)
+    load_config({**cfg, "certified": False})
+
+
+def test_gradient_certificate_holds_for_certified_self_play():
+    specs = [dyn.LearnerSpec(), dyn.LearnerSpec(algo="guarded-a2l-omwu", bias=[0, 0],
+                                                monitor_c=np.inf)]
+    assert dyn.certificate_misses(specs) == []
+    assert dyn.certificate_misses([dyn.LearnerSpec(eta=0.2)] * 3) == []
+    assert dyn.certificate_misses([dyn.LearnerSpec(eta=0.2), dyn.LearnerSpec()]) == [
+        (1, "eta", "one eta for all players")]
+
+
 def test_certified_bound_uses_the_players_eta(tmp_path):
     players = [{"algo": "a2l-omwu", "eta": 0.01}] * 2
     summary = harness.run(load_config(gradient_cfg(
@@ -153,10 +200,10 @@ def test_config_hash_reads_numbers_as_their_declared_type(mode):
         return config_hash(load_config({"mode": mode, **MODE_BASE[mode], **fields}))
 
     assert hash_of() == hash_of(monitor_c=4) == hash_of(monitor_c=4.0)
-    if mode == "gradient":
+    if mode == "gradient":  # a bias leaves the uniform start, so the run is uncertified
         players = [{"eta": 0.5, "monitor_c": 2, "bias": [1, 0, 0]}, {"eta": 0.5}]
-        assert hash_of(players=players) == hash_of(
-            players=[{"eta": 0.5, "monitor_c": 2.0, "bias": [1.0, 0.0, 0.0]}, {"eta": 0.5}])
+        assert hash_of(certified=False, players=players) == hash_of(certified=False, players=[
+            {"eta": 0.5, "monitor_c": 2.0, "bias": [1.0, 0.0, 0.0]}, {"eta": 0.5}])
     else:
         schedule = {"mode": "custom", "coeff": 10, "power": 1}
         assert hash_of(certified=False, schedule=schedule) == hash_of(
@@ -170,9 +217,11 @@ def test_config_hash_fills_nested_specs_with_their_defaults():
     # Every entry is the spec the top-level fields give: hashed as no players.
     assert hash_of("gradient") == hash_of("gradient", players=[{}, {}]) == hash_of(
         "gradient", players=[{"eta": None}, {"algo": "a2l-omwu", "weights": "uniform"}])
-    assert hash_of("gradient", players=[{"algo": "mwu"}, {}]) == hash_of(
-        "gradient", players=[{"algo": "mwu", "monitor_c": 2}, {"bias": None}])
-    assert hash_of("gradient", players=[{"algo": "mwu"}, {}]) != hash_of("gradient")
+    # A bare mwu player is outside the gradient certificate.
+    assert hash_of("gradient", certified=False, players=[{"algo": "mwu"}, {}]) == hash_of(
+        "gradient", certified=False, players=[{"algo": "mwu", "monitor_c": 2}, {"bias": None}])
+    assert hash_of("gradient", certified=False, players=[{"algo": "mwu"}, {}]) != hash_of(
+        "gradient", certified=False)
     assert hash_of("bandit") == hash_of("bandit", schedule={"mode": "theory"}) == hash_of(
         "bandit", schedule={"mode": "theory", "coeff": 1.0, "eps_power": -1})
     # A mode that reads no schedule takes the default one written out.
@@ -230,6 +279,8 @@ def test_config_round_trip_keeps_its_hash(mode, eta_share, weights, T, epochs, s
         "market": {"m": 2, "n": 3, "seed": 1},
         "eta": None if eta_share is None else eta_share * limit,
         "weights": weights, "T": T, "epochs": epochs, "delta": delta, "monitor_c": monitor_c,
+        # linear weights are outside the gradient certificate
+        "certified": mode != "gradient" or weights == "uniform",
     }
     cfg = load_config({
         "mode": mode, "seeds": seeds, "out_dir": out_dir, "workers": workers,
@@ -276,6 +327,8 @@ def test_every_field_is_common_or_listed_for_a_mode():
 def test_a_mode_accepts_its_fields_and_refuses_the_rest(tmp_path, mode, field):
     cfg = {"mode": mode, **MODE_BASE[mode], field: NON_DEFAULT[field],
            "out_dir": str(tmp_path / "o")}
+    if mode == "gradient" and field in ("algo", "weights"):  # outside the certificate
+        cfg["certified"] = False
     if field in harness.MODE_FIELDS[mode]:
         assert getattr(load_config(cfg), field) == NON_DEFAULT[field]
     else:
@@ -339,6 +392,30 @@ def test_extra_key_in_an_instance_spec_fails_at_load(tmp_path, field, spec):
     load_config({"mode": mode, field: spec})
 
 
+@pytest.mark.parametrize("game, key, at_default", [
+    ({"kind": "rps", "n": 5, "d": 9, "graph": "cycle", "p": 0.1}, "n", {"kind": "rps", "n": 2}),
+    ({"kind": "matching_pennies", "seed": 3}, "seed", {"kind": "matching_pennies"}),
+    ({"kind": "random_zs", "n": 3, "d": 4, "seed": 1, "p": 0.9}, "p",
+     {"kind": "random_zs", "n": 3, "d": 4, "seed": 1, "p": 0.5}),
+    ({"kind": "random_zs", "n": 3, "d": 4, "graph": "cycle", "p": 0.9}, "p",
+     {"kind": "random_zs", "n": 3, "d": 4, "graph": "gnp", "p": 0.9}),
+], ids=["rps", "matching_pennies-seed", "complete-p", "cycle-p"])
+def test_a_generator_key_the_kind_does_not_read_is_refused(tmp_path, game, key, at_default):
+    # Each ran the game without the key, under a hash of its own.
+    with pytest.raises(ConfigError, match=rf"- game spec invalid: game\.{key} is not read by"):
+        load_config(gradient_cfg(tmp_path, game=game))
+    load_config(gradient_cfg(tmp_path, game=at_default))  # or read, on a gnp graph
+
+
+def test_load_config_reads_a_json_file(tmp_path):
+    cfg = gradient_cfg(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(path) == load_config(str(path)) == load_config(cfg)
+    with pytest.raises(ConfigError, match=f"config file not found: {re.escape(str(tmp_path))}"):
+        load_config(tmp_path / "missing.json")
+
+
 def test_missing_market_file_listed(tmp_path):
     with pytest.raises(ConfigError, match="- market file not found"):
         load_config({"mode": "fisher", "market": {"file": str(tmp_path / "nope.json")}})
@@ -372,8 +449,8 @@ def test_gradient_mode_refuses_the_top_level_monitor_c(tmp_path):
     # guarded players read players[i].monitor_c, never the top-level field
     with pytest.raises(ConfigError, match=r"monitor_c is not read.*players\[i\]\.monitor_c"):
         load_config(gradient_cfg(tmp_path, algo="guarded-a2l-omwu", monitor_c=-1e9))
-    guarded = {"algo": "guarded-a2l-omwu", "monitor_c": -1e9}
-    load_config(gradient_cfg(tmp_path, players=[guarded, guarded]))
+    guarded = {"algo": "guarded-a2l-omwu", "monitor_c": -1e9}  # below the certificate's 2.0
+    load_config(gradient_cfg(tmp_path, players=[guarded, guarded], certified=False))
 
 
 @pytest.mark.parametrize("fields, refused", [
@@ -430,6 +507,32 @@ def test_configs_that_mean_one_run_write_one_summary(tmp_path, written):
     assert summaries[1]["config"]["seeds"] == [0, 1]
     for csv in ("gradient_seed0.csv", "gradient_seed1.csv"):
         assert (tmp_path / "plain" / csv).read_bytes() == (tmp_path / "written" / csv).read_bytes()
+
+
+@pytest.mark.parametrize("mode, spec, written", [
+    ("gradient", "game", {"kind": "random_zs", "n": np.int64(2), "d": 3, "seed": 7}),
+    ("gradient", "game", {"kind": "random_zs", "n": 2, "d": np.array([3, 3]),
+                          "seed": np.int32(7)}),
+    ("fisher", "market", {"m": np.int64(3), "n": 3, "seed": 2}),
+], ids=["game-int64", "game-array", "market-int64"])
+def test_numpy_numbers_in_an_instance_spec_mean_the_plain_run(tmp_path, mode, spec, written):
+    # They failed to hash (TypeError: int64 is not JSON serializable).
+    plain = {"mode": mode, spec: _plain_numbers(written), "T": 50, "seeds": [0]}
+    assert config_hash(load_config({**plain, spec: written})) == config_hash(load_config(plain))
+    for name, fields in (("plain", plain), ("written", {**plain, spec: written})):
+        harness.run(load_config({**fields, "out_dir": str(tmp_path / name)}))
+    summaries = [json.loads((tmp_path / name / "summary.json").read_text())
+                 for name in ("plain", "written")]
+    for summary in summaries:
+        del summary["config"]["out_dir"]
+    assert summaries[0] == summaries[1]
+    csv = f"{mode}_seed0.csv"
+    assert (tmp_path / "plain" / csv).read_bytes() == (tmp_path / "written" / csv).read_bytes()
+
+
+def _plain_numbers(spec):
+    return {k: v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
+            for k, v in spec.items()}
 
 
 def test_rerun_byte_identical(tmp_path):
