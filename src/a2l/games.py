@@ -217,6 +217,9 @@ class PolymatrixGame:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolymatrixGame":
+        for key in ("action_counts", "n", "edges", "zero_sum"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
         counts = data["action_counts"]
         if int(data["n"]) != len(counts):
             raise ValueError("field n disagrees with action_counts length")

@@ -111,7 +111,7 @@ class ExperimentConfig:
                 setattr(self, name, kind(getattr(self, name)))
         if isinstance(self.seeds, list) and all(map(_integer, self.seeds)):
             self.seeds = sorted(map(int, self.seeds))
-        self.game, self.market = _plain(self.game), _plain(self.market)
+        self.game, self.market, self.out_dir = map(_plain, (self.game, self.market, self.out_dir))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}
@@ -175,9 +175,12 @@ def _integer(v) -> bool:
 
 
 def _plain(v):
-    """v with its numpy scalars and arrays, in dicts and lists too, as Python numbers and lists."""
+    """v with its numpy scalars and arrays as Python numbers and lists and its
+    paths as str, in dicts and lists too."""
     if isinstance(v, (dict, list, tuple)):
         return {k: _plain(x) for k, x in v.items()} if isinstance(v, dict) else list(map(_plain, v))
+    if isinstance(v, os.PathLike):
+        return os.fspath(v)
     return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
 
 
@@ -389,8 +392,7 @@ def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
 def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
     market = resolve_market(cfg.market, seed=seed)
     out = fisher_mod.run_a2l_prd(market, cfg.T)
-    p = out["played_prices"]
-    gaps = fisher_mod.market_gap(market, p, spend=out["played_spends"]).max(axis=1)
+    p, gaps = out["played_prices"], out["played_gap"]
     conservation = float(np.abs(p.sum(axis=1) - market.budgets.sum()).max())
     result = {
         "seed": seed,

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2l import dynamics as dyn
 from a2l.csvrows import _csv_lines
 from a2l.fisher import (
     CEReport,
     DegenerateMarketError,
     FisherMarket,
     StallError,
+    a2l_prd_init,
+    a2l_prd_step,
     allocations,
     check_spending,
     load_market,
@@ -96,12 +101,19 @@ def test_check_spending_rows():
         check_spending(market, [[1.2, -0.2], [0.5, 0.5]])
 
 
+def played_spends(market, T, spend0=None):
+    """The (T, m, n) spends the average-playing dynamics play, via the step API."""
+    state = a2l_prd_init(market, spend0)
+    return np.array([a2l_prd_step(market, state) for _ in range(T)])
+
+
 def test_a2l_first_round_matches_internal():
     market = random_linear_market(3, 4, seed=1)
-    out = run_a2l_prd(market, 1)
+    state = a2l_prd_init(market)
+    played = a2l_prd_step(market, state)
     ref = run_prd(market, 1)
-    assert np.allclose(out["played_spends"][0], ref["spends"][0])
-    assert np.allclose(out["recovered_prices"][0], ref["prices"][0], atol=1e-12)
+    assert np.allclose(played, uniform_spending(market))
+    assert np.allclose(state.inner.last_prices, ref["prices"][0], atol=1e-12)
 
 
 def test_a2l_prices_equal_reference_average():
@@ -146,8 +158,8 @@ def test_budget_rescaling_homogeneity():
     a = run_a2l_prd(market, 50)
     b = run_a2l_prd(big, 50)
     assert np.allclose(b["played_prices"], 10.0 * a["played_prices"], atol=1e-9)
-    alloc_a = a["played_spends"][-1] / a["played_prices"][-1]
-    alloc_b = b["played_spends"][-1] / b["played_prices"][-1]
+    alloc_a = played_spends(market, 50)[-1] / a["played_prices"][-1]
+    alloc_b = played_spends(big, 50)[-1] / b["played_prices"][-1]
     assert np.allclose(alloc_a, alloc_b, atol=1e-9)
 
 
@@ -200,8 +212,7 @@ def test_market_gap_zero_at_equilibrium():
 
 def test_market_gap_over_all_rounds_matches_per_round_calls():
     market = random_linear_market(6, 4, seed=3)
-    out = run_a2l_prd(market, 50)
-    p, spends = out["played_prices"], out["played_spends"]
+    p, spends = run_a2l_prd(market, 50)["played_prices"], played_spends(market, 50)
     x = spends / p[:, None, :]
     per_round = np.array([market_gap(market, p[t], x[t]) for t in range(50)])
     assert np.abs(market_gap(market, p, x) - per_round).max() <= 1e-14
@@ -226,12 +237,71 @@ def test_price_csv_lines():
 
 
 def test_step_api_matches_run():
-    from a2l.fisher import a2l_prd_init, a2l_prd_step
-
     market = random_linear_market(3, 3, seed=2)
     out = run_a2l_prd(market, 20)
     state = a2l_prd_init(market)
     for k in range(20):
         bbar = a2l_prd_step(market, state)
-        assert np.array_equal(bbar, out["played_spends"][k])
+        assert np.array_equal(prices(bbar), out["played_prices"][k])
+        gap = market_gap(market, prices(bbar), spend=bbar).max()
+        assert abs(gap - out["played_gap"][k]) <= 1e-14
     assert state.t == 20
+
+
+def all_rounds_reference(market, T, spend0):
+    """run_prd's and run_a2l_prd's outputs from spends logged through the step
+    API, with each gap column from one market_gap call over all rounds."""
+    b = uniform_spending(market) if spend0 is None else spend0
+    raw, avg, bbar = [], [], None
+    for t in range(T):
+        raw.append(b)
+        bbar = b if bbar is None else bbar + (b - bbar) / (t + 1.0)
+        avg.append(bbar)
+        b = prd_step(market, b)
+
+    def priced(log):
+        p = np.array([prices(s) for s in log])
+        return p, market_gap(market, p, spend=np.array(log)).max(axis=1)
+
+    (avg_p, avg_gap), (played_p, played_gap) = priced(avg), priced(played_spends(market, T, spend0))
+    return ({"prices": np.array([prices(s) for s in raw]), "avg_prices": avg_p, "avg_gap": avg_gap},
+            {"played_prices": played_p, "played_gap": played_gap})
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random-start"])
+def test_chunked_gaps_equal_the_all_rounds_formula(monkeypatch, uniform):
+    market = random_linear_market(4, 3, seed=11)
+    spend0 = None if uniform else random_start(market, 11)
+    for T in (1, 6, 7, 8, 23, 600):
+        want = all_rounds_reference(market, T, spend0)
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(dyn, "CHUNK_ROUNDS", chunk)
+            for run, ref in zip((run_prd, run_a2l_prd), want):
+                got = run(market, T, spend0)
+                assert set(got) == set(ref)
+                for key in ref:
+                    assert np.array_equal(got[key], ref[key]), (T, chunk, run.__name__, key)
+
+
+@pytest.mark.parametrize("run", [run_prd, run_a2l_prd])
+def test_run_memory_does_not_grow_with_the_spend_log(run):
+    # Both kept (T, m, n) spend logs, 16 MB each here at T = 10^4, and
+    # run_a2l_prd returned two of them.
+    market = random_linear_market(20, 10, seed=4)
+    extra = {}
+    for T in (10_000, 40_000):
+        tracemalloc.start()
+        out = run(market, T)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert all(a.shape in ((T,), (T, market.n_goods)) for a in out.values())
+        extra[T] = peak - sum(a.nbytes for a in out.values())
+        assert extra[T] < T * market.m_agents * market.n_goods * 8 / 4
+    assert extra[40_000] / extra[10_000] < 1.5
+
+
+@pytest.mark.parametrize("run", [run_prd, run_a2l_prd])
+@pytest.mark.parametrize("T", [-1, 0, 2.5])
+def test_runs_refuse_a_bad_T(run, T):
+    with pytest.raises(ValueError, match="T must be a positive integer"):
+        run(hand_market(), T)

@@ -530,6 +530,52 @@ def test_numpy_numbers_in_an_instance_spec_mean_the_plain_run(tmp_path, mode, sp
     assert (tmp_path / "plain" / csv).read_bytes() == (tmp_path / "written" / csv).read_bytes()
 
 
+@pytest.mark.parametrize("mode, field", [
+    ("gradient", "out_dir"), ("gradient", "game"), ("fisher", "market"),
+])
+def test_paths_in_a_config_mean_their_str(tmp_path, mode, field):
+    # They loaded, then failed to hash or to write summary.json
+    # (TypeError: PosixPath is not JSON serializable).
+    instance = {"game": generate_game("rps").to_dict(),
+                "market": {"budgets": [1, 2], "valuations": [[1, 0.5], [0.5, 1]]}}
+    spec = "market" if mode == "fisher" else "game"
+    (tmp_path / "spec.json").write_text(json.dumps(instance[spec]))
+    plain = {"mode": mode, spec: {"file": str(tmp_path / "spec.json")}, "T": 50, "seeds": [0]}
+    runs = {"plain": {**plain, "out_dir": str(tmp_path / "plain")},
+            "path": {**plain, "out_dir": str(tmp_path / "path")}}
+    if field == "out_dir":
+        runs["path"]["out_dir"] = tmp_path / "path"
+    else:
+        runs["path"][spec] = {"file": tmp_path / "spec.json"}
+    cfgs = {name: load_config(fields) for name, fields in runs.items()}
+    assert cfgs["path"].to_dict() == {**cfgs["plain"].to_dict(), "out_dir": str(tmp_path / "path")}
+    assert config_hash(cfgs["path"]) == config_hash(cfgs["plain"])
+    for cfg in cfgs.values():
+        harness.run(cfg)
+    summaries = [json.loads((tmp_path / name / "summary.json").read_text()) for name in runs]
+    for summary in summaries:
+        del summary["config"]["out_dir"]
+    assert summaries[0] == summaries[1]
+    csv = f"{mode}_seed0.csv"
+    assert (tmp_path / "plain" / csv).read_bytes() == (tmp_path / "path" / csv).read_bytes()
+
+
+@pytest.mark.parametrize("mode, field, spec, key", [
+    ("fisher", "market", {"budgets": [1, 1]}, "valuations"),
+    ("fisher", "market", {"file": "market.json"}, "valuations"),
+    ("gradient", "game", {"inline": {"n": 2}}, "action_counts"),
+    ("gradient", "game", {"file": "game.json"}, "edges"),
+])
+def test_a_spec_missing_a_key_names_it(tmp_path, mode, field, spec, key):
+    # They said only "market spec invalid: 'valuations'" (a bare KeyError).
+    (tmp_path / "market.json").write_text(json.dumps({"budgets": [1, 1]}))
+    (tmp_path / "game.json").write_text(json.dumps({"n": 2, "action_counts": [2, 2]}))
+    if "file" in spec:
+        spec = {"file": str(tmp_path / spec["file"])}
+    with pytest.raises(ConfigError, match=rf"- {field} spec invalid: missing key '{key}'$"):
+        load_config({"mode": mode, field: spec})
+
+
 def _plain_numbers(spec):
     return {k: v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
             for k, v in spec.items()}
