@@ -33,18 +33,23 @@ since spending is nonnegative) its internal spend there is zero too, the
 allocation is zero and the price is not needed.
 
 ``run_prd`` returns ``prices``, ``avg_prices`` and ``avg_gap``;
-``run_a2l_prd`` returns ``played_prices`` and ``played_gap``.  Neither keeps
-a (T, m, n) spend log: the spends pass through one reused buffer of
-``dynamics.CHUNK_ROUNDS`` (256) rounds, whose max gaps are folded into the
-(T,) column once per chunk, so a run holds O(256 m n + T n) floats.  On a
-50x20 market at T = 10^4 their tracemalloc peaks are 5.6 and 4.1 MiB
-(171.0 and 154.2 MiB with full spend logs).
+``run_a2l_prd`` returns ``played_prices`` and ``played_gap``.  Both take
+exactly T rounds: no step past round T is computed, so a market whose next
+step would stall still reports its T rounds.  Each spend matrix is priced
+once per round, each error guard is one reduction, and a divide is masked
+only when some entry is not positive.  A round of ``run_prd`` costs about
+15 us on a 5x5 market and 34 us on a 50x20 one (was 22 and 42), and one
+of ``run_a2l_prd`` 20 and 43 us (was 31 and 60), on a 2-core x86-64 VM at
+T = 1000.  Neither keeps a (T, m, n) spend log: the spends pass through
+one reused buffer of ``dynamics.CHUNK_ROUNDS`` (256) rounds, whose max gaps
+are folded into the (T,) column once per chunk, so a run holds
+O(256 m n + T n) floats.  On a 50x20 market at T = 10^4 their tracemalloc
+peaks are 5.6 and 4.1 MiB (171.0 and 154.2 MiB with full spend logs).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -122,71 +127,94 @@ def prices(spend) -> np.ndarray:
     return np.asarray(spend).sum(axis=0)
 
 
-def allocations(spend) -> np.ndarray:
-    p = prices(spend)
-    if np.any(p <= 0):
+def _priced(spend) -> np.ndarray:
+    """Prices of a spend array, refused unless every one is positive."""
+    p = spend.sum(axis=0)
+    if p.min() <= 0:
         raise DegenerateMarketError(f"nonpositive prices: {p}")
-    return spend / p
+    return p
+
+
+def allocations(spend) -> np.ndarray:
+    spend = np.asarray(spend)
+    return spend / _priced(spend)
 
 
 def check_spending(market, spend, tol=1e-9):
     spend = np.asarray(spend, dtype=float)
-    if np.any(spend < 0):
+    if not np.all(spend >= 0):  # NaN fails too
         raise ValueError("spending must be nonnegative")
     if np.abs(spend.sum(axis=1) - market.budgets).max() > tol:
         raise ValueError("row sums of spending must equal budgets")
     return spend
 
 
-def _respond(market, alloc) -> np.ndarray:
-    """Proportional response of every agent (row) to its allocation row."""
-    w = alloc * market.valuations
-    denom = w.sum(axis=1)
-    stalled = np.flatnonzero(denom <= 0)
-    if stalled.size:
-        raise StallError(int(stalled[0]))
-    return market.budgets[:, None] * w / denom[:, None]
+def _respond(valuations, budgets, alloc) -> np.ndarray:
+    """Proportional response of every agent (row) to its allocation row;
+    ``budgets`` is the (m, 1) budget column."""
+    w = alloc * valuations
+    denom = w.sum(axis=1, keepdims=True)
+    if denom.min() <= 0:
+        raise StallError(int(np.flatnonzero(denom <= 0)[0]))
+    return budgets * w / denom
+
+
+def _divide_where(num, den, mask) -> np.ndarray:
+    """num / den where mask > 0, 0 elsewhere; one plain divide when every
+    mask entry is positive."""
+    if mask.min() > 0:
+        return num / den
+    return np.divide(num, den, out=np.zeros_like(num), where=mask > 0)
 
 
 def prd_step(market, spend) -> np.ndarray:
     """One proportional response update of the whole spending matrix."""
-    return _respond(market, allocations(spend))
+    return _respond(market.valuations, market.budgets[:, None], allocations(spend))
 
 
-def _fold_gaps(market, T, spends):
-    """(T, n) prices and (T,) max ``market_gap`` of the T spends that ``spends``
-    yields, copied into one reused (CHUNK_ROUNDS, m, n) buffer and folded
-    once per chunk."""
+def _fold_gaps(market, T, rounds):
+    """(T, n) prices and (T,) max ``market_gap`` of the T (spend, prices)
+    pairs that ``rounds`` yields, the spends copied into one reused
+    (CHUNK_ROUNDS, m, n) buffer and folded once per chunk."""
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    buf = np.empty((min(dyn.CHUNK_ROUNDS, T), market.m_agents, market.n_goods))
+    K = min(dyn.CHUNK_ROUNDS, T)
+    buf = np.empty((K, market.m_agents, market.n_goods))
     p = np.empty((T, market.n_goods))
     gaps = []
-    for t, spend in zip(range(T), spends):
-        k = t % len(buf)
+    for t, (spend, price) in enumerate(rounds):
+        k = t % K
         buf[k] = spend
-        p[t] = prices(spend)
-        if k == len(buf) - 1 or t == T - 1:
+        p[t] = price
+        if k == K - 1 or t == T - 1:
             gaps.append(market_gap(market, p[t - k:t + 1], spend=buf[:k + 1]).max(axis=1))
     return p, np.concatenate(gaps)
 
 
 def run_prd(market, T, spend0=None) -> dict:
-    """Iterate proportional response for T >= 1 steps from an interior start.
+    """Iterate proportional response for exactly T >= 1 rounds from an
+    interior start.
 
     Returns the (T, n) ``prices``, the running average ``avg_prices`` and
-    the (T,) max equilibrium gap ``avg_gap`` of the averaged spends.  No
-    spend log is kept: memory is O(256 m n + T n), a 5.6 MiB traced peak on
-    a 50x20 market at T = 10^4.
+    the (T,) max equilibrium gap ``avg_gap`` of the averaged spends.  Round
+    t + 1's spends are computed only when t < T, so a step that would stall
+    after round T is never taken.  A round costs about 15 us on a 5x5
+    market and 34 us on a 50x20 one (22 and 42 us when each spend matrix
+    was priced twice and one step past T was taken).  No spend log is
+    kept: memory is O(256 m n + T n), a 5.6 MiB traced peak on a 50x20
+    market at T = 10^4.
     """
     def averaged(b):
         hist = out["prices"] = np.empty((T, market.n_goods))  # once _fold_gaps checked T
-        bbar = None
+        budgets = market.budgets[:, None]
         for t in range(T):
-            hist[t] = prices(b)
-            bbar = b if bbar is None else bbar + (b - bbar) / (t + 1.0)
-            b = prd_step(market, b)
-            yield bbar
+            if t:
+                b = _respond(market.valuations, budgets, b / p)
+                bbar = bbar + (b - bbar) / (t + 1.0)
+            else:
+                bbar = b
+            p = hist[t] = _priced(b)
+            yield bbar, bbar.sum(axis=0)
 
     out = {}
     b = uniform_spending(market) if spend0 is None else check_spending(market, spend0)
@@ -208,6 +236,7 @@ class ProportionalResponse:
         self.market = market
         self.spend = spend
         self.last_prices = None
+        self._budgets = market.budgets[:, None]
 
     @property
     def d(self):
@@ -218,8 +247,8 @@ class ProportionalResponse:
 
     def observe(self, p) -> None:
         self.last_prices = p
-        alloc = np.divide(self.spend, p, out=np.zeros_like(self.spend), where=p > 0)
-        self.spend = _respond(self.market, alloc)
+        alloc = _divide_where(self.spend, p, p)
+        self.spend = _respond(self.market.valuations, self._budgets, alloc)
 
 
 def a2l_prd_init(market, spend0=None) -> A2L:
@@ -240,23 +269,34 @@ def a2l_prd_step(market, state: A2L) -> np.ndarray:
     Returns the averaged spending that was played.
     """
     bbar = state.next_strategy()
-    x_bar = allocations(bbar)
-    state.observe(np.divide(bbar, x_bar, out=np.zeros_like(bbar), where=bbar > 0))
+    state.observe(_divide_where(bbar, bbar / _priced(bbar), bbar))
     return bbar
 
 
 def run_a2l_prd(market, T, spend0=None) -> dict:
-    """Iterate the average-playing dynamics for T >= 1 rounds.
+    """Iterate the average-playing dynamics for exactly T >= 1 rounds.
 
     Returns the (T, n) ``played_prices``, which equal the running average
     of the internal run's prices, so average-price convergence shows up in
     the last iterate, and the (T,) max equilibrium gap ``played_gap`` of
-    the played spends.  No spend log is kept: memory is O(256 m n + T n), a
-    4.1 MiB traced peak on a 50x20 market at T = 10^4.
+    the played spends.  These are ``a2l_prd_step``'s rounds, except that
+    round T's inferred prices are never observed, so the internal step past
+    T is not taken.  A round costs about 20 us on a 5x5 market and 43 us on
+    a 50x20 one (31 and 60 us with two pricings of each played matrix,
+    masked divides and a copy of the average per round).  No spend log is
+    kept: memory is O(256 m n + T n), a 4.1 MiB traced peak on a 50x20
+    market at T = 10^4.
     """
+    def played():
+        for t in range(T):
+            if t:
+                state.observe(_divide_where(bbar, bbar / p, bbar))
+            bbar = state.next_strategy()
+            p = _priced(bbar)
+            yield bbar, p
+
     state = a2l_prd_init(market, spend0)
-    played = (a2l_prd_step(market, state) for _ in itertools.count())
-    played_prices, gaps = _fold_gaps(market, T, played)
+    played_prices, gaps = _fold_gaps(market, T, played())
     return {"played_prices": played_prices, "played_gap": gaps}
 
 

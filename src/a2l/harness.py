@@ -25,7 +25,6 @@ import logging
 import operator
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -422,6 +421,8 @@ def run(cfg: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import; only here
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             cells = list(pool.map(_CELLS[cfg.mode], [cfg] * len(cfg.seeds), cfg.seeds))
     else:

@@ -110,7 +110,9 @@ class A2L:
         self.avg = update_running_mean(self.avg, x, self._alpha, self.cum_weight)
         self.last_inner = x
         self._awaiting = True
-        return self.avg.copy() if self.rows is True else np.where(self.rows, self.avg, x)
+        # update_running_mean returns a new array each round, so the caller
+        # may keep it.
+        return self.avg if self.rows is True else np.where(self.rows, self.avg, x)
 
     def observe(self, avg_util) -> np.ndarray:
         """Feed the utility vector seen at the played average.

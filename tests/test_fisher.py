@@ -28,6 +28,7 @@ from a2l.fisher import (
     uniform_spending,
     verify_ce,
 )
+from a2l.reduction import update_running_mean
 
 
 def hand_market():
@@ -99,6 +100,14 @@ def test_check_spending_rows():
         check_spending(market, [[0.7, 0.2], [0.5, 0.5]])
     with pytest.raises(ValueError):
         check_spending(market, [[1.2, -0.2], [0.5, 0.5]])
+
+
+def test_check_spending_refuses_nan():
+    # A NaN spend passed both checks, and a NaN price hides a zero one from
+    # the runs' one-reduction price guard.
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_spending(FisherMarket([1.0, 1.0, 1.0], np.ones((3, 3))),
+                       [[np.nan, 0.0, 1.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
 
 
 def played_spends(market, T, spend0=None):
@@ -305,3 +314,56 @@ def test_run_memory_does_not_grow_with_the_spend_log(run):
 def test_runs_refuse_a_bad_T(run, T):
     with pytest.raises(ValueError, match="T must be a positive integer"):
         run(hand_market(), T)
+
+
+def test_runs_stop_at_the_horizon():
+    # Agent 0 values only good 0 and starts with no spend on it: round 1 is
+    # well defined, and the step to round 2 stalls.
+    market = FisherMarket([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0]])
+    spend0 = [[0.0, 1.0], [0.5, 0.5]]
+    ref, out = run_prd(market, 1, spend0), run_a2l_prd(market, 1, spend0)
+    for p in (ref["prices"], ref["avg_prices"], out["played_prices"]):
+        assert np.array_equal(p, [[0.5, 1.5]])
+    for gap in (ref["avg_gap"], out["played_gap"]):
+        assert np.array_equal(gap, [2.0])
+    for run in (run_prd, run_a2l_prd):
+        with pytest.raises(StallError) as err:
+            run(market, 2, spend0)
+        assert err.value.agent == 0
+
+
+@pytest.mark.parametrize("run", [run_prd, run_a2l_prd])
+@pytest.mark.parametrize("T", [1, 2, 300])
+def test_a_dead_good_in_spend0_is_degenerate(run, T):
+    with pytest.raises(DegenerateMarketError):
+        run(hand_market(), T, [[1.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random-start"])
+def test_runs_equal_the_step_api_on_the_benchmark_markets(uniform):
+    # The market sizes of the benchmark's fisher-markets workload; T around
+    # one chunk boundary and at the benchmark's horizon.
+    for k, (m, n) in enumerate(((5, 5), (10, 8), (20, 10), (35, 15), (50, 20))):
+        market = random_linear_market(m, n, seed=k)
+        spend0 = None if uniform else random_start(market, k)
+        want = all_rounds_reference(market, 1000, spend0)
+        for T in (1, 255, 256, 257, 1000):
+            for run, ref in zip((run_prd, run_a2l_prd), want):
+                got = run(market, T, spend0)
+                assert set(got) == set(ref)
+                for key in ref:
+                    assert np.array_equal(got[key], ref[key][:T]), (m, n, T, run.__name__, key)
+
+
+def test_played_spends_are_not_overwritten_by_later_rounds():
+    market = random_linear_market(4, 3, seed=8)
+    state = a2l_prd_init(market, random_start(market, 8))
+    played, kept, inner = [], [], []
+    for _ in range(10):
+        played.append(a2l_prd_step(market, state))
+        kept.append(played[-1].copy())
+        inner.append(state.last_inner)
+    avg = None
+    for t, (b, x, want) in enumerate(zip(played[:3], inner, kept), start=1):
+        avg = update_running_mean(avg, x, 1.0, float(t))
+        assert np.array_equal(b, want) and np.array_equal(b, avg)

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -616,6 +619,15 @@ def test_parallel_workers_match_serial(tmp_path):
         a = (tmp_path / "serial" / f"gradient_seed{seed}.csv").read_bytes()
         b = (tmp_path / "par" / f"gradient_seed{seed}.csv").read_bytes()
         assert a == b
+
+
+def test_importing_harness_leaves_the_process_pool_unloaded():
+    # Only workers > 1 uses it, and it costs about a tenth of importing a2l.harness.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = "import sys, a2l.harness; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_bandit_run_outputs(tmp_path):

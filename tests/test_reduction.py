@@ -207,3 +207,20 @@ def test_recovery_is_exact_under_random_weights_and_utilities(stream, cls, eta):
     # rounding in ubar^t is scaled by at most sum_{k<t} alpha_k / alpha_t < 4000
     assert np.abs(np.array(recovered) - utils).max() <= 1e-11
     assert np.abs(np.array(played) - want_play).max() <= 1e-12
+
+
+def test_played_averages_are_not_overwritten_by_later_rounds():
+    # A batch of 5 rows; each returned average must keep its value, and equal
+    # the running mean of the inner iterates, after the later rounds.
+    rng = np.random.default_rng(6)
+    wrap = A2L(OMWU(3, 0.3))
+    played, kept, inner = [], [], []
+    for ubar in rng.uniform(-1, 1, size=(10, 5, 3)):
+        played.append(wrap.next_strategy())
+        kept.append(played[-1].copy())
+        inner.append(wrap.last_inner)
+        wrap.observe(ubar)
+    avg = None
+    for t, (x, want, xin) in enumerate(zip(played[:3], kept, inner), start=1):
+        avg = update_running_mean(avg, xin, 1.0, float(t))
+        assert np.array_equal(x, want) and np.array_equal(x, avg)
