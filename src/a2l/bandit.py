@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _number
+from .dynamics import _number, check_count
 from .games import PolymatrixGame
 from .learners import OMWU, AnytimeMWU, padding
 from .reduction import A2L
@@ -521,8 +521,7 @@ def _play_rounds(rng, sampler, pipeline, B):
 
 
 def _check_run_args(epochs, delta):
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    check_count("epochs", epochs)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
 

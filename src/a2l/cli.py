@@ -2,7 +2,7 @@
 
 Subcommands: gen, run-gradient, run-bandit, run-fisher, fit-rate, verify.
 Run config is JSON (see harness.ExperimentConfig); --seeds and --out
-override the config file.  Log level comes from A2L_LOG_LEVEL.
+override the config file.
 """
 
 from __future__ import annotations

@@ -116,6 +116,14 @@ def _number(v) -> bool:
     return True
 
 
+def _integer(v) -> bool:
+    """An int or numpy integer, no bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# The package's one count rule, for T, epochs and workers: (test, what).
+COUNT_RULE = (lambda v: _integer(v) and v >= 1, "a positive integer")
+
 # The learner contract, which the harness's config checks share: field -> (test, what).
 LEARNER_RULES = {
     "algo": (lambda v: v in ALGORITHMS, f"one of {ALGORITHMS}"),
@@ -131,6 +139,13 @@ def rule_errors(rules: dict, fields: dict, prefix="") -> list:
     """Problems of the ruled fields present in ``fields``, named prefix + field."""
     return [f"{prefix}{k} must be {what}, got {fields[k]!r}"
             for k, (ok, what) in rules.items() if k in fields and not ok(fields[k])]
+
+
+def check_count(name, v):
+    """Refuse a count v that breaks ``COUNT_RULE`` with a ValueError naming it."""
+    errors = rule_errors({name: COUNT_RULE}, {name: v})
+    if errors:
+        raise ValueError(errors[0])
 
 
 @dataclass
@@ -249,8 +264,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
     S = len(games)
     if S < 1:
         raise ValueError("games: need at least one game")
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    check_count("T", T)
     n = games[0].n
     counts = games[0].action_counts
     for k, g in enumerate(games[1:], start=1):
@@ -430,10 +444,7 @@ def inner_regret_report(traj: Trajectory) -> dict:
     needs the run's records."""
     if traj.inner is None:
         raise ValueError("inner_regret_report needs a run with records=True")
-    return _report(traj.inner, traj.inner_utils)
-
-
-def _report(strats, utils) -> dict:
+    strats, utils = traj.inner, traj.inner_utils
     T = len(strats[0])
     n = len(strats)
     reg = np.empty((T, n))

@@ -38,13 +38,12 @@ exactly T rounds: no step past round T is computed, so a market whose next
 step would stall still reports its T rounds.  Each spend matrix is priced
 once per round, each error guard is one reduction, and a divide is masked
 only when some entry is not positive.  A round of ``run_prd`` costs about
-15 us on a 5x5 market and 34 us on a 50x20 one (was 22 and 42), and one
-of ``run_a2l_prd`` 20 and 43 us (was 31 and 60), on a 2-core x86-64 VM at
-T = 1000.  Neither keeps a (T, m, n) spend log: the spends pass through
-one reused buffer of ``dynamics.CHUNK_ROUNDS`` (256) rounds, whose max gaps
-are folded into the (T,) column once per chunk, so a run holds
-O(256 m n + T n) floats.  On a 50x20 market at T = 10^4 their tracemalloc
-peaks are 5.6 and 4.1 MiB (171.0 and 154.2 MiB with full spend logs).
+15 us on a 5x5 market and 34 us on a 50x20 one, and one of ``run_a2l_prd``
+20 and 43 us, on a 2-core x86-64 VM at T = 1000.  Neither keeps a
+(T, m, n) spend log: the spends pass through one reused buffer of
+``dynamics.CHUNK_ROUNDS`` (256) rounds, whose max gaps are folded into the
+(T,) column once per chunk, so a run holds O(256 m n + T n) floats.  On a
+50x20 market at T = 10^4 their tracemalloc peaks are 5.6 and 4.1 MiB.
 """
 
 from __future__ import annotations
@@ -109,12 +108,11 @@ def load_market(path) -> FisherMarket:
         return FisherMarket.from_dict(json.load(f))
 
 
-def random_linear_market(m, n, seed=None, value_range=(0.25, 1.0),
-                         budget_range=(0.5, 1.5)) -> FisherMarket:
-    """Random linear market; valuations bounded away from zero."""
+def random_linear_market(m, n, seed=None) -> FisherMarket:
+    """Random linear market: valuations uniform on [0.25, 1), budgets on [0.5, 1.5)."""
     rng = np.random.default_rng(seed)
-    vals = rng.uniform(*value_range, size=(m, n))
-    budgets = rng.uniform(*budget_range, size=m)
+    vals = rng.uniform(0.25, 1.0, size=(m, n))
+    budgets = rng.uniform(0.5, 1.5, size=m)
     return FisherMarket(budgets, valuations=vals)
 
 
@@ -140,11 +138,11 @@ def allocations(spend) -> np.ndarray:
     return spend / _priced(spend)
 
 
-def check_spending(market, spend, tol=1e-9):
+def check_spending(market, spend):
     spend = np.asarray(spend, dtype=float)
     if not np.all(spend >= 0):  # NaN fails too
         raise ValueError("spending must be nonnegative")
-    if np.abs(spend.sum(axis=1) - market.budgets).max() > tol:
+    if np.abs(spend.sum(axis=1) - market.budgets).max() > 1e-9:
         raise ValueError("row sums of spending must equal budgets")
     return spend
 
@@ -176,8 +174,7 @@ def _fold_gaps(market, T, rounds):
     """(T, n) prices and (T,) max ``market_gap`` of the T (spend, prices)
     pairs that ``rounds`` yields, the spends copied into one reused
     (CHUNK_ROUNDS, m, n) buffer and folded once per chunk."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
+    dyn.check_count("T", T)
     K = min(dyn.CHUNK_ROUNDS, T)
     buf = np.empty((K, market.m_agents, market.n_goods))
     p = np.empty((T, market.n_goods))
@@ -199,10 +196,8 @@ def run_prd(market, T, spend0=None) -> dict:
     the (T,) max equilibrium gap ``avg_gap`` of the averaged spends.  Round
     t + 1's spends are computed only when t < T, so a step that would stall
     after round T is never taken.  A round costs about 15 us on a 5x5
-    market and 34 us on a 50x20 one (22 and 42 us when each spend matrix
-    was priced twice and one step past T was taken).  No spend log is
-    kept: memory is O(256 m n + T n), a 5.6 MiB traced peak on a 50x20
-    market at T = 10^4.
+    market and 34 us on a 50x20 one.  No spend log is kept: memory is
+    O(256 m n + T n), a 5.6 MiB traced peak on a 50x20 market at T = 10^4.
     """
     def averaged(b):
         hist = out["prices"] = np.empty((T, market.n_goods))  # once _fold_gaps checked T
@@ -282,10 +277,8 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
     the played spends.  These are ``a2l_prd_step``'s rounds, except that
     round T's inferred prices are never observed, so the internal step past
     T is not taken.  A round costs about 20 us on a 5x5 market and 43 us on
-    a 50x20 one (31 and 60 us with two pricings of each played matrix,
-    masked divides and a copy of the average per round).  No spend log is
-    kept: memory is O(256 m n + T n), a 4.1 MiB traced peak on a 50x20
-    market at T = 10^4.
+    a 50x20 one.  No spend log is kept: memory is O(256 m n + T n), a
+    4.1 MiB traced peak on a 50x20 market at T = 10^4.
     """
     def played():
         for t in range(T):

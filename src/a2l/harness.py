@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import operator
 import os
 import warnings
@@ -41,9 +40,8 @@ PRNG_NAME = "numpy-PCG64"
 TOL_BOUND = 1e-9  # slack allowed on the paper's gap and regret bounds
 TOL_AUDIT = 1e-6  # slack allowed on the bandit reconstruction and regret audits
 TOL_CONSERVATION = 1e-9  # |sum of prices - sum of budgets| allowed in Fisher runs
-
-log = logging.getLogger("a2l")
-log.setLevel(os.environ.get("A2L_LOG_LEVEL", "WARNING").upper())
+# Taken at import: a functools.wraps wrapper of generate_game has no defaults.
+_GAME_DEFAULTS = generate_game.__kwdefaults__
 
 
 class ConfigError(ValueError):
@@ -106,9 +104,9 @@ class ExperimentConfig:
         """Numbers in canonical type, seeds sorted; other values are left for validate_config."""
         for name, kind in {**dict.fromkeys(("eta", "delta", "monitor_c"), float),
                            **dict.fromkeys(("T", "epochs", "workers"), int)}.items():
-            if (dyn._number if kind is float else _integer)(getattr(self, name)):
+            if (dyn._number if kind is float else dyn._integer)(getattr(self, name)):
                 setattr(self, name, kind(getattr(self, name)))
-        if isinstance(self.seeds, list) and all(map(_integer, self.seeds)):
+        if isinstance(self.seeds, list) and all(map(dyn._integer, self.seeds)):
             self.seeds = sorted(map(int, self.seeds))
         self.game, self.market, self.out_dir = map(_plain, (self.game, self.market, self.out_dir))
 
@@ -138,9 +136,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
     numbers in their canonical type, seeds sorted, and the nested specs as
     the ``LearnerSpec`` and ``EpochSchedule`` they build.  A players list
     whose every entry is the spec the top-level fields give hashes as no
-    list, and a schedule equal to the default one as the default.
+    list, a schedule equal to the default one as the default, and a
+    generator game spec without the keys at ``generate_game``'s defaults.
     """
     fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
+    if cfg.game and "kind" in cfg.game:
+        fields["game"] = {k: v for k, v in cfg.game.items()
+                          if k not in _GAME_DEFAULTS or v != _GAME_DEFAULTS[k]}
     own, players = _learner_specs(cfg)
     fields["players"] = None if all(p == own for p in players) else list(map(asdict, players))
     schedule = bandit_mod.EpochSchedule(**cfg.schedule)
@@ -169,10 +171,6 @@ def load_config(source) -> ExperimentConfig:
     return cfg
 
 
-def _integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _plain(v):
     """v with its numpy scalars and arrays as Python numbers and lists and its
     paths as str, in dicts and lists too."""
@@ -187,10 +185,9 @@ def _plain(v):
 # The learner fields take the rules LearnerSpec is built by.
 _FIELD_CHECKS = {
     "mode": (lambda v: isinstance(v, str) and v in MODE_FIELDS, "gradient, bandit or fisher"),
-    "seeds": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_integer, v))
+    "seeds": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(dyn._integer, v))
               and len(set(v)) == len(v), "a nonempty list of distinct integers"),
-    **dict.fromkeys(("T", "epochs", "workers"),
-                    (lambda v: _integer(v) and v >= 1, "a positive integer")),
+    **dict.fromkeys(("T", "epochs", "workers"), dyn.COUNT_RULE),
     **{k: dyn.LEARNER_RULES[k] for k in ("algo", "eta", "weights", "monitor_c")},
     "delta": (lambda v: dyn._number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
     "certified": (lambda v: isinstance(v, bool), "true or false"),
@@ -305,12 +302,12 @@ def resolve_game(spec: dict, seed=0) -> PolymatrixGame:
         return PolymatrixGame.from_dict(spec["inline"])
     kw = dict(spec)
     kind = kw.pop("kind")
-    if "seed" in kw and not _integer(kw["seed"]):
+    if "seed" in kw and not dyn._integer(kw["seed"]):
         raise ValueError(f"game.seed must be an integer (omit it to use the run seed), "
                          f"got {kw['seed']!r}")
     fixed = kind in ("matching_pennies", "rps")
     for key in kw if fixed else ["p"] if "p" in kw and kw.get("graph") != "gnp" else []:
-        if kw[key] != generate_game.__kwdefaults__.get(key, kw[key]):  # unread: at its default
+        if kw[key] != _GAME_DEFAULTS.get(key, kw[key]):  # unread: at its default
             where = kind if fixed else f"{kw.get('graph', 'complete')} graph"
             raise ValueError(f"game.{key} is not read by {where} games")
     kw.setdefault("seed", seed)
@@ -325,7 +322,7 @@ def resolve_market(spec: dict, seed=0) -> fisher_mod.FisherMarket:
     if "budgets" in spec:
         _only_keys(spec, ("budgets", "valuations"))
         return fisher_mod.FisherMarket.from_dict(spec)
-    if set(spec) - {"seed"} != {"m", "n"} or not all(map(_integer, spec.values())):
+    if set(spec) - {"seed"} != {"m", "n"} or not all(map(dyn._integer, spec.values())):
         raise ValueError(f"a random market takes integers m, n and optionally seed: {spec!r}")
     return fisher_mod.random_linear_market(spec["m"], spec["n"], seed=spec.get("seed", seed))
 
@@ -430,11 +427,9 @@ def run(cfg: ExperimentConfig) -> dict:
 
     results = []
     for seed, cell in zip(cfg.seeds, cells):  # merged in (sorted) seed order
-        csv_path = out_dir / f"{cfg.mode}_seed{seed}.csv"
-        with open(csv_path, "w", newline="\n") as f:
+        with open(out_dir / f"{cfg.mode}_seed{seed}.csv", "w", newline="\n") as f:
             f.writelines(line + "\n" for line in _csv_lines(*cell["csv"]))
         results.append({**cell["result"], "checks": [c.to_dict() for c in cell["checks"]]})
-        log.info("seed %s -> %s", seed, csv_path)
 
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -357,6 +357,7 @@ def check_mwu_contrast() -> SuiteResult:
 
 BANDIT_EPOCHS = 12
 BANDIT_DELTA = 0.05
+BIAS_RESAMPLES = 10_000  # Monte-Carlo resamples of the bias checks, drawn from seed 777
 
 
 def _bandit_game():
@@ -393,7 +394,7 @@ def _bandit_sweep() -> dict:
 
 
 @functools.cache
-def _bandit_bias_se(resamples=10_000, seed=777) -> dict:
+def _bandit_bias_se() -> dict:
     """Worst per-action bias of one epoch's estimates, in standard errors.
 
     Monte-Carlo resampling at fixed strategies: the seed-0 honest run's
@@ -410,15 +411,15 @@ def _bandit_bias_se(resamples=10_000, seed=777) -> dict:
     plays = np.stack([x[t - 1] for x in traj.mixed])  # both players have d = 3
     truth_avg = bd.audit_truths(traj, game)["mixed_avg"][0][t - 1]
     sampler = bd.JointSampler(game)
-    rng = np.random.default_rng(seed)
-    est = np.empty((resamples, len(plays[0])))
+    rng = np.random.default_rng(777)
+    est = np.empty((BIAS_RESAMPLES, len(plays[0])))
     sums = np.empty_like(est)
-    for r in range(resamples):
+    for r in range(BIAS_RESAMPLES):
         counts, totals = sampler.epoch(rng, plays, B)
         est[r], sums[r] = bd.epoch_estimate(counts[0], totals[0]).estimate, totals[0]
     worst = {}
     for name, values, truth in (("epoch", est, truth_avg), ("iw", sums / plays[0], B * truth_avg)):
-        se = values.std(axis=0, ddof=1) / np.sqrt(resamples)
+        se = values.std(axis=0, ddof=1) / np.sqrt(BIAS_RESAMPLES)
         worst[name] = float((np.abs(values.mean(axis=0) - truth) / se).max())
     return worst
 

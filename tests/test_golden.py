@@ -9,12 +9,15 @@ records the platform it was made on.  On that platform the hashes must match
 exactly; elsewhere they are not comparable, and the key values must match
 at ``REL_TOL``.  The hash of the config and every integer or null value (the
 switch epochs and rounds) must match everywhere.  The adversary entry pins
-the bandit-monitor adversary's switch epoch.
+the bandit-monitor adversary's switch epoch, and the verify entry every
+check value and count of ``a2l verify all`` apart from wall times.
 
 After an intended change of output, regenerate the changed entries and say
 in CHANGES.md which and why:
 
     PYTHONPATH=src python tests/test_golden.py --write [ENTRY ...]
+
+where an ENTRY is a config name, ``adversary`` or ``verify``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from a2l import bandit, harness
+from a2l import bandit, harness, verify
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 REL_TOL = 1e-9  # relative tolerance on key values off the recorded platform
@@ -149,6 +152,19 @@ def run_adversary() -> dict:
         "true_reg": float(adv["true_reg"][t - 1]).hex()}}
 
 
+def run_verify() -> dict:
+    """Every check and count of ``verify.run_suite("all")``, checks by name,
+    without the wall-time checks."""
+    def by_name(details):
+        checks = {c["name"]: by_name(c["details"]) if "details" in c else c
+                  for c in details["checks"] if "wall time" not in c["name"]}
+        return {**details, "checks": checks}
+
+    result = verify.run_suite("all").to_dict()
+    return {"rests_on": f"{_BLAS}; {_FISHER}",
+            "values": _key_values(by_name(result["details"]), "all")}
+
+
 def _close(got, want) -> bool:
     if got == want:  # NaN too: both are written "nan"
         return True
@@ -192,6 +208,10 @@ def test_adversary_switches_in_its_golden_epoch(golden):
     _compare(got, want, golden["same_platform"])
 
 
+def test_verify_all_reproduces_its_golden_values(golden):
+    _compare(run_verify(), golden["verify"], golden["same_platform"])
+
+
 def main(argv):
     if argv[:1] != ["--write"]:
         sys.exit(__doc__)
@@ -202,13 +222,14 @@ def main(argv):
     data["note"] = ("Hashes are compared on this platform only; elsewhere the key values "
                     f"at relative tolerance {REL_TOL}. Regenerate with "
                     "`PYTHONPATH=src python tests/test_golden.py --write [ENTRY ...]`.")
+    extras = {"adversary": run_adversary, "verify": run_verify}
     for name in names:
-        if name == "adversary":
-            data["adversary"] = run_adversary()
+        if name in extras:
+            data[name] = extras[name]()
         else:
             data["entries"][name] = run_entry(name)
     if not argv[1:]:
-        data["adversary"] = run_adversary()
+        data.update({name: run() for name, run in extras.items()})
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {', '.join(names)} to {GOLDEN}")

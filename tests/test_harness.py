@@ -237,6 +237,18 @@ def test_config_hash_fills_nested_specs_with_their_defaults():
         "bandit", certified=False, schedule={**custom, "eps_coeff": 1, "eps_power": -1.0})
 
 
+def test_config_hash_drops_generator_keys_at_their_defaults():
+    # A generator game spec with a default written out builds the same game.
+    def hash_of(game):
+        return config_hash(load_config({"mode": "gradient", "game": game, "T": 5}))
+
+    assert hash_of({"kind": "rps"}) == hash_of({"kind": "rps", "n": 2}) == "422e14f287575af9"
+    zs = {"kind": "random_zs", "d": 3, "seed": 1}
+    assert hash_of(zs) == hash_of({**zs, "n": 2}) == hash_of(
+        {**zs, "n": 2, "graph": "complete"}) == "80383728cebfc43d"
+    assert hash_of({**zs, "graph": "cycle", "n": 3}) != hash_of({**zs, "n": 3})
+
+
 def test_players_refuse_the_top_level_learner_fields():
     # Each players entry carries its own algo, eta and weights.
     with pytest.raises(ConfigError) as err:
@@ -622,12 +634,14 @@ def test_parallel_workers_match_serial(tmp_path):
 
 
 def test_importing_harness_leaves_the_process_pool_unloaded():
-    # Only workers > 1 uses it, and it costs about a tenth of importing a2l.harness.
+    # Only workers > 1 uses the pool, and it costs about a tenth of importing
+    # a2l.harness; nothing in a2l logs.
     src = str(Path(harness.__file__).resolve().parents[1])
-    code = "import sys, a2l.harness; print('concurrent.futures.process' in sys.modules)"
+    code = ("import sys, a2l.harness; "
+            "print([m in sys.modules for m in ('concurrent.futures.process', 'logging')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_bandit_run_outputs(tmp_path):
