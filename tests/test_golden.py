@@ -86,6 +86,41 @@ CONFIGS = {
         "epochs": 8, "monitor_c": -1e9, "certified": False, "seeds": [0]}, _BLAS),
 }
 
+# The benchmark's configs as perfbench/workloads.py builds them at --seed 0,
+# without out_dir and workers.  The Fisher markets are the generator specs
+# that resolve to the markets the benchmark writes out in full.
+CONFIGS.update({
+    f"bench-gradient-{key}": ({"mode": "gradient", "game": game, "algo": "a2l-omwu",
+                               "eta": None, "T": 10_000, "seeds": [seed]}, _BLAS)
+    for key, game, seed in (
+        ("matching_pennies", {"kind": "matching_pennies"}, 1826701614),
+        ("rps", {"kind": "rps"}, 1367864806),
+        ("zs2d10", {"kind": "random_zs", "n": 2, "d": 10}, 1097657231),
+        ("zs3d5", {"kind": "random_zs", "n": 3, "d": 5}, 579362555),
+        ("zs4d10cyc", {"kind": "random_zs", "n": 4, "d": 10, "graph": "cycle"}, 661058651),
+        ("zs4d6gnp", {"kind": "random_zs", "n": 4, "d": 6, "graph": "gnp", "p": 0.6},
+         87989972),
+    )
+})
+CONFIGS.update({
+    f"bench-bandit-{key}": ({"mode": "bandit", "game": game, "schedule": {"mode": mode},
+                             "epochs": epochs, "seeds": [1367864806]}, _BLAS)
+    for key, game, mode, epochs in (
+        ("suite-theory", {"kind": "random_zs", "n": 2, "d": 3, "seed": 11}, "theory", 32),
+        ("suite-theory_d", {"kind": "random_zs", "n": 2, "d": 3, "seed": 11}, "theory_d", 24),
+        ("zs3d5-theory", {"kind": "random_zs", "n": 3, "d": 5, "seed": 1826701614},
+         "theory", 30),
+        ("zs3d5-theory_d", {"kind": "random_zs", "n": 3, "d": 5, "seed": 1826701614},
+         "theory_d", 21),
+    )
+})
+CONFIGS.update({
+    f"bench-fisher-{m}x{n}": ({"mode": "fisher", "market": {"m": m, "n": n, "seed": seed},
+                               "T": 1000, "seeds": [0]}, _FISHER)
+    for m, n, seed in ((5, 5, 1826701614), (10, 8, 1367864806), (20, 10, 1097657231),
+                       (35, 15, 579362555), (50, 20, 661058651))
+})
+
 
 def platform_record() -> dict:
     """What the bits of the outputs rest on: numpy, the BLAS it calls and the
