@@ -356,12 +356,12 @@ class BanditPipeline:
 
     counts holds one action count per row (player), or one count for a
     single player without a row axis; B and eps are the run's epoch lengths
-    and mixing rates.  Strategies, estimates and IW vectors have shape
-    (..., d_max); a row's padded actions stay at exact zeros.  The monitor's
-    radius and threshold depend on the schedule alone, so ``radius``
-    (E, ...) and ``threshold`` (E,) hold them for every epoch; per epoch it
-    adds to per-row sums of IW utility vectors and of their value under the
-    played strategies.  A row whose reg_est exceeds threshold + radius plays
+    and mixing rates.  Its OMWU, strategies, estimates and IW vectors have
+    shape (rows, d_max); a row's padded actions stay at exact zeros.  The
+    monitor's radius and threshold depend on the schedule alone, so
+    ``radius`` (E, ...) and ``threshold`` (E,) hold them for every epoch;
+    per epoch it adds to per-row sums of IW utility vectors and of their
+    value under the played strategies.  A row whose reg_est exceeds threshold + radius plays
     its row of ``fallback`` for good: Exp3, an ``AnytimeMWU`` with scale d_i
     that is restarted at the row's switch and fed one importance-weighted
     reward vector per round (``round_strategy``, ``observe_round``; rows
@@ -375,7 +375,7 @@ class BanditPipeline:
         col = self.counts[..., None]
         self.pad = padding(col) if self.counts.min() < self.counts.max() else None
         self._real = True if self.pad is None else self.pad == 0
-        self.learner = A2L(OMWU(int(self.counts.max()), eta, bias=self.pad))
+        self.learner = A2L(OMWU(self.counts.shape + (self.counts.max(),), eta, bias=self.pad))
         # Plans for every epoch, computed with epochs on the last axis and
         # stored one row per epoch.  cumsum adds the spread's terms epoch by
         # epoch; float_power squares with the C library's pow, as Python's
@@ -403,7 +403,7 @@ class BanditPipeline:
         self._switched_rows = []
         # Exp3: restarted at a row's switch, so a row learns only once it
         # has switched.
-        self.fallback = AnytimeMWU(col, scale=self._d)
+        self.fallback = AnytimeMWU(self.learner.shape, scale=self._d, counts=col)
         self._p = None
 
     def begin_epoch(self) -> np.ndarray:

@@ -16,13 +16,6 @@ from . import harness, verify
 from .games import generate_game, save_game
 
 
-def _add_run_flags(p):
-    p.add_argument("--config", required=True, help="path to a JSON run config")
-    p.add_argument("--out", help="output directory (overrides config out_dir)")
-    p.add_argument("--seeds", help="comma-separated seed list (overrides config)")
-    p.add_argument("--workers", type=int, help="parallel seed workers (overrides config)")
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="a2l", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -39,7 +32,10 @@ def build_parser():
 
     for mode in ("gradient", "bandit", "fisher"):
         r = sub.add_parser(f"run-{mode}", help=f"run a {mode}-mode config")
-        _add_run_flags(r)
+        r.add_argument("--config", required=True, help="path to a JSON run config")
+        r.add_argument("--out", help="output directory (overrides config out_dir)")
+        r.add_argument("--seeds", help="comma-separated seed list (overrides config)")
+        r.add_argument("--workers", type=int, help="parallel seed workers (overrides config)")
 
     f = sub.add_parser("fit-rate", help="fit a log-log decay slope on a trajectory CSV")
     f.add_argument("--csv", required=True)
@@ -65,10 +61,7 @@ def _run_mode(mode, args) -> int:
                                       f"got {args.seeds!r}") from None
     if args.workers is not None:
         overrides["workers"] = args.workers
-    with open(args.config) as fh:
-        data = json.load(fh)
-    data.update(overrides)
-    cfg = harness.load_config(data)
+    cfg = harness.load_config({**harness.read_config_file(args.config), **overrides})
     summary = harness.run(cfg)
     print(json.dumps({k: summary[k] for k in ("mode", "config_hash", "passed")}, indent=2))
     return 0 if summary["passed"] else 1
@@ -92,13 +85,17 @@ def main(argv=None) -> int:
             return 2
 
     if args.command == "fit-rate":
-        with open(args.csv) as fh:
-            rows = list(csv.DictReader(fh))
-        ts = [float(r["t"]) for r in rows]
-        vals = [float(r[args.column]) for r in rows]
         try:
-            fit = harness.fit_rate(ts, vals, t_min=args.t_min, t_max=args.t_max)
-        except ValueError as exc:
+            with open(args.csv) as fh:
+                reader = csv.DictReader(fh)
+                missing = [c for c in ("t", args.column) if c not in (reader.fieldnames or [])]
+                if missing:
+                    raise ValueError(f"{args.csv} has no column {missing[0]!r}")
+                rows = list(reader)
+            fit = harness.fit_rate([float(r["t"]) for r in rows],
+                                   [float(r[args.column]) for r in rows],
+                                   t_min=args.t_min, t_max=args.t_max)
+        except (OSError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
         print(json.dumps(fit, indent=2))

@@ -168,28 +168,28 @@ class LearnerSpec:
         self.monitor_c = float(self.monitor_c)
 
 
-def build_learner(specs, counts):
-    """One learner for all players, with state of shape (..., n, d_max).
+def build_learner(specs, counts, S):
+    """One learner for all players of S instances, with state (S, n, d_max).
 
     specs holds one LearnerSpec per player and counts the players' action
     counts.  Per-player parameters become per-row arrays of shape (n, 1).
     """
     n, d = len(counts), max(counts)
-    col = np.array(counts)[:, None]
+    col = np.broadcast_to(np.array(counts)[:, None], (S, n, 1))
     eta = np.array([[gradient_step_size(n) if s.eta is None else s.eta] for s in specs])
     bias = None
     if min(counts) < d or any(s.bias is not None for s in specs):
         bias = padding(col)
         for i, spec in enumerate(specs):
             if spec.bias is not None:
-                bias[i, : counts[i]] += spec.bias
+                bias[:, i, : counts[i]] += spec.bias
 
     optimistic = np.array([[s.algo in ("omwu", "a2l-omwu", "guarded-a2l-omwu")] for s in specs])
     wrapped = np.array([[s.algo in ("a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")] for s in specs])
     if optimistic.any():
-        learner = OMWU(d, eta, bias=bias, rows=True if optimistic.all() else optimistic)
+        learner = OMWU((S, n, d), eta, bias=bias, rows=True if optimistic.all() else optimistic)
     else:
-        learner = MWU(d, eta, bias=bias)
+        learner = MWU((S, n, d), eta, bias=bias)
     if wrapped.any():
         # Bare rows take a wrapped row's rule; they never use it.
         rule = specs[int(np.argmax(wrapped))].weights
@@ -281,7 +281,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
         specs = [specs] * n
     if len(specs) != n:
         raise ValueError(f"{len(specs)} learner specs for {n} players")
-    learner = build_learner(specs, counts)
+    learner = build_learner(specs, counts, S)
 
     d = max(counts)
     D = n * d
@@ -314,7 +314,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
                     # Before observe: a guarded row that switches in this
                     # round still played its primary learner's inner iterate.
                     inner[:, :, t - off] = learner.last_inner
-                v = np.matmul(blocks, x.reshape(-1, D, 1)).reshape(S, n, d)
+                v = np.matmul(blocks, x.reshape(S, D, 1)).reshape(S, n, d)
                 rec = learner.observe(v)
                 played[:, :, t - off] = x
                 utils[:, :, t - off] = v
@@ -327,7 +327,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
         stats.fold(t0, *(a[:, :, t0 - off:t1 - off] for a in logs))
 
     tgap_played = stats.instant_regret.sum(axis=2)
-    switch_rounds = np.broadcast_to(getattr(learner, "switch_rounds", 0), (S, n))
+    switch_rounds = getattr(learner, "switch_rounds", np.zeros((S, n), dtype=int))
 
     def player_logs(k):
         if not records:
@@ -479,11 +479,11 @@ class RegretGuard:
     returns the recovered utilities) while its own anytime regret stays
     under ``monitor_threshold``; from the round it crosses, that row plays
     the safe fallback (``AnytimeMWU``, MWU with decaying step size) for
-    good, with its own action count and its own round count.  counts, eta
-    and c are scalars or per-row arrays (counts with a trailing 1, as in
-    ``learners.padding``; eta and c over the leading axes); c = inf leaves
-    a row unguarded.  ``switch_rounds`` holds each row's switch round, 0
-    while it has not switched.
+    good, with its own action count and its own round count.  The rows are
+    the leading axes of counts, which has a trailing 1 as in
+    ``learners.padding``; eta and c are scalars or arrays over the rows, and
+    c = inf leaves a row unguarded.  ``switch_rounds`` holds each row's
+    switch round, 0 while it has not switched.
     """
 
     def __init__(self, primary, counts, eta, log_dim_sum, c=MONITOR_C):
@@ -494,10 +494,11 @@ class RegretGuard:
         self.c = c
         self.fallback = None
         self.rounds = 0
-        self.cum_utils = padding(counts) if np.ndim(counts) else np.zeros(counts)
-        self.cum_earned = 0.0
-        self.switched = np.zeros((), dtype=bool)
-        self.switch_rounds = np.zeros((), dtype=int)
+        self.cum_utils = padding(counts)
+        rows = self.cum_utils.shape[:-1]
+        self.cum_earned = np.zeros(rows)
+        self.switched = np.zeros(rows, dtype=bool)
+        self.switch_rounds = np.zeros(rows, dtype=int)
         self._x = None
 
     @property
@@ -530,7 +531,7 @@ class RegretGuard:
             self.switched = self.switched | new
             self.switch_rounds = np.where(new, self.rounds, self.switch_rounds)
             if self.fallback is None:
-                self.fallback = AnytimeMWU(self.counts)
+                self.fallback = AnytimeMWU(self.cum_utils.shape, counts=self.counts)
             self.fallback.restart(new)
         return rec
 

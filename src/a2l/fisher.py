@@ -220,11 +220,11 @@ def run_prd(market, T, spend0=None) -> dict:
 class ProportionalResponse:
     """The agents' proportional response as one inner learner for ``A2L``.
 
-    The state is the (m, n) spend matrix, one agent per row on the trailing
-    axis.  next_strategy() posts the spends; observe(p) takes each agent's
-    price row, allocates x_ij = b_ij / p_ij where p_ij > 0 (0 elsewhere) and
-    applies the proportional response update.  Each agent uses only its own
-    row.
+    The state is the (m, n) spend matrix, its ``shape``, one agent per row
+    on the trailing axis.  next_strategy() posts the spends; observe(p)
+    takes each agent's price row, allocates x_ij = b_ij / p_ij where
+    p_ij > 0 (0 elsewhere) and applies the proportional response update.
+    Each agent uses only its own row.
     """
 
     def __init__(self, market, spend):
@@ -234,8 +234,8 @@ class ProportionalResponse:
         self._budgets = market.budgets[:, None]
 
     @property
-    def d(self):
-        return self.spend.shape[1]
+    def shape(self):
+        return self.spend.shape
 
     def next_strategy(self) -> np.ndarray:
         return self.spend

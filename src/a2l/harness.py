@@ -152,15 +152,23 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def read_config_file(path) -> dict:
+    """The JSON object in a config file; ConfigError naming the file otherwise."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, not {type(data).__name__}")
+    return data
+
+
 def load_config(source) -> ExperimentConfig:
     """Build and validate a config from a dict or a JSON file path."""
-    if isinstance(source, (str, Path)):
-        if not Path(source).exists():
-            raise ConfigError(f"config file not found: {source}")
-        with open(source) as f:
-            data = json.load(f)
-    else:
-        data = dict(source)
+    data = read_config_file(source) if isinstance(source, (str, Path)) else dict(source)
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(data) - known
     errors = [f"unknown config field {k!r}" for k in sorted(unknown)]

@@ -20,17 +20,17 @@ the bandit's Exp3) are its subclasses.  Every one of them plays through
 cumulative utilities rather than log-weights, and the exponent is
 max-shifted before exponentiation, so long runs neither drift nor overflow.
 
-The math is written once over arrays with a trailing action axis: a state
-and its feedback may have shape (..., d), where the leading axes index
-independent rows (seeds, games of one shape, or players).  A state starts
-with shape (d,) and takes the batch shape of its first utility array, so
-one learner object runs a whole batch with the same code as a single run.
+The math is written once over arrays with a trailing action axis.  A
+learner is built at its state's shape, an action count d or a tuple
+(..., d) whose leading axes index independent rows (seeds, games of one
+shape, or players), and refuses feedback of any other shape, so one
+learner object runs a whole batch with the same code as a single run.
 Parameters may differ by row: the step size is a scalar or an array that
 broadcasts against the state (say (n, 1) for one step size per player),
 and the bias may carry -inf at actions a row does not have, so rows of
 different action counts share one padded width and get exact zeros there.
-Inputs are validated on the last axis, and the finiteness check covers the
-whole array.
+Both are spread over the state once, at construction; the finiteness check
+covers the whole feedback array.
 
 ``rvu_diagnostic`` evaluates the regret-bounded-by-variation-in-utilities
 inequality for OMWU trajectories:
@@ -86,8 +86,8 @@ def omwu_next(lrn: MWU, rows=True) -> np.ndarray:
 
 def advance(lrn: MWU, u) -> None:
     u = np.asarray(u, dtype=float)
-    if u.ndim == 0 or u.shape[-1] != lrn.d:
-        raise ValueError(f"utility vector has shape {u.shape}, expected (..., {lrn.d})")
+    if u.shape != lrn.shape:
+        raise ValueError(f"utility vector has shape {u.shape}, expected {lrn.shape}")
     if not np.isfinite(u).all():
         raise ValueError("utility vector has non-finite entries")
     lrn.cum_utils = lrn.cum_utils + u
@@ -98,25 +98,21 @@ class MWU:
     """Multiplicative weights update under the pull/push contract.
 
     cum_utils holds sum_{k <= t} u^k and last_util holds u^t, both zero
-    before any feedback; both have shape (d,) or, once batched feedback has
-    arrived, (..., d).  ``eta`` is a scalar or a per-row array.  ``bias``
-    is an optional fixed log-weight offset that moves the initial strategy
-    away from uniform (softmax of ``bias`` at t = 0), of shape (d,) or per
-    row (..., d); None means a uniform start.
+    before any feedback and of the state's ``shape``, d or (..., d), the
+    only shape ``observe`` takes.  ``eta`` is a scalar or a per-row array.
+    ``bias`` is an optional fixed log-weight offset that moves the initial
+    strategy away from uniform (softmax of ``bias`` at t = 0), of shape (d,)
+    or per row (..., d); None means a uniform start.
     """
 
-    def __init__(self, d, eta, bias=None):
+    def __init__(self, shape, eta, bias=None):
         if not np.all(np.asarray(eta) > 0):
             raise ValueError(f"step size must be positive, got {eta}")
-        if bias is not None:
-            bias = np.asarray(bias, dtype=float)
-            if bias.ndim == 0 or bias.shape[-1] != d:
-                raise ValueError("bias must have one entry per action")
-        self.d = d
-        self.eta = eta
-        self.bias = bias
-        self.cum_utils = np.zeros(d)
-        self.last_util = np.zeros(d)
+        self.cum_utils = np.zeros(shape)
+        self.shape = self.cum_utils.shape
+        self.last_util = np.zeros(self.shape)
+        self.eta = np.broadcast_to(eta, self.shape).astype(float)
+        self.bias = None if bias is None else np.broadcast_to(bias, self.shape).astype(float)
 
     def next_strategy(self) -> np.ndarray:
         return mwu_next(self)
@@ -132,8 +128,8 @@ class OMWU(MWU):
     one state.
     """
 
-    def __init__(self, d, eta, bias=None, rows=True):
-        super().__init__(d, eta, bias=bias)
+    def __init__(self, shape, eta, bias=None, rows=True):
+        super().__init__(shape, eta, bias=bias)
         self.rows = rows
 
     def next_strategy(self) -> np.ndarray:
@@ -144,20 +140,19 @@ class AnytimeMWU(MWU):
     """MWU with the horizon-free step eta = sqrt(log d / (scale s)) in a
     row's s-th round: the O(sqrt(T))-regret fallback, with scale = 1 for
     full feedback and, as Exp3, scale = d on importance-weighted rewards.
-    ``d`` is an action count or an integer array of per-row counts, as in
-    ``padding`` (unequal counts are padded to the largest; ``scale``
+    ``counts`` (default: the state's d) is an integer array of per-row
+    counts, as in ``padding`` (unequal counts are padded to d; ``scale``
     broadcasts like them).  Each row keeps its own round count, and
     ``restart`` starts chosen rows afresh.
     """
 
-    def __init__(self, d, scale=1):
-        counts = np.asarray(d)
+    def __init__(self, shape, scale=1, counts=None):
+        counts = np.asarray(np.atleast_1d(shape)[-1] if counts is None else counts)
         self.log_d = np.log(np.maximum(counts, 2))
         self.scale = scale
-        self.t = np.zeros((), dtype=int)
-        pad = counts.ndim and counts.min() < counts.max()
-        super().__init__(int(counts.max()), np.sqrt(self.log_d / scale),
-                         bias=padding(counts) if pad else None)
+        super().__init__(shape, np.sqrt(self.log_d / scale),
+                         bias=padding(counts) if np.ptp(counts) else None)
+        self.t = np.zeros(self.shape[:-1], dtype=int)
 
     def next_strategy(self) -> np.ndarray:
         self.eta = np.sqrt(self.log_d / (self.scale * (self.t[..., None] + 1)))

@@ -17,13 +17,12 @@ have seen running bare, and the wrapper's play equals the weighted running
 average of the bare run's iterates.  Everything is player-local: the wrapper
 touches only its own feedback.
 
-Strategies and utilities carry a trailing action axis: with an inner learner
-that runs a batch of rows (see ``learners``), iterates and feedback have
-shape (..., d) and every update above applies row by row.  The weights depend
-on the round alone.  One rule may serve all rows, or each row of axis -2
-(each player of a stacked state) may name its own; a boolean ``rows`` mask
-leaves the unmarked rows bare, playing the inner iterate and passing their
-feedback through unchanged.
+Strategies and utilities carry a trailing action axis: the wrapper works at
+its inner learner's state shape (..., d), and every update above applies
+row by row.  The weights depend on the round alone.  One rule may serve all
+rows, or each row of axis -2 (each player of a stacked state) may name its
+own; a boolean ``rows`` mask leaves the unmarked rows bare, playing the
+inner iterate and passing their feedback through unchanged.
 
 Weight rules are a fixed enumeration (uniform alpha_t = 1, linear
 alpha_t = t) so that independent players provably agree on the weights;
@@ -46,8 +45,6 @@ class ProtocolError(RuntimeError):
 
 def update_running_mean(avg, x, weight, cum_weight):
     """One incremental weighted-mean step; O(d) per row and drift-bounded."""
-    if avg is None:
-        return np.array(x, dtype=float)
     return avg + (weight / cum_weight) * (x - avg)
 
 
@@ -73,8 +70,8 @@ class A2L:
     """Wrap a learner so the played iterate is its running average.
 
     The inner learner must expose next_strategy()/observe(u).  The wrapper
-    satisfies the same contract, with the strict alternation enforced, for
-    single strategies of shape (d,) and for batches of shape (..., d).
+    satisfies the same contract, with the strict alternation enforced, at
+    the inner learner's ``shape``, (d,) or a batch (..., d), and no other.
     ``weights`` is a rule name, a shared callable, or a sequence of rule
     names, one per row of axis -2.  ``rows`` (default: all) is a boolean
     mask that broadcasts against the leading axes plus a trailing 1, e.g.
@@ -86,17 +83,17 @@ class A2L:
         self.inner = inner
         self.rows = rows
         self.t = 0
-        self.avg = None
+        self.avg = np.zeros(inner.shape)
         self.cum_weight = 0.0
         self.last_inner = None
         self._prev_weight = 0.0
-        self._prev_avg_util = np.zeros(inner.d)
+        self._prev_avg_util = np.zeros(inner.shape)
         self._alpha = None
         self._awaiting = False
 
     @property
-    def d(self):
-        return self.inner.d
+    def shape(self):
+        return self.inner.shape
 
     def next_strategy(self) -> np.ndarray:
         if self._awaiting:
@@ -131,6 +128,8 @@ class A2L:
         if not self._awaiting:
             raise ProtocolError("observe called before next_strategy")
         avg_util = np.asarray(avg_util, dtype=float)
+        if avg_util.shape != self.avg.shape:
+            raise ValueError(f"utility vector has shape {avg_util.shape}, expected {self.shape}")
         u = avg_util + (self._prev_weight / self._alpha) * (avg_util - self._prev_avg_util)
         if self.rows is not True:
             u = np.where(self.rows, u, avg_util)

@@ -879,7 +879,7 @@ def test_anytime_mwu_is_the_per_player_exp3_row_by_row():
     # mid-run, plays each row's ReferenceExp3 bit for bit.
     dims = (2, 4, 3)
     col = np.array(dims)[:, None]
-    stacked = AnytimeMWU(col, scale=col.astype(float))
+    stacked = AnytimeMWU((3, 4), scale=col.astype(float), counts=col)
     refs = [ReferenceExp3(d) for d in dims]
     rng = np.random.default_rng(5)
     restarts = {150: 0, 400: 1}  # round -> row

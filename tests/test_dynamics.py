@@ -170,7 +170,6 @@ def test_csv_round_trip():
 
 def test_error_carries_round_index():
     class Broken:
-        d = 2
         eta = 0.5
 
         def __init__(self):
@@ -193,7 +192,7 @@ def test_error_carries_round_index():
 
     orig = dyn.build_learner
     try:
-        dyn.build_learner = lambda specs, counts: Broken()
+        dyn.build_learner = lambda specs, counts, S: Broken()
         with pytest.raises(ValueError, match="round 4"):
             run_full_feedback(game, specs, 10)
     finally:
@@ -202,15 +201,13 @@ def test_error_carries_round_index():
 
 def test_loop_error_keeps_its_type_as_cause(monkeypatch):
     class Mismatched:
-        d = 2
-
         def next_strategy(self):
             return np.full((2, 2), 0.5)
 
         def observe(self, u):
             raise DimensionMismatchError(1, 2, 3)
 
-    monkeypatch.setattr(dyn, "build_learner", lambda specs, counts: Mismatched())
+    monkeypatch.setattr(dyn, "build_learner", lambda specs, counts, S: Mismatched())
     with pytest.raises(SimulationError, match="round 1: DimensionMismatchError") as err:
         run_full_feedback(generate_game("matching_pennies"), LearnerSpec(algo="omwu"), 5)
     assert err.value.round == 1
@@ -226,7 +223,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         run_full_feedback(game, [LearnerSpec()], 10)  # one spec, two players
     with pytest.raises(ValueError):
-        build_learner([LearnerSpec(algo="ftrl")] * 2, (2, 2))
+        build_learner([LearnerSpec(algo="ftrl")] * 2, (2, 2), 1)
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -250,8 +247,27 @@ def test_learner_spec_holds_its_numbers_as_floats():
 def test_default_step_size():
     assert gradient_step_size(2) == 0.5
     assert gradient_step_size(4) == pytest.approx(1 / 6)
-    lrn = build_learner([LearnerSpec(algo="omwu")] * 3, (3, 3, 3))
-    assert np.array_equal(lrn.eta, np.full((3, 1), 0.25))
+    lrn = build_learner([LearnerSpec(algo="omwu")] * 3, (3, 3, 3), 2)
+    assert np.array_equal(lrn.eta, np.full((2, 3, 3), 0.25))
+
+
+@pytest.mark.parametrize("algos", [
+    ("mwu",) * 3,
+    ("a2l-omwu",) * 3,
+    ("guarded-a2l-omwu",) * 3,
+    ("mwu", "a2l-mwu", "guarded-a2l-omwu"),
+], ids=["bare", "wrapped", "guarded", "mixed"])
+def test_a_batch_plays_its_full_shape_from_round_one(algos):
+    # Three instances of players with 2, 4 and 3 actions: every round, the
+    # first included, plays (S, n, d_max), the same in every instance, with
+    # exact zeros at padded actions.
+    lrn = build_learner([LearnerSpec(algo=a) for a in algos], (2, 4, 3), 3)
+    u = np.random.default_rng(2).uniform(-1, 1, size=(3, 4))
+    for _ in range(3):
+        x = lrn.next_strategy()
+        assert x.shape == (3, 3, 4)
+        assert (x == x[0]).all() and not x[:, 0, 2:].any() and not x[:, 2, 3:].any()
+        lrn.observe(np.broadcast_to(u, (3, 3, 4)))
 
 
 # Every learner cell of the T = 1000 reduction-equivalence suite.

@@ -363,7 +363,7 @@ def test_played_spends_are_not_overwritten_by_later_rounds():
         played.append(a2l_prd_step(market, state))
         kept.append(played[-1].copy())
         inner.append(state.last_inner)
-    avg = None
+    avg = np.zeros(state.shape)
     for t, (b, x, want) in enumerate(zip(played[:3], inner, kept), start=1):
         avg = update_running_mean(avg, x, 1.0, float(t))
         assert np.array_equal(b, want) and np.array_equal(b, avg)

@@ -429,6 +429,9 @@ def test_load_config_reads_a_json_file(tmp_path):
     assert load_config(path) == load_config(str(path)) == load_config(cfg)
     with pytest.raises(ConfigError, match=f"config file not found: {re.escape(str(tmp_path))}"):
         load_config(tmp_path / "missing.json")
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must hold a JSON object, not list"):
+        load_config(path)
 
 
 def test_missing_market_file_listed(tmp_path):
@@ -825,6 +828,22 @@ def test_cli_refuses_bad_overrides(tmp_path, capsys, flag, value, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run-gradient", "--config", "{tmp}/missing.json"], "missing.json"),
+    (["run-fisher", "--config", "{tmp}/broken.json"], "broken.json"),
+    (["run-bandit", "--config", "{tmp}/list.json"], "list.json"),
+    (["fit-rate", "--csv", "{tmp}/missing.csv"], "missing.csv"),
+    (["fit-rate", "--csv", "{tmp}/run.csv", "--column", "tgap_typo"], "'tgap_typo'"),
+], ids=["missing-config", "invalid-json", "json-list", "missing-csv", "unknown-column"])
+def test_cli_bad_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, named):
+    (tmp_path / "broken.json").write_text('{"T": 10,')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "run.csv").write_text("t,tgap_last\n1,0.5\n2,0.25\n")
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and named in err, err
 
 
 def test_cli_unknown_suite(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from a2l.learners import (
     rvu_diagnostic,
     softmax,
 )
+from a2l.reduction import A2L
 
 # frozen from the scalar softmax: exp(0.5) / (1 + exp(0.5))
 OMWU_HALF = 0.6224593312018546
@@ -89,10 +92,10 @@ def test_batched_state_runs_each_row_as_a_single_learner():
     rng = np.random.default_rng(3)
     us = rng.uniform(-1, 1, size=(30, 4, 3))  # rounds x instances x actions
     for cls in (MWU, OMWU):
-        batch = cls(3, eta=0.4, bias=[0.1, 0.0, -0.2])
+        batch = cls((4, 3), eta=0.4, bias=[0.1, 0.0, -0.2])
         rows = [cls(3, eta=0.4, bias=[0.1, 0.0, -0.2]) for _ in range(4)]
         for u in us:
-            xb = np.broadcast_to(batch.next_strategy(), (4, 3))
+            xb = batch.next_strategy()
             for k, lrn in enumerate(rows):
                 assert np.array_equal(xb[k], lrn.next_strategy())
                 lrn.observe(u[k])
@@ -101,13 +104,32 @@ def test_batched_state_runs_each_row_as_a_single_learner():
 
 
 def test_batched_observe_validates_input():
-    lrn = OMWU(3, eta=0.5)
+    lrn = OMWU((4, 3), eta=0.5)
     with pytest.raises(ValueError, match="expected"):
         lrn.observe(np.zeros((4, 2)))
     bad = np.zeros((4, 3))
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         lrn.observe(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OMWU((2, 3), 0.5),
+    lambda: AnytimeMWU((2, 3)),
+    lambda: A2L(OMWU((2, 3), 0.5)),
+], ids=["omwu", "anytime-mwu", "a2l-omwu"])
+@pytest.mark.parametrize("bad", [(3,), (2, 2), (1, 2, 3), (4, 2, 3)])
+def test_a_learner_refuses_feedback_of_another_shape(make, bad):
+    # Built at (2, 3), a learner takes (2, 3) feedback and nothing that
+    # would broadcast to it or grow it; a refusal leaves its state as it was.
+    lrn = make()
+    lrn.next_strategy()
+    lrn.observe(np.full((2, 3), 0.5))
+    x = lrn.next_strategy()
+    with pytest.raises(ValueError, match=re.escape(f"shape {bad}, expected (2, 3)")):
+        lrn.observe(np.ones(bad))
+    lrn.observe(np.full((2, 3), 0.5))
+    assert x.shape == lrn.next_strategy().shape == (2, 3)
 
 
 def test_softmax_trailing_axis():
@@ -199,11 +221,11 @@ def test_anytime_mwu_learns_best_action():
 
 
 def test_anytime_mwu_observe_validates_input():
-    lrn = AnytimeMWU(np.array([[2], [3]]))
+    lrn = AnytimeMWU((2, 3), counts=np.array([[2], [3]]))
     with pytest.raises(ValueError, match="expected"):
         lrn.observe(np.zeros((2, 2)))
     bad = np.zeros((2, 3))
     bad[1, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         lrn.observe(bad)
-    assert lrn.t.tolist() == 0 and not lrn.cum_utils.any()
+    assert lrn.t.tolist() == [0, 0] and not lrn.cum_utils.any()

@@ -12,7 +12,7 @@ class ScriptedLearner:
 
     def __init__(self, script):
         self.script = [np.asarray(x, dtype=float) for x in script]
-        self.d = len(self.script[0])
+        self.shape = self.script[0].shape
         self.k = 0
         self.seen = []
 
@@ -155,7 +155,7 @@ def test_weight_rules():
 
 
 def test_running_mean_helper():
-    assert np.array_equal(update_running_mean(None, np.array([1.0]), 1.0, 1.0), [1.0])
+    assert np.array_equal(update_running_mean(np.zeros(1), np.array([1.0]), 1.0, 1.0), [1.0])
     avg = update_running_mean(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, 2.0)
     assert np.allclose(avg, [0.5, 0.5])
 
@@ -165,11 +165,11 @@ def test_batched_wrapper_matches_per_row_wrappers(weights):
     # A sequence gives each row of axis -2 its own rule.
     rng = np.random.default_rng(4)
     feedback = rng.uniform(-1, 1, size=(40, 5, 3))  # rounds x instances x actions
-    batch = A2L(OMWU(3, 0.3), weights=weights)
+    batch = A2L(OMWU((5, 3), 0.3), weights=weights)
     rows = [A2L(OMWU(3, 0.3), weights=weights if isinstance(weights, str) else weights[k])
             for k in range(5)]
     for ubar in feedback:
-        played = np.broadcast_to(batch.next_strategy(), (5, 3))
+        played = batch.next_strategy()
         rec = batch.observe(ubar)
         for k, wrap in enumerate(rows):
             assert np.array_equal(played[k], wrap.next_strategy())
@@ -213,14 +213,14 @@ def test_played_averages_are_not_overwritten_by_later_rounds():
     # A batch of 5 rows; each returned average must keep its value, and equal
     # the running mean of the inner iterates, after the later rounds.
     rng = np.random.default_rng(6)
-    wrap = A2L(OMWU(3, 0.3))
+    wrap = A2L(OMWU((5, 3), 0.3))
     played, kept, inner = [], [], []
     for ubar in rng.uniform(-1, 1, size=(10, 5, 3)):
         played.append(wrap.next_strategy())
         kept.append(played[-1].copy())
         inner.append(wrap.last_inner)
         wrap.observe(ubar)
-    avg = None
+    avg = np.zeros((5, 3))
     for t, (x, want, xin) in enumerate(zip(played[:3], kept, inner), start=1):
         avg = update_running_mean(avg, xin, 1.0, float(t))
         assert np.array_equal(x, want) and np.array_equal(x, avg)
