@@ -122,14 +122,17 @@ def test_batched_observe_validates_input():
 def test_a_learner_refuses_feedback_of_another_shape(make, bad):
     # Built at (2, 3), a learner takes (2, 3) feedback and nothing that
     # would broadcast to it or grow it; a refusal leaves its state as it was.
-    lrn = make()
-    lrn.next_strategy()
-    lrn.observe(np.full((2, 3), 0.5))
-    x = lrn.next_strategy()
+    u = np.arange(6.0).reshape(2, 3) / 6
+    lrn, ref = make(), make()
+    for learner in (lrn, ref):
+        learner.next_strategy()
+        learner.observe(u)
+        assert learner.next_strategy().shape == (2, 3)
     with pytest.raises(ValueError, match=re.escape(f"shape {bad}, expected (2, 3)")):
         lrn.observe(np.ones(bad))
-    lrn.observe(np.full((2, 3), 0.5))
-    assert x.shape == lrn.next_strategy().shape == (2, 3)
+    for learner in (lrn, ref):
+        learner.observe(u)
+    assert np.array_equal(lrn.next_strategy(), ref.next_strategy())
 
 
 def test_softmax_trailing_axis():
