@@ -67,6 +67,19 @@ def _run_mode(mode, args) -> int:
     return 0 if summary["passed"] else 1
 
 
+def _column(path, rows, name) -> list:
+    """Column ``name`` of (line number, row) pairs as floats; a ValueError
+    names the line and column of a missing or non-numeric cell."""
+    values = []
+    for line, row in rows:
+        try:
+            values.append(float(row[name]))
+        except (TypeError, ValueError):
+            what = "no value" if row[name] is None else f"{row[name]!r} is not a number"
+            raise ValueError(f"{path} line {line}, column {name!r}: {what}") from None
+    return values
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -91,9 +104,9 @@ def main(argv=None) -> int:
                 missing = [c for c in ("t", args.column) if c not in (reader.fieldnames or [])]
                 if missing:
                     raise ValueError(f"{args.csv} has no column {missing[0]!r}")
-                rows = list(reader)
-            fit = harness.fit_rate([float(r["t"]) for r in rows],
-                                   [float(r[args.column]) for r in rows],
+                rows = [(reader.line_num, row) for row in reader]
+            fit = harness.fit_rate(_column(args.csv, rows, "t"),
+                                   _column(args.csv, rows, args.column),
                                    t_min=args.t_min, t_max=args.t_max)
         except (OSError, ValueError) as exc:
             print(str(exc), file=sys.stderr)

@@ -1,6 +1,8 @@
 """Config-driven experiment runner: validation, execution, persistence.
 
 Configs are plain JSON; ``MODE_FIELDS`` lists the fields each mode reads.
+A config is checked, resolved and copied once, when it is built, and
+``run`` reads it as built: it neither checks nor rehashes it.
 A run produces one CSV per seed plus a summary JSON (schema_version, the
 fields the mode read, the full config's hash, PRNG name, per-seed results).
 Each seed's result lists its invariant checks as ``Check`` records (name,
@@ -19,12 +21,13 @@ runs then proceed flagged, with a warning.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import operator
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,16 @@ _GAME_DEFAULTS = generate_game.__kwdefaults__
 
 
 class ConfigError(ValueError):
-    """Invalid experiment config; message enumerates every problem found."""
+    """Invalid experiment config; the message enumerates every problem found,
+    and ``problems`` lists them when a config's build raised it."""
+
+    def __init__(self, message, problems=()):
+        super().__init__(message)
+        self.problems = list(problems)
+
+
+def _invalid(problems) -> ConfigError:
+    return ConfigError("invalid config:\n  - " + "\n  - ".join(problems), problems)
 
 
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
@@ -81,8 +93,39 @@ class Check:
                 f"({self.op} {self.limit:g}, slack {self.slack:.3g})")
 
 
-@dataclass
+def config_hash(cfg: ExperimentConfig) -> str:
+    """Hash of the fields that change results: not out_dir, not workers.
+
+    The config is hashed as built, so configs that mean one run hash alike:
+    numbers in their canonical type, seeds sorted, and the nested specs as
+    the ``LearnerSpec`` and ``EpochSchedule`` they build.  A players list
+    whose every entry is the spec the top-level fields give hashes as no
+    list, a schedule equal to the default one as the default, and a
+    generator game spec without the keys at ``generate_game``'s defaults.
+    A built config keeps its hash as ``cfg.hash``.
+    """
+    fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
+    if cfg.game and "kind" in cfg.game:
+        fields["game"] = {k: v for k, v in cfg.game.items()
+                          if k not in _GAME_DEFAULTS or v != _GAME_DEFAULTS[k]}
+    own, players = _learner_specs(cfg)
+    fields["players"] = None if all(p == own for p in players) else list(map(asdict, players))
+    schedule = bandit_mod.EpochSchedule(**cfg.schedule)
+    fields["schedule"] = (_DEFAULTS["schedule"] if schedule == bandit_mod.EpochSchedule()
+                          else asdict(schedule))
+    blob = json.dumps(fields, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's config.  Building it puts numbers in canonical type, sorts
+    the seeds, copies the nested specs as plain Python and checks every
+    field (``_problems``), raising one ``ConfigError`` for all problems.
+    A built config is frozen and owns its specs; it keeps the game or market
+    the check resolved for ``seeds[0]`` and, from first use, its ``hash``.
+    """
+
     mode: str = "gradient"
     game: dict | None = None
     market: dict | None = None
@@ -101,21 +144,40 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        """Numbers in canonical type, seeds sorted; other values are left for validate_config."""
+        put = functools.partial(object.__setattr__, self)
         for name, kind in {**dict.fromkeys(("eta", "delta", "monitor_c"), float),
                            **dict.fromkeys(("T", "epochs", "workers"), int)}.items():
             if (dyn._number if kind is float else dyn._integer)(getattr(self, name)):
-                setattr(self, name, kind(getattr(self, name)))
+                put(name, kind(getattr(self, name)))
         if isinstance(self.seeds, list) and all(map(dyn._integer, self.seeds)):
-            self.seeds = sorted(map(int, self.seeds))
-        self.game, self.market, self.out_dir = map(_plain, (self.game, self.market, self.out_dir))
+            put("seeds", sorted(map(int, self.seeds)))
+        for name in ("game", "market", "players", "schedule", "out_dir"):
+            put(name, _plain(getattr(self, name)))
+        problems, instance = _problems(self)
+        if problems:
+            raise _invalid(problems)
+        put("_instance", instance)
+
+    hash = functools.cached_property(config_hash)
+
+    def instance(self, seed: int):
+        """The game (or market, in fisher mode) of the run at ``seed``."""
+        if seed == self.seeds[0]:
+            return self._instance
+        if self.mode == "fisher":
+            return resolve_market(self.market, seed=seed)
+        return resolve_game(self.game, seed=seed)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}
 
 
+# Each field's default, read from the dataclass: no config is built for it.
+_DEFAULTS = {name: f.default_factory() if f.default is MISSING else f.default
+             for name, f in ExperimentConfig.__dataclass_fields__.items()}
+
 # The fields each mode reads beyond COMMON_FIELDS.  Any other field must keep
-# its default (validate_config), and summary.json's "config" lists only these.
+# its default (_problems), and summary.json's "config" lists only these.
 COMMON_FIELDS = ("mode", "seeds", "out_dir", "workers")
 MODE_FIELDS = {
     "gradient": ("game", "algo", "players", "eta", "weights", "T", "certified"),
@@ -127,29 +189,6 @@ _UNREAD_HINTS = {
     ("monitor_c", "gradient"): "set players[i].monitor_c for each guarded-a2l-omwu player",
     ("players", "bandit"): "every player runs the top-level eta and monitor_c",
 }
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the fields that change results: not out_dir, not workers.
-
-    The config is hashed as built, so configs that mean one run hash alike:
-    numbers in their canonical type, seeds sorted, and the nested specs as
-    the ``LearnerSpec`` and ``EpochSchedule`` they build.  A players list
-    whose every entry is the spec the top-level fields give hashes as no
-    list, a schedule equal to the default one as the default, and a
-    generator game spec without the keys at ``generate_game``'s defaults.
-    """
-    fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
-    if cfg.game and "kind" in cfg.game:
-        fields["game"] = {k: v for k, v in cfg.game.items()
-                          if k not in _GAME_DEFAULTS or v != _GAME_DEFAULTS[k]}
-    own, players = _learner_specs(cfg)
-    fields["players"] = None if all(p == own for p in players) else list(map(asdict, players))
-    schedule = bandit_mod.EpochSchedule(**cfg.schedule)
-    fields["schedule"] = (ExperimentConfig().schedule if schedule == bandit_mod.EpochSchedule()
-                          else asdict(schedule))
-    blob = json.dumps(fields, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def read_config_file(path) -> dict:
@@ -167,15 +206,16 @@ def read_config_file(path) -> dict:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Build and validate a config from a dict or a JSON file path."""
+    """Build a config from a dict or a JSON file path; one ConfigError lists
+    its unknown fields and every problem its build found."""
     data = read_config_file(source) if isinstance(source, (str, Path)) else dict(source)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    errors = [f"unknown config field {k!r}" for k in sorted(unknown)]
-    cfg = ExperimentConfig(**{k: v for k, v in data.items() if k in known})
-    errors += validate_config(cfg)
+    errors = [f"unknown config field {k!r}" for k in sorted(set(data) - set(_DEFAULTS))]
+    try:
+        cfg = ExperimentConfig(**{k: v for k, v in data.items() if k in _DEFAULTS})
+    except ConfigError as exc:
+        errors += exc.problems
     if errors:
-        raise ConfigError("invalid config:\n  - " + "\n  - ".join(errors))
+        raise _invalid(errors)
     return cfg
 
 
@@ -229,8 +269,9 @@ def _player_errors(players, dims) -> list:
     return errors
 
 
-def validate_config(cfg: ExperimentConfig) -> list:
-    """Collect every validation problem; empty list means the config is fine.
+def _problems(cfg: ExperimentConfig):
+    """Every problem of a config being built, and the game or market it
+    resolved for ``seeds[0]``; no problems means the config is fine.
 
     Every field is checked alike in every mode, its type before its range.
     A field the mode does not read (``MODE_FIELDS``) must keep its default,
@@ -238,7 +279,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
     game or market spec fails here, as does a bandit game paying outside
     [0, 1]; a valid certified config must then meet its mode's certificate.
     """
-    fields = vars(cfg)
+    fields = {name: getattr(cfg, name) for name in _DEFAULTS}
     errors = dyn.rule_errors(_FIELD_CHECKS, fields)
     try:
         schedule = bandit_mod.EpochSchedule(**cfg.schedule)
@@ -246,7 +287,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
         errors.append(f"schedule invalid: {exc}")
         schedule = None
     # The schedule is compared as built, so a written-out default is the default.
-    defaults = {**vars(ExperimentConfig()), "schedule": bandit_mod.EpochSchedule()}
+    defaults = {**_DEFAULTS, "schedule": bandit_mod.EpochSchedule()}
     reads = MODE_FIELDS[cfg.mode] if _FIELD_CHECKS["mode"][0](cfg.mode) else ()
     for name, value in {**fields, "schedule": schedule}.items():
         if reads and name not in COMMON_FIELDS + reads and value != defaults[name]:
@@ -286,7 +327,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
             name, spec = (f"players[{i}].{field}", players[i]) if players else (field, cfg)
             errors.append(f"certified {cfg.mode} runs need {need.format(name)}; "
                           f"got {name} = {getattr(spec, field)!r}")
-    return list(dict.fromkeys(errors))  # the top-level spec's misses once, not per player
+    # the top-level spec's misses once, not per player
+    return list(dict.fromkeys(errors)), instances.get("game", instances.get("market"))
 
 
 def _only_keys(spec: dict, keys: tuple):
@@ -345,10 +387,10 @@ def _learner_specs(cfg: ExperimentConfig):
 
 
 def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
-    game = resolve_game(cfg.game, seed=seed)
+    game = cfg.instance(seed)
     own, players = _learner_specs(cfg)
     traj = dyn.run_full_feedback(game, players or own, cfg.T, seed=seed, records=False)
-    # Certified runs have one eta (validate_config); otherwise the loosest bound.
+    # Certified runs have one eta (checked when built); otherwise the loosest bound.
     eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in players or [own])
     bound = dyn.gap_bound(game.action_counts, eta, cfg.T)
     final_gap = float(traj.tgap_played[-1])
@@ -364,7 +406,7 @@ def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
-    game = resolve_game(cfg.game, seed=seed)
+    game = cfg.instance(seed)
     sched = bandit_mod.EpochSchedule(**cfg.schedule)
     with warnings.catch_warnings():
         if not cfg.certified:
@@ -394,7 +436,7 @@ def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def _fisher_cell(cfg: ExperimentConfig, seed: int) -> dict:
-    market = resolve_market(cfg.market, seed=seed)
+    market = cfg.instance(seed)
     out = fisher_mod.run_a2l_prd(market, cfg.T)
     p, gaps = out["played_prices"], out["played_gap"]
     conservation = float(np.abs(p.sum(axis=1) - market.budgets.sum()).max())
@@ -412,16 +454,13 @@ _CELLS = {"gradient": _gradient_cell, "bandit": _bandit_cell, "fisher": _fisher_
 
 
 def run(cfg: ExperimentConfig) -> dict:
-    """Execute all seeds of a validated config and persist the outputs.
+    """Execute all seeds of a built config and persist the outputs.
 
-    Returns the summary dict (also written to out_dir/summary.json).  Each
-    per-seed result lists its check records under "checks"; the summary's
-    "passed" is true exactly when all of them passed.
+    The config was checked when it was built and is read as built.  Returns
+    the summary dict (also written to out_dir/summary.json).  Each per-seed
+    result lists its check records under "checks"; the summary's "passed"
+    is true exactly when all of them passed.
     """
-    errors = validate_config(cfg)
-    if errors:
-        raise ConfigError("invalid config:\n  - " + "\n  - ".join(errors))
-    cfg_hash = config_hash(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -444,7 +483,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "mode": cfg.mode,
         "config": {k: v for k, v in cfg.to_dict().items()
                    if k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
-        "config_hash": cfg_hash,
+        "config_hash": cfg.hash,
         "prng": PRNG_NAME,
         "results": results,
         "passed": all(c.passed for cell in cells for c in cell["checks"]),

@@ -94,6 +94,17 @@ def advance(lrn: MWU, u) -> None:
     lrn.last_util = u
 
 
+def _spread(name, value, shape) -> np.ndarray:
+    """A float copy of ``value`` at the state's ``shape``; a ValueError names
+    the parameter and both shapes when it does not broadcast there."""
+    try:
+        spread = np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValueError(f"{name} has shape {np.shape(value)}, which does not broadcast "
+                         f"to the state's shape {shape}") from None
+    return spread.astype(float)
+
+
 class MWU:
     """Multiplicative weights update under the pull/push contract.
 
@@ -111,8 +122,8 @@ class MWU:
         self.cum_utils = np.zeros(shape)
         self.shape = self.cum_utils.shape
         self.last_util = np.zeros(self.shape)
-        self.eta = np.broadcast_to(eta, self.shape).astype(float)
-        self.bias = None if bias is None else np.broadcast_to(bias, self.shape).astype(float)
+        self.eta = _spread("eta", eta, self.shape)
+        self.bias = None if bias is None else _spread("bias", bias, self.shape)
 
     def next_strategy(self) -> np.ndarray:
         return mwu_next(self)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -334,7 +335,8 @@ def test_every_field_is_common_or_listed_for_a_mode():
     fields = set(ExperimentConfig.__dataclass_fields__) - set(harness.COMMON_FIELDS)
     assert set(NON_DEFAULT) == fields
     assert set().union(*harness.MODE_FIELDS.values()) == fields
-    defaults = ExperimentConfig().to_dict()
+    defaults = {name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+                for name, f in ExperimentConfig.__dataclass_fields__.items()}
     assert all(NON_DEFAULT[k] != defaults[k] for k in fields)
 
 
@@ -486,6 +488,53 @@ def test_learner_fields_the_algorithm_does_not_read_are_refused(tmp_path, fields
 def test_bandit_mode_refuses_players(tmp_path):
     with pytest.raises(ConfigError, match="players is not read in bandit mode"):
         load_config(gradient_cfg(tmp_path, mode="bandit", players=[{}, {}]))
+
+
+def test_a_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="- game spec is required$"):
+        ExperimentConfig(mode="gradient")
+
+
+def test_a_built_config_cannot_be_reassigned(tmp_path):
+    cfg = load_config(gradient_cfg(tmp_path))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.T = 5
+
+
+@pytest.mark.parametrize("mode, fields, mutate", [
+    ("gradient", {"players": [{}, {}], "certified": False},
+     lambda spec: spec["players"][0].update(eta=0.05)),
+    ("bandit", {"schedule": {"mode": "theory"}},
+     lambda spec: spec["schedule"].update(mode="theory_d")),
+    ("gradient", {}, lambda spec: spec["game"].update(seed=8)),
+], ids=["players", "schedule", "game"])
+def test_a_built_config_owns_its_specs(tmp_path, mode, fields, mutate):
+    # Changing the caller's dicts after the build changes neither the run nor its hash.
+    summaries = []
+    for name in ("kept", "mutated"):
+        written = json.loads(json.dumps({  # a deep copy: MODE_BASE stays as it is
+            "mode": mode, **MODE_BASE[mode], "seeds": [0], "out_dir": str(tmp_path / name),
+            **({"T": 50} if mode == "gradient" else {"epochs": 3}), **fields}))
+        cfg = load_config(written)
+        if name == "mutated":
+            mutate(written)
+        summary = harness.run(cfg)
+        del summary["config"]["out_dir"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("seeds, generated", [([0], 0), ([0, 1, 2], 2)])
+def test_a_run_plays_the_game_its_build_resolved(tmp_path, monkeypatch, seeds, generated):
+    # The first seed's game is the one the build checked; other seeds are resolved per run.
+    cfg = load_config(gradient_cfg(tmp_path, game={"kind": "random_zs", "n": 2, "d": 3},
+                                   T=20, seeds=seeds))
+    calls = []
+    monkeypatch.setattr(harness, "generate_game",
+                        lambda *a, **kw: calls.append(kw["seed"]) or generate_game(*a, **kw))
+    summary = harness.run(cfg)
+    assert len(calls) == generated and calls == seeds[1:]
+    assert summary["config_hash"] == config_hash(cfg) == cfg.hash
 
 
 # -- runs ------------------------------------------------------------------
@@ -836,11 +885,17 @@ def test_cli_refuses_bad_overrides(tmp_path, capsys, flag, value, message):
     (["run-bandit", "--config", "{tmp}/list.json"], "list.json"),
     (["fit-rate", "--csv", "{tmp}/missing.csv"], "missing.csv"),
     (["fit-rate", "--csv", "{tmp}/run.csv", "--column", "tgap_typo"], "'tgap_typo'"),
-], ids=["missing-config", "invalid-json", "json-list", "missing-csv", "unknown-column"])
+    (["fit-rate", "--csv", "{tmp}/short.csv"], "short.csv line 3, column 'tgap_last': no value"),
+    (["fit-rate", "--csv", "{tmp}/text.csv"],
+     "text.csv line 2, column 'tgap_last': 'abc' is not a number"),
+], ids=["missing-config", "invalid-json", "json-list", "missing-csv", "unknown-column",
+        "short-row", "non-numeric-cell"])
 def test_cli_bad_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, named):
     (tmp_path / "broken.json").write_text('{"T": 10,')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "run.csv").write_text("t,tgap_last\n1,0.5\n2,0.25\n")
+    (tmp_path / "short.csv").write_text("t,tgap_last\n1,0.5\n2\n")
+    (tmp_path / "text.csv").write_text("t,tgap_last\n1,abc\n2,0.25\n")
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1 and named in err, err

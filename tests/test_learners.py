@@ -135,6 +135,18 @@ def test_a_learner_refuses_feedback_of_another_shape(make, bad):
     assert np.array_equal(lrn.next_strategy(), ref.next_strategy())
 
 
+@pytest.mark.parametrize("make, name, shape", [
+    (lambda: OMWU(3, np.ones((2, 1))), "eta", (2, 1)),
+    (lambda: MWU((2, 3), 0.5, bias=np.zeros(4)), "bias", (4,)),
+    (lambda: OMWU((4, 3), 0.5, bias=np.zeros((2, 3))), "bias", (2, 3)),
+], ids=["eta-more-axes", "bias-wrong-width", "bias-wrong-rows"])
+def test_a_learner_refuses_parameters_that_do_not_broadcast_to_its_state(make, name, shape):
+    # numpy's own refusal named neither the parameter nor the shapes.
+    with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}, which does not "
+                                                   f"broadcast to the state's shape")):
+        make()
+
+
 def test_softmax_trailing_axis():
     z = np.array([[0.5, -1.0, 2.0], [700.0, -700.0, 0.0]])
     x = softmax(z)
