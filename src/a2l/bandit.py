@@ -65,7 +65,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class EpochSchedule:
     theory modes satisfy B_t >= t^4 and eps_t = 1/t exactly and read no
     other field, so they refuse a non-default one; custom rules
     B_t = ceil(coeff * t^power), eps_t = min(1, eps_coeff * t^eps_power) run
-    flagged as non-certified.  The four numbers are held as floats.
+    flagged as non-certified.  The four numbers must be finite, and
+    eps_coeff > 0; they are held as floats.
     """
 
     mode: str = "theory"
@@ -152,12 +153,16 @@ class EpochSchedule:
             value = getattr(self, name)
             if not _number(value):
                 raise ScheduleError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ScheduleError(f"{name} must be finite, got {value!r}")
             if self.mode != "custom" and value != getattr(EpochSchedule, name):
                 raise ScheduleError(f"{name} is not read by a {self.mode} schedule, "
                                     f"got {value!r}")
             object.__setattr__(self, name, float(value))
         if self.mode == "custom" and self.coeff < 1:
             raise ScheduleError("custom schedule needs coeff >= 1 so B_t >= 1")
+        if self.eps_coeff <= 0:
+            raise ScheduleError(f"eps_coeff must be > 0 so eps_t > 0, got {self.eps_coeff!r}")
 
     @classmethod
     def theory(cls):
@@ -190,14 +195,13 @@ class EpochSchedule:
     def mixing(self, t: int) -> float:
         if self.mode != "custom":
             return 1.0 / t
-        eps = min(1.0, self.eps_coeff * t**self.eps_power)
+        try:
+            eps = min(1.0, self.eps_coeff * t**self.eps_power)
+        except OverflowError:
+            eps = 1.0
         if not (0.0 < eps <= 1.0):
             raise ScheduleError(f"mixing rate must be in (0, 1], got {eps} at t={t}")
         return eps
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "coeff": self.coeff, "power": self.power,
-                "eps_coeff": self.eps_coeff, "eps_power": self.eps_power}
 
 
 @dataclass
@@ -596,7 +600,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     meta = {
         "game": game.to_dict(),
         "game_name": game.name,
-        "schedule": schedule.to_dict(),
+        "schedule": asdict(schedule),
         "eta": eta,
         "seed": seed,
         "delta": delta,

@@ -13,21 +13,21 @@ import json
 import sys
 
 from . import harness, verify
-from .games import generate_game, save_game
+from .games import save_game
 
 
 def build_parser():
     p = argparse.ArgumentParser(prog="a2l", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a built-in game as JSON")
+    g = sub.add_parser("gen", help="write the game of the generator spec its flags give")
     g.add_argument("--kind", required=True,
                    help="matching_pennies, rps, random_zs or random_general")
-    g.add_argument("--players", type=int, default=2)
-    g.add_argument("--actions", type=int, default=2)
-    g.add_argument("--graph", default="complete", help="complete, cycle or gnp")
-    g.add_argument("--p", type=float, default=0.5, help="gnp edge probability")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--players", dest="n", type=int, help="the spec's n (default 2)")
+    g.add_argument("--actions", dest="d", type=int, help="the spec's d (default 2)")
+    g.add_argument("--graph", help="complete (default), cycle or gnp")
+    g.add_argument("--p", type=float, help="gnp edge probability (default 0.5)")
+    g.add_argument("--seed", type=int, help="random game seed (default 0)")
     g.add_argument("--out", required=True)
 
     for mode in ("gradient", "bandit", "fisher"):
@@ -84,9 +84,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "gen":
-        game = generate_game(args.kind, n=args.players, d=args.actions,
-                             graph=args.graph, seed=args.seed, p=args.p)
-        save_game(game, args.out)
+        spec = {k: getattr(args, k) for k in ("kind", "n", "d", "graph", "p", "seed")
+                if getattr(args, k) is not None}
+        try:
+            game = harness.resolve_game(spec)
+            save_game(game, args.out)
+        except (OSError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         print(f"wrote {game!r} to {args.out}")
         return 0
 

@@ -98,11 +98,6 @@ class FisherMarket:
         return cls(data["budgets"], valuations=data["valuations"])
 
 
-def save_market(market, path):
-    with open(path, "w") as f:
-        json.dump(market.to_dict(), f, indent=2)
-
-
 def load_market(path) -> FisherMarket:
     with open(path) as f:
         return FisherMarket.from_dict(json.load(f))
@@ -184,7 +179,7 @@ def _fold_gaps(market, T, rounds):
         buf[k] = spend
         p[t] = price
         if k == K - 1 or t == T - 1:
-            gaps.append(market_gap(market, p[t - k:t + 1], spend=buf[:k + 1]).max(axis=1))
+            gaps.append(market_gap(market, p[t - k:t + 1], buf[:k + 1]).max(axis=1))
     return p, np.concatenate(gaps)
 
 
@@ -293,26 +288,21 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
     return {"played_prices": played_prices, "played_gap": gaps}
 
 
-def market_gap(market, p, x=None, *, spend=None) -> np.ndarray:
+def market_gap(market, p, spend) -> np.ndarray:
     """Per-agent utility shortfall against the best bang-per-buck bundle.
 
-    gap_i = B_i * max_j a_ij / p_j - <a_i, x_i>; zero for every agent
-    exactly at a competitive equilibrium.  Pass the allocation x, or the
-    spending, whose allocation x = spend / p is then never formed.  Leading
-    axes broadcast: prices (T, n) with (T, m, n)
-    allocations or spends give the (T, m) gaps of T rounds in one call,
-    with no temporary of the spends' size.
+    gap_i = B_i * max_j a_ij / p_j - <a_i, spend_i / p>; zero for every
+    agent exactly at a competitive equilibrium.  The allocation
+    spend / p is never formed.  Leading axes broadcast: prices (T, n) with
+    (T, m, n) spends give the (T, m) gaps of T rounds in one call, with no
+    temporary of the spends' size.
     """
     a = market.valuations
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise DegenerateMarketError(f"nonpositive prices: {p}")
     best = functools.reduce(np.maximum, (a[:, j] / p[..., j, None] for j in range(a.shape[1])))
-    if spend is None:
-        got = np.einsum("ij,...ij->...i", a, np.asarray(x, dtype=float))
-    else:
-        got = np.einsum("ij,...ij,...j->...i", a, spend, 1.0 / p)
-    return market.budgets * best - got
+    return market.budgets * best - np.einsum("ij,...ij,...j->...i", a, spend, 1.0 / p)
 
 
 @dataclass

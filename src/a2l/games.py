@@ -36,7 +36,6 @@ import json
 
 import numpy as np
 
-SIMPLEX_TOL = 1e-9
 ZERO_SUM_TOL = 1e-9
 
 
@@ -54,27 +53,6 @@ class DimensionMismatchError(ValueError):
 
 class ZeroSumViolationError(ValueError):
     """A game flagged zero-sum has pure profiles with nonzero utility sum."""
-
-
-def uniform_strategy(d: int) -> np.ndarray:
-    return np.full(d, 1.0 / d)
-
-
-def check_strategy(x, d=None, tol=SIMPLEX_TOL):
-    """Validate a mixed strategy: nonnegative entries summing to one."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"strategy must be a nonempty vector, got shape {x.shape}")
-    if d is not None and x.size != d:
-        raise DimensionMismatchError(None, d, x.size)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("strategy has non-finite entries")
-    if np.any(x < 0):
-        raise ValueError(f"strategy has negative entries: min={x.min()}")
-    s = float(x.sum())
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"strategy entries sum to {s}, not 1 within {tol}")
-    return x
 
 
 class PolymatrixGame:
@@ -151,12 +129,6 @@ class PolymatrixGame:
             v += np.matmul(self.edges[(i, j)], np.asarray(profile[j])[..., None])[..., 0]
         return v
 
-    def utility(self, profile) -> np.ndarray:
-        """Realized utilities (u_1(x), ..., u_n(x))."""
-        return np.array(
-            [float(profile[i] @ self.utility_vector(i, profile)) for i in range(self.n)]
-        )
-
     def gap_terms(self, profile) -> np.ndarray:
         """Per-player best-response improvement at the profile, on a last
         axis of length n after the strategies' leading axes."""
@@ -171,10 +143,6 @@ class PolymatrixGame:
         for one profile, an array over the leading axes of a log."""
         gap = self.gap_terms(profile).sum(axis=-1)
         return float(gap) if gap.ndim == 0 else gap
-
-    def best_response(self, i: int, profile) -> int:
-        """Index of the best pure action; ties go to the lowest index."""
-        return int(np.argmax(self.utility_vector(i, profile)))
 
     def zero_sum_bound(self) -> float:
         """Upper bound on max_a |sum_i u_i(a)| over pure profiles a; 0

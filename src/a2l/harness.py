@@ -317,6 +317,14 @@ def _problems(cfg: ExperimentConfig):
             bandit_mod.check_reward_range(game)
         except bandit_mod.DataError as exc:
             errors.append(f"game invalid in bandit mode: {exc}")
+        # B_t and eps_t are monotone in t: the first and last epochs bound the rest.
+        if schedule is not None and dyn.COUNT_RULE[0](cfg.epochs):
+            try:
+                for t in (1, cfg.epochs):
+                    schedule.epoch_length(t, game.dimensionality)
+                    schedule.mixing(t)
+            except bandit_mod.ScheduleError as exc:
+                errors.append(f"schedule invalid: {exc}")
     if cfg.players is not None:
         errors += _player_errors(cfg.players, game.action_counts if game is not None else ())
     if game is not None and cfg.certified and not errors:  # the mode's certificate
@@ -481,8 +489,7 @@ def run(cfg: ExperimentConfig) -> dict:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "mode": cfg.mode,
-        "config": {k: v for k, v in cfg.to_dict().items()
-                   if k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
+        "config": {k: getattr(cfg, k) for k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
         "config_hash": cfg.hash,
         "prng": PRNG_NAME,
         "results": results,

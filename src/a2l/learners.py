@@ -180,13 +180,6 @@ class AnytimeMWU(MWU):
         self.t = np.where(rows, 0, self.t)
 
 
-def regret(strategies, utils) -> float:
-    """Best fixed action's cumulative utility minus the realized one."""
-    xs = np.asarray(strategies, dtype=float)
-    us = np.asarray(utils, dtype=float)
-    return float(us.sum(axis=0).max() - np.einsum("td,td->", xs, us))
-
-
 def rvu_diagnostic(strategies, utils, eta) -> dict:
     """Evaluate the RVU inequality on an OMWU trajectory.
 
@@ -201,6 +194,6 @@ def rvu_diagnostic(strategies, utils, eta) -> dict:
     d = xs.shape[1]
     du = np.abs(np.diff(us, axis=0, prepend=np.zeros((1, d)))).max(axis=1)
     dx = np.abs(np.diff(xs, axis=0)).sum(axis=1)
-    reg = regret(xs, us)
+    reg = float(us.sum(axis=0).max() - np.einsum("td,td->", xs, us))
     rhs = np.log(d) / eta + eta * float(du @ du) - float(dx @ dx) / (4.0 * eta)
     return {"regret": reg, "bound_rhs": rhs, "slack": rhs - reg}

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -486,10 +485,8 @@ def check_bandit_monitor() -> SuiteResult:
 
     sched = bd.EpochSchedule.custom(coeff=4000, power=0.0, eps_coeff=0.5, eps_power=0.0)
     epochs = 6000
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        adv = bd.run_bandit_vs_environment(2, bait, sched, eta=1.0 / 12, seed=1,
-                                           delta=BANDIT_DELTA, epochs=epochs)
+    adv = bd.run_bandit_vs_environment(2, bait, sched, eta=1.0 / 12, seed=1,
+                                       delta=BANDIT_DELTA, epochs=epochs)
     switch = adv["switch_epoch"]
     return SuiteResult("bandit-monitor", [
         Check("honest self-play switches", sum(sw is not None for sw in stats["switches"]),

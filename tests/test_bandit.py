@@ -78,6 +78,19 @@ def test_custom_schedule():
         EpochSchedule(mode="nope")
     with pytest.raises(ScheduleError):
         EpochSchedule.custom(coeff=0.0, power=1)
+    # eps_coeff * t^eps_power passes the float range: eps_t is capped at 1
+    assert EpochSchedule.custom(coeff=1, power=1, eps_power=1000).mixing(3) == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeff", math.nan), ("power", math.inf), ("eps_coeff", math.nan),
+    ("eps_power", -math.inf), ("eps_coeff", 0), ("eps_coeff", -0.5),
+])
+def test_custom_schedule_refuses_numbers_its_run_cannot_play(field, value):
+    # NaN eps_coeff used to mix at eps_t = 1 in every epoch (min(1, nan) is 1),
+    # NaN coeff to fail inside the run, and eps_coeff <= 0 at t = 1.
+    with pytest.raises(ScheduleError, match=f"^{field} must be "):
+        EpochSchedule.custom(**{"coeff": 1, "power": 1, field: value})
 
 
 # -- estimator pieces ---------------------------------------------------------
@@ -820,7 +833,7 @@ def reference_run(game=None, schedule=EpochSchedule.theory(), eta=None, seed=0,
             reg_est[idx, i] = p.reg_est
             radius[idx, i] = p.radius
     meta = {
-        "game": game.to_dict(), "game_name": game.name, "schedule": schedule.to_dict(),
+        "game": game.to_dict(), "game_name": game.name, "schedule": dataclasses.asdict(schedule),
         "eta": eta, "seed": seed, "delta": delta, "epochs": epochs,
         "certified": schedule.mode != "custom" and eta <= bandit_step_size(n) + 1e-12,
         "monitor_c": monitor_c, "prng": "numpy-PCG64",

@@ -22,7 +22,7 @@ from a2l.dynamics import (
 from a2l import verify
 from a2l.learners import MWU, OMWU
 from a2l.reduction import A2L
-from a2l.games import DimensionMismatchError, PolymatrixGame, generate_game, uniform_strategy
+from a2l.games import DimensionMismatchError, PolymatrixGame, generate_game
 
 
 def bait_feedback(t):
@@ -45,7 +45,7 @@ def test_single_player_game_stays_uniform():
     game = PolymatrixGame((3,), {})
     traj = run_full_feedback(game, LearnerSpec(algo="omwu", eta=0.5), 20)
     assert np.array_equal(traj.utils[0], np.zeros((20, 3)))
-    assert np.allclose(traj.played[0], np.tile(uniform_strategy(3), (20, 1)))
+    assert np.allclose(traj.played[0], np.full((20, 3), 1 / 3))
     assert np.allclose(traj.tgap_played, 0.0)
 
 

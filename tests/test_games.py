@@ -9,12 +9,10 @@ from a2l.games import (
     DimensionMismatchError,
     PolymatrixGame,
     ZeroSumViolationError,
-    check_strategy,
     generate_game,
     load_game,
     random_profile,
     save_game,
-    uniform_strategy,
 )
 
 
@@ -38,15 +36,21 @@ def brute_force_utility_vector(game, i, profile):
     return v
 
 
+def utilities(game, profile):
+    """Realized utilities (u_1(x), ..., u_n(x)), each u_i(x) = <x_i, u_i(., x_-i)>."""
+    return np.array([np.vecdot(profile[i], game.utility_vector(i, profile))
+                     for i in range(game.n)])
+
+
 def test_matching_pennies_utility_vector_uniform_opponent():
     game = generate_game("matching_pennies")
-    v = game.utility_vector(0, [uniform_strategy(2), uniform_strategy(2)])
+    v = game.utility_vector(0, [np.full(2, 1 / 2), np.full(2, 1 / 2)])
     assert np.allclose(v, [0.5, 0.5])
 
 
 def test_matching_pennies_utility_vector_pure_opponent():
     game = generate_game("matching_pennies")
-    v = game.utility_vector(0, [uniform_strategy(2), np.array([1.0, 0.0])])
+    v = game.utility_vector(0, [np.full(2, 1 / 2), np.array([1.0, 0.0])])
     assert np.allclose(v, [1.0, 0.0])  # column selection
 
 
@@ -62,7 +66,7 @@ def test_three_player_cycle_matches_brute_force():
 
 def test_utility_matching_pennies_uniform():
     game = generate_game("matching_pennies")
-    u = game.utility([uniform_strategy(2), uniform_strategy(2)])
+    u = utilities(game, [np.full(2, 1 / 2), np.full(2, 1 / 2)])
     assert np.allclose(u, [0.5, -0.5])
 
 
@@ -70,7 +74,7 @@ def test_zero_sum_utilities_sum_to_zero():
     game = generate_game("random_zs", n=4, d=4, seed=9)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        u = game.utility(random_profile(game, rng))
+        u = utilities(game, random_profile(game, rng))
         assert abs(u.sum()) < 1e-9
 
 
@@ -80,7 +84,7 @@ def test_all_ones_matrix_gives_constant_utility():
     )
     rng = np.random.default_rng(2)
     for _ in range(10):
-        u = game.utility(random_profile(game, rng))
+        u = utilities(game, random_profile(game, rng))
         assert abs(u[0] - 1.0) < 1e-12
 
 
@@ -112,7 +116,7 @@ def test_log_evaluation_equals_per_profile_evaluation(seed, counts, graph, lead)
 
 def test_total_gap_matching_pennies():
     game = generate_game("matching_pennies")
-    assert game.total_gap([uniform_strategy(2)] * 2) == pytest.approx(0.0, abs=1e-12)
+    assert game.total_gap([np.full(2, 1 / 2)] * 2) == pytest.approx(0.0, abs=1e-12)
     pure = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     # player 1 is best-responding; player 2 gains 1 by deviating
     assert game.total_gap(pure) == pytest.approx(1.0, abs=1e-12)
@@ -129,7 +133,7 @@ def test_total_gap_zero_sum_equals_sum_of_maxima():
 
 def test_rps_uniform_is_equilibrium():
     game = generate_game("rps")
-    assert game.total_gap([uniform_strategy(3)] * 2) < 1e-12
+    assert game.total_gap([np.full(3, 1 / 3)] * 2) < 1e-12
 
 
 def test_utility_vector_ignores_own_strategy():
@@ -351,31 +355,12 @@ def test_generated_zero_sum_games_have_bound_exactly_zero(kind, kw):
 def test_dimension_error_names_player():
     game = generate_game("matching_pennies")
     with pytest.raises(DimensionMismatchError) as err:
-        game.utility_vector(0, [uniform_strategy(2), uniform_strategy(3)])
+        game.utility_vector(0, [np.full(2, 1 / 2), np.full(3, 1 / 3)])
     assert "player 1" in str(err.value)
     assert err.value.expected == 2 and err.value.actual == 3
-
-
-def test_check_strategy():
-    check_strategy(np.array([0.25, 0.75]))
-    with pytest.raises(ValueError):
-        check_strategy(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        check_strategy(np.array([-0.1, 1.1]))
-    with pytest.raises(ValueError):
-        check_strategy(np.array([np.nan, 1.0]))
-    with pytest.raises(DimensionMismatchError):
-        check_strategy(np.array([1.0]), d=2)
 
 
 def test_immutability():
     game = generate_game("matching_pennies")
     with pytest.raises(ValueError):
         game.edges[(0, 1)][0, 0] = 5.0
-
-
-def test_best_response_ties_to_lowest_index():
-    game = PolymatrixGame(
-        (2, 2), {(0, 1): np.array([[1.0, 1.0], [1.0, 1.0]]), (1, 0): np.zeros((2, 2))}
-    )
-    assert game.best_response(0, [uniform_strategy(2), uniform_strategy(2)]) == 0

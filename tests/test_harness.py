@@ -809,7 +809,9 @@ def test_cli_gen_and_run(tmp_path):
     game_path = tmp_path / "g.json"
     rc = cli.main(["gen", "--kind", "random_zs", "--players", "2",
                    "--actions", "3", "--seed", "7", "--out", str(game_path)])
-    assert rc == 0 and game_path.exists()
+    assert rc == 0
+    assert json.loads(game_path.read_text()) == generate_game(
+        "random_zs", n=2, d=3, seed=7).to_dict()
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -850,6 +852,31 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "T must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule, epochs, named", [
+    ({"mode": "custom", "coeff": 1e18, "power": 4}, 3, "epoch length B_t at t=3 exceeds int64"),
+    ({"mode": "custom", "coeff": 1e19, "power": -1}, 3, "epoch length B_t at t=1 exceeds int64"),
+    ({"mode": "theory"}, 60000, "epoch length B_t at t=60000 exceeds int64"),
+    ({"mode": "custom", "coeff": 1, "power": 1, "eps_power": -1000}, 3,
+     "mixing rate must be in (0, 1], got 0.0 at t=3"),
+    ({"mode": "custom", "coeff": 1, "power": 1, "eps_coeff": float("nan")}, 3,
+     "eps_coeff must be finite, got nan"),
+    ({"mode": "custom", "coeff": 1, "power": 1, "eps_coeff": 0}, 3,
+     "eps_coeff must be > 0 so eps_t > 0, got 0.0"),
+], ids=["B_t-at-last-epoch", "B_t-at-first-epoch", "theory-B_t", "eps_t-underflow",
+        "nan-eps_coeff", "zero-eps_coeff"])
+def test_cli_refuses_a_bandit_schedule_its_run_cannot_play(tmp_path, capsys, schedule, epochs,
+                                                            named):
+    # B_t and eps_t are checked at the first and last epoch when the config is built.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "bandit", **MODE_BASE["bandit"], "seeds": [0],
+                                    "schedule": schedule, "epochs": epochs,
+                                    "certified": False}))
+    rc = cli.main(["run-bandit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"- schedule invalid: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_refuses_a_bandit_game_paying_outside_the_unit_interval(tmp_path, capsys):
     # Player 0 is paid 3 at (0, 0): reward 2.0 after the map r -> (r + 1) / 2.
     game = {"n": 2, "action_counts": [2, 2], "zero_sum": True, "edges": [
@@ -888,8 +915,15 @@ def test_cli_refuses_bad_overrides(tmp_path, capsys, flag, value, message):
     (["fit-rate", "--csv", "{tmp}/short.csv"], "short.csv line 3, column 'tgap_last': no value"),
     (["fit-rate", "--csv", "{tmp}/text.csv"],
      "text.csv line 2, column 'tgap_last': 'abc' is not a number"),
+    (["gen", "--kind", "rps", "--players", "5", "--actions", "7", "--out", "{tmp}/g.json"],
+     "game.n is not read by rps games"),
+    (["gen", "--kind", "random_zs", "--graph", "cycle", "--p", "0.9", "--out", "{tmp}/g.json"],
+     "game.p is not read by cycle graph games"),
+    (["gen", "--kind", "nope", "--out", "{tmp}/g.json"], "unknown game kind 'nope'"),
+    (["gen", "--kind", "random_zs", "--players", "1", "--out", "{tmp}/g.json"], "n >= 2"),
 ], ids=["missing-config", "invalid-json", "json-list", "missing-csv", "unknown-column",
-        "short-row", "non-numeric-cell"])
+        "short-row", "non-numeric-cell", "gen-unread-players", "gen-unread-p",
+        "gen-unknown-kind", "gen-one-player"])
 def test_cli_bad_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, named):
     (tmp_path / "broken.json").write_text('{"T": 10,')
     (tmp_path / "list.json").write_text("[1, 2]")

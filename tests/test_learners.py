@@ -11,7 +11,6 @@ from a2l.learners import (
     AnytimeMWU,
     mwu_next,
     omwu_next,
-    regret,
     rvu_diagnostic,
     softmax,
 )
@@ -223,7 +222,7 @@ def test_rvu_rejects_empty():
 def test_regret_best_fixed_action():
     xs = np.array([[1.0, 0.0], [1.0, 0.0]])
     us = np.array([[0.0, 1.0], [0.0, 1.0]])
-    assert regret(xs, us) == pytest.approx(2.0)
+    assert rvu_diagnostic(xs, us, eta=0.5)["regret"] == pytest.approx(2.0)
 
 
 def test_anytime_mwu_learns_best_action():

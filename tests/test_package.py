@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,35 @@ from a2l.games import generate_game
 def test_every_export_resolves_to_a_callable_or_class():
     # a stale name in __all__ must not outlive the function it exported
     assert [name for name in a2l.__all__ if not callable(getattr(a2l, name, None))] == []
+
+
+SRC = Path(a2l.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _public_defs(path):
+    """(line, name) of each public class, undecorated function and method
+    defined in a module; decorated functions, such as the verify suites that
+    ``@suite`` registers, are reached through their registry."""
+    tree = ast.parse(path.read_text())
+    nodes = [n for n in tree.body if isinstance(n, ast.ClassDef)
+             or isinstance(n, ast.FunctionDef) and not n.decorator_list]
+    nodes += [m for n in tree.body if isinstance(n, ast.ClassDef)
+              for m in n.body if isinstance(m, ast.FunctionDef)]
+    return [(n.lineno, n.name) for n in nodes if not n.name.startswith("_")]
+
+
+def test_every_public_name_has_a_caller():
+    # Library code that only tests reach is dead weight: each public name is
+    # named in the package or the benchmark beside its own def line, or exported.
+    files = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    lines = {(path, i): text for path in files
+             for i, text in enumerate(path.read_text().splitlines(), 1)}
+    uncalled = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                for line, name in _public_defs(path) if name not in a2l.__all__
+                and not any(re.search(rf"\b{name}\b", text)
+                            for key, text in lines.items() if key != (path, line))]
+    assert not uncalled, f"named nowhere but on their def line: {uncalled}"
 
 
 _RPS, _SPEC, _THEORY = generate_game("rps"), dynamics.LearnerSpec(), bandit.EpochSchedule.theory()
