@@ -14,7 +14,9 @@ or bare play, and a player's padded actions get a -inf logit, so its
 strategy is exactly zero there.  A round is then a fixed number of numpy
 calls whatever n is: one softmax, one running-average update, one matmul
 with the block payoff tensor of shape (S, n d_max, n d_max), one recovery
-step and one finiteness check.  ``run_full_feedback`` is its S = 1 call.
+step and a finiteness check of one reduction.  Each writes its result
+straight into the round's slot of the logs, one (S, n, d_max) block per
+log, so a round copies nothing.  ``run_full_feedback`` is its S = 1 call.
 
 A trajectory holds, per round, the total gap of the played profile, the
 total gap of the running uniform average of inner iterates (for
@@ -60,7 +62,7 @@ ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
 # The guard's budget constant c in monitor_threshold when a spec sets none.
 MONITOR_C = 2.0
 # Rounds per fold of the per-round statistics; the rounds a run without
-# records keeps.
+# records keeps (at least two).
 CHUNK_ROUNDS = 256
 
 
@@ -254,11 +256,11 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
     seeds (default all 0) are recorded in each trajectory's metadata.
 
     The statistics are folded in every ``CHUNK_ROUNDS`` rounds.  With
-    ``records=True`` the rounds are logged into stacked (S, n, T, d_max)
+    ``records=True`` the rounds are logged into stacked (S, T, n, d_max)
     records, and the per-player arrays of a Trajectory are views into them.
-    With ``records=False`` one (S, n, CHUNK_ROUNDS, d_max) buffer is reused
-    chunk after chunk and the Trajectory's four record fields are None, so
-    memory grows with T only by the per-round statistics.
+    With ``records=False`` one (S, CHUNK_ROUNDS, n, d_max) buffer (at least
+    two rounds) is reused chunk after chunk and the Trajectory's four record
+    fields are None, so memory grows with T only by the per-round statistics.
     """
     games = list(games)
     S = len(games)
@@ -291,40 +293,45 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
             blocks[k, i, : counts[i], j, : counts[j]] = mat
     blocks = blocks.reshape(S, D, D)
 
-    # Rounds before actions, so a player's (T, d_i) log is contiguous when
-    # d_i = d_max.
+    # One round's slot of each log is one (S, n, d_max) block, which the
+    # learner and the matmul write in place.  The learner keeps a slot as
+    # its state for one round, so consecutive rounds take distinct slots:
+    # a run without records cycles through at least two.
     K = CHUNK_ROUNDS
-    shape = (S, n, T if records else min(K, T), d)
+    R = T if records else min(max(K, 2), T)
+    shape = (S, R, n, d)
     played = np.empty(shape)
     utils = np.empty(shape)
     # Bare play is its own inner iterate and feedback.
-    bare = not hasattr(learner, "last_inner")
+    bare = isinstance(learner, MWU)
     inner = played if bare else np.empty(shape)
     inner_utils = utils if bare else np.empty(shape)
     logs = (played, utils, inner, inner_utils)
+    # The same slots as (S, D, 1) columns, the matmul's operand and result.
+    x_col, v_col = played.reshape(S, R, D, 1), utils.reshape(S, R, D, 1)
     stats = _Statistics(S, T, counts)
 
     for t0 in range(0, T, K):
         t1 = min(t0 + K, T)
-        off = 0 if records else t0  # buffer row of round t0
+        off = t0 - t0 % R  # slot of round t is t - off
         try:
             for t in range(t0, t1):
-                x = learner.next_strategy()
-                if not bare:
-                    # Before observe: a guarded row that switches in this
-                    # round still played its primary learner's inner iterate.
-                    inner[:, :, t - off] = learner.last_inner
-                v = np.matmul(blocks, x.reshape(S, D, 1)).reshape(S, n, d)
-                rec = learner.observe(v)
-                played[:, :, t - off] = x
-                utils[:, :, t - off] = v
-                if not bare:
-                    inner_utils[:, :, t - off] = rec
+                r = t - off
+                # A bare learner's inner logs are its play and utilities; a
+                # wrapper also writes its inner iterate and what it recovered.
+                if bare:
+                    learner.next_strategy(out=played[:, r])
+                    np.matmul(blocks, x_col[:, r], out=v_col[:, r])
+                    learner.observe(utils[:, r])
+                else:
+                    learner.next_strategy(out=played[:, r], inner=inner[:, r])
+                    np.matmul(blocks, x_col[:, r], out=v_col[:, r])
+                    learner.observe(utils[:, r], out=inner_utils[:, r])
         except Exception as exc:
             raise SimulationError(
                 f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
             ) from exc
-        stats.fold(t0, *(a[:, :, t0 - off:t1 - off] for a in logs))
+        stats.fold(t0, *(a[:, t0 - off:t1 - off] for a in logs))
 
     tgap_played = stats.instant_regret.sum(axis=2)
     switch_rounds = getattr(learner, "switch_rounds", np.zeros((S, n), dtype=int))
@@ -332,7 +339,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
     def player_logs(k):
         if not records:
             return [None] * 4
-        return [[a[k, i, :, :c] for i, c in enumerate(counts)] for a in logs]
+        return [[a[k, :, i, :c] for i, c in enumerate(counts)] for a in logs]
 
     return [
         Trajectory(
@@ -395,12 +402,12 @@ class _Statistics:
         self.carry = [(None,) * 5] * n
 
     def fold(self, t0, played, utils, inner, inner_utils):
-        """Fold rounds t0 + 1 .. t0 + K, logged as (S, n, K, d_max) arrays."""
-        K = played.shape[2]
+        """Fold rounds t0 + 1 .. t0 + K, logged as (S, K, n, d_max) arrays."""
+        K = played.shape[1]
         rounds = slice(t0, t0 + K)
         denom = np.arange(t0 + 1.0, t0 + K + 1.0)[:, None]
         for i, c in enumerate(self.counts):
-            x, v, y, w = (a[:, i, :, :c] for a in (played, utils, inner, inner_utils))
+            x, v, y, w = (a[:, :, i, :c] for a in (played, utils, inner, inner_utils))
             best = v.max(axis=2)
             dot = np.einsum("std,std->st", x, v)
             sums = [_cumsum(a, prev) for a, prev in zip((v, dot, best, y, w), self.carry[i])]
@@ -483,7 +490,10 @@ class RegretGuard:
     the leading axes of counts, which has a trailing 1 as in
     ``learners.padding``; eta and c are scalars or arrays over the rows, and
     c = inf leaves a row unguarded.  ``switch_rounds`` holds each row's
-    switch round, 0 while it has not switched.
+    switch round, 0 while it has not switched.  A switched row's primary
+    keeps running, and nothing reads it: the guard writes that row's play,
+    inner iterate and recovered utilities over the primary's, in the arrays
+    the primary keeps as its state.
     """
 
     def __init__(self, primary, counts, eta, log_dim_sum, c=MONITOR_C):
@@ -501,26 +511,26 @@ class RegretGuard:
         self.switch_rounds = np.zeros(rows, dtype=int)
         self._x = None
 
-    @property
-    def last_inner(self):
-        inner = self.primary.last_inner
-        if self.fallback is None:
-            return inner
-        return np.where(self.switched[..., None], self._x, inner)
-
-    def next_strategy(self) -> np.ndarray:
-        x = self.primary.next_strategy()
+    def next_strategy(self, out=None, inner=None) -> np.ndarray:
+        """The play, in ``out`` when given; ``inner``, when given, receives
+        each row's inner iterate: its primary's, or a switched row's play."""
+        x = self.primary.next_strategy(out=out, inner=inner)
         if self.fallback is not None:
-            x = np.where(self.switched[..., None], self.fallback.next_strategy(), x)
+            switched = self.switched[..., None]
+            np.copyto(x, self.fallback.next_strategy(), where=switched)
+            if inner is not None:
+                np.copyto(inner, x, where=switched)
         self._x = x
         return x
 
-    def observe(self, u):
+    def observe(self, u, out=None):
+        """Feed u; returns the utilities each row's inner iterate learned
+        from (a switched row's: u), in ``out`` when given."""
         u = np.asarray(u, dtype=float)
-        rec = self.primary.observe(u)
+        rec = self.primary.observe(u, out=out)
         if self.fallback is not None:
             self.fallback.observe(u)
-            rec = np.where(self.switched[..., None], u, rec)
+            np.copyto(rec, u, where=self.switched[..., None])
         self.rounds += 1
         self.cum_utils = self.cum_utils + u
         self.cum_earned = self.cum_earned + np.einsum("...d,...d->...", self._x, u)

@@ -229,6 +229,14 @@ def _plain(v):
     return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
 
 
+def _echo(v):
+    """A copy of a plain value's dicts and lists, sharing its immutable leaves:
+    what a caller edits in the echo does not reach the config."""
+    if isinstance(v, dict):
+        return {k: _echo(x) for k, x in v.items()}
+    return list(map(_echo, v)) if isinstance(v, list) else v
+
+
 # Field checks, alike in every mode: field -> (test, what the value must be).
 # The learner fields take the rules LearnerSpec is built by.
 _FIELD_CHECKS = {
@@ -489,7 +497,7 @@ def run(cfg: ExperimentConfig) -> dict:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "mode": cfg.mode,
-        "config": {k: getattr(cfg, k) for k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
+        "config": {k: _echo(getattr(cfg, k)) for k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
         "config_hash": cfg.hash,
         "prng": PRNG_NAME,
         "results": results,

@@ -4,6 +4,17 @@ All learners follow the same pull/push contract: ``next_strategy()`` is a
 pure function of the current state and returns a mixed strategy, after which
 ``observe(u)`` feeds back a utility vector and advances the state.
 
+``next_strategy(out=None)`` (and ``softmax``, ``mwu_next``, ``omwu_next``)
+writes its result into ``out``, a caller's array of the state's shape, and
+returns it; the default None allocates a new array each round, which no
+later round overwrites.  The wrappers (``reduction.A2L``,
+``dynamics.RegretGuard``) also write their inner iterate and, from
+``observe(u, out=None)``, the utilities they recovered.  A learner keeps the
+arrays of one round, the strategy it returned and the feedback it observed,
+as its state until the next round has been observed: a caller that writes
+into the arrays it passes gives consecutive rounds distinct ones and leaves
+each as written until then.
+
 MWU with step size eta > 0 plays
 
     x^t[a] ~ exp( eta * sum_{k < t} u^k[a] )
@@ -30,7 +41,7 @@ broadcasts against the state (say (n, 1) for one step size per player),
 and the bias may carry -inf at actions a row does not have, so rows of
 different action counts share one padded width and get exact zeros there.
 Both are spread over the state once, at construction; the finiteness check
-covers the whole feedback array.
+covers the whole feedback array, in one reduction when it is finite.
 
 ``rvu_diagnostic`` evaluates the regret-bounded-by-variation-in-utilities
 inequality for OMWU trajectories:
@@ -43,14 +54,16 @@ where regret compares against the best fixed action in hindsight.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the trailing axis; safe for exponents up to
-    ~700 in magnitude."""
-    w = np.exp(z - z.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
+def softmax(z: np.ndarray, out=None) -> np.ndarray:
+    """Max-shifted softmax over the trailing axis, into ``out`` when given;
+    safe for exponents up to ~700 in magnitude."""
+    w = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
 
 
@@ -66,14 +79,14 @@ def padding(counts):
     return np.where(np.arange(counts.max()) < counts, 0.0, -np.inf)
 
 
-def mwu_next(lrn: MWU) -> np.ndarray:
+def mwu_next(lrn: MWU, out=None) -> np.ndarray:
     z = lrn.eta * lrn.cum_utils
     if lrn.bias is not None:
         z = z + lrn.bias
-    return softmax(z)
+    return softmax(z, out)
 
 
-def omwu_next(lrn: MWU, rows=True) -> np.ndarray:
+def omwu_next(lrn: MWU, rows=True, out=None) -> np.ndarray:
     """OMWU's strategy.  ``rows``, a 0/1 array that broadcasts like a
     per-row eta, limits the optimism to the rows marked 1; the rows marked
     0 get exactly MWU's strategy."""
@@ -81,14 +94,22 @@ def omwu_next(lrn: MWU, rows=True) -> np.ndarray:
     z = lrn.eta * (lrn.cum_utils + last)
     if lrn.bias is not None:
         z = z + lrn.bias
-    return softmax(z)
+    return softmax(z, out)
 
 
 def advance(lrn: MWU, u) -> None:
     u = np.asarray(u, dtype=float)
     if u.shape != lrn.shape:
         raise ValueError(f"utility vector has shape {u.shape}, expected {lrn.shape}")
-    if not np.isfinite(u).all():
+    # A finite sum has finite terms, so only a sum that is not finite (an
+    # entry is NaN or infinite, or the sum overflowed) needs the check entry
+    # by entry.  numpy may warn of such a sum, or raise under an error
+    # filter; a raise leads to the same check.
+    try:
+        finite = math.isfinite(np.add.reduce(u, axis=None))
+    except (RuntimeWarning, FloatingPointError):
+        finite = False
+    if not finite and not np.isfinite(u).all():
         raise ValueError("utility vector has non-finite entries")
     lrn.cum_utils = lrn.cum_utils + u
     lrn.last_util = u
@@ -125,8 +146,8 @@ class MWU:
         self.eta = _spread("eta", eta, self.shape)
         self.bias = None if bias is None else _spread("bias", bias, self.shape)
 
-    def next_strategy(self) -> np.ndarray:
-        return mwu_next(self)
+    def next_strategy(self, out=None) -> np.ndarray:
+        return mwu_next(self, out)
 
     def observe(self, u) -> None:
         advance(self, u)
@@ -143,8 +164,8 @@ class OMWU(MWU):
         super().__init__(shape, eta, bias=bias)
         self.rows = rows
 
-    def next_strategy(self) -> np.ndarray:
-        return omwu_next(self, self.rows)
+    def next_strategy(self, out=None) -> np.ndarray:
+        return omwu_next(self, self.rows, out)
 
 
 class AnytimeMWU(MWU):
@@ -165,9 +186,9 @@ class AnytimeMWU(MWU):
                          bias=padding(counts) if np.ptp(counts) else None)
         self.t = np.zeros(self.shape[:-1], dtype=int)
 
-    def next_strategy(self) -> np.ndarray:
+    def next_strategy(self, out=None) -> np.ndarray:
         self.eta = np.sqrt(self.log_d / (self.scale * (self.t[..., None] + 1)))
-        return mwu_next(self)
+        return mwu_next(self, out)
 
     def observe(self, u) -> None:
         advance(self, u)
@@ -187,8 +208,10 @@ def rvu_diagnostic(strategies, utils, eta) -> dict:
     which only weakens the subtracted side).  Returns regret, the bound's
     right-hand side, and the slack rhs - regret.
     """
-    xs = np.asarray(strategies, dtype=float)
-    us = np.asarray(utils, dtype=float)
+    # Contiguous, so that the sums below add in one order whatever the
+    # layout of the caller's arrays (a run's logs are views with row gaps).
+    xs = np.ascontiguousarray(strategies, dtype=float)
+    us = np.ascontiguousarray(utils, dtype=float)
     if xs.ndim != 2 or len(xs) == 0 or xs.shape != us.shape:
         raise ValueError("need matching nonempty (T, d) strategy and utility arrays")
     d = xs.shape[1]

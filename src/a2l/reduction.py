@@ -43,9 +43,10 @@ class ProtocolError(RuntimeError):
     """next_strategy/observe were not called in strict alternation."""
 
 
-def update_running_mean(avg, x, weight, cum_weight):
-    """One incremental weighted-mean step; O(d) per row and drift-bounded."""
-    return avg + (weight / cum_weight) * (x - avg)
+def update_running_mean(avg, x, weight, cum_weight, out=None):
+    """One incremental weighted-mean step, into ``out`` when given; O(d) per
+    row and drift-bounded."""
+    return np.add(avg, (weight / cum_weight) * (x - avg), out=out)
 
 
 def _weight_rule(names):
@@ -81,7 +82,7 @@ class A2L:
     def __init__(self, inner, weights="uniform", rows=True):
         self._weight = weights if callable(weights) else _weight_rule(weights)
         self.inner = inner
-        self.rows = rows
+        self._bare = None if rows is True else np.logical_not(rows)
         self.t = 0
         self.avg = np.zeros(inner.shape)
         self.cum_weight = 0.0
@@ -95,27 +96,35 @@ class A2L:
     def shape(self):
         return self.inner.shape
 
-    def next_strategy(self) -> np.ndarray:
+    def next_strategy(self, out=None, inner=None) -> np.ndarray:
+        """The played average, in ``out`` when given; ``inner``, when
+        given, receives the inner iterate as the inner learner's out=.
+
+        The returned array is the wrapper's running average until the next
+        call.  A bare row's entries hold its inner iterate, which it plays;
+        nothing reads a bare row's average.
+        """
         if self._awaiting:
             raise ProtocolError("next_strategy called twice without observe")
-        x = self.inner.next_strategy()
+        x = self.inner.next_strategy() if inner is None else self.inner.next_strategy(out=inner)
         self._alpha = self._weight(self.t + 1)
         self._prev_weight = self.cum_weight
         # Not +=: with per-row weights cum_weight is an array that
         # _prev_weight must not share.
         self.cum_weight = self.cum_weight + self._alpha
-        self.avg = update_running_mean(self.avg, x, self._alpha, self.cum_weight)
+        avg = update_running_mean(self.avg, x, self._alpha, self.cum_weight, out=out)
+        if self._bare is not None:
+            np.copyto(avg, x, where=self._bare)
+        self.avg = avg
         self.last_inner = x
         self._awaiting = True
-        # update_running_mean returns a new array each round, so the caller
-        # may keep it.
-        return self.avg if self.rows is True else np.where(self.rows, self.avg, x)
+        return avg
 
-    def observe(self, avg_util) -> np.ndarray:
+    def observe(self, avg_util, out=None) -> np.ndarray:
         """Feed the utility vector seen at the played average.
 
         Returns the recovered utility vector that was forwarded to the inner
-        learner (handy for logging).  The recovery
+        learner (handy for logging), in ``out`` when given.  The recovery
         ((sum_{k<=t} alpha_k) ubar^t - sum_{k<t} alpha_k u^k) / alpha_t is
         evaluated in the algebraically identical update form
 
@@ -124,15 +133,19 @@ class A2L:
         The rounding in ubar^t - ubar^{t-1} is multiplied by sum_{k<t} alpha_k / alpha_t,
         so the recovered vector's rounding error can grow linearly in t: on zs3d5, A2L-OMWU's
         max |recovered - bare utility| is 3.7e-13, 3.9e-12 and 5.1e-11 at T = 10^3, 10^4, 10^5.
+
+        ``avg_util`` is kept as ubar^{t-1} until the next call, so the next
+        round's feedback must come in another array.
         """
         if not self._awaiting:
             raise ProtocolError("observe called before next_strategy")
         avg_util = np.asarray(avg_util, dtype=float)
         if avg_util.shape != self.avg.shape:
             raise ValueError(f"utility vector has shape {avg_util.shape}, expected {self.shape}")
-        u = avg_util + (self._prev_weight / self._alpha) * (avg_util - self._prev_avg_util)
-        if self.rows is not True:
-            u = np.where(self.rows, u, avg_util)
+        u = np.add(avg_util, (self._prev_weight / self._alpha) * (avg_util - self._prev_avg_util),
+                   out=out)
+        if self._bare is not None:
+            np.copyto(u, avg_util, where=self._bare)
         self.inner.observe(u)
         self._prev_avg_util = avg_util
         self.t += 1

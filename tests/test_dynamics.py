@@ -175,10 +175,11 @@ def test_error_carries_round_index():
         def __init__(self):
             self.t = 0
 
-        def next_strategy(self):
-            return np.full((2, 2), 0.5)  # players x actions
+        def next_strategy(self, out, inner):
+            out[...] = 0.5  # instances x players x actions
+            return out
 
-        def observe(self, u):
+        def observe(self, u, out):
             self.t += 1
             if self.t == 4:
                 raise ValueError("boom")
@@ -201,10 +202,11 @@ def test_error_carries_round_index():
 
 def test_loop_error_keeps_its_type_as_cause(monkeypatch):
     class Mismatched:
-        def next_strategy(self):
-            return np.full((2, 2), 0.5)
+        def next_strategy(self, out, inner):
+            out[...] = 0.5
+            return out
 
-        def observe(self, u):
+        def observe(self, u, out):
             raise DimensionMismatchError(1, 2, 3)
 
     monkeypatch.setattr(dyn, "build_learner", lambda specs, counts, S: Mismatched())
@@ -297,9 +299,9 @@ def test_batched_run_matches_per_instance_runs(key):
             for i in range(game.n):
                 for field in ("played", "utils", "inner", "inner_utils"):
                     got, want = getattr(tr, field)[i], getattr(one, field)[i]
-                    assert np.abs(got - want).max() <= 1e-13, (algo, weights, s, field)
-            assert np.abs(tr.tgap_played - one.tgap_played).max() <= 1e-13
-            assert np.abs(tr.tgap_inner_avg - one.tgap_inner_avg).max() <= 1e-13
+                    assert np.array_equal(got, want), (algo, weights, s, field)
+            assert np.array_equal(tr.tgap_played, one.tgap_played)
+            assert np.array_equal(tr.tgap_inner_avg, one.tgap_inner_avg)
 
 
 def test_batch_absent_edges_enter_as_zero_blocks():
@@ -311,8 +313,8 @@ def test_batch_absent_edges_enter_as_zero_blocks():
     for game, tr in zip(games, batch):
         one = run_full_feedback(game, LearnerSpec(algo="a2l-omwu"), 200)
         for i in range(4):
-            assert np.abs(tr.played[i] - one.played[i]).max() <= 1e-13
-            assert np.abs(tr.utils[i] - one.utils[i]).max() <= 1e-13
+            assert np.array_equal(tr.played[i], one.played[i])
+            assert np.array_equal(tr.utils[i], one.utils[i])
         assert PolymatrixGame.from_dict(tr.meta["game"]).edges.keys() == game.edges.keys()
 
 
@@ -346,8 +348,8 @@ def test_guarded_batch_switches_row_by_row():
         for i in range(2):
             for field in ("played", "utils", "inner", "inner_utils"):
                 got, want = getattr(tr, field)[i], getattr(one, field)[i]
-                assert np.abs(got - want).max() <= 1e-13, field
-        assert np.abs(tr.tgap_inner_avg - one.tgap_inner_avg).max() <= 1e-13
+                assert np.array_equal(got, want), field
+        assert np.array_equal(tr.tgap_inner_avg, one.tgap_inner_avg)
 
 
 def test_guard_logs_the_inner_iterate_in_its_switch_round():
@@ -475,10 +477,15 @@ def test_chunked_cumsum_equals_one_cumsum_bit_for_bit():
         assert same_bits(np.concatenate(parts, axis=1), want), K
 
 
-@pytest.mark.parametrize("name", ["bare", "wrapped", "mixed", "guarded"])
-@pytest.mark.parametrize("S", [1, 3])
-def test_folded_statistics_equal_the_record_formulas(monkeypatch, name, S):
-    monkeypatch.setattr(dyn, "CHUNK_ROUNDS", 7)
+# Chunks of K = 7 rounds, and of 1 and 2, where every round or every other
+# one of a run without records meets a chunk boundary and its buffer is reused.
+FOLD_CASES = [pytest.param(name, S, K, id=f"{S}-{name}" + ("" if K == 7 else f"-chunk{K}"))
+              for K in (7, 1, 2) for S in (1, 3) for name in ("bare", "wrapped", "mixed", "guarded")]
+
+
+@pytest.mark.parametrize("name, S, K", FOLD_CASES)
+def test_folded_statistics_equal_the_record_formulas(monkeypatch, name, S, K):
+    monkeypatch.setattr(dyn, "CHUNK_ROUNDS", K)
     games, specs = fold_cell(name, S)
     for T in (1, 6, 7, 8, 23):
         kept = run_full_feedback_batch(games, specs, T)

@@ -537,6 +537,31 @@ def test_a_run_plays_the_game_its_build_resolved(tmp_path, monkeypatch, seeds, g
     assert summary["config_hash"] == config_hash(cfg) == cfg.hash
 
 
+@pytest.mark.parametrize("mode, fields, edit", [
+    ("gradient", {"game": {"kind": "random_zs", "n": 2, "d": 3}},
+     lambda echo: echo["game"].update(d=4)),
+    ("gradient", {"players": [{}, {"bias": [0.5, 0, 0]}], "certified": False},
+     lambda echo: echo["players"][1]["bias"].__setitem__(0, 9.0)),
+    ("bandit", {}, lambda echo: echo["schedule"].update(mode="theory_d")),
+    ("fisher", {}, lambda echo: echo["market"].update(m=5)),
+], ids=["game", "players", "schedule", "market"])
+def test_editing_a_returned_summary_leaves_the_config_as_built(tmp_path, mode, fields, edit):
+    # The summary echoes copies of the config's specs: a caller's edit of the
+    # echo reaches neither the config, nor the seeds it resolves, nor its next run.
+    cfg = load_config({"mode": mode, **MODE_BASE[mode], "seeds": [0, 1],
+                       "out_dir": str(tmp_path / "out"),
+                       **({"epochs": 3} if mode == "bandit" else {"T": 20}), **fields})
+    built = json.dumps(cfg.to_dict(), sort_keys=True)
+    summary = harness.run(cfg)
+    edit(summary["config"])
+    summary["config"]["seeds"].append(2)
+    assert cfg.seeds == [0, 1]
+    assert json.dumps(cfg.to_dict(), sort_keys=True) == built
+    assert harness.run(cfg)["config"] != summary["config"]
+    if mode == "gradient":
+        assert cfg.instance(1).action_counts == (3, 3)
+
+
 # -- runs ------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from a2l.learners import (
     rvu_diagnostic,
     softmax,
 )
+from a2l.dynamics import RegretGuard
 from a2l.reduction import A2L
 
 # frozen from the scalar softmax: exp(0.5) / (1 + exp(0.5))
@@ -110,6 +111,17 @@ def test_batched_observe_validates_input():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         lrn.observe(bad)
+    # The check sums the feedback first: a sum that overflows, of finite
+    # entries, is accepted; infinities that cancel to NaN, or alone, are not.
+    big = np.zeros((4, 3))
+    big[1] = [1e308, 1e308, 0.0]
+    lrn.observe(big)
+    for row in ([np.inf, -np.inf, 0.0], [0.0, -np.inf, 0.0]):
+        bad = np.zeros((4, 3))
+        bad[3] = row
+        with pytest.raises(ValueError, match="non-finite"):
+            lrn.observe(bad)
+    assert np.array_equal(lrn.cum_utils, big)
 
 
 @pytest.mark.parametrize("make", [
@@ -243,3 +255,73 @@ def test_anytime_mwu_observe_validates_input():
     with pytest.raises(ValueError, match="non-finite"):
         lrn.observe(bad)
     assert lrn.t.tolist() == [0, 0] and not lrn.cum_utils.any()
+
+
+# -- writing into the caller's arrays ------------------------------------------
+
+ROWS = np.array([[True], [False], [True]])
+CONTRACT_LEARNERS = {
+    "mwu": lambda: MWU((2, 3), 0.4, bias=[0.1, 0.0, -0.2]),
+    "omwu-rows": lambda: OMWU((2, 3, 3), 0.3, rows=ROWS.astype(int)),
+    "anytime-mwu": lambda: AnytimeMWU((2, 3), counts=np.array([[2], [3]])),
+    "a2l-rows": lambda: A2L(OMWU((2, 3, 3), 0.3), ["linear", "uniform", "linear"], rows=ROWS),
+    # Row 0 is guarded tightly enough to switch within the run; row 1 is not guarded.
+    "regret-guard": lambda: RegretGuard(A2L(OMWU((2, 3), 0.5)), 3, 0.5, np.log(9),
+                                        np.array([0.02, np.inf])),
+}
+
+
+def drive(lrn, rounds, slots):
+    """Play the feedback ``rounds`` against lrn; returns per round what it
+    returned and, for a wrapper, its inner iterate and recovered utilities,
+    written into fresh per-round slots when ``slots``."""
+    wrapper = not isinstance(lrn, MWU)
+    logs = np.zeros((3,) + rounds.shape)  # strategies, inner iterates, recovered
+    got = []
+    for t, u in enumerate(rounds):
+        if not slots:
+            x = lrn.next_strategy()
+            if isinstance(lrn, RegretGuard):  # a switched row's inner iterate is its play
+                inner = np.where(lrn.switched[..., None], x, lrn.primary.last_inner)
+            else:
+                inner = getattr(lrn, "last_inner", x).copy()
+            got.append((x, inner, lrn.observe(u)))
+        elif wrapper:
+            lrn.next_strategy(out=logs[0, t], inner=logs[1, t])
+            lrn.observe(u, out=logs[2, t])
+        else:
+            lrn.next_strategy(out=logs[0, t])
+            lrn.observe(u)
+    return got if not slots else logs
+
+
+@pytest.mark.parametrize("name", CONTRACT_LEARNERS)
+def test_a_learner_writing_into_slots_plays_as_it_does_without(name):
+    make = CONTRACT_LEARNERS[name]
+    rounds = np.random.default_rng(5).uniform(-1, 1, size=(40,) + make().next_strategy().shape)
+    lrn = make()
+    got = drive(lrn, rounds, slots=False)
+    logs = drive(make(), rounds, slots=True)
+    assert all(np.array_equal(x, want) for x, want in zip(logs[0], (g[0] for g in got)))
+    if not isinstance(lrn, MWU):
+        for t, (_x, inner, rec) in enumerate(got):
+            assert np.array_equal(logs[1, t], inner), t
+            assert np.array_equal(logs[2, t], rec), t
+    if name == "regret-guard":
+        assert lrn.switch_rounds.tolist()[1] == 0 and 0 < lrn.switch_rounds[0] < 30
+
+
+@pytest.mark.parametrize("name", CONTRACT_LEARNERS)
+def test_results_returned_without_out_are_not_overwritten(name):
+    make = CONTRACT_LEARNERS[name]
+    rounds = np.random.default_rng(6).uniform(-1, 1, size=(40,) + make().next_strategy().shape)
+    lrn = make()
+    kept, copies = [], []
+    for u in rounds:
+        x = lrn.next_strategy()
+        rec = lrn.observe(u)
+        kept.append((x, rec))
+        copies.append((x.copy(), None if rec is None else rec.copy()))
+    for (x, rec), (x0, rec0) in zip(kept, copies):
+        assert np.array_equal(x, x0)
+        assert rec is None or np.array_equal(rec, rec0)
