@@ -103,12 +103,12 @@ CHUNK_ROUNDS = 2**16
 INT64_MAX = np.iinfo(np.int64).max
 # Generator.choice's tolerance on the sum of a probability vector.
 CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-# After a monitor switch every round is played in Python, at about 35 us per
-# round for two players with three actions (2-core x86-64 VM, Python 3.11,
-# numpy 2.4), so this cap is about six minutes of play.  Longer epochs
-# would run for hours to years (B_t = t^4 passes 10^12 near t = 1000), so
-# they raise instead; the longest post-switch epoch any suite, test or
-# benchmark plays has 2800 rounds.
+# After a monitor switch every round is played in Python, at about 20-24 us
+# per round for two players with three actions (2-core x86-64 VM, Python
+# 3.11, numpy 2.4), so this cap is about four minutes of play.  Longer
+# epochs would run for hours to years (B_t = t^4 passes 10^12 near
+# t = 1000), so they raise instead; the longest post-switch epoch any suite,
+# test or benchmark plays has 2800 rounds.
 ROUND_EPOCH_CAP = 10**7
 # The IW monitor's threshold constant c in c * T^{4/5} when none is given.
 MONITOR_C = 4.0

@@ -14,21 +14,25 @@ or bare play, and a player's padded actions get a -inf logit, so its
 strategy is exactly zero there.  A round is then a fixed number of numpy
 calls whatever n is: one softmax, one running-average update, one matmul
 with the block payoff tensor of shape (S, n d_max, n d_max), one recovery
-step and a finiteness check of one reduction.  Each writes its result
+step and a finiteness check of one dot product.  Each writes its result
 straight into the round's slot of the logs, one (S, n, d_max) block per
-log, so a round copies nothing.  ``run_full_feedback`` is its S = 1 call.
+log, so a round copies nothing; the loop gets a chunk's slots by
+iterating the rounds axis of each log once.  ``run_full_feedback`` is its
+S = 1 call.
 
 A trajectory holds, per round, the total gap of the played profile, the
 total gap of the running uniform average of inner iterates (for
 average-playing wrappers these are the wrapped learner's iterates; for
 bare learners they coincide with the play), and per player the
 instantaneous, external and dynamic regrets of the play.  The loop folds
-these statistics in every ``CHUNK_ROUNDS`` rounds, carrying its running
-sums across chunks, so they equal their formulas over the whole run bit
-for bit.  With ``records=True`` (the default) the trajectory also keeps,
-per round and for every player, the played profile and utility vectors,
-the inner iterates and the recovered utilities: 4 S n T d_max floats for
-S instances.  With ``records=False`` a run holds one chunk of rounds
+these statistics in every ``CHUNK_ROUNDS`` rounds, all players at once on
+the chunk's (S, K, n, d_max) logs, so a fold's numpy calls do not grow
+with n either.  It carries its running sums across chunks, so the
+statistics equal their formulas over the whole run bit for bit.  With
+``records=True`` (the default) the trajectory also keeps, per round and
+for every player, the played profile and utility vectors, the inner
+iterates and the recovered utilities: 4 S n T d_max floats for S
+instances.  With ``records=False`` a run holds one chunk of rounds
 instead, and its memory grows with T only by the 3n + 2 floats of
 statistics per instance and round; the harness's gradient runs and the
 verify rate sweep run so, while the equivalence checks, the RVU suite and
@@ -308,30 +312,34 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
     inner_utils = utils if bare else np.empty(shape)
     logs = (played, utils, inner, inner_utils)
     # The same slots as (S, D, 1) columns, the matmul's operand and result.
-    x_col, v_col = played.reshape(S, R, D, 1), utils.reshape(S, R, D, 1)
+    cols = played.reshape(S, R, D, 1), utils.reshape(S, R, D, 1)
     stats = _Statistics(S, T, counts)
+    step, observe, matmul = learner.next_strategy, learner.observe, np.matmul
 
     for t0 in range(0, T, K):
         t1 = min(t0 + K, T)
         off = t0 - t0 % R  # slot of round t is t - off
+        chunk = [a[:, t0 - off:t1 - off] for a in logs + cols]
+        # Each log's slot of each round, one view per round from iterating
+        # the chunk's rounds axis.
+        slots = zip(*(a.swapaxes(0, 1) for a in chunk))
         try:
-            for t in range(t0, t1):
-                r = t - off
+            for t, (x, u, y, w, x_col, u_col) in enumerate(slots, t0):
                 # A bare learner's inner logs are its play and utilities; a
                 # wrapper also writes its inner iterate and what it recovered.
                 if bare:
-                    learner.next_strategy(out=played[:, r])
-                    np.matmul(blocks, x_col[:, r], out=v_col[:, r])
-                    learner.observe(utils[:, r])
+                    step(x)
+                    matmul(blocks, x_col, u_col)
+                    observe(u)
                 else:
-                    learner.next_strategy(out=played[:, r], inner=inner[:, r])
-                    np.matmul(blocks, x_col[:, r], out=v_col[:, r])
-                    learner.observe(utils[:, r], out=inner_utils[:, r])
+                    step(x, y)
+                    matmul(blocks, x_col, u_col)
+                    observe(u, w)
         except Exception as exc:
             raise SimulationError(
                 f"round {t + 1}: {type(exc).__name__}: {exc}", round=t + 1
             ) from exc
-        stats.fold(t0, *(a[:, t0 - off:t1 - off] for a in logs))
+        stats.fold(t0, *chunk[:4])
 
     tgap_played = stats.instant_regret.sum(axis=2)
     switch_rounds = getattr(learner, "switch_rounds", np.zeros((S, n), dtype=int))
@@ -385,43 +393,76 @@ class _Statistics:
     Per instance, round and player: the instantaneous regret of the play,
     its running external regret Reg_i(t) and dynamic regret DReg_i(t); per
     instance and round, the total gap of the running uniform average of the
-    inner iterates.  Every running sum carries across chunks (``_cumsum``),
-    so each statistic is bit-identical to its formula over full records.
+    inner iterates.  A fold covers all players at once, on the chunk's
+    (S, K, n, d_max) logs; a max over actions skips a player's padded ones.
+    Every running sum carries across chunks (``_cumsum``), so each
+    statistic is bit-identical to its formula over full records.
     """
 
     def __init__(self, S, T, counts):
-        n = len(counts)
-        self.counts = counts
+        n, d = len(counts), max(counts)
         self.instant_regret = np.empty((S, T, n))
         self.reg = np.empty((S, T, n))
         self.dreg = np.empty((S, T, n))
-        self.tgap_inner_avg = np.zeros((S, T))
-        # Per player: the running sums of the played utilities, of the
-        # earned and the best utility, of the inner iterates and of the
-        # inner utilities, as of the last folded round.
-        self.carry = [(None,) * 5] * n
+        self.tgap_inner_avg = np.empty((S, T))
+        # The actions a player lacks, as a (d_max, 1, 1, n) mask; None when
+        # every player has d_max.
+        self.padded = None if min(counts) == d else (
+            np.arange(d)[:, None, None, None] >= np.array(counts))
+        # The running sums of the played utilities, of the earned and the
+        # best utility, of the inner iterates and of the inner utilities, as
+        # of the last folded round.
+        self.carry = (None,) * 5
+
+    def _best(self, a):
+        """The max over each player's actions of a (S, K, n, d_max) array;
+        a padded action's 0 never counts.
+
+        The actions axis is copied outermost first: numpy then compares
+        whole (S, K, n) blocks, one action after another, where along the
+        innermost axis it would start a loop for each row of d_max actions
+        (about 10x slower at d_max = 5).
+        """
+        by_action = a.transpose(3, 0, 1, 2).copy()
+        if self.padded is not None:
+            np.copyto(by_action, -np.inf, where=self.padded)
+        return np.maximum.reduce(by_action, 0)
 
     def fold(self, t0, played, utils, inner, inner_utils):
-        """Fold rounds t0 + 1 .. t0 + K, logged as (S, K, n, d_max) arrays."""
+        """Fold rounds t0 + 1 .. t0 + K, logged as (S, K, n, d_max) arrays.
+
+        No more than two arrays of the chunk's size are alive at a time, a
+        running sum of a log or ``_best``'s copy, so that the fold's memory
+        stays close to that of folding one player at a time.
+        """
         K = played.shape[1]
         rounds = slice(t0, t0 + K)
-        denom = np.arange(t0 + 1.0, t0 + K + 1.0)[:, None]
-        for i, c in enumerate(self.counts):
-            x, v, y, w = (a[:, :, i, :c] for a in (played, utils, inner, inner_utils))
-            best = v.max(axis=2)
-            dot = np.einsum("std,std->st", x, v)
-            sums = [_cumsum(a, prev) for a, prev in zip((v, dot, best, y, w), self.carry[i])]
-            self.carry[i] = tuple(a[:, -1].copy() for a in sums)
-            cum_v, earned, cum_best, ybar, wbar = sums
-            self.instant_regret[:, rounds, i] = best - dot
-            self.reg[:, rounds, i] = cum_v.max(axis=2) - earned
-            self.dreg[:, rounds, i] = cum_best - earned
-            # Linearity makes the mean of recovered utilities equal the
-            # utility vector at the mean inner profile.
-            ybar /= denom
-            wbar /= denom
-            self.tgap_inner_avg[:, rounds] += (
-                wbar.max(axis=2) - np.einsum("std,std->st", ybar, wbar))
+        prev_v, prev_earned, prev_best, prev_y, prev_w = self.carry
+        best = self._best(utils)
+        dot = np.einsum("sknd,sknd->skn", played, utils)
+        earned = _cumsum(dot, prev_earned)
+        cum_best = _cumsum(best, prev_best)
+        self.instant_regret[:, rounds] = best - dot
+        self.dreg[:, rounds] = cum_best - earned
+        cum_v = _cumsum(utils, prev_v)
+        self.reg[:, rounds] = self._best(cum_v) - earned
+        carry = [a[:, -1].copy() for a in (cum_v, earned, cum_best)]
+        del cum_v
+        ybar = _cumsum(inner, prev_y)
+        wbar = _cumsum(inner_utils, prev_w)
+        self.carry = (*carry, ybar[:, -1].copy(), wbar[:, -1].copy())
+        # Linearity makes the mean of recovered utilities equal the utility
+        # vector at the mean inner profile.
+        denom = np.arange(t0 + 1.0, t0 + K + 1.0)[:, None, None]
+        ybar /= denom
+        wbar /= denom
+        earned_bar = np.einsum("sknd,sknd->skn", ybar, wbar)
+        del ybar
+        gaps = self._best(wbar) - earned_bar
+        # The total gap adds the players' gaps one after another, as its
+        # formula does; a prefix sum keeps that order, which numpy's sum
+        # does not.
+        self.tgap_inner_avg[:, rounds] = np.add.accumulate(gaps, 2)[..., -1]
 
 
 # -- regret reports ----------------------------------------------------------

@@ -38,9 +38,10 @@ exactly T rounds: no step past round T is computed, so a market whose next
 step would stall still reports its T rounds.  Each spend matrix is priced
 once per round, each error guard is one reduction, and a divide is masked
 only when some entry is not positive.  A round of ``run_prd`` costs about
-15 us on a 5x5 market and 34 us on a 50x20 one, and one of ``run_a2l_prd``
-20 and 43 us, on a 2-core x86-64 VM at T = 1000.  Neither keeps a
-(T, m, n) spend log: the spends pass through one reused buffer of
+13-15 us on a 5x5 market and 29-38 us on a 50x20 one, and one of
+``run_a2l_prd`` 17-22 and 35-45 us, on a 2-core x86-64 VM at T = 1000
+(medians of interleaved runs, which move with the host's speed).  Neither
+keeps a (T, m, n) spend log: the spends pass through one reused buffer of
 ``dynamics.CHUNK_ROUNDS`` (256) rounds, whose max gaps are folded into the
 (T,) column once per chunk, so a run holds O(256 m n + T n) floats.  On a
 50x20 market at T = 10^4 their tracemalloc peaks are 5.6 and 4.1 MiB.
@@ -190,8 +191,8 @@ def run_prd(market, T, spend0=None) -> dict:
     Returns the (T, n) ``prices``, the running average ``avg_prices`` and
     the (T,) max equilibrium gap ``avg_gap`` of the averaged spends.  Round
     t + 1's spends are computed only when t < T, so a step that would stall
-    after round T is never taken.  A round costs about 15 us on a 5x5
-    market and 34 us on a 50x20 one.  No spend log is kept: memory is
+    after round T is never taken.  A round costs about 13-15 us on a 5x5
+    market and 29-38 us on a 50x20 one.  No spend log is kept: memory is
     O(256 m n + T n), a 5.6 MiB traced peak on a 50x20 market at T = 10^4.
     """
     def averaged(b):
@@ -271,9 +272,9 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
     the last iterate, and the (T,) max equilibrium gap ``played_gap`` of
     the played spends.  These are ``a2l_prd_step``'s rounds, except that
     round T's inferred prices are never observed, so the internal step past
-    T is not taken.  A round costs about 20 us on a 5x5 market and 43 us on
-    a 50x20 one.  No spend log is kept: memory is O(256 m n + T n), a
-    4.1 MiB traced peak on a 50x20 market at T = 10^4.
+    T is not taken.  A round costs about 17-22 us on a 5x5 market and
+    35-45 us on a 50x20 one.  No spend log is kept: memory is
+    O(256 m n + T n), a 4.1 MiB traced peak on a 50x20 market at T = 10^4.
     """
     def played():
         for t in range(T):

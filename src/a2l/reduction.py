@@ -46,7 +46,7 @@ class ProtocolError(RuntimeError):
 def update_running_mean(avg, x, weight, cum_weight, out=None):
     """One incremental weighted-mean step, into ``out`` when given; O(d) per
     row and drift-bounded."""
-    return np.add(avg, (weight / cum_weight) * (x - avg), out=out)
+    return np.add(avg, (weight / cum_weight) * (x - avg), out)
 
 
 def _weight_rule(names):
@@ -87,9 +87,8 @@ class A2L:
         self.avg = np.zeros(inner.shape)
         self.cum_weight = 0.0
         self.last_inner = None
-        self._prev_weight = 0.0
         self._prev_avg_util = np.zeros(inner.shape)
-        self._alpha = None
+        self._lift = None
         self._awaiting = False
 
     @property
@@ -98,7 +97,8 @@ class A2L:
 
     def next_strategy(self, out=None, inner=None) -> np.ndarray:
         """The played average, in ``out`` when given; ``inner``, when
-        given, receives the inner iterate as the inner learner's out=.
+        given, receives the inner iterate, passed as the inner learner's
+        first argument, ``out``.
 
         The returned array is the wrapper's running average until the next
         call.  A bare row's entries hold its inner iterate, which it plays;
@@ -106,17 +106,16 @@ class A2L:
         """
         if self._awaiting:
             raise ProtocolError("next_strategy called twice without observe")
-        x = self.inner.next_strategy() if inner is None else self.inner.next_strategy(out=inner)
-        self._alpha = self._weight(self.t + 1)
-        self._prev_weight = self.cum_weight
-        # Not +=: with per-row weights cum_weight is an array that
-        # _prev_weight must not share.
-        self.cum_weight = self.cum_weight + self._alpha
-        avg = update_running_mean(self.avg, x, self._alpha, self.cum_weight, out=out)
+        x = self.last_inner = (self.inner.next_strategy() if inner is None
+                               else self.inner.next_strategy(inner))
+        alpha = self._weight(self.t + 1)
+        prev = self.cum_weight
+        cum = self.cum_weight = prev + alpha
+        # observe's factor sum_{k<t} alpha_k / alpha_t.
+        self._lift = prev / alpha
+        avg = self.avg = update_running_mean(self.avg, x, alpha, cum, out)
         if self._bare is not None:
             np.copyto(avg, x, where=self._bare)
-        self.avg = avg
-        self.last_inner = x
         self._awaiting = True
         return avg
 
@@ -139,11 +138,10 @@ class A2L:
         """
         if not self._awaiting:
             raise ProtocolError("observe called before next_strategy")
-        avg_util = np.asarray(avg_util, dtype=float)
+        avg_util = np.asarray(avg_util, float)
         if avg_util.shape != self.avg.shape:
             raise ValueError(f"utility vector has shape {avg_util.shape}, expected {self.shape}")
-        u = np.add(avg_util, (self._prev_weight / self._alpha) * (avg_util - self._prev_avg_util),
-                   out=out)
+        u = np.add(avg_util, self._lift * (avg_util - self._prev_avg_util), out)
         if self._bare is not None:
             np.copyto(u, avg_util, where=self._bare)
         self.inner.observe(u)

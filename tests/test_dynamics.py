@@ -280,18 +280,23 @@ SUITE_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("key", ["matching_pennies", "rps", "zs3d5"])
+@pytest.mark.parametrize("key", ["matching_pennies", "rps", "zs3d5", "n6"])
 def test_batched_run_matches_per_instance_runs(key):
     # One batched call over the suite seeds reproduces each one-instance run:
-    # seed-invariant games run as 20 copies of the same game.
-    games = [verify._game(key, s) for s in verify.SEEDS]
+    # seed-invariant games run as 20 copies of the same game.  "n6" is not a
+    # suite game: six players with two to four actions.
+    if key == "n6":
+        games = [generate_game("random_general", n=6, d=(2, 3, 4, 2, 3, 4), seed=s)
+                 for s in verify.SEEDS]
+    else:
+        games = [verify._game(key, s) for s in verify.SEEDS]
     for algo, weights in SUITE_CELLS:
         spec = LearnerSpec(algo=algo, eta=verify._suite1_eta(algo.removeprefix("a2l-")),
                            weights=weights)
         batch = run_full_feedback_batch(games, spec, 1000, verify.SEEDS)
         single = {}
         for s, game, tr in zip(verify.SEEDS, games, batch):
-            ref_key = s if len(verify._game_seeds(key)) > 1 else 0
+            ref_key = s if key == "n6" or len(verify._game_seeds(key)) > 1 else 0
             if ref_key not in single:
                 single[ref_key] = run_full_feedback(game, spec, 1000, seed=s)
             one = single[ref_key]
@@ -300,8 +305,8 @@ def test_batched_run_matches_per_instance_runs(key):
                 for field in ("played", "utils", "inner", "inner_utils"):
                     got, want = getattr(tr, field)[i], getattr(one, field)[i]
                     assert np.array_equal(got, want), (algo, weights, s, field)
-            assert np.array_equal(tr.tgap_played, one.tgap_played)
-            assert np.array_equal(tr.tgap_inner_avg, one.tgap_inner_avg)
+            for stat in STATISTICS:
+                assert np.array_equal(getattr(tr, stat), getattr(one, stat)), (algo, s, stat)
 
 
 def test_batch_absent_edges_enter_as_zero_blocks():
@@ -458,6 +463,19 @@ def fold_cell(name, S):
         games = [generate_game("random_zs", n=3, d=(3, 7, 4), seed=s) for s in range(S)]
         return games, [LearnerSpec(algo=a, weights="linear")
                        for a in ("a2l-omwu", "omwu", "a2l-mwu")]
+    if name == "unequal":
+        # Player 0's payoffs lie in [-3, -1], so each of its utilities, their
+        # sums and their means is negative, and a max over its zero padding
+        # would read 0.
+        games = []
+        for s in range(S):
+            g = generate_game("random_general", n=3, d=(2, 5, 3), seed=s)
+            games.append(PolymatrixGame(g.action_counts, {
+                (i, j): mat - 2.0 if i == 0 else mat for (i, j), mat in g.edges.items()}))
+        return games, LearnerSpec(algo="a2l-omwu")
+    if name == "nine":  # the total gap adds more than eight players' gaps
+        games = [generate_game("random_zs", n=9, d=3, graph="cycle", seed=s) for s in range(S)]
+        return games, LearnerSpec(algo="a2l-omwu")
     games = [generate_game("random_zs", n=3, d=4, seed=s) for s in range(S)]
     return games, LearnerSpec(algo={"bare": "omwu", "wrapped": "a2l-omwu"}[name])
 
@@ -480,7 +498,8 @@ def test_chunked_cumsum_equals_one_cumsum_bit_for_bit():
 # Chunks of K = 7 rounds, and of 1 and 2, where every round or every other
 # one of a run without records meets a chunk boundary and its buffer is reused.
 FOLD_CASES = [pytest.param(name, S, K, id=f"{S}-{name}" + ("" if K == 7 else f"-chunk{K}"))
-              for K in (7, 1, 2) for S in (1, 3) for name in ("bare", "wrapped", "mixed", "guarded")]
+              for K in (7, 1, 2) for S in (1, 3)
+              for name in ("bare", "wrapped", "mixed", "guarded", "unequal", "nine")]
 
 
 @pytest.mark.parametrize("name, S, K", FOLD_CASES)

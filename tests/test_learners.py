@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_batched_observe_validates_input():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         lrn.observe(bad)
-    # The check sums the feedback first: a sum that overflows, of finite
+    # The check sums the squares first: a sum that overflows, of finite
     # entries, is accepted; infinities that cancel to NaN, or alone, are not.
     big = np.zeros((4, 3))
     big[1] = [1e308, 1e308, 0.0]
@@ -122,6 +123,22 @@ def test_batched_observe_validates_input():
         with pytest.raises(ValueError, match="non-finite"):
             lrn.observe(bad)
     assert np.array_equal(lrn.cum_utils, big)
+
+
+def test_the_finiteness_check_never_warns():
+    # Finite feedback whose sum or sum of squares overflows is accepted, and
+    # feedback with NaN or infinities refused, without a numpy warning: with
+    # no warning filter set, none is recorded.
+    lrn = OMWU((2, 3), eta=0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        for row in ([1e308, 1e308, 0.0], [1e200, -1e200, 1e155]):
+            lrn.observe(np.array([row, [0.0, 0.0, 0.0]]))
+        for row in ([np.inf, -np.inf, 0.0], [0.0, -np.inf, 0.0], [np.nan, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                lrn.observe(np.array([[0.0, 0.0, 0.0], row]))
+    assert [str(w.message) for w in caught] == []
+    assert np.array_equal(lrn.cum_utils, [[1e308, 1e308, 1e155], [0.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("make", [

@@ -5,20 +5,26 @@ strings.  A renamed or deleted callable does not fail the benchmark: its
 metric silently reads 0.  The other perfbench files call a2l through module
 aliases (``bd.EpochSchedule.custom``, ``harness.load_config``); a rename
 there breaks a workload or ``run.py --reference`` only when the benchmark
-runs.  These tests resolve each such name on a2l.
+runs.  These tests resolve each such name on a2l, and check that a traced
+run calls each learner and reduction name once a round.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import a2l
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def traced_names():
@@ -84,3 +90,47 @@ def _resolves(name, module) -> bool:
             return False
         obj = getattr(obj, attr)
     return True
+
+
+# Runs in a fresh interpreter, since installing the tracer wraps a2l's
+# callables for the rest of the process: argv is the tracer's path, T and
+# the algorithms to run.  Prints each run's call count per traced name.
+TRACED_RUNS = """
+import importlib.util, json, sys
+import a2l, a2l.dynamics as dyn
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tr = tracer.Tracer()
+tr.install(a2l)
+game = a2l.games.generate_game("random_zs", n=3, d=(2, 4, 3), seed=5)
+counts = {}
+for algo in sys.argv[3:]:
+    tr.phase = algo
+    dyn.run_full_feedback(game, dyn.LearnerSpec(algo=algo), int(sys.argv[2]), records=False)
+    counts[algo] = {tr.names[i]: st.count for (phase, i), st in tr.stats.items() if phase == algo}
+print(json.dumps(counts))
+"""
+
+
+def test_learner_and_reduction_layers_are_traced_once_a_round():
+    # learners.* and reduction.* per-layer metrics time the calls of these
+    # names; a round that skipped one, or called it twice, would skew them.
+    names = [n for n in traced_names() if n.split(".")[0] in ("learners", "reduction")]
+    assert sorted(names) == ["learners.advance", "learners.mwu_next", "learners.omwu_next",
+                             "reduction.A2L.next_strategy", "reduction.A2L.observe"]
+    T = 300  # past one chunk of rounds
+    algos = ("a2l-omwu", "a2l-mwu", "omwu", "mwu")
+    src = str(Path(a2l.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(TRACER), str(T), *algos],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    counts = json.loads(out.stdout)
+    for algo in algos:
+        step = "learners.omwu_next" if algo.endswith("omwu") else "learners.mwu_next"
+        wrapped = algo.startswith("a2l")
+        want = {"learners.advance": T, step: T,
+                "reduction.A2L.next_strategy": T if wrapped else 0,
+                "reduction.A2L.observe": T if wrapped else 0}
+        assert {name: counts[algo].get(name, 0) for name in names} == {
+            name: want.get(name, 0) for name in names}, algo
