@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import _number, check_count
+from .dynamics import PRNG_NAME, _number, check_count
 from .games import PolymatrixGame
 from .learners import OMWU, AnytimeMWU, padding
 from .reduction import A2L
@@ -163,14 +163,6 @@ class EpochSchedule:
             raise ScheduleError("custom schedule needs coeff >= 1 so B_t >= 1")
         if self.eps_coeff <= 0:
             raise ScheduleError(f"eps_coeff must be > 0 so eps_t > 0, got {self.eps_coeff!r}")
-
-    @classmethod
-    def theory(cls):
-        return cls(mode="theory")
-
-    @classmethod
-    def theory_d(cls):
-        return cls(mode="theory_d")
 
     @classmethod
     def custom(cls, coeff, power, eps_coeff=1.0, eps_power=-1.0):
@@ -371,7 +363,8 @@ class BanditPipeline:
     reward vector per round (``round_strategy``, ``observe_round``; rows
     only).  ``switched`` marks those rows and ``switch_epoch`` holds their
     switch epochs (0 for the others); their reduction and monitor run on
-    unread.
+    unread.  A caller reads the inner iterates only through ``begin_epoch``'s
+    ``inner``, which ``A2L.next_strategy`` writes.
     """
 
     def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=MONITOR_C):
@@ -410,12 +403,13 @@ class BanditPipeline:
         self.fallback = AnytimeMWU(self.learner.shape, scale=self._d, counts=col)
         self._p = None
 
-    def begin_epoch(self) -> np.ndarray:
+    def begin_epoch(self, inner=None) -> np.ndarray:
         """Start the next epoch; returns the strategies played in it (a
-        switched row's: its fallback's at the epoch's start)."""
+        switched row's: its fallback's at the epoch's start).  ``inner``,
+        when given, receives the reduction's inner iterates."""
         eps = self.eps[self.t]
         self.t += 1
-        play = (1.0 - eps) * self.learner.next_strategy() + eps / self._d
+        play = (1.0 - eps) * self.learner.next_strategy(inner=inner) + eps / self._d
         if self.pad is not None:
             play = np.where(self.pad < 0, 0.0, play)
         if self._switched_rows:
@@ -573,7 +567,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
 
     for idx, t in enumerate(epoch_ts):
         B = int(B_arr[idx])
-        play = pipe.begin_epoch()
+        play = pipe.begin_epoch(inner[:, idx])
         mixed[:, idx] = play
         if not pipe.switched.any():
             stats = sampler.epoch(rng, play, B)
@@ -587,7 +581,6 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         est = epoch_estimate(*stats)
         estimates[:, idx] = est.estimate
         counts[:, idx] = est.counts
-        inner[:, idx] = pipe.learner.last_inner
         recovered[:, idx] = pipe.end_epoch(est)
         reg_est[idx] = pipe.reg_est
 
@@ -607,7 +600,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         "epochs": epochs,
         "certified": not misses,
         "monitor_c": monitor_c,
-        "prng": "numpy-PCG64",
+        "prng": PRNG_NAME,
     }
     mixed, inner, estimates, recovered, counts = (
         [a[i, :, :d] for i, d in enumerate(game.action_counts)]

@@ -68,6 +68,8 @@ MONITOR_C = 2.0
 # Rounds per fold of the per-round statistics; the rounds a run without
 # records keeps (at least two).
 CHUNK_ROUNDS = 256
+# The bit generator of every run's np.random.default_rng, as run metadata names it.
+PRNG_NAME = "numpy-PCG64"
 
 
 class SimulationError(ValueError):
@@ -357,7 +359,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
                 "specs": [asdict(s) for s in specs],
                 "T": T,
                 "seed": seed,
-                "prng": "numpy-PCG64",
+                "prng": PRNG_NAME,
                 "switch_round": [int(r) if r else None for r in switch_rounds[k]],
             },
             *player_logs(k),
@@ -421,7 +423,9 @@ class _Statistics:
         The actions axis is copied outermost first: numpy then compares
         whole (S, K, n) blocks, one action after another, where along the
         innermost axis it would start a loop for each row of d_max actions
-        (about 10x slower at d_max = 5).
+        (about 10x slower at d_max = 5).  A tie between -0.0 and +0.0 may
+        settle on either sign, unlike numpy's innermost-axis max at 9 or 17
+        actions; no suite game produces a -0.0 utility.
         """
         by_action = a.transpose(3, 0, 1, 2).copy()
         if self.padded is not None:

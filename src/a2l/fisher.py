@@ -117,10 +117,6 @@ def uniform_spending(market) -> np.ndarray:
     return np.tile(market.budgets[:, None] / market.n_goods, (1, market.n_goods))
 
 
-def prices(spend) -> np.ndarray:
-    return np.asarray(spend).sum(axis=0)
-
-
 def _priced(spend) -> np.ndarray:
     """Prices of a spend array, refused unless every one is positive."""
     p = spend.sum(axis=0)
@@ -226,7 +222,6 @@ class ProportionalResponse:
     def __init__(self, market, spend):
         self.market = market
         self.spend = spend
-        self.last_prices = None
         self._budgets = market.budgets[:, None]
 
     @property
@@ -237,7 +232,6 @@ class ProportionalResponse:
         return self.spend
 
     def observe(self, p) -> None:
-        self.last_prices = p
         alloc = _divide_where(self.spend, p, p)
         self.spend = _respond(self.market.valuations, self._budgets, alloc)
 

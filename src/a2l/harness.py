@@ -39,7 +39,6 @@ from .csvrows import _csv_lines
 from .games import PolymatrixGame, generate_game, load_game
 
 SCHEMA_VERSION = 3  # 3: each per-seed result carries its "checks" records
-PRNG_NAME = "numpy-PCG64"
 TOL_BOUND = 1e-9  # slack allowed on the paper's gap and regret bounds
 TOL_AUDIT = 1e-6  # slack allowed on the bandit reconstruction and regret audits
 TOL_CONSERVATION = 1e-9  # |sum of prices - sum of budgets| allowed in Fisher runs
@@ -499,7 +498,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "mode": cfg.mode,
         "config": {k: _echo(getattr(cfg, k)) for k in COMMON_FIELDS + MODE_FIELDS[cfg.mode]},
         "config_hash": cfg.hash,
-        "prng": PRNG_NAME,
+        "prng": dyn.PRNG_NAME,
         "results": results,
         "passed": all(c.passed for cell in cells for c in cell["checks"]),
     }

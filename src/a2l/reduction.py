@@ -86,7 +86,6 @@ class A2L:
         self.t = 0
         self.avg = np.zeros(inner.shape)
         self.cum_weight = 0.0
-        self.last_inner = None
         self._prev_avg_util = np.zeros(inner.shape)
         self._lift = None
         self._awaiting = False
@@ -98,7 +97,7 @@ class A2L:
     def next_strategy(self, out=None, inner=None) -> np.ndarray:
         """The played average, in ``out`` when given; ``inner``, when
         given, receives the inner iterate, passed as the inner learner's
-        first argument, ``out``.
+        first argument, ``out``: the one way a caller reads that iterate.
 
         The returned array is the wrapper's running average until the next
         call.  A bare row's entries hold its inner iterate, which it plays;
@@ -106,8 +105,7 @@ class A2L:
         """
         if self._awaiting:
             raise ProtocolError("next_strategy called twice without observe")
-        x = self.last_inner = (self.inner.next_strategy() if inner is None
-                               else self.inner.next_strategy(inner))
+        x = self.inner.next_strategy() if inner is None else self.inner.next_strategy(inner)
         alpha = self._weight(self.t + 1)
         prev = self.cum_weight
         cum = self.cum_weight = prev + alpha

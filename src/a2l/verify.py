@@ -368,7 +368,7 @@ def _bandit_sweep() -> dict:
     """Honest 12-epoch theory-schedule runs over 20 seeds, with audits."""
     t0 = time.perf_counter()
     game = _bandit_game()
-    sched = bd.EpochSchedule.theory()
+    sched = bd.EpochSchedule()
     gaps = np.empty((len(SEEDS), BANDIT_EPOCHS))
     min_rec_slack = np.inf
     min_reg_slack = np.inf
@@ -403,7 +403,7 @@ def _bandit_bias_se() -> dict:
     ``bandit.JointSampler``, the sampler ``run_bandit`` uses.
     """
     game = _bandit_game()
-    traj = bd.run_bandit(game, bd.EpochSchedule.theory(), seed=0,
+    traj = bd.run_bandit(game, bd.EpochSchedule(), seed=0,
                          delta=BANDIT_DELTA, epochs=5, monitor_c=np.inf)
     t = 5
     B = int(traj.B[t - 1])
@@ -440,7 +440,7 @@ def check_bandit_audit() -> SuiteResult:
     bias_se = _bandit_bias_se()["epoch"]
 
     game = _bandit_game()
-    sched = bd.EpochSchedule.theory()
+    sched = bd.EpochSchedule()
     reps = 200
     d = game.dimensionality
     eligible = [t for t in range(1, BANDIT_EPOCHS + 1)
@@ -535,7 +535,7 @@ def check_fisher() -> SuiteResult:
     reached = np.inf
     for t in range(1, steps + 1):
         b = fi.prd_step(market, b)
-        if fi.verify_ce(market, fi.prices(b), fi.allocations(b), tol=1e-6).passed:
+        if fi.verify_ce(market, b.sum(axis=0), fi.allocations(b), tol=1e-6).passed:
             reached = t
             break
 

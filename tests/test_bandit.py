@@ -44,7 +44,7 @@ def small_game():
 
 def quiet_run(**kw):
     game = kw.pop("game", small_game())
-    sched = kw.pop("schedule", EpochSchedule.theory())
+    sched = kw.pop("schedule", EpochSchedule())
     return run_bandit(game, sched, **kw)
 
 
@@ -52,14 +52,14 @@ def quiet_run(**kw):
 
 
 def test_theory_schedule_values():
-    s = EpochSchedule.theory()
+    s = EpochSchedule()
     assert [s.epoch_length(t, 3) for t in (1, 2, 3)] == [1, 16, 81]
     assert [s.mixing(t) for t in (1, 2, 4)] == [1.0, 0.5, 0.25]
     assert bandit.certificate_misses(s, None, 2) == []
 
 
 def test_theory_d_schedule_scales_by_dimension():
-    s = EpochSchedule.theory_d()
+    s = EpochSchedule(mode="theory_d")
     assert s.epoch_length(2, 5) == 80
     assert s.mixing(2) == 0.5
 
@@ -170,13 +170,13 @@ def test_uncertified_run_warns():
     with pytest.warns(UserWarning):
         run_bandit(game, EpochSchedule.custom(coeff=10, power=1), epochs=3)
     with pytest.warns(UserWarning):
-        traj = run_bandit(game, EpochSchedule.theory(), eta=1.0, epochs=2)
+        traj = run_bandit(game, EpochSchedule(), eta=1.0, epochs=2)
     assert not traj.meta["certified"]
 
 
 def test_certificate_misses_name_the_schedule_and_the_step_size():
-    assert bandit.certificate_misses(EpochSchedule.theory(), None, 2) == []
-    assert bandit.certificate_misses(EpochSchedule.theory_d(), 1 / 12, 2) == []
+    assert bandit.certificate_misses(EpochSchedule(), None, 2) == []
+    assert bandit.certificate_misses(EpochSchedule(mode="theory_d"), 1 / 12, 2) == []
     custom = EpochSchedule.custom(coeff=10, power=1)
     misses = bandit.certificate_misses(custom, 1 / 12 + 1e-9, 2)
     assert [(player, field) for player, field, _ in misses] == [(None, "schedule"), (None, "eta")]
@@ -203,7 +203,7 @@ def test_single_action_players_estimate_exactly():
     game = PolymatrixGame(
         (1, 1), {(0, 1): [[0.5]], (1, 0): [[-0.5]]}, zero_sum=True
     )
-    traj = run_bandit(game, EpochSchedule.theory(), epochs=4, seed=0)
+    traj = run_bandit(game, EpochSchedule(), epochs=4, seed=0)
     truth = audit_truths(traj, game)
     assert np.abs(estimation_error_audit(traj, truth)["delta_inf"]).max() == 0.0
     assert np.allclose(traj.tgap_mixed, 0.0)
@@ -212,7 +212,7 @@ def test_single_action_players_estimate_exactly():
 def test_zero_variance_game_estimates_exactly_when_sampled():
     half = np.full((3, 3), 0.5)
     game = PolymatrixGame((3, 3), {(0, 1): half, (1, 0): -half}, zero_sum=True)
-    traj = run_bandit(game, EpochSchedule.theory(), epochs=5, seed=0)
+    traj = run_bandit(game, EpochSchedule(), epochs=5, seed=0)
     delta_inf = estimation_error_audit(traj, audit_truths(traj, game))["delta_inf"]
     for k in range(5):
         if traj.unsampled[k].sum() == 0:
@@ -283,7 +283,7 @@ def test_audit_rows_are_nan_from_the_first_switch_epoch():
 
 def test_audit_truths_match_per_epoch_evaluation():
     game = generate_game("random_zs", n=3, d=(2, 4, 3), seed=4)
-    traj = run_bandit(game, EpochSchedule.theory(), epochs=8, seed=9)
+    traj = run_bandit(game, EpochSchedule(), epochs=8, seed=9)
     truth = audit_truths(traj, game)
     for k in range(8):
         plays = [x[k] for x in traj.mixed]
@@ -571,7 +571,7 @@ def test_theory_run_memory_does_not_grow_with_epoch_length():
 def test_large_game_runs_through_chunks():
     game = generate_game("random_zs", n=5, d=10, seed=2)
     assert JointSampler(game).tables is None  # 10^5 joint cells
-    traj = run_bandit(game, EpochSchedule.theory(), epochs=5, seed=0)
+    traj = run_bandit(game, EpochSchedule(), epochs=5, seed=0)
     for i in range(5):
         assert np.array_equal(traj.counts[i].sum(axis=1), traj.B)
     assert np.all(np.isfinite(traj.tgap_mixed))
@@ -596,7 +596,7 @@ def test_out_of_range_rewards_raise(monkeypatch, cap):
     with pytest.raises(DataError, match=message):
         JointSampler(game)
     with pytest.raises(DataError, match=message):
-        run_bandit(game, EpochSchedule.theory(), epochs=6, seed=0)
+        run_bandit(game, EpochSchedule(), epochs=6, seed=0)
 
 
 @pytest.mark.parametrize("cap", [bandit.CELL_CAP, 0])
@@ -642,7 +642,7 @@ def test_bad_run_arguments_are_refused_by_name(kw, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         quiet_run(**kw)
     with pytest.raises(ValueError, match=f"^{name} "):
-        run_bandit_vs_environment(2, lambda t: np.array([0.2, 0.7]), EpochSchedule.theory(),
+        run_bandit_vs_environment(2, lambda t: np.array([0.2, 0.7]), EpochSchedule(),
                                   eta=0.1, **kw)
 
 
@@ -724,6 +724,7 @@ class ReferencePlayer:
         self.radius = None
         self.threshold = None
         self.play = None
+        self.inner = None
         self.fallback = None
         self.switch_epoch = None
 
@@ -739,7 +740,8 @@ class ReferencePlayer:
             np.pi**2 * self.d * self.t * self.t / (3.0 * self.delta))
         self.threshold = self.monitor_c * self.rounds ** 0.8
         if self.fallback is None:
-            avg = self.learner.next_strategy()
+            self.inner = np.empty(self.d)
+            avg = self.learner.next_strategy(inner=self.inner)
             self.play = (1.0 - eps) * avg + eps / avg.size
         else:
             self.play = self.fallback.next_strategy().copy()
@@ -792,7 +794,7 @@ def reference_play_rounds(rng, sampler, players, B):
     return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
 
 
-def reference_run(game=None, schedule=EpochSchedule.theory(), eta=None, seed=0,
+def reference_run(game=None, schedule=EpochSchedule(), eta=None, seed=0,
                   delta=0.05, epochs=12, monitor_c=4.0):
     """``run_bandit`` with one ReferencePlayer per player."""
     game = small_game() if game is None else game
@@ -828,7 +830,7 @@ def reference_run(game=None, schedule=EpochSchedule.theory(), eta=None, seed=0,
             if p.switched:
                 recovered[i][idx] = inner[i][idx] = np.nan
                 continue
-            inner[i][idx] = p.learner.last_inner
+            inner[i][idx] = p.inner
             recovered[i][idx] = p.end_epoch(est)
             reg_est[idx, i] = p.reg_est
             radius[idx, i] = p.radius
@@ -987,11 +989,11 @@ def test_one_pre_switch_epoch_is_one_stacked_reduction_step(monkeypatch, n):
     # A2L.next_strategy call and one A2L.observe call
     calls = collections.Counter()
     for name in ("next_strategy", "observe"):
-        def spy(self, *args, _name=name, _method=getattr(A2L, name)):
+        def spy(self, *args, _name=name, _method=getattr(A2L, name), **kw):
             calls[_name] += 1
-            return _method(self, *args)
+            return _method(self, *args, **kw)
         monkeypatch.setattr(A2L, name, spy)
-    traj = run_bandit(generate_game("random_zs", n=n, d=3, seed=1), EpochSchedule.theory(),
+    traj = run_bandit(generate_game("random_zs", n=n, d=3, seed=1), EpochSchedule(),
                       epochs=1, seed=0, monitor_c=np.inf)
     assert traj.n == n
     assert calls == {"next_strategy": 1, "observe": 1}

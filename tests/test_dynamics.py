@@ -383,12 +383,13 @@ def reference_loop(game, specs, T):
         learners.append(A2L(inner, spec.weights) if spec.algo.startswith("a2l") else inner)
     logs = [[[] for _ in range(game.n)] for _ in range(4)]
     for _ in range(T):
-        xs = [lr.next_strategy() for lr in learners]
+        inner = [np.empty(d) for d in game.action_counts]
+        xs = [lr.next_strategy(inner=x) if isinstance(lr, A2L) else lr.next_strategy(x)
+              for lr, x in zip(learners, inner)]
         for i, lr in enumerate(learners):
             u = game.utility_vector(i, xs)
             rec = lr.observe(u)
-            inner_x = getattr(lr, "last_inner", xs[i])
-            for log, value in zip(logs, (xs[i], u, inner_x, u if rec is None else rec)):
+            for log, value in zip(logs, (xs[i], u, inner[i], u if rec is None else rec)):
                 log[i].append(value)
     return [[np.array(rows) for rows in log] for log in logs]
 

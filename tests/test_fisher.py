@@ -21,7 +21,6 @@ from a2l.fisher import (
     market_gap,
     prd_step,
     price_csv_columns,
-    prices,
     random_linear_market,
     run_a2l_prd,
     run_prd,
@@ -63,7 +62,7 @@ def test_hand_market_one_step():
     market = hand_market()
     b = prd_step(market, uniform_spending(market))
     assert np.allclose(b, [[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(prices(b), [1.0, 1.0])
+    assert np.allclose(b.sum(axis=0), [1.0, 1.0])
     # and it stays there
     assert np.allclose(prd_step(market, b), b)
 
@@ -74,7 +73,7 @@ def test_price_conservation_every_step():
     b = uniform_spending(market)
     for _ in range(100):
         b = prd_step(market, b)
-        assert abs(prices(b).sum() - total) < 1e-9
+        assert abs(b.sum(axis=0).sum() - total) < 1e-9
 
 
 def test_stall_error_names_agent():
@@ -119,10 +118,17 @@ def played_spends(market, T, spend0=None):
 def test_a2l_first_round_matches_internal():
     market = random_linear_market(3, 4, seed=1)
     state = a2l_prd_init(market)
+    seen = []  # the price rows the inner learner observes
+
+    def spy(p, observe=state.inner.observe):
+        seen.append(p)
+        observe(p)
+
+    state.inner.observe = spy
     played = a2l_prd_step(market, state)
     ref = run_prd(market, 1)
     assert np.allclose(played, uniform_spending(market))
-    assert np.allclose(state.inner.last_prices, ref["prices"][0], atol=1e-12)
+    assert np.allclose(seen[0], ref["prices"][0], atol=1e-12)
 
 
 def test_a2l_prices_equal_reference_average():
@@ -250,8 +256,8 @@ def test_step_api_matches_run():
     state = a2l_prd_init(market)
     for k in range(20):
         bbar = a2l_prd_step(market, state)
-        assert np.array_equal(prices(bbar), out["played_prices"][k])
-        gap = market_gap(market, prices(bbar), spend=bbar).max()
+        assert np.array_equal(bbar.sum(axis=0), out["played_prices"][k])
+        gap = market_gap(market, bbar.sum(axis=0), spend=bbar).max()
         assert abs(gap - out["played_gap"][k]) <= 1e-14
     assert state.t == 20
 
@@ -268,11 +274,11 @@ def all_rounds_reference(market, T, spend0):
         b = prd_step(market, b)
 
     def priced(log):
-        p = np.array([prices(s) for s in log])
+        p = np.array([s.sum(axis=0) for s in log])
         return p, market_gap(market, p, spend=np.array(log)).max(axis=1)
 
     (avg_p, avg_gap), (played_p, played_gap) = priced(avg), priced(played_spends(market, T, spend0))
-    return ({"prices": np.array([prices(s) for s in raw]), "avg_prices": avg_p, "avg_gap": avg_gap},
+    return ({"prices": np.array([s.sum(axis=0) for s in raw]), "avg_prices": avg_p, "avg_gap": avg_gap},
             {"played_prices": played_p, "played_gap": played_gap})
 
 
@@ -359,9 +365,9 @@ def test_played_spends_are_not_overwritten_by_later_rounds():
     state = a2l_prd_init(market, random_start(market, 8))
     played, kept, inner = [], [], []
     for _ in range(10):
+        inner.append(state.inner.next_strategy())
         played.append(a2l_prd_step(market, state))
         kept.append(played[-1].copy())
-        inner.append(state.last_inner)
     avg = np.zeros(state.shape)
     for t, (b, x, want) in enumerate(zip(played[:3], inner, kept), start=1):
         avg = update_running_mean(avg, x, 1.0, float(t))

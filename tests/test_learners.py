@@ -297,11 +297,8 @@ def drive(lrn, rounds, slots):
     got = []
     for t, u in enumerate(rounds):
         if not slots:
-            x = lrn.next_strategy()
-            if isinstance(lrn, RegretGuard):  # a switched row's inner iterate is its play
-                inner = np.where(lrn.switched[..., None], x, lrn.primary.last_inner)
-            else:
-                inner = getattr(lrn, "last_inner", x).copy()
+            inner = np.empty(u.shape)
+            x = lrn.next_strategy(inner=inner) if wrapper else lrn.next_strategy()
             got.append((x, inner, lrn.observe(u)))
         elif wrapper:
             lrn.next_strategy(out=logs[0, t], inner=logs[1, t])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2l.games import generate_game
 from a2l.learners import MWU, OMWU
 from a2l.reduction import A2L, ProtocolError, WEIGHT_RULES, update_running_mean
 
@@ -216,11 +217,58 @@ def test_played_averages_are_not_overwritten_by_later_rounds():
     wrap = A2L(OMWU((5, 3), 0.3))
     played, kept, inner = [], [], []
     for ubar in rng.uniform(-1, 1, size=(10, 5, 3)):
-        played.append(wrap.next_strategy())
+        inner.append(np.empty((5, 3)))
+        played.append(wrap.next_strategy(inner=inner[-1]))
         kept.append(played[-1].copy())
-        inner.append(wrap.last_inner)
         wrap.observe(ubar)
     avg = np.zeros((5, 3))
     for t, (x, want, xin) in enumerate(zip(played[:3], kept, inner), start=1):
         avg = update_running_mean(avg, xin, 1.0, float(t))
         assert np.array_equal(x, want) and np.array_equal(x, avg)
+
+
+class DirichletLearner:
+    """An inner learner with only the black-box contract: it plays seeded
+    Dirichlet iterates and ignores its feedback."""
+
+    def __init__(self, d, seed):
+        self.shape = (d,)
+        self._rng = np.random.default_rng(seed)
+        self._x = self._rng.dirichlet(np.ones(d))
+
+    def next_strategy(self, out=None):
+        if out is None:
+            return self._x
+        out[...] = self._x
+        return out
+
+    def observe(self, u):
+        self._x = self._rng.dirichlet(np.ones(self.shape[0]))
+
+
+@pytest.mark.parametrize("game_seed", [0, 1, 2])
+@pytest.mark.parametrize("weights", ["uniform", "linear"])
+def test_the_reduction_holds_over_a_black_box_inner_learner(weights, game_seed):
+    # Whatever the inner iterates are, each wrapper plays the weighted
+    # running mean of its own, and recovers the utility of its inner iterate
+    # at the profile of every player's inner iterate.
+    game = generate_game("random_general", n=3, d=(2, 5, 3), seed=game_seed)
+    dims = game.action_counts
+    wraps = [A2L(DirichletLearner(d, seed=10 * game_seed + i), weights)
+             for i, d in enumerate(dims)]
+    alpha = WEIGHT_RULES[weights]
+    sums, cum = [np.zeros(d) for d in dims], 0.0
+    play_dev = recovered_dev = 0.0
+    for t in range(1, 1001):
+        inner = [np.empty(d) for d in dims]
+        played = [w.next_strategy(inner=x) for w, x in zip(wraps, inner)]
+        cum += alpha(t)
+        for i, x in enumerate(inner):
+            sums[i] += alpha(t) * x
+            play_dev = max(play_dev, np.abs(played[i] - sums[i] / cum).max())
+        for i, w in enumerate(wraps):
+            rec = w.observe(game.utility_vector(i, played))
+            recovered_dev = max(recovered_dev,
+                                np.abs(rec - game.utility_vector(i, inner)).max())
+    assert play_dev <= 1e-12, play_dev
+    assert recovered_dev <= 1e-10, recovered_dev
