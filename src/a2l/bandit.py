@@ -26,10 +26,10 @@ rewards, learning round by round) once its regret estimate exceeds
 c * T_t^{4/5} beyond a confidence radius (T_t the cumulative round count;
 monitor_c = inf never switches).  ``BanditPipeline`` runs this pipeline
 for all players as the rows of one stacked state of shape (n, d_max): one
-``A2L(OMWU)``, per-row monitor sums, one ``AnytimeMWU`` and a per-row
-switch mask, with each player's actions beyond its own count padded to
-exact zeros.  ``run_bandit`` drives it on a game; ``run_bandit_vs_environment``
-is its single-player use, without a row axis, against an environment.
+``A2L(OMWU)`` and one ``learners.FallbackSwitch``, with each player's
+actions beyond its own count padded to exact zeros.  ``run_bandit``
+drives it on a game; ``run_bandit_vs_environment`` is its single-player
+use, without a row axis, against an environment.
 
 Sampling: the estimator and the monitor need only each player's per-action
 sample counts and reward sums, so ``JointSampler`` draws an epoch as those
@@ -69,9 +69,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import PRNG_NAME, _number, check_count
+from .dynamics import LEARNER_RULES, PRNG_NAME, _number, check_count, rule_errors
 from .games import PolymatrixGame
-from .learners import OMWU, AnytimeMWU, padding
+from .learners import OMWU, FallbackSwitch, padding
 from .reduction import A2L
 
 
@@ -356,15 +356,12 @@ class BanditPipeline:
     shape (rows, d_max); a row's padded actions stay at exact zeros.  The
     monitor's radius and threshold depend on the schedule alone, so
     ``radius`` (E, ...) and ``threshold`` (E,) hold them for every epoch;
-    per epoch it adds to per-row sums of IW utility vectors and of their
-    value under the played strategies.  A row whose reg_est exceeds threshold + radius plays
-    its row of ``fallback`` for good: Exp3, an ``AnytimeMWU`` with scale d_i
-    that is restarted at the row's switch and fed one importance-weighted
-    reward vector per round (``round_strategy``, ``observe_round``; rows
-    only).  ``switched`` marks those rows and ``switch_epoch`` holds their
-    switch epochs (0 for the others); their reduction and monitor run on
-    unread.  A caller reads the inner iterates only through ``begin_epoch``'s
-    ``inner``, which ``A2L.next_strategy`` writes.
+    per epoch it adds the IW utility vector and its value under the play to
+    ``switch``, a ``learners.FallbackSwitch``, at the limit threshold +
+    radius.  A switched row plays Exp3, the switch's fallback with scale
+    d_i, fed one IW reward vector per round (``round_strategy``,
+    ``observe_round``; rows only), and its reduction runs on unread.  A
+    caller reads the inner iterates only through ``begin_epoch(inner=)``.
     """
 
     def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=MONITOR_C):
@@ -390,17 +387,8 @@ class BanditPipeline:
         self.radius = radius.T
         self._limit = (self.threshold + radius).T
         self.t = 0
-        # -inf at padded actions, which never count as a comparator.
-        self.cum_iw = padding(col)
-        self.earned_iw = np.zeros(self.counts.shape)
-        self.reg_est = np.zeros(self.counts.shape)
         self.play = None
-        self.switched = np.zeros(self.counts.shape, dtype=bool)
-        self.switch_epoch = np.zeros(self.counts.shape, dtype=int)
-        self._switched_rows = []
-        # Exp3: restarted at a row's switch, so a row learns only once it
-        # has switched.
-        self.fallback = AnytimeMWU(self.learner.shape, scale=self._d, counts=col)
+        self.switch = FallbackSwitch(self.learner.shape, col, scale=self._d)
         self._p = None
 
     def begin_epoch(self, inner=None) -> np.ndarray:
@@ -412,44 +400,32 @@ class BanditPipeline:
         play = (1.0 - eps) * self.learner.next_strategy(inner=inner) + eps / self._d
         if self.pad is not None:
             play = np.where(self.pad < 0, 0.0, play)
-        if self._switched_rows:
-            play = np.where(self.switched[..., None], self.fallback.next_strategy(), play)
-        self.play = play
-        return play
+        self.play = self.switch.play(play)
+        return self.play
 
     def round_strategy(self) -> np.ndarray:
         """Strategies for the next round of the per-round path."""
-        self._p = self.fallback.next_strategy()
-        return np.where(self.switched[..., None], self._p, self.play)
+        self._p = self.switch.play(self.play.copy())
+        return self._p
 
     def observe_round(self, actions, rewards01) -> None:
         """One round's actions and [0, 1] rewards, one per row; only the
         switched rows learn within an epoch, from the importance-weighted
         reward r / p at the drawn action."""
         iw = np.zeros(self._p.shape)
-        for i in self._switched_rows:
-            a = actions[i]
-            iw[i, a] = rewards01[i] / self._p[i, a]
-        self.fallback.observe(iw)
+        for i, (a, r, on) in enumerate(zip(actions, rewards01, self.switch.switched.tolist())):
+            if on:
+                iw[i, a] = r / self._p[i, a]
+        self.switch.observe(iw)
 
     def end_epoch(self, est: EpochEstimate) -> np.ndarray:
         """Feed the epoch's estimate; returns uhat^t."""
         uhat = self.learner.observe(est.estimate)
         # Padded actions have no IW value; a switched row's Exp3 may also
         # play 0 on a real action.
-        live = self.play > 0 if self._switched_rows else self._real
+        live = self.play > 0 if self.switch.any else self._real
         iw = np.divide(est.sums, self.play, out=np.zeros(self.play.shape), where=live)
-        self.cum_iw = self.cum_iw + iw
-        self.earned_iw = self.earned_iw + np.vecdot(iw, self.play)
-        self.reg_est = self.cum_iw.max(axis=-1) - self.earned_iw
-        new = self.reg_est > self._limit[self.t - 1]
-        if self._switched_rows:
-            new &= ~self.switched
-        if np.count_nonzero(new):
-            self.switched = self.switched | new
-            self.switch_epoch = np.where(new, self.t, self.switch_epoch)
-            self._switched_rows = np.flatnonzero(self.switched).tolist()
-            self.fallback.restart(new)
+        self.switch.add(iw, np.vecdot(iw, self.play), self._limit[self.t - 1], self.t)
         return uhat
 
 
@@ -518,10 +494,13 @@ def _play_rounds(rng, sampler, pipeline, B):
     return np.array(counts, dtype=np.int64), np.array(sums)
 
 
-def _check_run_args(epochs, delta):
+def _check_run_args(epochs, delta, monitor_c):
     check_count("epochs", epochs)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    errors = rule_errors({"monitor_c": LEARNER_RULES["monitor_c"]}, {"monitor_c": monitor_c})
+    if errors:
+        raise ValueError(errors[0])
 
 
 def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
@@ -544,7 +523,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     n = game.n
     if n < 2:
         raise ValueError("bandit dynamics need at least two players")
-    _check_run_args(epochs, delta)
+    _check_run_args(epochs, delta, monitor_c)
     if eta is None:
         eta = bandit_step_size(n)
     misses = certificate_misses(schedule, eta, n)
@@ -569,7 +548,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         B = int(B_arr[idx])
         play = pipe.begin_epoch(inner[:, idx])
         mixed[:, idx] = play
-        if not pipe.switched.any():
+        if not pipe.switch.any:
             stats = sampler.epoch(rng, play, B)
         elif B > ROUND_EPOCH_CAP:
             raise FallbackEpochError(
@@ -582,10 +561,10 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         estimates[:, idx] = est.estimate
         counts[:, idx] = est.counts
         recovered[:, idx] = pipe.end_epoch(est)
-        reg_est[idx] = pipe.reg_est
+        reg_est[idx] = pipe.switch.regret
 
     # A switched player's pipeline is not logged after its switch epoch.
-    after = pipe.switched & (np.array(epoch_ts)[:, None] > pipe.switch_epoch)
+    after = pipe.switch.switched & (np.array(epoch_ts)[:, None] > pipe.switch.switched_at)
     radius = np.where(after, np.nan, pipe.radius)
     reg_est[after] = inner[after.T] = recovered[after.T] = np.nan
     unsampled = (counts == 0).sum(axis=2).T - (sampler.width - pipe.counts)
@@ -609,7 +588,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     return BanditTrajectory(
         meta, np.array(epoch_ts), B_arr, eps_arr, pipe.rounds, game.total_gap(mixed),
         mixed, inner, estimates, recovered, counts, unsampled, reg_est, radius,
-        [int(e) if e else None for e in pipe.switch_epoch],
+        [int(e) if e else None for e in pipe.switch.switched_at],
     )
 
 
@@ -745,7 +724,7 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     and the true regret, computed after the loop from the logged plays and
     utility vectors.
     """
-    _check_run_args(epochs, delta)
+    _check_run_args(epochs, delta, monitor_c)
     rng = np.random.default_rng(seed)
     ts = range(1, epochs + 1)
     B = [schedule.epoch_length(t, d) for t in ts]
@@ -769,16 +748,16 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
         utils[t - 1] = v
         counts = rng.multinomial(B[t - 1], play)
         pipe.end_epoch(epoch_estimate(counts, counts * v))
-        reg_est[t - 1] = pipe.reg_est
-        if pipe.switched:
+        reg_est[t - 1] = pipe.switch.regret
+        if pipe.switch.any:
             break
 
     B = np.array(B[:t])
     cum_true = np.cumsum(B[:, None] * utils[:t], axis=0)
     earned_true = np.cumsum(B * np.vecdot(plays[:t], utils[:t]))
     return {
-        "switch_epoch": int(pipe.switch_epoch) if pipe.switched else None,
-        "decision": "switch" if pipe.switched else "continue",
+        "switch_epoch": int(pipe.switch.switched_at) if pipe.switch.any else None,
+        "decision": "switch" if pipe.switch.any else "continue",
         "t": np.arange(1, t + 1), "B": B, "reg_est": reg_est[:t], "radius": pipe.radius[:t],
         "threshold": pipe.threshold[:t], "true_reg": cum_true.max(axis=1) - earned_true,
     }

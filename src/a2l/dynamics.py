@@ -58,8 +58,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .csvrows import _csv_lines
-from .games import PolymatrixGame
-from .learners import MWU, OMWU, AnytimeMWU, padding
+from .games import PolymatrixGame, _integer
+from .learners import MWU, OMWU, FallbackSwitch, padding
 from .reduction import A2L, WEIGHT_RULES
 
 ALGORITHMS = ("mwu", "omwu", "a2l-mwu", "a2l-omwu", "guarded-a2l-omwu")
@@ -124,11 +124,6 @@ def _number(v) -> bool:
     return True
 
 
-def _integer(v) -> bool:
-    """An int or numpy integer, no bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 # The package's one count rule, for T, epochs and workers: (test, what).
 COUNT_RULE = (lambda v: _integer(v) and v >= 1, "a positive integer")
 
@@ -181,8 +176,13 @@ def build_learner(specs, counts, S):
 
     specs holds one LearnerSpec per player and counts the players' action
     counts.  Per-player parameters become per-row arrays of shape (n, 1).
+    A bias must have one entry per action of its player.
     """
     n, d = len(counts), max(counts)
+    for i, (spec, c) in enumerate(zip(specs, counts)):
+        if spec.bias is not None and len(spec.bias) != c:
+            raise ValueError(f"specs[{i}].bias has {len(spec.bias)} entries, "
+                             f"but player {i} has {c} actions")
     col = np.broadcast_to(np.array(counts)[:, None], (S, n, 1))
     eta = np.array([[gradient_step_size(n) if s.eta is None else s.eta] for s in specs])
     bias = None
@@ -344,7 +344,8 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
         stats.fold(t0, *chunk[:4])
 
     tgap_played = stats.instant_regret.sum(axis=2)
-    switch_rounds = getattr(learner, "switch_rounds", np.zeros((S, n), dtype=int))
+    switched_at = (learner.switch.switched_at if isinstance(learner, RegretGuard)
+                   else np.zeros((S, n), dtype=int))
 
     def player_logs(k):
         if not records:
@@ -360,7 +361,7 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
                 "T": T,
                 "seed": seed,
                 "prng": PRNG_NAME,
-                "switch_round": [int(r) if r else None for r in switch_rounds[k]],
+                "switch_round": [int(r) if r else None for r in switched_at[k]],
             },
             *player_logs(k),
             tgap_played[k],
@@ -528,44 +529,30 @@ class RegretGuard:
     """A learner guarded by the regret monitor, row by row.
 
     Each row plays the primary learner (average-playing: its ``observe``
-    returns the recovered utilities) while its own anytime regret stays
-    under ``monitor_threshold``; from the round it crosses, that row plays
-    the safe fallback (``AnytimeMWU``, MWU with decaying step size) for
-    good, with its own action count and its own round count.  The rows are
-    the leading axes of counts, which has a trailing 1 as in
+    returns the recovered utilities) until its row of ``switch``, a
+    ``learners.FallbackSwitch`` at the limit ``monitor_threshold``, switches.
+    The rows are the leading axes of counts, which has a trailing 1 as in
     ``learners.padding``; eta and c are scalars or arrays over the rows, and
-    c = inf leaves a row unguarded.  ``switch_rounds`` holds each row's
-    switch round, 0 while it has not switched.  A switched row's primary
-    keeps running, and nothing reads it: the guard writes that row's play,
-    inner iterate and recovered utilities over the primary's, in the arrays
-    the primary keeps as its state.
+    c = inf leaves a row unguarded.  A switched row's primary runs on unread:
+    the guard writes that row's play, inner iterate and recovered utilities
+    over the primary's, in the arrays the primary keeps as its state.
     """
 
     def __init__(self, primary, counts, eta, log_dim_sum, c=MONITOR_C):
         self.primary = primary
-        self.counts = counts
         self.eta = eta
         self.log_dim_sum = float(log_dim_sum)
         self.c = c
-        self.fallback = None
         self.rounds = 0
-        self.cum_utils = padding(counts)
-        rows = self.cum_utils.shape[:-1]
-        self.cum_earned = np.zeros(rows)
-        self.switched = np.zeros(rows, dtype=bool)
-        self.switch_rounds = np.zeros(rows, dtype=int)
+        self.switch = FallbackSwitch(primary.shape, counts)
         self._x = None
 
     def next_strategy(self, out=None, inner=None) -> np.ndarray:
         """The play, in ``out`` when given; ``inner``, when given, receives
         each row's inner iterate: its primary's, or a switched row's play."""
-        x = self.primary.next_strategy(out=out, inner=inner)
-        if self.fallback is not None:
-            switched = self.switched[..., None]
-            np.copyto(x, self.fallback.next_strategy(), where=switched)
-            if inner is not None:
-                np.copyto(inner, x, where=switched)
-        self._x = x
+        x = self._x = self.switch.play(self.primary.next_strategy(out=out, inner=inner))
+        if inner is not None and self.switch.any:
+            np.copyto(inner, x, where=self.switch.switched[..., None])
         return x
 
     def observe(self, u, out=None):
@@ -573,21 +560,12 @@ class RegretGuard:
         from (a switched row's: u), in ``out`` when given."""
         u = np.asarray(u, dtype=float)
         rec = self.primary.observe(u, out=out)
-        if self.fallback is not None:
-            self.fallback.observe(u)
-            np.copyto(rec, u, where=self.switched[..., None])
+        if self.switch.any:
+            self.switch.observe(u)
+            np.copyto(rec, u, where=self.switch.switched[..., None])
         self.rounds += 1
-        self.cum_utils = self.cum_utils + u
-        self.cum_earned = self.cum_earned + np.einsum("...d,...d->...", self._x, u)
-        regret_now = self.cum_utils.max(axis=-1) - self.cum_earned
-        crossed = regret_now > monitor_threshold(self.rounds, self.eta, self.log_dim_sum, self.c)
-        new = crossed & ~self.switched
-        if new.any():
-            self.switched = self.switched | new
-            self.switch_rounds = np.where(new, self.rounds, self.switch_rounds)
-            if self.fallback is None:
-                self.fallback = AnytimeMWU(self.cum_utils.shape, counts=self.counts)
-            self.fallback.restart(new)
+        limit = monitor_threshold(self.rounds, self.eta, self.log_dim_sum, self.c)
+        self.switch.add(u, np.einsum("...d,...d->...", self._x, u), limit, self.rounds)
         return rec
 
 

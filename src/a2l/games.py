@@ -241,13 +241,18 @@ def _graph_pairs(n, graph, rng, p):
     raise ValueError(f"unknown graph spec {graph!r} (complete, cycle, gnp)")
 
 
+def _integer(v) -> bool:
+    """An int or numpy integer, no bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def generate_game(kind, *, n=2, d=2, graph="complete", seed=None, p=0.5) -> PolymatrixGame:
     """Build one of the built-in games.
 
     kinds: "matching_pennies", "rps", "random_zs" (pairwise zero-sum with
     A_ji = -A_ij^T), "random_general".  Random payoff entries are uniform in
     [-1, 1] and deterministic for a fixed seed.  `d` may be an int or one
-    count per player.
+    count per player; n and the counts must be integers, not bools.
     """
     if kind == "matching_pennies":
         a = _MP_MATRIX
@@ -262,9 +267,13 @@ def generate_game(kind, *, n=2, d=2, graph="complete", seed=None, p=0.5) -> Poly
     if kind not in ("random_zs", "random_general"):
         raise ValueError(f"unknown game kind {kind!r}")
 
+    if not _integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("random games need n >= 2")
-    counts = tuple(d) if isinstance(d, (tuple, list)) else (int(d),) * n
+    counts = tuple(d) if isinstance(d, (tuple, list)) else (d,) * n
+    if not all(map(_integer, counts)):
+        raise ValueError(f"d must be an integer or one integer per player, got {d!r}")
     if len(counts) != n or any(c < 2 for c in counts):
         raise ValueError("need one action count >= 2 per player")
     rng = np.random.default_rng(seed)

@@ -107,11 +107,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
     if cfg.game and "kind" in cfg.game:
         fields["game"] = {k: v for k, v in cfg.game.items()
                           if k not in _GAME_DEFAULTS or v != _GAME_DEFAULTS[k]}
-    own, players = _learner_specs(cfg)
+    own, players = cfg._specs
     fields["players"] = None if all(p == own for p in players) else list(map(asdict, players))
-    schedule = bandit_mod.EpochSchedule(**cfg.schedule)
-    fields["schedule"] = (_DEFAULTS["schedule"] if schedule == bandit_mod.EpochSchedule()
-                          else asdict(schedule))
+    fields["schedule"] = (_DEFAULTS["schedule"] if cfg._schedule == bandit_mod.EpochSchedule()
+                          else asdict(cfg._schedule))
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -121,8 +120,8 @@ class ExperimentConfig:
     """One run's config.  Building it puts numbers in canonical type, sorts
     the seeds, copies the nested specs as plain Python and checks every
     field (``_problems``), raising one ``ConfigError`` for all problems.
-    A built config is frozen and owns its specs; it keeps the game or market
-    the check resolved for ``seeds[0]`` and, from first use, its ``hash``.
+    A built config is frozen and owns its specs; it keeps what the check
+    built (``_problems``) and, from first use, its ``hash``.
     """
 
     mode: str = "gradient"
@@ -152,10 +151,11 @@ class ExperimentConfig:
             put("seeds", sorted(map(int, self.seeds)))
         for name in ("game", "market", "players", "schedule", "out_dir"):
             put(name, _plain(getattr(self, name)))
-        problems, instance = _problems(self)
+        problems, built = _problems(self)
         if problems:
             raise _invalid(problems)
-        put("_instance", instance)
+        for name, value in built.items():
+            put(name, value)
 
     hash = functools.cached_property(config_hash)
 
@@ -277,8 +277,10 @@ def _player_errors(players, dims) -> list:
 
 
 def _problems(cfg: ExperimentConfig):
-    """Every problem of a config being built, and the game or market it
-    resolved for ``seeds[0]``; no problems means the config is fine.
+    """Every problem of a config being built, and what it built: the game
+    or market for ``seeds[0]`` (``_instance``), the learner specs
+    (``_specs``: the top-level one and the players') and the ``_schedule``;
+    no problems means the config is fine.
 
     Every field is checked alike in every mode, its type before its range.
     A field the mode does not read (``MODE_FIELDS``) must keep its default,
@@ -334,8 +336,12 @@ def _problems(cfg: ExperimentConfig):
                 errors.append(f"schedule invalid: {exc}")
     if cfg.players is not None:
         errors += _player_errors(cfg.players, game.action_counts if game is not None else ())
-    if game is not None and cfg.certified and not errors:  # the mode's certificate
-        own, players = _learner_specs(cfg)
+    specs = None
+    if not errors:  # every learner field passed the rules LearnerSpec is built by
+        specs = (dyn.LearnerSpec(algo=cfg.algo, eta=cfg.eta, weights=cfg.weights),
+                 [dyn.LearnerSpec(**p) for p in cfg.players or ()])
+    if game is not None and cfg.certified and specs:  # the mode's certificate
+        own, players = specs
         for i, field, need in (dyn.certificate_misses(players or [own] * game.n)
                                if cfg.mode == "gradient"
                                else bandit_mod.certificate_misses(schedule, cfg.eta, game.n)):
@@ -343,7 +349,9 @@ def _problems(cfg: ExperimentConfig):
             errors.append(f"certified {cfg.mode} runs need {need.format(name)}; "
                           f"got {name} = {getattr(spec, field)!r}")
     # the top-level spec's misses once, not per player
-    return list(dict.fromkeys(errors)), instances.get("game", instances.get("market"))
+    return list(dict.fromkeys(errors)), {
+        "_instance": instances.get("game", instances.get("market")),
+        "_specs": specs, "_schedule": schedule}
 
 
 def _only_keys(spec: dict, keys: tuple):
@@ -392,18 +400,12 @@ def resolve_market(spec: dict, seed=0) -> fisher_mod.FisherMarket:
     return fisher_mod.random_linear_market(spec["m"], spec["n"], seed=spec.get("seed", seed))
 
 
-def _learner_specs(cfg: ExperimentConfig):
-    """The built top-level learner spec and the built players entries."""
-    own = dyn.LearnerSpec(algo=cfg.algo, eta=cfg.eta, weights=cfg.weights)
-    return own, [dyn.LearnerSpec(**p) for p in cfg.players or ()]
-
-
 # -- per-seed cells ----------------------------------------------------------
 
 
 def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
     game = cfg.instance(seed)
-    own, players = _learner_specs(cfg)
+    own, players = cfg._specs
     traj = dyn.run_full_feedback(game, players or own, cfg.T, seed=seed, records=False)
     # Certified runs have one eta (checked when built); otherwise the loosest bound.
     eta = min(dyn.gradient_step_size(game.n) if s.eta is None else s.eta for s in players or [own])
@@ -422,12 +424,11 @@ def _gradient_cell(cfg: ExperimentConfig, seed: int) -> dict:
 
 def _bandit_cell(cfg: ExperimentConfig, seed: int) -> dict:
     game = cfg.instance(seed)
-    sched = bandit_mod.EpochSchedule(**cfg.schedule)
     with warnings.catch_warnings():
         if not cfg.certified:
             warnings.simplefilter("ignore")
         traj = bandit_mod.run_bandit(
-            game, sched, eta=cfg.eta, seed=seed, delta=cfg.delta,
+            game, cfg._schedule, eta=cfg.eta, seed=seed, delta=cfg.delta,
             epochs=cfg.epochs, monitor_c=cfg.monitor_c,
         )
     truth = bandit_mod.audit_truths(traj, game)

@@ -199,6 +199,51 @@ class AnytimeMWU(MWU):
         self.t = np.where(rows, 0, self.t)
 
 
+class FallbackSwitch:
+    """Both regret monitors' switch: once a row's running regret, max_a
+    sum u[a] - sum earned over its real actions, exceeds its limit, the row
+    plays its row of ``fallback`` for good, an ``AnytimeMWU`` at the state's
+    ``shape`` (..., d) with ``counts`` and ``scale``, restarted at the switch.
+    ``switched_at`` holds each row's switch time (0 before), and ``any``
+    turns True at the first switch."""
+
+    def __init__(self, shape, counts, scale=1):
+        self.fallback = AnytimeMWU(shape, scale=scale, counts=counts)
+        rows = self.fallback.shape[:-1]
+        self.cum_utils = np.broadcast_to(padding(counts), self.fallback.shape)
+        self.earned = np.zeros(rows)
+        self.regret = np.zeros(rows)
+        self.switched = np.zeros(rows, dtype=bool)
+        self.switched_at = np.zeros(rows, dtype=int)
+        self.any = False
+
+    def add(self, u, earned, limit, now) -> None:
+        """Add the utility vectors u and the values earned; each row whose
+        regret now exceeds ``limit`` (a scalar or per row) switches at
+        ``now`` if it has not yet."""
+        self.cum_utils = self.cum_utils + u
+        self.earned = self.earned + earned
+        self.regret = self.cum_utils.max(axis=-1) - self.earned
+        new = self.regret > limit
+        if self.any:
+            new &= ~self.switched
+        if np.count_nonzero(new):
+            self.any = True
+            self.switched = self.switched | new
+            self.switched_at = np.where(new, now, self.switched_at)
+            self.fallback.restart(new)
+
+    def play(self, x) -> np.ndarray:
+        """Write each switched row's fallback strategy into x; returns x."""
+        if self.any:
+            np.copyto(x, self.fallback.next_strategy(), where=self.switched[..., None])
+        return x
+
+    def observe(self, u) -> None:
+        """Feed the fallback one round's utilities."""
+        self.fallback.observe(u)
+
+
 def rvu_diagnostic(strategies, utils, eta) -> dict:
     """Evaluate the RVU inequality on an OMWU trajectory.
 

@@ -334,11 +334,11 @@ def test_iw_regret_monitor_switch_rule():
     calm = np.tile([5.0, 5.0], (3, 1))
     pipe = run_monitor(calm, B_hist, eps_hist)
     assert np.allclose(pipe.play, [[0.5, 0.5]])
-    assert pipe.switched.tolist() == [False] and pipe.switch_epoch.tolist() == [0]
+    assert pipe.switch.switched.tolist() == [False] and pipe.switch.switched_at.tolist() == [0]
     spiked = calm.copy()
     spiked[2, 0] = 1e9
     pipe = run_monitor(spiked, B_hist, eps_hist)
-    assert pipe.switched.tolist() == [True] and pipe.switch_epoch.tolist() == [3]
+    assert pipe.switch.switched.tolist() == [True] and pipe.switch.switched_at.tolist() == [3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -448,7 +448,7 @@ def test_exp3_fallback_learns():
     pipe = BanditPipeline([3], 0.1, [1, 3000], [1.0, 1.0], monitor_c=-np.inf)
     pipe.begin_epoch()
     pipe.end_epoch(epoch_estimate(np.zeros((1, 3), dtype=int), np.zeros((1, 3))))
-    assert pipe.switched.tolist() == [True] and pipe.fallback.t.tolist() == [0]
+    assert pipe.switch.switched.tolist() == [True] and pipe.switch.fallback.t.tolist() == [0]
     pipe.begin_epoch()
     u = np.array([0.1, 0.9, 0.2])
     for _ in range(3000):
@@ -644,6 +644,18 @@ def test_bad_run_arguments_are_refused_by_name(kw, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         run_bandit_vs_environment(2, lambda t: np.array([0.2, 0.7]), EpochSchedule(),
                                   eta=0.1, **kw)
+
+
+def test_a_nan_monitor_c_is_refused_by_both_runs():
+    # nan switched the monitor off: regret > nan is always False.
+    env = lambda t: np.array([0.2, 0.7])  # noqa: E731
+    with pytest.raises(ValueError, match="^monitor_c must be a number, got nan"):
+        quiet_run(monitor_c=np.nan)
+    with pytest.raises(ValueError, match="^monitor_c must be a number, got nan"):
+        run_bandit_vs_environment(2, env, EpochSchedule(), eta=0.1, monitor_c=np.nan)
+    for c in (np.inf, -np.inf, -1e9):
+        quiet_run(monitor_c=c, epochs=2)
+        run_bandit_vs_environment(2, env, EpochSchedule(), eta=0.1, monitor_c=c, epochs=2)
 
 
 def test_epoch_length_beyond_int64_names_the_epoch():

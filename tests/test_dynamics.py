@@ -115,8 +115,8 @@ def test_monitor_first_round_continues():
     g = guarded_omwu()
     assert np.array_equal(g.next_strategy(), [0.5, 0.5])
     g.observe(np.array([1.0, 0.0]))
-    assert g.rounds == 1 and g.switch_rounds == 0 and g.fallback is None
-    assert g.cum_utils.max() - g.cum_earned == 0.5
+    assert g.rounds == 1 and g.switch.switched_at == 0 and not g.switch.any
+    assert g.switch.regret == 0.5
 
 
 def test_monitor_honest_selfplay_continues():
@@ -139,14 +139,14 @@ def test_monitor_adversary_triggers_switch():
     reg = np.cumsum(us, axis=0).max(axis=1) - np.cumsum(np.einsum("td,td->t", xs, us))
     crossed = reg > monitor_threshold(np.arange(1, 601), 0.5, 2 * np.log(2), c=2.0)
     assert crossed.any()
-    assert g.switch_rounds == int(np.argmax(crossed)) + 1 < 600
+    assert g.switch.switched_at == int(np.argmax(crossed)) + 1 < 600
 
 
 def test_guarded_learner_switches_to_fallback():
     g = guarded_omwu()
     play_against(g, bait_feedback, 400)
-    assert g.switch_rounds > 0
-    assert g.fallback is not None and g.fallback.t > 0
+    assert g.switch.switched_at > 0
+    assert g.switch.fallback.t > 0
 
 
 def test_guarded_learner_stays_primary_when_honest():
@@ -321,6 +321,18 @@ def test_batch_absent_edges_enter_as_zero_blocks():
             assert np.array_equal(tr.played[i], one.played[i])
             assert np.array_equal(tr.utils[i], one.utils[i])
         assert PolymatrixGame.from_dict(tr.meta["game"]).edges.keys() == game.edges.keys()
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_a_bias_of_the_wrong_length_is_refused_by_player(length):
+    # One entry was added to all three actions; two or four failed in numpy's
+    # broadcasting, which named no player.
+    game = generate_game("random_zs", n=2, d=3, seed=0)
+    specs = [LearnerSpec(algo="omwu"), LearnerSpec(algo="omwu", bias=[0.5] * length)]
+    with pytest.raises(ValueError, match=rf"^specs\[1\]\.bias has {length} entries, "
+                                         r"but player 1 has 3 actions$"):
+        run_full_feedback(game, specs, 5)
+    run_full_feedback(game, [specs[0], LearnerSpec(algo="omwu", bias=[0.5] * 3)], 5)
 
 
 def test_batch_refuses_what_it_cannot_run():
@@ -532,7 +544,7 @@ def test_run_without_records_writes_the_same_csv(tmp_path):
                                "out_dir": str(tmp_path / "out")})
     harness.run(cfg)
     game = harness.resolve_game(cfg.game, seed=3)
-    own, _ = harness._learner_specs(cfg)  # no players: every player runs the top-level spec
+    own, _ = cfg._specs  # no players: every player runs the top-level spec
     tr = run_full_feedback(game, own, 600, seed=3)
     want = record_statistics(tr)
     header, _ = dyn.trajectory_csv_columns(tr)

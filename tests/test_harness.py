@@ -424,6 +424,20 @@ def test_a_generator_key_the_kind_does_not_read_is_refused(tmp_path, game, key, 
     load_config(gradient_cfg(tmp_path, game=at_default))  # or read, on a gnp graph
 
 
+@pytest.mark.parametrize("size, name", [
+    ({"d": 2.5}, "d"), ({"n": 2.0}, "n"), ({"d": [2, 3.7]}, "d"), ({"d": True}, "d"),
+], ids=["d-float", "n-float", "d-entry-float", "d-bool"])
+def test_a_game_size_that_is_not_an_integer_is_refused(tmp_path, size, name):
+    # d = 2.5 ran a d = 2 game under a hash of its own; the others failed in
+    # Python's own type errors, which named no argument.
+    with pytest.raises(ConfigError, match=rf"- game spec invalid: {name} must be an integer"):
+        load_config(gradient_cfg(tmp_path, game={"kind": "random_zs", "n": 2, "d": 2, **size}))
+    # Numpy integers stay accepted.
+    game = generate_game("random_zs", n=np.int64(2), d=[np.int32(2), 3], seed=0)
+    assert game.action_counts == (2, 3)
+    assert generate_game("random_zs", n=2, d=np.int64(3), seed=0).action_counts == (3, 3)
+
+
 def test_load_config_reads_a_json_file(tmp_path):
     cfg = gradient_cfg(tmp_path)
     path = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from a2l.learners import (
     MWU,
     OMWU,
     AnytimeMWU,
+    FallbackSwitch,
     mwu_next,
     omwu_next,
     rvu_diagnostic,
@@ -274,6 +275,85 @@ def test_anytime_mwu_observe_validates_input():
     assert lrn.t.tolist() == [0, 0] and not lrn.cum_utils.any()
 
 
+# -- the monitors' fallback switch ---------------------------------------------
+
+# Two seeds by three players, padded to four actions.
+SWITCH_COUNTS = np.array([[[2], [4], [3]], [[4], [3], [2]]])
+
+
+def monitor_rounds(T, seed):
+    """T rounds of (2, 3, 4) utilities, zero at padded actions, and the
+    values that random strategies over the real actions earn from them."""
+    rng = np.random.default_rng(seed)
+    real = np.arange(4) < SWITCH_COUNTS
+    u = np.where(real, rng.uniform(-1, 1, (T, 2, 3, 4)), 0.0)
+    x = np.where(real, rng.uniform(0, 1, (T, 2, 3, 4)), 0.0)
+    x /= x.sum(axis=-1, keepdims=True)
+    return u, np.einsum("tsnd,tsnd->tsn", x, u)
+
+
+def test_a_row_switches_at_its_first_crossing_and_never_back():
+    u, earned = monitor_rounds(60, 0)
+    best = np.where(np.arange(4) < SWITCH_COUNTS, np.cumsum(u, axis=0), -np.inf).max(axis=-1)
+    regret = best - np.cumsum(earned, axis=0)
+    # Each row's limit is its highest regret over its first k rounds, so
+    # that the rows cross at different rounds after those.
+    k = np.array([[5, 8, 11], [14, 17, 20]])
+    limit = np.take_along_axis(np.maximum.accumulate(regret), k[None] - 1, 0)[0]
+    crossed = regret > limit
+    first = crossed.argmax(axis=0) + 1
+    assert first.tolist() == [[6, 9, 12], [23, 26, 29]]
+    # Every row's regret falls back to its limit or below after the crossing.
+    assert all((~crossed[f:, s, i]).any() for (s, i), f in np.ndenumerate(first))
+    sw = FallbackSwitch(u.shape[1:], SWITCH_COUNTS)
+    for t in range(1, 61):
+        sw.add(u[t - 1], earned[t - 1], limit, t)
+        assert np.array_equal(sw.regret, regret[t - 1])
+        assert np.array_equal(sw.switched, first <= t)
+        assert np.array_equal(sw.switched_at, np.where(first <= t, first, 0))
+        assert sw.any == (t >= 6)
+
+
+def test_a_switched_row_plays_its_restarted_fallback():
+    u, earned = monitor_rounds(10, 4)
+    sw = FallbackSwitch(u.shape[1:], SWITCH_COUNTS)
+    limit = np.full((2, 3), np.inf)
+    limit[1, 2] = -np.inf  # only this row switches, in round 1
+    for t in range(1, 11):
+        x = np.full((2, 3, 4), 0.25)
+        assert sw.play(x) is x
+        sw.observe(u[t - 1])
+        sw.add(u[t - 1], earned[t - 1], limit, t)
+        if t == 1:
+            # The row starts its fallback afresh: uniform over its two actions.
+            x = sw.play(np.full((2, 3, 4), 0.25))
+            assert np.array_equal(x[1, 2], [0.5, 0.5, 0.0, 0.0])
+            assert (x[0] == 0.25).all() and (x[1, :2] == 0.25).all()
+    assert sw.switched_at.tolist() == [[0, 0, 0], [0, 0, 1]]
+    assert sw.fallback.t[1, 2] == 9
+
+
+def test_an_infinite_limit_never_switches():
+    u, earned = monitor_rounds(40, 5)
+    sw = FallbackSwitch(u.shape[1:], SWITCH_COUNTS)
+    for t in range(1, 41):
+        sw.add(1e6 * u[t - 1], 1e6 * earned[t - 1] - 1e9, np.inf, t)
+    assert sw.regret.min() > 1e9 and not sw.any and not sw.switched.any()
+    assert not sw.switched_at.any()
+    x = np.full((2, 3, 4), 0.25)
+    assert np.array_equal(sw.play(x), np.full((2, 3, 4), 0.25))
+
+
+def test_a_padded_action_never_counts_as_the_best():
+    # Every real action pays -1 and the play earns -1: regret 0 on the real
+    # actions, and t if a padded action's 0 counted.
+    real = np.arange(4) < SWITCH_COUNTS
+    sw = FallbackSwitch((2, 3, 4), SWITCH_COUNTS)
+    for t in range(1, 21):
+        sw.add(np.where(real, -1.0, 0.0), np.full((2, 3), -1.0), 0.5, t)
+    assert not sw.any and np.array_equal(sw.regret, np.zeros((2, 3)))
+
+
 # -- writing into the caller's arrays ------------------------------------------
 
 ROWS = np.array([[True], [False], [True]])
@@ -322,7 +402,7 @@ def test_a_learner_writing_into_slots_plays_as_it_does_without(name):
             assert np.array_equal(logs[1, t], inner), t
             assert np.array_equal(logs[2, t], rec), t
     if name == "regret-guard":
-        assert lrn.switch_rounds.tolist()[1] == 0 and 0 < lrn.switch_rounds[0] < 30
+        assert lrn.switch.switched_at.tolist()[1] == 0 and 0 < lrn.switch.switched_at[0] < 30
 
 
 @pytest.mark.parametrize("name", CONTRACT_LEARNERS)

@@ -272,3 +272,39 @@ def test_the_reduction_holds_over_a_black_box_inner_learner(weights, game_seed):
                                 np.abs(rec - game.utility_vector(i, inner)).max())
     assert play_dev <= 1e-12, play_dev
     assert recovered_dev <= 1e-10, recovered_dev
+
+
+@pytest.mark.parametrize("weights", ["uniform", "linear"])
+def test_trilinear_utilities_fall_outside_the_reductions_class(weights):
+    # Three players whose utility vector is a tensor applied to the other
+    # two strategies: trilinear, not polymatrix.  The play is still the
+    # weighted mean of each player's own inner iterates, since that part is
+    # player-local.  But the mean of the utilities at the played profiles is
+    # no longer the utility at the mean of the inner profiles, so the
+    # recovered feedback misses the utility at the inner profile by far more
+    # than the polymatrix tolerance of 1e-10.  The threshold 1e-3 was fixed
+    # before the run.
+    dims = (2, 3, 4)
+    rng = np.random.default_rng(7)
+    tensors = [rng.uniform(-1, 1, (dims[i], dims[(i + 1) % 3], dims[(i + 2) % 3]))
+               for i in range(3)]
+
+    def utility(i, profile):
+        return np.einsum("abc,b,c->a", tensors[i], profile[(i + 1) % 3], profile[(i + 2) % 3])
+
+    wraps = [A2L(DirichletLearner(d, seed=30 + i), weights) for i, d in enumerate(dims)]
+    alpha = WEIGHT_RULES[weights]
+    sums, cum = [np.zeros(d) for d in dims], 0.0
+    play_dev = recovered_dev = 0.0
+    for t in range(1, 1001):
+        inner = [np.empty(d) for d in dims]
+        played = [w.next_strategy(inner=x) for w, x in zip(wraps, inner)]
+        cum += alpha(t)
+        for i, x in enumerate(inner):
+            sums[i] += alpha(t) * x
+            play_dev = max(play_dev, np.abs(played[i] - sums[i] / cum).max())
+        for i, w in enumerate(wraps):
+            rec = w.observe(utility(i, played))
+            recovered_dev = max(recovered_dev, np.abs(rec - utility(i, inner)).max())
+    assert play_dev <= 1e-12, play_dev
+    assert recovered_dev > 1e-3, recovered_dev
