@@ -47,9 +47,10 @@ Rewards: built-in games pay in [-(n-1), n-1], so each player's bandit reward
 is mapped affinely through r -> (r + (n-1)) / (2(n-1)) into [0, 1] before
 estimation.  The map is monotone and per-player affine, hence preserves
 argmax structure and regret ordering; gap statistics are reported in
-original payoff units.  A game whose mapped rewards leave [0, 1] is refused
-when its ``JointSampler`` is built, before any draw (``check_reward_range``,
-exact, from the payoff matrices' row extremes).
+original payoff units.  A game whose mapped rewards leave [0, 1], or of one
+player, whose map divides by zero, is refused when its ``JointSampler`` is
+built, before any draw (``check_reward_range``, exact, from the payoff
+matrices' row extremes).
 
 A run logs only what play produces: the played and inner strategies, the
 estimates and their counts, and the monitor columns.  In simulator runs
@@ -69,7 +70,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import LEARNER_RULES, PRNG_NAME, _number, check_count, rule_errors
+from .dynamics import (LEARNER_RULES, PRNG_NAME, _cumulative_regrets, _number, check_count,
+                       rule_errors)
 from .games import PolymatrixGame
 from .learners import OMWU, FallbackSwitch, padding
 from .reduction import A2L
@@ -77,7 +79,8 @@ from .reduction import A2L
 
 class DataError(ValueError):
     """Bandit rewards or environment utilities that are not finite values
-    in the normalized [0, 1] range, or not one per action."""
+    in the normalized [0, 1] range, or not one per action; or a game of one
+    player, whose rewards have no normalized range."""
 
 
 class ScheduleError(ValueError):
@@ -240,13 +243,16 @@ def unit_rewards(raw, n):
 
 def check_reward_range(game: PolymatrixGame) -> list:
     """Each player's exact least and largest mapped reward over pure
-    profiles, as (lo, hi) pairs; raises ``DataError`` naming the first
-    player whose range leaves [0, 1] by more than 1e-12.
+    profiles, as (lo, hi) pairs; raises ``DataError`` for a game of fewer
+    than two players, whose reward map divides by 2(n - 1) = 0, and naming
+    the first player whose range leaves [0, 1] by more than 1e-12.
 
     Each neighbour j adds A_ij[a_i, a_j] at its own action, so summing the
     row minima (maxima) in the order ``JointSampler`` adds rewards gives,
     float addition being monotone, the exact least (largest) reward.
     """
+    if game.n < 2:
+        raise DataError(f"bandit rewards need at least two players, got {game.n}")
     ranges = []
     for i, d in enumerate(game.action_counts):
         mats = [game.edges[(i, j)] for j in game.neighbors(i)]
@@ -515,14 +521,12 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     The total gap of every played profile is evaluated after the loop.
     After a monitor switch the epoch is played round by round, and an epoch
     longer than ``ROUND_EPOCH_CAP`` raises ``FallbackEpochError``.  Monitor
-    columns are logged in every run, NaN after a switch.  A game whose
-    rewards leave [0, 1] raises ``DataError`` naming the player when the
+    columns are logged in every run, NaN after a switch.  A game of one
+    player, or whose rewards leave [0, 1], raises ``DataError`` when the
     sampler is built, before any draw.  A run that misses the certificate
     (``certificate_misses``) warns and is flagged.
     """
     n = game.n
-    if n < 2:
-        raise ValueError("bandit dynamics need at least two players")
     _check_run_args(epochs, delta, monitor_c)
     if eta is None:
         eta = bandit_step_size(n)
@@ -688,9 +692,7 @@ def regret_error_bound_audit(traj: BanditTrajectory, truth: dict) -> dict:
         us = truth["inner"][i]
         xs = traj.inner[i]
         d_i = us.shape[1]
-        cum_u = np.cumsum(us, axis=0)
-        earned = np.cumsum(np.einsum("td,td->t", xs, us))
-        regret[:, i] = cum_u.max(axis=1) - earned
+        regret[:, i] = _cumulative_regrets(xs, us)[0]
         du2 = np.abs(np.diff(us, axis=0, prepend=np.zeros((1, d_i)))).max(axis=1) ** 2
         dx2 = np.abs(np.diff(xs, axis=0, prepend=xs[:1])).sum(axis=1) ** 2
         tD = traj.t * truth["delta_inf"][:, i]

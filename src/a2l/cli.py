@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from pathlib import Path
 
 from . import harness, verify
 from .games import save_game
@@ -67,6 +69,17 @@ def _run_mode(mode, args) -> int:
     return 0 if summary["passed"] else 1
 
 
+def _unwritable(path):
+    """Why no file can be written at ``path``, found without writing one;
+    None when one can."""
+    p = Path(path)
+    if p.is_dir():
+        return "it is a directory"
+    if not (p.parent.is_dir() and os.access(p.parent, os.W_OK)):
+        return f"{p.parent} is not a writable directory"
+    return None
+
+
 def _column(path, rows, name) -> list:
     """Column ``name`` of (line number, row) pairs as floats; a ValueError
     names the line and column of a missing or non-numeric cell."""
@@ -120,6 +133,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
+        problem = args.out and _unwritable(args.out)
+        if problem:  # refused before any suite runs
+            print(f"cannot write {args.out}: {problem}", file=sys.stderr)
+            return 2
         try:
             result = verify.run_suite(args.suite)
         except KeyError as exc:

@@ -23,19 +23,19 @@ S = 1 call.
 A trajectory holds, per round, the total gap of the played profile, the
 total gap of the running uniform average of inner iterates (for
 average-playing wrappers these are the wrapped learner's iterates; for
-bare learners they coincide with the play), and per player the
-instantaneous, external and dynamic regrets of the play.  The loop folds
-these statistics in every ``CHUNK_ROUNDS`` rounds, all players at once on
-the chunk's (S, K, n, d_max) logs, so a fold's numpy calls do not grow
-with n either.  It carries its running sums across chunks, so the
+bare learners they coincide with the play), and per player the external
+and dynamic regrets of the play.  The loop folds these statistics in
+every ``CHUNK_ROUNDS`` rounds, all players at once on the chunk's
+(S, K, n, d_max) logs, so a fold's numpy calls do not grow with n
+either.  It carries its running sums across chunks, so the
 statistics equal their formulas over the whole run bit for bit.  With
 ``records=True`` (the default) the trajectory also keeps, per round and
 for every player, the played profile and utility vectors, the inner
 iterates and the recovered utilities: 4 S n T d_max floats for S
 instances.  With ``records=False`` a run holds one chunk of rounds
-instead, and its memory grows with T only by the 3n + 2 floats of
-statistics per instance and round; the harness's gradient runs and the
-verify rate sweep run so, while the equivalence checks, the RVU suite and
+instead, and its memory grows with T only by the 2n + 2 floats of
+statistics per instance and round; the harness's gradient runs, the
+verify rate sweep and the MWU contrast run so, while the equivalence checks, the RVU suite and
 the reports on inner iterates keep records.  The metadata is sufficient
 to reproduce the run exactly, and its ``switch_round`` lists, per player,
 the round of its monitor switch (None when it never switched).
@@ -217,8 +217,8 @@ class Trajectory:
     played/utils/inner/inner_utils hold one (T, d_i) array per player, or
     are None when the run kept no records (``records=False``).  The
     per-round statistics are always there: the total gaps (T,), and the
-    instantaneous, external and dynamic regrets of the played iterates
-    (T, n), one column per player.
+    external and dynamic regrets of the played iterates (T, n), one column
+    per player.
     """
 
     meta: dict
@@ -228,7 +228,6 @@ class Trajectory:
     inner_utils: list | None
     tgap_played: np.ndarray
     tgap_inner_avg: np.ndarray
-    instant_regret: np.ndarray
     reg: np.ndarray
     dreg: np.ndarray
 
@@ -238,7 +237,7 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return self.instant_regret.shape[1]
+        return self.reg.shape[1]
 
 
 def run_full_feedback(game, specs, T, seed=0, records=True) -> Trajectory:
@@ -343,7 +342,6 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
             ) from exc
         stats.fold(t0, *chunk[:4])
 
-    tgap_played = stats.instant_regret.sum(axis=2)
     switched_at = (learner.switch.switched_at if isinstance(learner, RegretGuard)
                    else np.zeros((S, n), dtype=int))
 
@@ -364,9 +362,8 @@ def run_full_feedback_batch(games, specs, T, seeds=None, records=True) -> list:
                 "switch_round": [int(r) if r else None for r in switched_at[k]],
             },
             *player_logs(k),
-            tgap_played[k],
+            stats.tgap_played[k],
             stats.tgap_inner_avg[k],
-            stats.instant_regret[k],
             stats.reg[k],
             stats.dreg[k],
         )
@@ -393,20 +390,21 @@ def _cumsum(a, carry):
 class _Statistics:
     """Per-round statistics of S runs, folded in one chunk of rounds at a time.
 
-    Per instance, round and player: the instantaneous regret of the play,
-    its running external regret Reg_i(t) and dynamic regret DReg_i(t); per
-    instance and round, the total gap of the running uniform average of the
-    inner iterates.  A fold covers all players at once, on the chunk's
-    (S, K, n, d_max) logs; a max over actions skips a player's padded ones.
-    Every running sum carries across chunks (``_cumsum``), so each
-    statistic is bit-identical to its formula over full records.
+    Per instance, round and player: the running external regret Reg_i(t)
+    and dynamic regret DReg_i(t) of the play; per instance and round, the
+    total gap of the played profile and of the running uniform average of
+    the inner iterates: 2n + 2 floats per instance and round.  A fold
+    covers all players at once, on the chunk's (S, K, n, d_max) logs; a max
+    over actions skips a player's padded ones.  Every running sum carries
+    across chunks (``_cumsum``), so each statistic is bit-identical to its
+    formula over full records.
     """
 
     def __init__(self, S, T, counts):
         n, d = len(counts), max(counts)
-        self.instant_regret = np.empty((S, T, n))
         self.reg = np.empty((S, T, n))
         self.dreg = np.empty((S, T, n))
+        self.tgap_played = np.empty((S, T))
         self.tgap_inner_avg = np.empty((S, T))
         # The actions a player lacks, as a (d_max, 1, 1, n) mask; None when
         # every player has d_max.
@@ -447,7 +445,7 @@ class _Statistics:
         dot = np.einsum("sknd,sknd->skn", played, utils)
         earned = _cumsum(dot, prev_earned)
         cum_best = _cumsum(best, prev_best)
-        self.instant_regret[:, rounds] = best - dot
+        self.tgap_played[:, rounds] = (best - dot).sum(axis=2)
         self.dreg[:, rounds] = cum_best - earned
         cum_v = _cumsum(utils, prev_v)
         self.reg[:, rounds] = self._best(cum_v) - earned

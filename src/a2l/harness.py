@@ -475,10 +475,14 @@ def run(cfg: ExperimentConfig) -> dict:
     The config was checked when it was built and is read as built.  Returns
     the summary dict (also written to out_dir/summary.json).  Each per-seed
     result lists its check records under "checks"; the summary's "passed"
-    is true exactly when all of them passed.
+    is true exactly when all of them passed.  An out_dir that cannot be
+    created raises ``ConfigError`` naming it, before any seed runs.
     """
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {out_dir}: {exc.strerror}") from None
 
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import; only here

@@ -188,13 +188,13 @@ def check_reduction_equivalence() -> SuiteResult:
                 for (game, ref), tr in zip(refs, _wrapped_runs(key, algo, weights)):
                     for i in range(game.n):
                         means = _weighted_running_means(ref.played[i], weights)
-                        worst_x = max(worst_x, float(np.abs(means - tr.played[i]).max()))
+                        worst_x = np.maximum(worst_x, np.abs(means - tr.played[i]).max())
                         dev_u = np.abs(tr.inner_utils[i] - ref.utils[i]).max()
-                        worst_u = max(worst_u, float(dev_u))
+                        worst_u = np.maximum(worst_u, dev_u)
                     cells += 1
     return SuiteResult("reduction-equivalence", [
-        Check("max |played - reference running mean|", worst_x, "<=", TOL_EQUIV),
-        Check("max |recovered - reference utility|", worst_u, "<=", TOL_IDENTITY),
+        Check("max |played - reference running mean|", float(worst_x), "<=", TOL_EQUIV),
+        Check("max |recovered - reference utility|", float(worst_u), "<=", TOL_IDENTITY),
         Check("wall time (s)", time.perf_counter() - t0, "<=", 10.0),
     ], {"cells": cells})
 
@@ -218,10 +218,10 @@ def check_gap_regret_identity() -> SuiteResult:
                     rep = dyn.inner_regret_report(tr)
                     T = np.arange(1.0, tr.T + 1.0)
                     rhs = rep["reg"].sum(axis=1) / T
-                    worst = max(worst, float(np.abs(gaps - rhs).max()))
+                    worst = np.maximum(worst, np.abs(gaps - rhs).max())
                     runs += 1
     return SuiteResult("gap-regret-identity",
-                       [Check("max |TGap(avg) - mean regret|", worst, "<=", TOL_IDENTITY)],
+                       [Check("max |TGap(avg) - mean regret|", float(worst), "<=", TOL_IDENTITY)],
                        {"runs": runs})
 
 
@@ -280,8 +280,8 @@ def check_gradient_rate() -> SuiteResult:
     slopes = [r["slope"] for r in stats["runs"] if r["slope"] is not None]
     return SuiteResult("gradient-rate", [
         Check("worst anytime gap-bound violation",
-              max(r["gap_violation"] for r in stats["runs"]), "<=", TOL_BOUND),
-        Check("worst fitted log-log slope", max(slopes, default=-np.inf), "<=", -0.9),
+              float(np.max([r["gap_violation"] for r in stats["runs"]])), "<=", TOL_BOUND),
+        Check("worst fitted log-log slope", float(np.max(slopes, initial=-np.inf)), "<=", -0.9),
         Check("sweep wall time (s)", stats["elapsed_s"], "<=", 120.0),
     ], {"runs": len(stats["runs"]), "runs_at_floor": len(stats["runs"]) - len(slopes)})
 
@@ -289,9 +289,9 @@ def check_gradient_rate() -> SuiteResult:
 @suite("dynamic-regret")
 def check_dynamic_regret() -> SuiteResult:
     """DReg_i(t) <= (sum_i log d_i / eta)(1 + ln t) on the rate suite."""
-    worst = max(r["dreg_violation"] for r in _gradient_sweep()["runs"])
+    worst = np.max([r["dreg_violation"] for r in _gradient_sweep()["runs"]])
     return SuiteResult("dynamic-regret", [
-        Check("worst dynamic-regret bound violation", worst, "<=", TOL_BOUND)])
+        Check("worst dynamic-regret bound violation", float(worst), "<=", TOL_BOUND)])
 
 
 @suite("rvu")
@@ -310,7 +310,7 @@ def check_rvu() -> SuiteResult:
             eta = dyn.gradient_step_size(game.n)
             for i in range(game.n):
                 diag = rvu_diagnostic(ref.played[i], ref.utils[i], eta)
-                worst_slack = min(worst_slack, diag["slack"])
+                worst_slack = np.minimum(worst_slack, diag["slack"])
 
     rng = np.random.default_rng(2024)
     worst_pair = np.inf
@@ -323,7 +323,7 @@ def check_rvu() -> SuiteResult:
             lhs = sum(np.abs(game.utility_vector(i, x) - game.utility_vector(i, y)).max() ** 2
                       for i in range(game.n))
             rhs = (game.n - 1) ** 2 * sum(np.abs(x[i] - y[i]).sum() ** 2 for i in range(game.n))
-            worst_pair = min(worst_pair, rhs - lhs)
+            worst_pair = np.minimum(worst_pair, rhs - lhs)
     return SuiteResult("rvu", [
         Check("min regret-bound slack", float(worst_slack), ">=", -TOL_BOUND),
         Check("min utility-variation slack", float(worst_pair), ">=", -TOL_BOUND),
@@ -342,8 +342,8 @@ def check_mwu_contrast() -> SuiteResult:
     game = generate_game("matching_pennies")
     bias = list(np.log([0.54, 0.46]))
     window = slice(899, 1000)
-    bare, wrapped = (dyn.run_full_feedback(game, dyn.LearnerSpec(algo=a, eta=0.1, bias=bias), 1000)
-                     for a in ("mwu", "a2l-mwu"))
+    bare, wrapped = (dyn.run_full_feedback(game, dyn.LearnerSpec(algo=a, eta=0.1, bias=bias), 1000,
+                                           records=False) for a in ("mwu", "a2l-mwu"))
     return SuiteResult("mwu-contrast", [
         Check("bare MWU min gap over rounds 900..1000",
               float(bare.tgap_played[window].min()), ">", 0.05),
@@ -378,15 +378,15 @@ def _bandit_sweep() -> dict:
         gaps[k] = traj.tgap_mixed
         truth = bd.audit_truths(traj, game)
         rec = bd.recovery_error_audit(traj, truth)
-        min_rec_slack = min(min_rec_slack, float(rec["slack_first_order"].min()),
-                            float(rec["slack_second_order"].min()))
+        min_rec_slack = np.minimum.reduce([min_rec_slack, rec["slack_first_order"].min(),
+                                           rec["slack_second_order"].min()])
         reg = bd.regret_error_bound_audit(traj, truth)
-        min_reg_slack = min(min_reg_slack, float(reg["slack"].min()))
+        min_reg_slack = np.minimum(min_reg_slack, reg["slack"].min())
         switches.extend(traj.switch_epoch)
     return {
         "gaps": gaps,
-        "min_recovery_slack": min_rec_slack,
-        "min_regret_slack": min_reg_slack,
+        "min_recovery_slack": float(min_rec_slack),
+        "min_regret_slack": float(min_reg_slack),
         "switches": switches,
         "elapsed_s": time.perf_counter() - t0,
     }
@@ -519,15 +519,15 @@ def check_fisher() -> SuiteResult:
         market = fi.random_linear_market(m, n, seed=s)
         ref = fi.run_prd(market, 2000)
         wrapped = fi.run_a2l_prd(market, 500)
-        worst_equiv = max(worst_equiv, float(
-            np.abs(wrapped["played_prices"] - ref["avg_prices"][:500]).max()))
+        worst_equiv = np.maximum(worst_equiv,
+                                 np.abs(wrapped["played_prices"] - ref["avg_prices"][:500]).max())
         total = market.budgets.sum()
         for p in (ref["prices"], wrapped["played_prices"]):
-            worst_cons = max(worst_cons, float(np.abs(p.sum(axis=1) - total).max()))
+            worst_cons = np.maximum(worst_cons, np.abs(p.sum(axis=1) - total).max())
         gaps = ref["avg_gap"]
-        worst_final_gap = max(worst_final_gap, float(gaps[-1]))
+        worst_final_gap = np.maximum(worst_final_gap, gaps[-1])
         checkpoints = gaps[np.array([9, 49, 199, 499, 1999])]
-        worst_rise = max(worst_rise, float(np.diff(checkpoints).max()))
+        worst_rise = np.maximum(worst_rise, np.diff(checkpoints).max())
 
     market = fi.FisherMarket([1.0, 1.0], valuations=[[1.0, 0.0], [0.0, 1.0]])
     b = fi.uniform_spending(market)
@@ -540,10 +540,11 @@ def check_fisher() -> SuiteResult:
             break
 
     return SuiteResult("fisher", [
-        Check("max |played - reference average| price dev", worst_equiv, "<=", TOL_IDENTITY),
-        Check("max price-conservation dev", worst_cons, "<=", TOL_CONSERVATION),
-        Check("max averaged-state gap at t=2000", worst_final_gap, "<", 1e-3),
-        Check("max averaged-state gap rise between checkpoints", worst_rise, "<=", 1e-12),
+        Check("max |played - reference average| price dev", float(worst_equiv), "<=",
+              TOL_IDENTITY),
+        Check("max price-conservation dev", float(worst_cons), "<=", TOL_CONSERVATION),
+        Check("max averaged-state gap at t=2000", float(worst_final_gap), "<", 1e-3),
+        Check("max averaged-state gap rise between checkpoints", float(worst_rise), "<=", 1e-12),
         Check("hand-solved 2x2 market: steps to equilibrium", reached, "<=", steps),
     ])
 

@@ -615,6 +615,32 @@ def test_reward_out_of_range_at_one_cell_fails_before_any_draw(monkeypatch, cap)
         run_bandit(game, sched, epochs=20, seed=0, monitor_c=-1e9)
 
 
+def test_a_one_player_game_is_refused_before_any_draw():
+    # The reward map r -> (r + (n-1)) / (2(n-1)) divides by zero at n = 1.
+    game = PolymatrixGame((3,), {})
+    for build in (bandit.check_reward_range, JointSampler,
+                  lambda g: run_bandit(g, EpochSchedule(), epochs=2)):
+        with pytest.raises(DataError, match=r"^bandit rewards need at least two players, got 1$"):
+            build(game)
+
+
+def test_a_bandit_sweep_whose_monitor_switches_fails_its_audit_checks(monkeypatch):
+    # After a switch the audits read NaN.  A fold that kept its running
+    # minimum over a NaN read +inf slacks here, which passed.
+    from a2l import verify
+
+    sched = EpochSchedule.custom(coeff=250, power=0.0, eps_coeff=0.5, eps_power=0.0)
+    monkeypatch.setattr(verify, "SEEDS", (0,))
+    monkeypatch.setattr(verify, "BANDIT_EPOCHS", 8)
+    monkeypatch.setattr(verify.bd, "run_bandit",
+                        lambda game, _, **kw: run_bandit(game, sched, monitor_c=-1e9, **kw))
+    with pytest.warns(UserWarning):  # the custom schedule is uncertified
+        stats = verify._bandit_sweep.__wrapped__()
+    assert stats["switches"] == [1, 1]
+    for name in ("min_recovery_slack", "min_regret_slack"):
+        assert not verify.Check(name, stats[name], ">=", -verify.TOL_AUDIT).passed
+
+
 def test_reward_range_equals_the_reward_tables():
     # Random general-sum games, complete and sparse graphs, mixed counts;
     # gnp at p = 0.3 leaves some players without neighbours.

@@ -930,6 +930,17 @@ def test_cli_refuses_a_bandit_game_paying_outside_the_unit_interval(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_refuses_a_one_player_bandit_game(tmp_path, capsys):
+    game = {"n": 1, "action_counts": [3], "zero_sum": False, "edges": []}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"game": {"inline": game}, "epochs": 3, "seeds": [0]}))
+    rc = cli.main(["run-bandit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("- game invalid in bandit mode: bandit rewards need at least two players, "
+            "got 1") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "1,,2", "--seeds must be comma-separated integers, got '1,,2'"),
     ("--seeds", "a", "--seeds must be comma-separated integers, got 'a'"),
@@ -972,6 +983,28 @@ def test_cli_bad_input_exits_2_with_one_line_naming_it(tmp_path, capsys, argv, n
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1 and named in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "rps", "--out", "{tmp}/file/g.json"],
+    ["run-gradient", "--config", "{tmp}/gradient.json", "--out", "{tmp}/file/o"],
+    ["run-bandit", "--config", "{tmp}/bandit.json", "--out", "{tmp}/file/o"],
+    ["run-fisher", "--config", "{tmp}/fisher.json", "--out", "{tmp}/file/o"],
+    ["verify", "mwu-contrast", "--out", "{tmp}/file/report.json"],
+    ["verify", "mwu-contrast", "--out", "{tmp}"],
+], ids=["gen", "run-gradient", "run-bandit", "run-fisher", "verify", "verify-to-a-directory"])
+def test_cli_refuses_an_output_path_it_cannot_write(tmp_path, capsys, argv):
+    # A regular file stands where the output's parent directory should be.
+    (tmp_path / "file").write_text("kept")
+    for mode, base in MODE_BASE.items():
+        (tmp_path / f"{mode}.json").write_text(json.dumps({**base, "seeds": [0]}))
+    before = sorted(tmp_path.iterdir())
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err.count("\n") == 1, err
+    assert "Traceback" not in out + err and out == ""  # refused before any run or suite
+    assert argv[-1].format(tmp=tmp_path) in err
+    assert sorted(tmp_path.iterdir()) == before and (tmp_path / "file").read_text() == "kept"
 
 
 def test_cli_unknown_suite(tmp_path, capsys):
