@@ -41,7 +41,8 @@ player and round.
 Schedules: "theory" uses B_t = t^4, "theory_d" uses B_t = d * t^4 (d = max
 action count), both with eps_t = 1/t; anything else is "custom", which runs
 but is flagged non-certified (``certificate_misses``).
-B_t must fit in int64, the multinomial sampler's limit.
+B_t must fit in int64, the multinomial sampler's limit.  A run evaluates
+both rules over the array of its epochs in one numpy pass.
 
 Rewards: built-in games pay in [-(n-1), n-1], so each player's bandit reward
 is mapped affinely through r -> (r + (n-1)) / (2(n-1)) into [0, 1] before
@@ -106,9 +107,9 @@ CHUNK_ROUNDS = 2**16
 INT64_MAX = np.iinfo(np.int64).max
 # Generator.choice's tolerance on the sum of a probability vector.
 CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-# After a monitor switch every round is played in Python, at about 20-24 us
+# After a monitor switch every round is played in Python, at about 18-22 us
 # per round for two players with three actions (2-core x86-64 VM, Python
-# 3.11, numpy 2.4), so this cap is about four minutes of play.  Longer
+# 3.11, numpy 2.4), so this cap is three to four minutes of play.  Longer
 # epochs would run for hours to years (B_t = t^4 passes 10^12 near
 # t = 1000), so they raise instead; the longest post-switch epoch any suite,
 # test or benchmark plays has 2800 rounds.
@@ -172,31 +173,52 @@ class EpochSchedule:
         return cls(mode="custom", coeff=coeff, power=power,
                    eps_coeff=eps_coeff, eps_power=eps_power)
 
-    def epoch_length(self, t: int, d: int) -> int:
-        """B_t; raises ``ScheduleError`` naming t when it exceeds int64."""
-        if self.mode == "theory":
-            B = t**4
-        elif self.mode == "theory_d":
-            B = d * t**4
-        else:
-            try:
-                B = max(1, math.ceil(self.coeff * t**self.power))
-            except OverflowError:
-                B = math.inf
-        if B > INT64_MAX:
-            raise ScheduleError(f"epoch length B_t at t={t} exceeds int64")
-        return B
+    # Both rules take an epoch t >= 1 (giving an int, a float) or an array
+    # of them (int64, float64), in one numpy pass.  float_power is the C
+    # library's pow, as Python's ** is; np.power may use other code, such as
+    # AVX-512's, which differs in the last bit.  A t^p past the float range
+    # is inf: B_t is refused and eps_t capped at 1.
 
-    def mixing(self, t: int) -> float:
+    def epoch_length(self, t, d: int):
+        """B_t; raises ``ScheduleError`` naming the first t at which it
+        exceeds int64."""
+        ts = _epochs(t)
+        if self.mode == "custom":
+            with np.errstate(over="ignore"):
+                B = np.maximum(1.0, np.ceil(self.coeff * np.float_power(ts, self.power)))
+            bad = ~(B < 2.0**63)
+        else:
+            scale = d if self.mode == "theory_d" else 1
+            # the largest t with scale * t^4 <= INT64_MAX
+            bad = ts > math.isqrt(math.isqrt(INT64_MAX // scale))
+        if bad.any():
+            raise ScheduleError(f"epoch length B_t at t={ts[bad.argmax()]} exceeds int64")
+        B = B.astype(np.int64) if self.mode == "custom" else scale * ts**4
+        return B if np.ndim(t) else int(B[0])
+
+    def mixing(self, t):
+        """eps_t; raises ``ScheduleError`` naming the first t at which it
+        underflows to 0."""
+        ts = _epochs(t)
         if self.mode != "custom":
-            return 1.0 / t
-        try:
-            eps = min(1.0, self.eps_coeff * t**self.eps_power)
-        except OverflowError:
-            eps = 1.0
-        if not (0.0 < eps <= 1.0):
-            raise ScheduleError(f"mixing rate must be in (0, 1], got {eps} at t={t}")
-        return eps
+            eps = 1.0 / ts
+        else:
+            with np.errstate(over="ignore"):
+                eps = np.minimum(1.0, self.eps_coeff * np.float_power(ts, self.eps_power))
+            bad = ~(eps > 0.0)
+            if bad.any():
+                first = bad.argmax()
+                raise ScheduleError(f"mixing rate must be in (0, 1], got {float(eps[first])} "
+                                    f"at t={ts[first]}")
+        return eps if np.ndim(t) else float(eps[0])
+
+
+def _epochs(t) -> np.ndarray:
+    """The epochs t as a flat int64 array; ``ScheduleError`` past int64."""
+    try:
+        return np.asarray(t, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ScheduleError(f"epoch t={t} exceeds int64") from None
 
 
 @dataclass
@@ -215,7 +237,10 @@ def epoch_estimate(counts, sums) -> EpochEstimate:
     counts = np.asarray(counts)
     sums = np.asarray(sums, dtype=float)
     unsampled = counts == 0
-    estimate = np.divide(sums, counts, out=np.zeros(sums.shape), where=~unsampled)
+    if np.count_nonzero(unsampled):
+        estimate = np.divide(sums, counts, out=np.zeros(sums.shape), where=~unsampled)
+    else:
+        estimate = sums / counts
     return EpochEstimate(sums, counts, estimate, unsampled)
 
 
@@ -325,8 +350,8 @@ class JointSampler:
         N = rng.multinomial(B, functools.reduce(np.multiply.outer, xs).ravel())
         N = N.reshape(self.dims)
         for i, (R, others, d) in enumerate(zip(self.tables, self.others, self.dims)):
-            counts[i, :d] = N.sum(axis=others)
-            sums[i, :d] = (N * R).sum(axis=others)
+            counts[i, :d] = np.add.reduce(N, others)
+            sums[i, :d] = np.add.reduce(N * R, others)
         return counts, sums
 
 
@@ -359,9 +384,10 @@ class BanditPipeline:
     counts holds one action count per row (player), or one count for a
     single player without a row axis; B and eps are the run's epoch lengths
     and mixing rates.  Its OMWU, strategies, estimates and IW vectors have
-    shape (rows, d_max); a row's padded actions stay at exact zeros.  The
-    monitor's radius and threshold depend on the schedule alone, so
-    ``radius`` (E, ...) and ``threshold`` (E,) hold them for every epoch;
+    shape (rows, d_max); a row's padded actions stay at exact zeros.  Each
+    epoch's mixing weights, and the monitor's radius and threshold, depend
+    on the schedule alone and are computed for every epoch when the pipeline
+    is built: ``radius`` (E, ...) and ``threshold`` (E,) hold the monitor's;
     per epoch it adds the IW utility vector and its value under the play to
     ``switch``, a ``learners.FallbackSwitch``, at the limit threshold +
     radius.  A switched row plays Exp3, the switch's fallback with scale
@@ -373,45 +399,49 @@ class BanditPipeline:
     def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=MONITOR_C):
         self.counts = np.asarray(counts)
         col = self.counts[..., None]
-        self.pad = padding(col) if self.counts.min() < self.counts.max() else None
-        self._real = True if self.pad is None else self.pad == 0
-        self.learner = A2L(OMWU(self.counts.shape + (self.counts.max(),), eta, bias=self.pad))
-        # Plans for every epoch, computed with epochs on the last axis and
-        # stored one row per epoch.  cumsum adds the spread's terms epoch by
-        # epoch; float_power squares with the C library's pow, as Python's
-        # ** does (** on an array multiplies, which rounds differently in
-        # about one value in 1000).
-        self.eps = np.asarray(eps, dtype=float)
-        self._d = col.astype(float)
-        spread = np.cumsum(np.asarray(B, dtype=float) * np.float_power(self._d / self.eps, 2),
-                           axis=-1)
-        radius = _confidence_radius(spread, self._d, np.arange(1.0, len(self.eps) + 1.0),
-                                    delta)
+        pad = padding(col) if self.counts.min() < self.counts.max() else None
+        self._real = True if pad is None else pad == 0
+        self.learner = A2L(OMWU(self.counts.shape + (self.counts.max(),), eta, bias=pad))
+        eps = np.asarray(eps, dtype=float)
+        d = col.astype(float)
+        # Epoch t plays keep[t] * xbar + mix[t]: 1 - eps_t, and eps_t / d_i
+        # at real actions and 0 at padded ones, where xbar is an exact 0.
+        self._keep = (1.0 - eps).tolist()
+        self._mix = np.divide.outer(eps, d)
+        if pad is not None:
+            self._mix = np.where(pad < 0, 0.0, self._mix)
+        # The monitor's plans for every epoch, computed with epochs on the
+        # last axis and stored one row per epoch.  cumsum adds the spread's
+        # terms epoch by epoch; float_power squares with the C library's
+        # pow, as Python's ** does (** on an array multiplies, which rounds
+        # differently in about one value in 1000).
+        spread = np.cumsum(np.asarray(B, dtype=float) * np.float_power(d / eps, 2), axis=-1)
+        radius = _confidence_radius(spread, d, np.arange(1.0, len(eps) + 1.0), delta)
         # Summed as Python ints, which do not overflow.
         self.rounds = np.array(list(itertools.accumulate(np.asarray(B).tolist())), dtype=float)
         self.threshold = monitor_c * np.float_power(self.rounds, 0.8)
         self.radius = radius.T
         self._limit = (self.threshold + radius).T
+        self.switch = FallbackSwitch(self.learner.shape, col, scale=d)
         self.t = 0
         self.play = None
-        self.switch = FallbackSwitch(self.learner.shape, col, scale=self._d)
         self._p = None
 
     def begin_epoch(self, inner=None) -> np.ndarray:
         """Start the next epoch; returns the strategies played in it (a
         switched row's: its fallback's at the epoch's start).  ``inner``,
         when given, receives the reduction's inner iterates."""
-        eps = self.eps[self.t]
+        t = self.t
         self.t += 1
-        play = (1.0 - eps) * self.learner.next_strategy(inner=inner) + eps / self._d
-        if self.pad is not None:
-            play = np.where(self.pad < 0, 0.0, play)
+        play = self._keep[t] * self.learner.next_strategy(inner=inner)
+        play += self._mix[t]
         self.play = self.switch.play(play)
         return self.play
 
     def round_strategy(self) -> np.ndarray:
         """Strategies for the next round of the per-round path."""
-        self._p = self.switch.play(self.play.copy())
+        sw = self.switch
+        self._p = sw.fallback.next_strategy() if sw.all else sw.play(self.play.copy())
         return self._p
 
     def observe_round(self, actions, rewards01) -> None:
@@ -430,7 +460,10 @@ class BanditPipeline:
         # Padded actions have no IW value; a switched row's Exp3 may also
         # play 0 on a real action.
         live = self.play > 0 if self.switch.any else self._real
-        iw = np.divide(est.sums, self.play, out=np.zeros(self.play.shape), where=live)
+        if live is True:
+            iw = est.sums / self.play
+        else:
+            iw = np.divide(est.sums, self.play, out=np.zeros(self.play.shape), where=live)
         self.switch.add(iw, np.vecdot(iw, self.play), self._limit[self.t - 1], self.t)
         return uhat
 
@@ -500,11 +533,12 @@ def _play_rounds(rng, sampler, pipeline, B):
     return np.array(counts, dtype=np.int64), np.array(sums)
 
 
-def _check_run_args(epochs, delta, monitor_c):
+def _check_run_args(epochs, delta, eta, monitor_c):
     check_count("epochs", epochs)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    errors = rule_errors({"monitor_c": LEARNER_RULES["monitor_c"]}, {"monitor_c": monitor_c})
+    errors = rule_errors({k: LEARNER_RULES[k] for k in ("eta", "monitor_c")},
+                         {"eta": eta, "monitor_c": monitor_c})
     if errors:
         raise ValueError(errors[0])
 
@@ -527,7 +561,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     (``certificate_misses``) warns and is flagged.
     """
     n = game.n
-    _check_run_args(epochs, delta, monitor_c)
+    _check_run_args(epochs, delta, eta, monitor_c)
     if eta is None:
         eta = bandit_step_size(n)
     misses = certificate_misses(schedule, eta, n)
@@ -536,10 +570,9 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
                       + " and ".join(need.format(field) for _, field, need in misses), stacklevel=2)
     rng = np.random.default_rng(seed)
     sampler = JointSampler(game)
-    epoch_ts = range(1, epochs + 1)
-    B_arr = np.array([schedule.epoch_length(t, sampler.width) for t in epoch_ts],
-                     dtype=np.int64)
-    eps_arr = np.array([schedule.mixing(t) for t in epoch_ts])
+    epoch_ts = np.arange(1, epochs + 1)
+    B_arr = schedule.epoch_length(epoch_ts, sampler.width)
+    eps_arr = schedule.mixing(epoch_ts)
     pipe = BanditPipeline(game.action_counts, eta, B_arr, eps_arr, delta, monitor_c)
     # Epochs before actions, so a player's (E, d_i) log is contiguous when
     # d_i = d_max.
@@ -548,16 +581,15 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
     counts = np.empty(shape, dtype=int)
     reg_est = np.empty((epochs, n))
 
-    for idx, t in enumerate(epoch_ts):
-        B = int(B_arr[idx])
+    for idx, B in enumerate(B_arr.tolist()):
         play = pipe.begin_epoch(inner[:, idx])
         mixed[:, idx] = play
         if not pipe.switch.any:
             stats = sampler.epoch(rng, play, B)
         elif B > ROUND_EPOCH_CAP:
             raise FallbackEpochError(
-                f"epoch t={t}: {B} rounds after a monitor switch exceed the "
-                f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=t
+                f"epoch t={idx + 1}: {B} rounds after a monitor switch exceed the "
+                f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=idx + 1
             )
         else:
             stats = _play_rounds(rng, sampler, pipe, B)
@@ -568,7 +600,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         reg_est[idx] = pipe.switch.regret
 
     # A switched player's pipeline is not logged after its switch epoch.
-    after = pipe.switch.switched & (np.array(epoch_ts)[:, None] > pipe.switch.switched_at)
+    after = pipe.switch.switched & (epoch_ts[:, None] > pipe.switch.switched_at)
     radius = np.where(after, np.nan, pipe.radius)
     reg_est[after] = inner[after.T] = recovered[after.T] = np.nan
     unsampled = (counts == 0).sum(axis=2).T - (sampler.width - pipe.counts)
@@ -590,7 +622,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         for a in (mixed, inner, estimates, recovered, counts)
     )
     return BanditTrajectory(
-        meta, np.array(epoch_ts), B_arr, eps_arr, pipe.rounds, game.total_gap(mixed),
+        meta, epoch_ts, B_arr, eps_arr, pipe.rounds, game.total_gap(mixed),
         mixed, inner, estimates, recovered, counts, unsampled, reg_est, radius,
         [int(e) if e else None for e in pipe.switch.switched_at],
     )
@@ -724,23 +756,28 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     in which the switch to the Exp3-style fallback fires, so every epoch it
     plays is an epoch of the pipeline.  Returns per-epoch monitor statistics
     and the true regret, computed after the loop from the logged plays and
-    utility vectors.
+    utility vectors.  ``d`` follows the count rule and ``eta`` must be
+    positive and finite: without a player count, None has no default.
     """
-    _check_run_args(epochs, delta, monitor_c)
+    check_count("d", d)
+    if eta is None:
+        raise ValueError("eta must be a positive finite number, got None: an environment "
+                         "run has no player count to resolve it from")
+    _check_run_args(epochs, delta, eta, monitor_c)
     rng = np.random.default_rng(seed)
-    ts = range(1, epochs + 1)
-    B = [schedule.epoch_length(t, d) for t in ts]
-    pipe = BanditPipeline(d, eta, B, [schedule.mixing(t) for t in ts], delta, monitor_c)
+    ts = np.arange(1, epochs + 1)
+    B = schedule.epoch_length(ts, d)
+    pipe = BanditPipeline(d, eta, B, schedule.mixing(ts), delta, monitor_c)
     plays = np.empty((epochs, d))
     utils = np.empty((epochs, d))
     reg_est = np.empty(epochs)
 
-    for t in ts:
+    for t, B_t in enumerate(B.tolist(), 1):
         v = np.asarray(utility_fn(t), dtype=float)
         if v.shape != (d,):
             raise DataError(f"epoch t={t}: environment utility vector has shape "
                             f"{v.shape}, expected ({d},)")
-        lo, hi = v.min(), v.max()
+        lo, hi = np.minimum.reduce(v), np.maximum.reduce(v)
         if not 0.0 <= lo <= hi <= 1.0:  # NaN fails every comparison
             problem = ("are not finite" if not np.isfinite(v).all()
                        else f"lie outside [0, 1]: [{lo}, {hi}]")
@@ -748,19 +785,19 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
 
         plays[t - 1] = play = pipe.begin_epoch()
         utils[t - 1] = v
-        counts = rng.multinomial(B[t - 1], play)
+        counts = rng.multinomial(B_t, play)
         pipe.end_epoch(epoch_estimate(counts, counts * v))
         reg_est[t - 1] = pipe.switch.regret
         if pipe.switch.any:
             break
 
-    B = np.array(B[:t])
+    B = B[:t]
     cum_true = np.cumsum(B[:, None] * utils[:t], axis=0)
     earned_true = np.cumsum(B * np.vecdot(plays[:t], utils[:t]))
     return {
         "switch_epoch": int(pipe.switch.switched_at) if pipe.switch.any else None,
         "decision": "switch" if pipe.switch.any else "continue",
-        "t": np.arange(1, t + 1), "B": B, "reg_est": reg_est[:t], "radius": pipe.radius[:t],
+        "t": ts[:t], "B": B, "reg_est": reg_est[:t], "radius": pipe.radius[:t],
         "threshold": pipe.threshold[:t], "true_reg": cum_true.max(axis=1) - earned_true,
     }
 

@@ -240,8 +240,9 @@ def _echo(v):
 # The learner fields take the rules LearnerSpec is built by.
 _FIELD_CHECKS = {
     "mode": (lambda v: isinstance(v, str) and v in MODE_FIELDS, "gradient, bandit or fisher"),
-    "seeds": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(dyn._integer, v))
-              and len(set(v)) == len(v), "a nonempty list of distinct integers"),
+    "seeds": (lambda v: isinstance(v, list) and len(v) > 0
+              and all(dyn._integer(s) and s >= 0 for s in v)
+              and len(set(v)) == len(v), "a nonempty list of distinct non-negative integers"),
     **dict.fromkeys(("T", "epochs", "workers"), dyn.COUNT_RULE),
     **{k: dyn.LEARNER_RULES[k] for k in ("algo", "eta", "weights", "monitor_c")},
     "delta": (lambda v: dyn._number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),

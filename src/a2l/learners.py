@@ -204,8 +204,8 @@ class FallbackSwitch:
     sum u[a] - sum earned over its real actions, exceeds its limit, the row
     plays its row of ``fallback`` for good, an ``AnytimeMWU`` at the state's
     ``shape`` (..., d) with ``counts`` and ``scale``, restarted at the switch.
-    ``switched_at`` holds each row's switch time (0 before), and ``any``
-    turns True at the first switch."""
+    ``switched_at`` holds each row's switch time (0 before); ``any`` turns
+    True at the first switch, and ``all`` once every row has switched."""
 
     def __init__(self, shape, counts, scale=1):
         self.fallback = AnytimeMWU(shape, scale=scale, counts=counts)
@@ -215,7 +215,7 @@ class FallbackSwitch:
         self.regret = np.zeros(rows)
         self.switched = np.zeros(rows, dtype=bool)
         self.switched_at = np.zeros(rows, dtype=int)
-        self.any = False
+        self.any = self.all = False
 
     def add(self, u, earned, limit, now) -> None:
         """Add the utility vectors u and the values earned; each row whose
@@ -223,13 +223,14 @@ class FallbackSwitch:
         ``now`` if it has not yet."""
         self.cum_utils = self.cum_utils + u
         self.earned = self.earned + earned
-        self.regret = self.cum_utils.max(axis=-1) - self.earned
+        self.regret = np.maximum.reduce(self.cum_utils, -1) - self.earned
         new = self.regret > limit
         if self.any:
             new &= ~self.switched
         if np.count_nonzero(new):
             self.any = True
             self.switched = self.switched | new
+            self.all = bool(self.switched.all())
             self.switched_at = np.where(new, now, self.switched_at)
             self.fallback.restart(new)
 

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2l import bandit
@@ -91,6 +91,80 @@ def test_custom_schedule_refuses_numbers_its_run_cannot_play(field, value):
     # NaN coeff to fail inside the run, and eps_coeff <= 0 at t = 1.
     with pytest.raises(ScheduleError, match=f"^{field} must be "):
         EpochSchedule.custom(**{"coeff": 1, "power": 1, field: value})
+
+
+def per_t_length(s, t, d):
+    """B_t by the schedule's rule in Python numbers, one epoch at a time;
+    None where it exceeds int64."""
+    if s.mode == "theory":
+        B = t**4
+    elif s.mode == "theory_d":
+        B = d * t**4
+    else:
+        try:
+            B = max(1, math.ceil(s.coeff * t**s.power))
+        except OverflowError:
+            B = math.inf
+    return None if B > np.iinfo(np.int64).max else B
+
+
+def per_t_mixing(s, t):
+    """eps_t by the schedule's rule in Python numbers; None outside (0, 1]."""
+    if s.mode != "custom":
+        return 1.0 / t
+    try:
+        eps = min(1.0, s.eps_coeff * t**s.eps_power)
+    except OverflowError:
+        eps = 1.0
+    return eps if 0.0 < eps <= 1.0 else None
+
+
+EPOCHS = st.one_of(st.integers(1, 200), st.integers(1, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["theory", "theory_d", "custom"]),
+    coeff=st.floats(1.0, 1e20),
+    power=st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0)),
+    eps_coeff=st.one_of(st.floats(0.01, 1.0), st.floats(1e-300, 1e300)),
+    eps_power=st.one_of(st.floats(-3.0, 3.0), st.floats(-400.0, 400.0)),
+    d=st.integers(1, 2**20),
+    ts=st.lists(EPOCHS, min_size=1, max_size=40),
+)
+@example(mode="theory", coeff=1.0, power=4.0, eps_coeff=1.0, eps_power=-1.0, d=1,
+         ts=[55107, 55108, 55109, 55110])  # 55109^4 is the first t^4 past int64
+@example(mode="theory_d", coeff=1.0, power=4.0, eps_coeff=1.0, eps_power=-1.0, d=3,
+         ts=[1, 41871, 41872])  # 3 * 41872^4 is the first past int64
+@example(mode="custom", coeff=1.0, power=30.0, eps_coeff=1.0, eps_power=1000.0, d=2,
+         ts=[1, 2, 3, 4, 5])  # B_5 = 5^30 passes int64; t^1000 overflows: eps_t = 1
+@example(mode="custom", coeff=1.0, power=1.0, eps_coeff=1.0, eps_power=-1000.0, d=2,
+         ts=[1, 2, 3])  # 3^-1000 underflows: eps_3 = 0 is refused
+@example(mode="custom", coeff=1.5, power=0.7, eps_coeff=0.5, eps_power=-0.37, d=2,
+         ts=list(range(1, 41)))  # numpy's own power differs here in a few last bits
+@example(mode="custom", coeff=2.0**63, power=-1.0, eps_coeff=1.0, eps_power=-1.0, d=2,
+         ts=[2, 1])  # B_2 = 2^62 fits, B_1 = 2^63 does not
+def test_the_array_schedule_equals_its_per_epoch_rules(mode, coeff, power, eps_coeff,
+                                                       eps_power, d, ts):
+    # One numpy pass over an array of epochs gives the per-epoch rules' B_t
+    # and eps_t bit for bit, or refuses naming the first t they refuse.  The
+    # suite turns numpy's RuntimeWarning into an error, so an overflowing
+    # t^p must not warn.
+    s = (EpochSchedule.custom(coeff, power, eps_coeff, eps_power) if mode == "custom"
+         else EpochSchedule(mode=mode))
+    t_arr = np.array(ts, dtype=np.int64)
+    for rule, fn, dtype in ((per_t_length, lambda t: s.epoch_length(t, d), np.int64),
+                            (per_t_mixing, s.mixing, np.float64)):
+        want = [rule(s, t, d) if rule is per_t_length else rule(s, t) for t in ts]
+        if None in want:
+            first = ts[want.index(None)]
+            for t in (t_arr, first):
+                with pytest.raises(ScheduleError, match=rf" at t={first}\b"):
+                    fn(t)
+            continue
+        got = fn(t_arr)
+        assert got.dtype == dtype and got.tolist() == want
+        assert all(type(fn(t)) is type(w) and fn(t) == w for t, w in zip(ts, want))
 
 
 # -- estimator pieces ---------------------------------------------------------
@@ -670,6 +744,27 @@ def test_bad_run_arguments_are_refused_by_name(kw, name):
     with pytest.raises(ValueError, match=f"^{name} "):
         run_bandit_vs_environment(2, lambda t: np.array([0.2, 0.7]), EpochSchedule(),
                                   eta=0.1, **kw)
+
+
+def environment_run(**kw):
+    return run_bandit_vs_environment(kw.pop("d", 2), lambda t: np.array([0.2, 0.7]),
+                                     EpochSchedule(), **{"eta": 0.1, **kw})
+
+
+@pytest.mark.parametrize("run, kw, name", [
+    (quiet_run, {"eta": np.inf}, "eta"),
+    (quiet_run, {"eta": np.nan}, "eta"),
+    (environment_run, {"eta": np.inf}, "eta"),
+    (environment_run, {"eta": None}, "eta"),  # no player count to resolve it from
+    (environment_run, {"d": 0}, "d"),
+    (environment_run, {"d": 2.0}, "d"),
+], ids=["run_bandit-eta-inf", "run_bandit-eta-nan", "environment-eta-inf",
+        "environment-eta-None", "environment-d-0", "environment-d-float"])
+def test_bad_eta_and_d_are_refused_by_name(run, kw, name):
+    # These failed at the first draw (numpy's "pvals < 0, pvals > 1 or pvals
+    # contains NaNs"), in a reduction over zero actions, or with a TypeError.
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        run(**kw)
 
 
 def test_a_nan_monitor_c_is_refused_by_both_runs():

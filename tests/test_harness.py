@@ -75,6 +75,9 @@ def test_all_errors_enumerated(tmp_path):
     pytest.param("monitor_c", 10**400, id="monitor_c-int_above_float_max"),
     pytest.param("eta", 10**400, id="eta-int_above_float_max"),
     pytest.param("seeds", [0, 0], id="seeds-duplicate"),  # would run and write seed 0 twice
+    # numpy's generators take no negative seed: a run of a fixed game ended
+    # in default_rng's ValueError, a generated game failed as its game spec
+    pytest.param("seeds", [3, -1], id="seeds-negative"),
     ("algo", "MWU"),  # one spelling per algorithm
     ("players[0].algo", "MWU"),
 ])
@@ -901,8 +904,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
      "eps_coeff must be finite, got nan"),
     ({"mode": "custom", "coeff": 1, "power": 1, "eps_coeff": 0}, 3,
      "eps_coeff must be > 0 so eps_t > 0, got 0.0"),
+    # B_t = 1 in every epoch, but no run plays 2^64 epochs
+    ({"mode": "custom", "coeff": 1, "power": 0}, 2**64,
+     "epoch t=18446744073709551616 exceeds int64"),
 ], ids=["B_t-at-last-epoch", "B_t-at-first-epoch", "theory-B_t", "eps_t-underflow",
-        "nan-eps_coeff", "zero-eps_coeff"])
+        "nan-eps_coeff", "zero-eps_coeff", "epochs-past-int64"])
 def test_cli_refuses_a_bandit_schedule_its_run_cannot_play(tmp_path, capsys, schedule, epochs,
                                                             named):
     # B_t and eps_t are checked at the first and last epoch when the config is built.
@@ -944,6 +950,8 @@ def test_cli_refuses_a_one_player_bandit_game(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "1,,2", "--seeds must be comma-separated integers, got '1,,2'"),
     ("--seeds", "a", "--seeds must be comma-separated integers, got 'a'"),
+    ("--seeds", "-1", "seeds must be a nonempty list of distinct non-negative integers, "
+                      "got [-1]"),
     ("--workers", "0", "workers must be a positive integer, got 0"),
 ])
 def test_cli_refuses_bad_overrides(tmp_path, capsys, flag, value, message):
