@@ -58,7 +58,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .csvrows import _csv_lines
-from .games import PolymatrixGame, _integer
+from .games import PolymatrixGame, _integer, _number
 from .learners import MWU, OMWU, FallbackSwitch, padding
 from .reduction import A2L, WEIGHT_RULES
 
@@ -111,17 +111,6 @@ def certificate_misses(specs) -> list:
 def gap_bound(counts, eta, t):
     """The certified last-iterate gap bound sum_i log d_i / (eta t)."""
     return float(np.log(counts).sum()) / (eta * t)
-
-
-def _number(v) -> bool:
-    """A real number that converts to a float: no bool, no int past 2^1024."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
 
 
 # The package's one count rule, for T, epochs and workers: (test, what).

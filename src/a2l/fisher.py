@@ -26,25 +26,25 @@ prices then equal the running average of the internal run's prices, so
 average-price convergence becomes last-iterate price convergence.  Prices
 always conserve money: sum_j p_j = sum_i B_i.
 
-Interior starts (b^1_ij = B_i / n) keep every price positive and every
-average spend positive, so each agent can always infer every price.  If an
-agent has zero average spend on a good (impossible from an interior start,
-since spending is nonnegative) its internal spend there is zero too, the
-allocation is zero and the price is not needed.
+Every run starts at the interior point b^1_ij = B_i / n, as the
+proportional response analysis does, so every average spend stays positive
+and each agent can always infer every price.
 
 ``run_prd`` returns ``prices``, ``avg_prices`` and ``avg_gap``;
 ``run_a2l_prd`` returns ``played_prices`` and ``played_gap``.  Both take
-exactly T rounds: no step past round T is computed, so a market whose next
-step would stall still reports its T rounds.  Each spend matrix is priced
-once per round, each error guard is one reduction, and a divide is masked
-only when some entry is not positive.  A round of ``run_prd`` costs about
-13-15 us on a 5x5 market and 29-38 us on a 50x20 one, and one of
-``run_a2l_prd`` 17-22 and 35-45 us, on a 2-core x86-64 VM at T = 1000
-(medians of interleaved runs, which move with the host's speed).  Neither
-keeps a (T, m, n) spend log: the spends pass through one reused buffer of
-``dynamics.CHUNK_ROUNDS`` (256) rounds, whose max gaps are folded into the
-(T,) column once per chunk, so a run holds O(256 m n + T n) floats.  On a
-50x20 market at T = 10^4 their tracemalloc peaks are 5.6 and 4.1 MiB.
+exactly T rounds and compute no step past round T: on a market with a good
+no agent values, ``run_prd`` reports round 1 and fails at round 2, where
+that good's price drops to zero, while ``run_a2l_prd``'s averages keep
+round 1's spends.  Each spend matrix is priced once per round, each error
+guard is one reduction, and a divide is masked only when some entry is not
+positive.  A round of ``run_prd`` costs about 13-15 us on a 5x5 market and
+29-38 us on a 50x20 one, and one of ``run_a2l_prd`` 17-22 and 35-45 us, on
+a 2-core x86-64 VM at T = 1000 (medians of interleaved runs, which move
+with the host's speed).  Neither keeps a (T, m, n) spend log: the spends
+pass through one reused buffer of ``dynamics.CHUNK_ROUNDS`` (256) rounds,
+whose max gaps are folded into the (T,) column once per chunk, so a run
+holds O(256 m n + T n) floats.  On a 50x20 market at T = 10^4 their
+tracemalloc peaks are 5.6 and 4.1 MiB.
 """
 
 from __future__ import annotations
@@ -71,16 +71,25 @@ class StallError(RuntimeError):
         super().__init__(f"agent {agent} has zero bundle-weighted marginal utility")
 
 
+def _reals(name, value) -> np.ndarray:
+    """value as a float array, refused with a ValueError naming it unless
+    every entry is a real number: no bool, no string."""
+    bad = [v for v in np.asarray(value, dtype=object).flat if not dyn._number(v)]
+    if bad:
+        raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
+    return np.asarray(value, dtype=float)
+
+
 class FisherMarket:
     """Linear market instance: finite budgets B_i > 0 and finite valuation
-    rows a_i >= 0, a_i != 0, one per agent."""
+    rows a_i >= 0, a_i != 0, one per agent, all entries real numbers."""
 
     def __init__(self, budgets, valuations):
-        self.budgets = np.asarray(budgets, dtype=float)
+        self.budgets = _reals("budgets", budgets)
         if self.budgets.ndim != 1 or self.budgets.size == 0 or not np.all(
                 (self.budgets > 0) & (self.budgets < np.inf)):  # NaN fails too
             raise ValueError("budgets must be a nonempty vector of positive finite numbers")
-        v = np.asarray(valuations, dtype=float)
+        v = _reals("valuations", valuations)
         if v.ndim != 2 or v.shape[0] != self.budgets.size:
             raise ValueError("valuations must be one row per agent")
         if not np.all((v >= 0) & (v < np.inf)) or np.any(v.sum(axis=1) == 0):
@@ -130,15 +139,6 @@ def allocations(spend) -> np.ndarray:
     return spend / _priced(spend)
 
 
-def check_spending(market, spend):
-    spend = np.asarray(spend, dtype=float)
-    if not np.all(spend >= 0):  # NaN fails too
-        raise ValueError("spending must be nonnegative")
-    if np.abs(spend.sum(axis=1) - market.budgets).max() > 1e-9:
-        raise ValueError("row sums of spending must equal budgets")
-    return spend
-
-
 def _respond(valuations, budgets, alloc) -> np.ndarray:
     """Proportional response of every agent (row) to its allocation row;
     ``budgets`` is the (m, 1) budget column."""
@@ -163,10 +163,9 @@ def prd_step(market, spend) -> np.ndarray:
 
 
 def _fold_gaps(market, T, rounds):
-    """(T, n) prices and (T,) max ``market_gap`` of the T (spend, prices)
-    pairs that ``rounds`` yields, the spends copied into one reused
+    """(T, n) prices and (T,) max ``market_gap`` of the T >= 1 (spend,
+    prices) pairs that ``rounds`` yields, the spends copied into one reused
     (CHUNK_ROUNDS, m, n) buffer and folded once per chunk."""
-    dyn.check_count("T", T)
     K = min(dyn.CHUNK_ROUNDS, T)
     buf = np.empty((K, market.m_agents, market.n_goods))
     p = np.empty((T, market.n_goods))
@@ -180,19 +179,19 @@ def _fold_gaps(market, T, rounds):
     return p, np.concatenate(gaps)
 
 
-def run_prd(market, T, spend0=None) -> dict:
-    """Iterate proportional response for exactly T >= 1 rounds from an
-    interior start.
+def run_prd(market, T) -> dict:
+    """Iterate proportional response for exactly T >= 1 rounds from the
+    uniform start b_ij = B_i / n.
 
     Returns the (T, n) ``prices``, the running average ``avg_prices`` and
     the (T,) max equilibrium gap ``avg_gap`` of the averaged spends.  Round
-    t + 1's spends are computed only when t < T, so a step that would stall
-    after round T is never taken.  A round costs about 13-15 us on a 5x5
-    market and 29-38 us on a 50x20 one.  No spend log is kept: memory is
-    O(256 m n + T n), a 5.6 MiB traced peak on a 50x20 market at T = 10^4.
+    t + 1's spends are computed only when t < T, so no step past round T is
+    taken.
     """
+    dyn.check_count("T", T)
+    prices = np.empty((T, market.n_goods))
+
     def averaged(b):
-        hist = out["prices"] = np.empty((T, market.n_goods))  # once _fold_gaps checked T
         budgets = market.budgets[:, None]
         for t in range(T):
             if t:
@@ -200,13 +199,11 @@ def run_prd(market, T, spend0=None) -> dict:
                 bbar = bbar + (b - bbar) / (t + 1.0)
             else:
                 bbar = b
-            p = hist[t] = _priced(b)
+            p = prices[t] = _priced(b)
             yield bbar, bbar.sum(axis=0)
 
-    out = {}
-    b = uniform_spending(market) if spend0 is None else check_spending(market, spend0)
-    out["avg_prices"], out["avg_gap"] = _fold_gaps(market, T, averaged(b))
-    return out
+    avg_prices, avg_gap = _fold_gaps(market, T, averaged(uniform_spending(market)))
+    return {"prices": prices, "avg_prices": avg_prices, "avg_gap": avg_gap}
 
 
 class ProportionalResponse:
@@ -236,11 +233,10 @@ class ProportionalResponse:
         self.spend = _respond(self.market.valuations, self._budgets, alloc)
 
 
-def a2l_prd_init(market, spend0=None) -> A2L:
-    """Average-playing PRD: the agents' ``ProportionalResponse`` wrapped in
-    ``A2L`` with uniform weights."""
-    b = uniform_spending(market) if spend0 is None else check_spending(market, spend0)
-    return A2L(ProportionalResponse(market, b), "uniform")
+def a2l_prd_init(market) -> A2L:
+    """Average-playing PRD from the uniform start: the agents'
+    ``ProportionalResponse`` wrapped in ``A2L`` with uniform weights."""
+    return A2L(ProportionalResponse(market, uniform_spending(market)), "uniform")
 
 
 def a2l_prd_step(market, state: A2L) -> np.ndarray:
@@ -250,25 +246,26 @@ def a2l_prd_step(market, state: A2L) -> np.ndarray:
     infer the average prices from its own allocation row only (pbar_j =
     bbar_ij / xbar_ij where it spends, 0 elsewhere) and feeds them to
     ``state``, which reconstructs the internal prices and updates the
-    internal spends.  ``state`` comes from ``a2l_prd_init(market)``.
-    Returns the averaged spending that was played.
+    internal spends.  ``state`` is ``a2l_prd_init(market)``, which starts
+    at the uniform spends, or ``A2L(ProportionalResponse(market, b0),
+    "uniform")`` for another start b0 with budget rows and a positive spend
+    on every good.  Returns the averaged spending that was played.
     """
     bbar = state.next_strategy()
     state.observe(_divide_where(bbar, bbar / _priced(bbar), bbar))
     return bbar
 
 
-def run_a2l_prd(market, T, spend0=None) -> dict:
-    """Iterate the average-playing dynamics for exactly T >= 1 rounds.
+def run_a2l_prd(market, T) -> dict:
+    """Iterate the average-playing dynamics for exactly T >= 1 rounds from
+    the uniform start.
 
     Returns the (T, n) ``played_prices``, which equal the running average
     of the internal run's prices, so average-price convergence shows up in
     the last iterate, and the (T,) max equilibrium gap ``played_gap`` of
     the played spends.  These are ``a2l_prd_step``'s rounds, except that
     round T's inferred prices are never observed, so the internal step past
-    T is not taken.  A round costs about 17-22 us on a 5x5 market and
-    35-45 us on a 50x20 one.  No spend log is kept: memory is
-    O(256 m n + T n), a 4.1 MiB traced peak on a 50x20 market at T = 10^4.
+    T is not taken.
     """
     def played():
         for t in range(T):
@@ -278,7 +275,8 @@ def run_a2l_prd(market, T, spend0=None) -> dict:
             p = _priced(bbar)
             yield bbar, p
 
-    state = a2l_prd_init(market, spend0)
+    dyn.check_count("T", T)
+    state = a2l_prd_init(market)
     played_prices, gaps = _fold_gaps(market, T, played())
     return {"played_prices": played_prices, "played_gap": gaps}
 

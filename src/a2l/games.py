@@ -39,6 +39,22 @@ import numpy as np
 ZERO_SUM_TOL = 1e-9
 
 
+def _integer(v) -> bool:
+    """An int or numpy integer, no bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    """A real number that converts to a float: no bool, no int past 2^1024."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 class DimensionMismatchError(ValueError):
     """A strategy or matrix has the wrong dimension for its player."""
 
@@ -63,13 +79,20 @@ class PolymatrixGame:
     action_counts : per-player action counts d_1..d_n
     edges : mapping (i, j) -> payoff matrix of shape (d_i, d_j); the reverse
         edge (j, i) must also be present
-    zero_sum : declare the game zero-sum; construction then needs
+    zero_sum : a bool; declare the game zero-sum; construction then needs
         ``zero_sum_bound()`` <= ``ZERO_SUM_TOL`` = 1e-9, which is sufficient
         for max_a |sum_i u_i(a)| <= 1e-9 over pure profiles a
+
+    The counts must be integers (numpy ones too, no bools).
     """
 
     def __init__(self, action_counts, edges, zero_sum=False, name=None):
-        self.action_counts = tuple(int(d) for d in action_counts)
+        counts = tuple(action_counts)
+        if not all(map(_integer, counts)):
+            raise ValueError(f"action_counts must be integers, got {list(counts)!r}")
+        if not isinstance(zero_sum, (bool, np.bool_)):
+            raise ValueError(f"zero_sum must be true or false, got {zero_sum!r}")
+        self.action_counts = tuple(map(int, counts))
         self.n = len(self.action_counts)
         if self.n < 1 or any(d < 1 for d in self.action_counts):
             raise ValueError("need at least one player and one action per player")
@@ -189,12 +212,17 @@ class PolymatrixGame:
             if key not in data:
                 raise ValueError(f"missing key {key!r}")
         counts = data["action_counts"]
-        if int(data["n"]) != len(counts):
+        indices = [("n", data["n"])] + [(f"edges[{k}].{ij}", e[ij])
+                                        for k, e in enumerate(data["edges"]) for ij in "ij"]
+        for key, v in indices:
+            if not _integer(v):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
+        if data["n"] != len(counts):
             raise ValueError("field n disagrees with action_counts length")
         edges = {(int(e["i"]), int(e["j"])): e["matrix"] for e in data["edges"]}
         if len(edges) != len(data["edges"]):
             raise ValueError("duplicate edge in game description")
-        return cls(counts, edges, zero_sum=bool(data["zero_sum"]))
+        return cls(counts, edges, zero_sum=data["zero_sum"])
 
     def __repr__(self):
         kind = "zero-sum " if self.zero_sum else ""
@@ -233,17 +261,13 @@ def _graph_pairs(n, graph, rng, p):
             return [(0, 1)]
         return [(i, (i + 1) % n) for i in range(n)]
     if graph == "gnp":
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"gnp edge probability must be in [0, 1], got {p}")
+        if not (_number(p) and 0.0 <= p <= 1.0):
+            raise ValueError(f"p, the gnp edge probability, must be a number in [0, 1], "
+                             f"got {p!r}")
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keep = rng.random(len(pairs)) < p
         return [pq for pq, k in zip(pairs, keep) if k]
     raise ValueError(f"unknown graph spec {graph!r} (complete, cycle, gnp)")
-
-
-def _integer(v) -> bool:
-    """An int or numpy integer, no bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def generate_game(kind, *, n=2, d=2, graph="complete", seed=None, p=0.5) -> PolymatrixGame:
@@ -252,7 +276,8 @@ def generate_game(kind, *, n=2, d=2, graph="complete", seed=None, p=0.5) -> Poly
     kinds: "matching_pennies", "rps", "random_zs" (pairwise zero-sum with
     A_ji = -A_ij^T), "random_general".  Random payoff entries are uniform in
     [-1, 1] and deterministic for a fixed seed.  `d` may be an int or one
-    count per player; n and the counts must be integers, not bools.
+    count per player; n and the counts must be integers, not bools, and p,
+    read on a "gnp" graph, a number in [0, 1].
     """
     if kind == "matching_pennies":
         a = _MP_MATRIX

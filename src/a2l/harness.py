@@ -99,14 +99,19 @@ def config_hash(cfg: ExperimentConfig) -> str:
     numbers in their canonical type, seeds sorted, and the nested specs as
     the ``LearnerSpec`` and ``EpochSchedule`` they build.  A players list
     whose every entry is the spec the top-level fields give hashes as no
-    list, a schedule equal to the default one as the default, and a
-    generator game spec without the keys at ``generate_game``'s defaults.
-    A built config keeps its hash as ``cfg.hash``.
+    list, a schedule equal to the default one as the default, a generator
+    game spec without the keys at ``generate_game``'s defaults and with
+    ``p`` a float, and an inline game or market as the ``to_dict()`` of
+    the instance it builds.  A built config keeps its hash as ``cfg.hash``.
     """
     fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
     if cfg.game and "kind" in cfg.game:
-        fields["game"] = {k: v for k, v in cfg.game.items()
+        fields["game"] = {k: float(v) if k == "p" else v for k, v in cfg.game.items()
                           if k not in _GAME_DEFAULTS or v != _GAME_DEFAULTS[k]}
+    elif cfg.game and "inline" in cfg.game:
+        fields["game"] = {"inline": cfg._instance.to_dict()}
+    if cfg.market and "budgets" in cfg.market:
+        fields["market"] = cfg._instance.to_dict()
     own, players = cfg._specs
     fields["players"] = None if all(p == own for p in players) else list(map(asdict, players))
     fields["schedule"] = (_DEFAULTS["schedule"] if cfg._schedule == bandit_mod.EpochSchedule()

@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2l import dynamics as dyn
+from a2l import fisher
 from a2l.csvrows import _csv_lines
 from a2l.fisher import (
     CEReport,
     DegenerateMarketError,
     FisherMarket,
+    ProportionalResponse,
     StallError,
     a2l_prd_init,
     a2l_prd_step,
     allocations,
-    check_spending,
     load_market,
     market_gap,
     prd_step,
@@ -27,7 +28,7 @@ from a2l.fisher import (
     uniform_spending,
     verify_ce,
 )
-from a2l.reduction import update_running_mean
+from a2l.reduction import A2L, update_running_mean
 
 
 def hand_market():
@@ -93,25 +94,14 @@ def test_degenerate_prices_rejected():
         allocations(dead_good)
 
 
-def test_check_spending_rows():
-    market = hand_market()
-    with pytest.raises(ValueError):
-        check_spending(market, [[0.7, 0.2], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        check_spending(market, [[1.2, -0.2], [0.5, 0.5]])
+def a2l_prd_from(market, b0=None) -> A2L:
+    """The average-playing state from b0, or from the runs' uniform start."""
+    return a2l_prd_init(market) if b0 is None else A2L(ProportionalResponse(market, b0), "uniform")
 
 
-def test_check_spending_refuses_nan():
-    # A NaN spend passed both checks, and a NaN price hides a zero one from
-    # the runs' one-reduction price guard.
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_spending(FisherMarket([1.0, 1.0, 1.0], np.ones((3, 3))),
-                       [[np.nan, 0.0, 1.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
-
-
-def played_spends(market, T, spend0=None):
+def played_spends(market, T, b0=None):
     """The (T, m, n) spends the average-playing dynamics play, via the step API."""
-    state = a2l_prd_init(market, spend0)
+    state = a2l_prd_from(market, b0)
     return np.array([a2l_prd_step(market, state) for _ in range(T)])
 
 
@@ -140,7 +130,7 @@ def test_a2l_prices_equal_reference_average():
 
 
 def random_start(market, seed):
-    """Non-uniform spend0 with some zero entries; every agent and every good
+    """Non-uniform start with some zero entries; every agent and every good
     keeps a positive spend."""
     m, n = market.m_agents, market.n_goods
     rng = np.random.default_rng(seed)
@@ -159,10 +149,10 @@ def random_start(market, seed):
 @given(m=st.integers(1, 5), n=st.integers(1, 5), seed=st.integers(0, 2**31 - 1),
        uniform=st.booleans())
 def test_a2l_prd_prices_equal_running_mean_and_conserve_budgets(m, n, seed, uniform):
+    # At the step level, so that the reduction is checked from starts with
+    # zero entries too.
     market = random_linear_market(m, n, seed=seed)
-    spend0 = None if uniform else random_start(market, seed)
-    ref = run_prd(market, 200, spend0)
-    out = run_a2l_prd(market, 200, spend0)
+    ref, out = all_rounds_reference(market, 200, None if uniform else random_start(market, seed))
     assert np.abs(out["played_prices"] - ref["avg_prices"]).max() <= 1e-10
     assert np.abs(out["played_prices"].sum(axis=1) - market.budgets.sum()).max() <= 1e-9
 
@@ -262,10 +252,11 @@ def test_step_api_matches_run():
     assert state.t == 20
 
 
-def all_rounds_reference(market, T, spend0):
-    """run_prd's and run_a2l_prd's outputs from spends logged through the step
-    API, with each gap column from one market_gap call over all rounds."""
-    b = uniform_spending(market) if spend0 is None else spend0
+def all_rounds_reference(market, T, b0):
+    """run_prd's and run_a2l_prd's outputs from b0 (None: the uniform start),
+    with spends logged through the step API and each gap column from one
+    market_gap call over all rounds."""
+    b = uniform_spending(market) if b0 is None else b0
     raw, avg, bbar = [], [], None
     for t in range(T):
         raw.append(b)
@@ -277,21 +268,32 @@ def all_rounds_reference(market, T, spend0):
         p = np.array([s.sum(axis=0) for s in log])
         return p, market_gap(market, p, spend=np.array(log)).max(axis=1)
 
-    (avg_p, avg_gap), (played_p, played_gap) = priced(avg), priced(played_spends(market, T, spend0))
+    (avg_p, avg_gap), (played_p, played_gap) = priced(avg), priced(played_spends(market, T, b0))
     return ({"prices": np.array([s.sum(axis=0) for s in raw]), "avg_prices": avg_p, "avg_gap": avg_gap},
             {"played_prices": played_p, "played_gap": played_gap})
+
+
+def start_runs_at(monkeypatch, market, uniform, seed):
+    """The start the runs take: the uniform one, or a random start with zero
+    entries put in its place, so that the runs' masked divides meet the step
+    API's.  Returns it as ``all_rounds_reference`` takes it."""
+    if uniform:
+        return None
+    b0 = random_start(market, seed)
+    monkeypatch.setattr(fisher, "uniform_spending", lambda _market: b0)
+    return b0
 
 
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random-start"])
 def test_chunked_gaps_equal_the_all_rounds_formula(monkeypatch, uniform):
     market = random_linear_market(4, 3, seed=11)
-    spend0 = None if uniform else random_start(market, 11)
+    b0 = start_runs_at(monkeypatch, market, uniform, 11)
     for T in (1, 6, 7, 8, 23, 600):
-        want = all_rounds_reference(market, T, spend0)
+        want = all_rounds_reference(market, T, b0)
         for chunk in (1, 7, 256):
             monkeypatch.setattr(dyn, "CHUNK_ROUNDS", chunk)
             for run, ref in zip((run_prd, run_a2l_prd), want):
-                got = run(market, T, spend0)
+                got = run(market, T)
                 assert set(got) == set(ref)
                 for key in ref:
                     assert np.array_equal(got[key], ref[key]), (T, chunk, run.__name__, key)
@@ -321,40 +323,42 @@ def test_runs_refuse_a_bad_T(run, T):
         run(hand_market(), T)
 
 
-def test_runs_stop_at_the_horizon():
-    # Agent 0 values only good 0 and starts with no spend on it: round 1 is
-    # well defined, and the step to round 2 stalls.
-    market = FisherMarket([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0]])
-    spend0 = [[0.0, 1.0], [0.5, 0.5]]
-    ref, out = run_prd(market, 1, spend0), run_a2l_prd(market, 1, spend0)
+def test_runs_stop_at_the_horizon(monkeypatch):
+    # No agent values good 1: round 1 prices it at 1, and run_prd's step to
+    # round 2 leaves it no spend.
+    market = FisherMarket([1.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+    ref, out = run_prd(market, 1), run_a2l_prd(market, 1)
     for p in (ref["prices"], ref["avg_prices"], out["played_prices"]):
-        assert np.array_equal(p, [[0.5, 1.5]])
+        assert np.array_equal(p, [[1.0, 1.0]])
     for gap in (ref["avg_gap"], out["played_gap"]):
-        assert np.array_equal(gap, [2.0])
-    for run in (run_prd, run_a2l_prd):
-        with pytest.raises(StallError) as err:
-            run(market, 2, spend0)
-        assert err.value.agent == 0
-
-
-@pytest.mark.parametrize("run", [run_prd, run_a2l_prd])
-@pytest.mark.parametrize("T", [1, 2, 300])
-def test_a_dead_good_in_spend0_is_degenerate(run, T):
+        assert np.array_equal(gap, [0.5])
     with pytest.raises(DegenerateMarketError):
-        run(hand_market(), T, [[1.0, 0.0], [1.0, 0.0]])
+        run_prd(market, 2)
+    # The played averages keep round 1's spends, so run_a2l_prd plays on;
+    # the round-T prices are never observed.
+    observed, observe = [], ProportionalResponse.observe
+
+    def counted(self, p):
+        observed.append(p)
+        observe(self, p)
+
+    monkeypatch.setattr(ProportionalResponse, "observe", counted)
+    for T in (1, 2, 300):
+        observed.clear()
+        assert run_a2l_prd(market, T)["played_prices"].shape == (T, 2)
+        assert len(observed) == T - 1
 
 
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random-start"])
-def test_runs_equal_the_step_api_on_the_benchmark_markets(uniform):
+def test_runs_equal_the_step_api_on_the_benchmark_markets(monkeypatch, uniform):
     # The market sizes of the benchmark's fisher-markets workload; T around
     # one chunk boundary and at the benchmark's horizon.
     for k, (m, n) in enumerate(((5, 5), (10, 8), (20, 10), (35, 15), (50, 20))):
         market = random_linear_market(m, n, seed=k)
-        spend0 = None if uniform else random_start(market, k)
-        want = all_rounds_reference(market, 1000, spend0)
+        want = all_rounds_reference(market, 1000, start_runs_at(monkeypatch, market, uniform, k))
         for T in (1, 255, 256, 257, 1000):
             for run, ref in zip((run_prd, run_a2l_prd), want):
-                got = run(market, T, spend0)
+                got = run(market, T)
                 assert set(got) == set(ref)
                 for key in ref:
                     assert np.array_equal(got[key], ref[key][:T]), (m, n, T, run.__name__, key)
@@ -362,7 +366,7 @@ def test_runs_equal_the_step_api_on_the_benchmark_markets(uniform):
 
 def test_played_spends_are_not_overwritten_by_later_rounds():
     market = random_linear_market(4, 3, seed=8)
-    state = a2l_prd_init(market, random_start(market, 8))
+    state = a2l_prd_from(market, random_start(market, 8))
     played, kept, inner = [], [], []
     for _ in range(10):
         inner.append(state.inner.next_strategy())

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from a2l import cli, harness, verify
 from a2l import dynamics as dyn
 from a2l.bandit import EpochSchedule, ScheduleError
-from a2l.games import generate_game
+from a2l.fisher import FisherMarket
+from a2l.games import PolymatrixGame, generate_game, load_game, save_game
 from a2l.harness import Check, ConfigError, ExperimentConfig, config_hash, fit_rate, load_config
 
 
@@ -683,6 +684,84 @@ def test_a_spec_missing_a_key_names_it(tmp_path, mode, field, spec, key):
         spec = {"file": str(tmp_path / spec["file"])}
     with pytest.raises(ConfigError, match=rf"- {field} spec invalid: missing key '{key}'$"):
         load_config({"mode": mode, field: spec})
+
+
+_MP = generate_game("matching_pennies").to_dict()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("zero_sum", "false"), ("zero_sum", 1), ("n", 2.9), ("n", True),
+    ("action_counts", [2.6, 2]), ("action_counts", [True, 2]), ("i", 0.7), ("j", 1.0),
+], ids=repr)
+@pytest.mark.parametrize("form", ["file", "inline"])
+def test_a_game_spec_key_of_the_wrong_json_type_is_refused_by_name(tmp_path, form, key, value):
+    # zero_sum "false" loaded as zero-sum (bool("false") is True), and 2.9,
+    # 2.6 and 0.7 loaded as 2, 2 and 0 (int()), each as another game.
+    spec = json.loads(json.dumps(_MP))
+    if key in ("i", "j"):
+        spec["edges"][0][key] = value
+        key = rf"edges\[0\]\.{key}"
+    else:
+        spec[key] = value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(spec))
+    message = rf"{key} must be (an integer|integers|true or false), got "
+    with pytest.raises(ValueError, match=message):
+        load_game(path)
+    game = {"file": str(path)} if form == "file" else {"inline": spec}
+    with pytest.raises(ConfigError, match="- game spec invalid: " + message):
+        load_config({"mode": "gradient", "game": game})
+
+
+def test_a_saved_game_loads_as_itself_with_numpy_integers_accepted(tmp_path):
+    game = generate_game("random_general", n=3, d=[2, 3, 4], graph="cycle", seed=5)
+    save_game(game, tmp_path / "game.json")
+    assert load_game(tmp_path / "game.json").to_dict() == game.to_dict()
+    spec = {**_MP, "n": np.int64(2), "action_counts": [np.int32(2), np.int64(2)],
+            "zero_sum": np.bool_(True),
+            "edges": [{**e, "i": np.int64(e["i"]), "j": np.int8(e["j"])} for e in _MP["edges"]]}
+    assert PolymatrixGame.from_dict(spec).to_dict() == _MP
+
+
+@pytest.mark.parametrize("market, named", [
+    ({"budgets": ["1", "2"], "valuations": [[1, 0], [0, 1]]}, "budgets"),
+    ({"budgets": [True, True], "valuations": [[1, 0], [0, 1]]}, "budgets"),
+    ({"budgets": [1, True], "valuations": [[1, 0], [0, 1]]}, "budgets"),
+    ({"budgets": [1, 2], "valuations": [[True, False], [False, True]]}, "valuations"),
+    ({"budgets": [1, 2], "valuations": [[1, None], [0, 1]]}, "valuations"),
+], ids=["string-budgets", "bool-budgets", "one-bool-budget", "bool-valuations",
+        "null-valuation"])
+def test_a_market_entry_that_is_not_a_real_number_is_refused_by_name(market, named):
+    # The strings and bools loaded as numbers (np.asarray(..., dtype=float)).
+    with pytest.raises(ConfigError, match=rf"- market spec invalid: {named} must be real numbers"):
+        load_config({"mode": "fisher", "market": market})
+
+
+def test_a_market_takes_int_and_float_entries_alike():
+    spellings = [{"budgets": [1, 2], "valuations": [[1, 0], [2, 1]]},
+                 {"budgets": [1.0, 2.0], "valuations": [[1.0, 0.0], [2.0, 1.0]]},
+                 {"budgets": np.array([1, 2]), "valuations": np.array([[1, 0], [2, 1]])}]
+    markets = [FisherMarket.from_dict(spec) for spec in spellings]
+    assert all(m.to_dict() == spellings[1] for m in markets)
+
+
+def test_numbers_spelled_as_ints_or_floats_hash_alike():
+    # Each pair hashed apart: the inline specs and p were hashed as written.
+    game = {"n": 2, "action_counts": [2, 2], "zero_sum": False, "edges": [
+        {"i": 0, "j": 1, "matrix": [[1, 0], [0, 1]]}, {"i": 1, "j": 0, "matrix": [[0, 1], [1, 0]]}]}
+    float_game = {**game, "edges": [{**e, "matrix": np.array(e["matrix"], float).tolist()}
+                                    for e in game["edges"]]}
+    market = {"budgets": [1, 2], "valuations": [[1, 0], [2, 1]]}
+    float_market = {"budgets": [1.0, 2.0], "valuations": [[1.0, 0.0], [2.0, 1.0]]}
+    gnp = {"kind": "random_zs", "n": 3, "graph": "gnp", "seed": 1, "p": 1}
+    for mode, field, a, b in (("gradient", "game", {"inline": game}, {"inline": float_game}),
+                              ("fisher", "market", market, float_market),
+                              ("gradient", "game", gnp, {**gnp, "p": 1.0})):
+        assert config_hash(load_config({"mode": mode, field: a})) == config_hash(
+            load_config({"mode": mode, field: b})), (field, a)
+    message = r"- game spec invalid: p, the gnp edge probability, must be a number in \[0, 1\]"
+    with pytest.raises(ConfigError, match=message):
+        load_config({"mode": "gradient", "game": {**gnp, "p": True}})
 
 
 def _plain_numbers(spec):

@@ -82,3 +82,60 @@ def test_every_run_refuses_a_count_that_is_not_a_positive_integer(entry, bad):
 @pytest.mark.parametrize("entry", sorted(_COUNTED_RUNS))
 def test_every_run_takes_a_numpy_integer_count(entry):
     _COUNTED_RUNS[entry][1](np.int64(3))
+
+
+def _defaulted_params(path):
+    """(callee, parameter, position) of each defaulted parameter of a public
+    function, method or class defined in a module, position None for a
+    keyword-only one.  A class takes its ``__init__``'s parameters, or a
+    dataclass its fields; a method's position does not count self or cls."""
+    tree = ast.parse(path.read_text())
+    sigs = [(n.name, n.args, 0) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for m in (m for m in cls.body if isinstance(m, ast.FunctionDef)):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+            sigs.append((cls.name if m.name == "__init__" else m.name, m.args, 0 if static else 1))
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+                      and "ClassVar" not in ast.unparse(s.annotation)]
+            yield from ((cls.name, s.target.id, k) for k, s in enumerate(fields) if s.value)
+    for callee, args, bound in sigs:
+        if callee.startswith("_"):
+            continue
+        positional = (args.posonlyargs + args.args)[bound:]
+        yield from ((callee, a.arg, k) for k, a in enumerate(positional)
+                    if k >= len(positional) - len(args.defaults))
+        yield from ((callee, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+
+
+def _sets(call, param, position) -> bool:
+    """Whether a call sets a parameter: by keyword, by position or through
+    ``*`` or ``**``."""
+    keywords = {k.arg for k in call.keywords}
+    return (param in keywords or None in keywords
+            or position is not None and (position < len(call.args) or any(
+                isinstance(a, ast.Starred) for a in call.args)))
+
+
+# Defaulted parameters that no call in the package or the benchmark sets, each
+# with its reason.
+_UNSET_ALLOWED = {
+    ("cli.py", "main", "argv"): "the console-script entry calls main() with no argument; "
+                                "argv is its hook for tests",
+}
+
+
+def test_every_public_parameter_has_a_caller():
+    # An option that only tests set is dead weight, as a public name is: each
+    # defaulted parameter is set by some call in the package or the benchmark,
+    # the call matched by its callee's name.
+    calls = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for call in (n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)):
+            calls[getattr(call.func, "id", getattr(call.func, "attr", None))].append(call)
+    unset = [(path.name, callee, param) for path in sorted(SRC.glob("*.py"))
+             for callee, param, position in _defaulted_params(path)
+             if not any(_sets(call, param, position) for call in calls[callee])]
+    extra = sorted(set(unset) - set(_UNSET_ALLOWED))
+    assert not extra, f"defaulted parameters that no call sets: {extra}"
+    assert set(_UNSET_ALLOWED) <= set(unset), "an allowed parameter now has a caller"
