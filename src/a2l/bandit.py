@@ -13,9 +13,9 @@ estimates its average utility vector by per-action empirical means:
 
     Uhat^t[a] = (sum of rewards observed on action a) / (times a was drawn)
 
-An action never drawn in the epoch gets estimate 0 and is flagged.  The
-averaging and the reconstruction of the utility vector at the (unplayed)
-inner iterate,
+An action never drawn in the epoch gets estimate 0; the trajectory's
+``unsampled`` column counts such actions.  The averaging and the
+reconstruction of the utility vector at the (unplayed) inner iterate,
 
     uhat^t = t * Uhat^t - (t - 1) * Uhat^{t-1},
 
@@ -221,34 +221,18 @@ def _epochs(t) -> np.ndarray:
         raise ScheduleError(f"epoch t={t} exceeds int64") from None
 
 
-@dataclass
-class EpochEstimate:
-    """Per-action reward totals, sample counts and empirical means."""
-
-    sums: np.ndarray
-    counts: np.ndarray
-    estimate: np.ndarray
-    unsampled: np.ndarray  # boolean mask of never-sampled actions
-
-
-def epoch_estimate(counts, sums) -> EpochEstimate:
+def epoch_estimate(counts, sums, out=None) -> np.ndarray:
     """Empirical per-action means from one epoch's sample counts and [0, 1]
-    reward sums; never-sampled actions get estimate 0 and are flagged."""
-    counts = np.asarray(counts)
-    sums = np.asarray(sums, dtype=float)
-    unsampled = counts == 0
-    if np.count_nonzero(unsampled):
-        estimate = np.divide(sums, counts, out=np.zeros(sums.shape), where=~unsampled)
-    else:
-        estimate = sums / counts
-    return EpochEstimate(sums, counts, estimate, unsampled)
+    reward sums, in ``out`` when given.  A never-sampled action, padded ones
+    included, has sum 0, so its divisor 1 gives it estimate 0."""
+    return np.divide(sums, np.maximum(counts, 1), out)
 
 
-def estimate_epoch(actions, rewards, d) -> EpochEstimate:
+def estimate_epoch(actions, rewards, d) -> np.ndarray:
     """Empirical per-action means of one epoch's per-round bandit feedback.
 
     rewards must already be normalized to [0, 1]; never-sampled actions get
-    estimate 0 and are flagged.
+    estimate 0.
     """
     actions = np.asarray(actions, dtype=int)
     rewards = np.asarray(rewards, dtype=float)
@@ -383,17 +367,19 @@ class BanditPipeline:
 
     counts holds one action count per row (player), or one count for a
     single player without a row axis; B and eps are the run's epoch lengths
-    and mixing rates.  Its OMWU, strategies, estimates and IW vectors have
-    shape (rows, d_max); a row's padded actions stay at exact zeros.  Each
-    epoch's mixing weights, and the monitor's radius and threshold, depend
-    on the schedule alone and are computed for every epoch when the pipeline
-    is built: ``radius`` (E, ...) and ``threshold`` (E,) hold the monitor's;
-    per epoch it adds the IW utility vector and its value under the play to
-    ``switch``, a ``learners.FallbackSwitch``, at the limit threshold +
-    radius.  A switched row plays Exp3, the switch's fallback with scale
-    d_i, fed one IW reward vector per round (``round_strategy``,
-    ``observe_round``; rows only), and its reduction runs on unread.  A
-    caller reads the inner iterates only through ``begin_epoch(inner=)``.
+    and mixing rates.  Its OMWU, strategies, counts, sums, estimates and IW
+    vectors have shape (rows, d_max); a row's padded actions stay at exact
+    zeros.  Each epoch's mixing weights, and the monitor's radius and
+    threshold, depend on the schedule alone and are computed for every
+    epoch when the pipeline is built: ``radius`` (E, ...) and ``threshold``
+    (E,) hold the monitor's; per epoch, from the sums, it adds the IW
+    utility vector and its value under the play to ``switch``, a
+    ``learners.FallbackSwitch``, at the limit threshold + radius.  A
+    switched row plays Exp3, the switch's fallback with scale d_i, fed one
+    IW reward vector per round (``round_strategy``, ``observe_round``; rows
+    only), and its reduction runs on unread.  A caller reads the inner
+    iterates and the means only through ``begin_epoch(inner=)`` and
+    ``end_epoch(estimate=)``.
     """
 
     def __init__(self, counts, eta, B, eps, delta=0.05, monitor_c=MONITOR_C):
@@ -454,16 +440,19 @@ class BanditPipeline:
                 iw[i, a] = r / self._p[i, a]
         self.switch.observe(iw)
 
-    def end_epoch(self, est: EpochEstimate) -> np.ndarray:
-        """Feed the epoch's estimate; returns uhat^t."""
-        uhat = self.learner.observe(est.estimate)
+    def end_epoch(self, counts, sums, estimate=None) -> np.ndarray:
+        """Feed the epoch's (rows, d_max) sample counts and [0, 1] reward
+        sums; returns uhat^t.  The reduction takes their per-action means,
+        ``epoch_estimate``'s, written to ``estimate`` when given; the
+        monitor takes the IW vector sums / play, 0 where the play is 0."""
+        uhat = self.learner.observe(epoch_estimate(counts, sums, estimate))
         # Padded actions have no IW value; a switched row's Exp3 may also
         # play 0 on a real action.
         live = self.play > 0 if self.switch.any else self._real
         if live is True:
-            iw = est.sums / self.play
+            iw = sums / self.play
         else:
-            iw = np.divide(est.sums, self.play, out=np.zeros(self.play.shape), where=live)
+            iw = np.divide(sums, self.play, out=np.zeros(self.play.shape), where=live)
         self.switch.add(iw, np.vecdot(iw, self.play), self._limit[self.t - 1], self.t)
         return uhat
 
@@ -585,18 +574,16 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
         play = pipe.begin_epoch(inner[:, idx])
         mixed[:, idx] = play
         if not pipe.switch.any:
-            stats = sampler.epoch(rng, play, B)
+            epoch_counts, sums = sampler.epoch(rng, play, B)
         elif B > ROUND_EPOCH_CAP:
             raise FallbackEpochError(
                 f"epoch t={idx + 1}: {B} rounds after a monitor switch exceed the "
                 f"round-by-round cap of {ROUND_EPOCH_CAP}", epoch=idx + 1
             )
         else:
-            stats = _play_rounds(rng, sampler, pipe, B)
-        est = epoch_estimate(*stats)
-        estimates[:, idx] = est.estimate
-        counts[:, idx] = est.counts
-        recovered[:, idx] = pipe.end_epoch(est)
+            epoch_counts, sums = _play_rounds(rng, sampler, pipe, B)
+        counts[:, idx] = epoch_counts
+        recovered[:, idx] = pipe.end_epoch(epoch_counts, sums, estimates[:, idx])
         reg_est[idx] = pipe.switch.regret
 
     # A switched player's pipeline is not logged after its switch epoch.
@@ -786,7 +773,7 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
         plays[t - 1] = play = pipe.begin_epoch()
         utils[t - 1] = v
         counts = rng.multinomial(B_t, play)
-        pipe.end_epoch(epoch_estimate(counts, counts * v))
+        pipe.end_epoch(counts, counts * v)
         reg_est[t - 1] = pipe.switch.regret
         if pipe.switch.any:
             break

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn
+from .games import _reals
 from .reduction import A2L
 
 
@@ -69,15 +70,6 @@ class StallError(RuntimeError):
     def __init__(self, agent):
         self.agent = agent
         super().__init__(f"agent {agent} has zero bundle-weighted marginal utility")
-
-
-def _reals(name, value) -> np.ndarray:
-    """value as a float array, refused with a ValueError naming it unless
-    every entry is a real number: no bool, no string."""
-    bad = [v for v in np.asarray(value, dtype=object).flat if not dyn._number(v)]
-    if bad:
-        raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
-    return np.asarray(value, dtype=float)
 
 
 class FisherMarket:

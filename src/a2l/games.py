@@ -55,6 +55,17 @@ def _number(v) -> bool:
     return True
 
 
+def _reals(name, value) -> np.ndarray:
+    """value as a new float array, refused with a ValueError naming it
+    unless every entry is a real number (``_number``): no bool, no string,
+    no None."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        bad = [v for v in np.asarray(value, dtype=object).flat if not _number(v)]
+        if bad:
+            raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
+    return np.array(value, dtype=float)
+
+
 class DimensionMismatchError(ValueError):
     """A strategy or matrix has the wrong dimension for its player."""
 
@@ -83,7 +94,8 @@ class PolymatrixGame:
         ``zero_sum_bound()`` <= ``ZERO_SUM_TOL`` = 1e-9, which is sufficient
         for max_a |sum_i u_i(a)| <= 1e-9 over pure profiles a
 
-    The counts must be integers (numpy ones too, no bools).
+    The counts must be integers (numpy ones too, no bools), and the payoff
+    entries real numbers (``_reals``).
     """
 
     def __init__(self, action_counts, edges, zero_sum=False, name=None):
@@ -103,7 +115,7 @@ class PolymatrixGame:
         for (i, j), mat in sorted(edges.items()):
             if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
                 raise ValueError(f"invalid edge ({i}, {j}) for {self.n} players")
-            mat = np.array(mat, dtype=float)
+            mat = _reals(f"edge ({i}, {j}) payoffs", mat)
             want = (self.action_counts[i], self.action_counts[j])
             if mat.shape != want:
                 raise DimensionMismatchError(i, want, mat.shape, what="payoff matrix")

@@ -100,13 +100,16 @@ def config_hash(cfg: ExperimentConfig) -> str:
     the ``LearnerSpec`` and ``EpochSchedule`` they build.  A players list
     whose every entry is the spec the top-level fields give hashes as no
     list, a schedule equal to the default one as the default, a generator
-    game spec without the keys at ``generate_game``'s defaults and with
-    ``p`` a float, and an inline game or market as the ``to_dict()`` of
-    the instance it builds.  A built config keeps its hash as ``cfg.hash``.
+    game spec without the keys at ``generate_game``'s defaults, with ``p``
+    a float and a ``d`` list of equal counts as that count, and an inline
+    game or market as the ``to_dict()`` of the instance it builds.  A
+    built config keeps its hash as ``cfg.hash``.
     """
     fields = {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "workers")}
     if cfg.game and "kind" in cfg.game:
-        fields["game"] = {k: float(v) if k == "p" else v for k, v in cfg.game.items()
+        d = cfg.game.get("d")
+        game = {**cfg.game, "d": d[0]} if isinstance(d, list) and len(set(d)) == 1 else cfg.game
+        fields["game"] = {k: float(v) if k == "p" else v for k, v in game.items()
                           if k not in _GAME_DEFAULTS or v != _GAME_DEFAULTS[k]}
     elif cfg.game and "inline" in cfg.game:
         fields["game"] = {"inline": cfg._instance.to_dict()}

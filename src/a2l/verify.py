@@ -415,7 +415,7 @@ def _bandit_bias_se() -> dict:
     sums = np.empty_like(est)
     for r in range(BIAS_RESAMPLES):
         counts, totals = sampler.epoch(rng, plays, B)
-        est[r], sums[r] = bd.epoch_estimate(counts[0], totals[0]).estimate, totals[0]
+        est[r], sums[r] = bd.epoch_estimate(counts[0], totals[0]), totals[0]
     worst = {}
     for name, values, truth in (("epoch", est, truth_avg), ("iw", sums / plays[0], B * truth_avg)):
         se = values.std(axis=0, ddof=1) / np.sqrt(BIAS_RESAMPLES)

@@ -16,7 +16,6 @@ from a2l.bandit import (
     BanditPipeline,
     BanditTrajectory,
     DataError,
-    EpochEstimate,
     EpochSchedule,
     JointSampler,
     ScheduleError,
@@ -172,16 +171,13 @@ def test_the_array_schedule_equals_its_per_epoch_rules(mode, coeff, power, eps_c
 
 def test_estimate_epoch_constant_rewards():
     est = estimate_epoch([1] * 5, [0.7] * 5, d=3)
-    assert est.estimate[1] == pytest.approx(0.7)
-    assert est.counts.tolist() == [0, 5, 0]
-    assert est.unsampled.tolist() == [True, False, True]
-    assert est.estimate[0] == 0.0 and est.estimate[2] == 0.0
+    assert est[1] == pytest.approx(0.7)
+    assert est[0] == 0.0 and est[2] == 0.0
 
 
 def test_estimate_epoch_mean():
     est = estimate_epoch([0, 0, 0, 0], [1.0, 0.0, 1.0, 1.0], d=2)
-    assert est.estimate[0] == pytest.approx(0.75)
-    assert est.counts.sum() == 4
+    assert est.tolist() == [0.75, 0.0]
 
 
 def test_estimate_epoch_rejects_out_of_range():
@@ -196,7 +192,7 @@ def test_recover_estimated():
     cur = estimate_epoch([0, 1], [0.4, 0.6], d=2)
     wrapper = A2L(OMWU(2, bandit_step_size(2)))
     wrapper.next_strategy()
-    assert np.allclose(wrapper.observe(cur.estimate), cur.estimate)
+    assert np.allclose(wrapper.observe(cur), cur)
     wrapper.next_strategy()
     wrapper.observe(np.array([0.4, 0.6]))
     wrapper.next_strategy()
@@ -397,7 +393,7 @@ def run_monitor(iw_hist, B_hist, eps_hist):
         x = pipe.begin_epoch()
         counts = np.full((1, 2), B // 2)
         sums = np.asarray(iw) * x
-        pipe.end_epoch(EpochEstimate(sums, counts, sums / counts, counts == 0))
+        pipe.end_epoch(counts, sums)
     return pipe
 
 
@@ -431,8 +427,7 @@ def test_running_radius_equals_history_radius(coeff, power, eps_coeff, eps_power
     pipe = BanditPipeline([d], 0.1, B_hist, eps_hist, delta=0.05, monitor_c=np.inf)
     for t in range(1, epochs + 1):
         pipe.begin_epoch()
-        zero = np.zeros((1, d))
-        pipe.end_epoch(EpochEstimate(zero, np.ones((1, d), dtype=int), zero, zero > 0))
+        pipe.end_epoch(np.ones((1, d), dtype=int), np.zeros((1, d)))
         ref = iw_radius(B_hist[:t], eps_hist[:t], d, t, 0.05)
         assert pipe.radius[t - 1, 0] == pytest.approx(ref, rel=1e-12)
         assert pipe.rounds[t - 1] == sum(B_hist[:t])
@@ -521,7 +516,7 @@ def test_exp3_fallback_learns():
     rng = np.random.default_rng(1)
     pipe = BanditPipeline([3], 0.1, [1, 3000], [1.0, 1.0], monitor_c=-np.inf)
     pipe.begin_epoch()
-    pipe.end_epoch(epoch_estimate(np.zeros((1, 3), dtype=int), np.zeros((1, 3))))
+    pipe.end_epoch(np.zeros((1, 3), dtype=int), np.zeros((1, 3)))
     assert pipe.switch.switched.tolist() == [True] and pipe.switch.fallback.t.tolist() == [0]
     pipe.begin_epoch()
     u = np.array([0.1, 0.9, 0.2])
@@ -530,6 +525,24 @@ def test_exp3_fallback_learns():
         a = int(rng.choice(3, p=p))
         pipe.observe_round([a], [u[a]])
     assert pipe.round_strategy()[0][1] > 0.8
+
+
+def test_end_epoch_writes_exact_zero_means_into_its_log_slot():
+    # rows of 2, 4 and 3 actions; row 1's real action 2 is never drawn
+    pipe = BanditPipeline([2, 4, 3], 0.05, [10], [0.5], monitor_c=np.inf)
+    pipe.begin_epoch()
+    counts = np.array([[4, 6, 0, 0], [3, 5, 0, 2], [1, 2, 7, 0]])
+    sums = np.array([[1.5, 2.25, 0.0, 0.0], [0.5, 4.0, 0.0, 1.75], [0.25, 1.0, 3.5, 0.0]])
+    log = np.empty((3, 2, 4))
+    log.fill(np.nan)  # stale values a skipped entry would leave
+    uhat = pipe.end_epoch(counts, sums, log[:, 0])
+    slot = log[:, 0]
+    zero = np.array([[False, False, True, True], [False, False, True, False],
+                     [False, False, False, True]])
+    assert slot[zero].tolist() == [0.0] * 4 and not np.signbit(slot[zero]).any()
+    assert np.array_equal(slot, epoch_estimate(counts, sums))
+    assert np.isnan(log[:, 1]).all()
+    assert np.array_equal(uhat, slot)  # epoch 1 recovers its own estimate
 
 
 def test_csv_lines():
@@ -547,11 +560,9 @@ def test_csv_lines():
 
 def test_epoch_estimate_from_counts_and_sums():
     est = epoch_estimate(np.array([2, 0, 4]), np.array([1.0, 0.0, 1.0]))
-    assert est.estimate.tolist() == [0.5, 0.0, 0.25]
-    assert est.unsampled.tolist() == [False, True, False]
+    assert est.tolist() == [0.5, 0.0, 0.25]
     ref = estimate_epoch([0, 2, 0, 2, 2, 2], [0.5, 0.0, 0.5, 1.0, 0.0, 0.0], d=3)
-    assert np.array_equal(ref.counts, est.counts)
-    assert np.allclose(ref.estimate, est.estimate)
+    assert np.allclose(ref, est)
 
 
 def per_round_statistics(game, plays, B, reps, rng):
@@ -887,9 +898,9 @@ class ReferencePlayer:
         if self.fallback is not None:
             self.fallback.observe_reward(action, reward01)
 
-    def end_epoch(self, est):
-        uhat = self.learner.observe(est.estimate)
-        iw = est.sums / self.play
+    def end_epoch(self, counts, sums):
+        uhat = self.learner.observe(reference_means(counts, sums))
+        iw = sums / self.play
         self.cum_iw += iw
         self.earned_iw += float(iw @ self.play)
         self.reg_est = self.cum_iw.max() - self.earned_iw
@@ -899,18 +910,23 @@ class ReferencePlayer:
         return uhat
 
 
+def reference_means(counts, sums):
+    """Per-action means by a masked divide, 0 where no action was drawn."""
+    return np.divide(sums, counts, out=np.zeros(len(sums)), where=counts > 0)
+
+
 def reference_epoch(sampler, rng, plays, B):
-    """A pre-switch epoch from the joint counts, one estimate per player."""
+    """A pre-switch epoch from the joint counts: each player's counts and
+    reward sums."""
     assert sampler.tables is not None
     N = rng.multinomial(B, functools.reduce(np.multiply.outer, plays).ravel())
     N = N.reshape(sampler.dims)
     n = len(sampler.dims)
-    ests = []
+    stats = []
     for i in range(n):
         others = tuple(k for k in range(n) if k != i)
-        ests.append(epoch_estimate(N.sum(axis=others),
-                                   (N * sampler.tables[i]).sum(axis=others)))
-    return ests
+        stats.append((N.sum(axis=others), (N * sampler.tables[i]).sum(axis=others)))
+    return stats
 
 
 def reference_play_rounds(rng, sampler, players, B):
@@ -924,7 +940,7 @@ def reference_play_rounds(rng, sampler, players, B):
             counts[i][a[i]] += 1
             sums[i][a[i]] += r
             p.observe_round(a[i], r)
-    return [epoch_estimate(c, s) for c, s in zip(counts, sums)]
+    return list(zip(counts, sums))
 
 
 def reference_run(game=None, schedule=EpochSchedule(), eta=None, seed=0,
@@ -953,18 +969,18 @@ def reference_run(game=None, schedule=EpochSchedule(), eta=None, seed=0,
         for i in range(n):
             mixed[i][idx] = plays[i]
         if not any(p.switched for p in players):
-            ests = reference_epoch(sampler, rng, plays, B)
+            stats = reference_epoch(sampler, rng, plays, B)
         else:
-            ests = reference_play_rounds(rng, sampler, players, B)
-        for i, (p, est) in enumerate(zip(players, ests)):
-            estimates[i][idx] = est.estimate
-            counts[i][idx] = est.counts
-            unsampled[idx, i] = int(est.unsampled.sum())
+            stats = reference_play_rounds(rng, sampler, players, B)
+        for i, (p, (c, s)) in enumerate(zip(players, stats)):
+            estimates[i][idx] = reference_means(c, s)
+            counts[i][idx] = c
+            unsampled[idx, i] = int((c == 0).sum())
             if p.switched:
                 recovered[i][idx] = inner[i][idx] = np.nan
                 continue
             inner[i][idx] = p.inner
-            recovered[i][idx] = p.end_epoch(est)
+            recovered[i][idx] = p.end_epoch(c, s)
             reg_est[idx, i] = p.reg_est
             radius[idx, i] = p.radius
     meta = {

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,22 @@ def test_loader_rejects_invalid():
         PolymatrixGame.from_dict(
             {"n": 3, "action_counts": [2, 2], "zero_sum": False, "edges": []}
         )
+
+
+@pytest.mark.parametrize("entry", ["1", True, None], ids=repr)
+def test_a_payoff_entry_that_is_not_a_real_number_is_refused_by_edge(entry):
+    # "1" and True loaded as the payoff 1.0 (np.array(..., dtype=float)).
+    message = rf"^edge \(0, 1\) payoffs must be real numbers, got {re.escape(repr(entry))}$"
+    with pytest.raises(ValueError, match=message):
+        PolymatrixGame((2, 2), {(0, 1): [[1, entry], [0, 1]], (1, 0): np.eye(2)})
+
+
+def test_payoffs_take_int_float_and_numpy_entries_alike():
+    spellings = [[[1, 0], [2, 1]], [[1.0, 0.0], [2.0, 1.0]], np.array([[1, 0], [2, 1]]),
+                 [[np.int64(1), np.float32(0)], [np.uint8(2), 1]]]
+    games = [PolymatrixGame((2, 2), {(0, 1): m, (1, 0): np.eye(2)}) for m in spellings]
+    assert all(g.to_dict() == games[1].to_dict() for g in games)
+    assert all(g.edges[(0, 1)].dtype == np.float64 for g in games)
 
 
 def test_zero_sum_check_is_exact_beyond_enumeration():

@@ -737,6 +737,19 @@ def test_a_market_entry_that_is_not_a_real_number_is_refused_by_name(market, nam
         load_config({"mode": "fisher", "market": market})
 
 
+@pytest.mark.parametrize("matrix, got", [
+    ([["1", True], [0, 1]], "'1'"), ([[1, True], [0, 1]], "True"), ([[1, None], [0, 1]], "None"),
+], ids=["string", "bool", "null"])
+def test_a_payoff_entry_that_is_not_a_real_number_is_refused_by_edge(matrix, got):
+    # [["1", true], [0, 1]] loaded as [[1, 1], [0, 1]] (np.array(..., dtype=float)).
+    spec = json.loads(json.dumps({**_MP, "zero_sum": False}))
+    spec["edges"][0]["matrix"] = matrix
+    assert (spec["edges"][0]["i"], spec["edges"][0]["j"]) == (0, 1)
+    message = rf"- game spec invalid: edge \(0, 1\) payoffs must be real numbers, got {got}$"
+    with pytest.raises(ConfigError, match=message):
+        load_config({"mode": "gradient", "game": {"inline": spec}})
+
+
 def test_a_market_takes_int_and_float_entries_alike():
     spellings = [{"budgets": [1, 2], "valuations": [[1, 0], [2, 1]]},
                  {"budgets": [1.0, 2.0], "valuations": [[1.0, 0.0], [2.0, 1.0]]},
@@ -762,6 +775,20 @@ def test_numbers_spelled_as_ints_or_floats_hash_alike():
     message = r"- game spec invalid: p, the gnp edge probability, must be a number in \[0, 1\]"
     with pytest.raises(ConfigError, match=message):
         load_config({"mode": "gradient", "game": {**gnp, "p": True}})
+
+
+def test_a_generator_d_list_of_equal_counts_hashes_as_its_int():
+    # d: 3 and d: [3, 3] built the same game but hashed apart (d hashed as written).
+    spec = {"kind": "random_zs", "n": 2, "seed": 1}
+    cfgs = {repr(d): load_config({"mode": "gradient", "game": {**spec, "d": d}})
+            for d in (3, [3, 3], [3, 4], 2, [2, 2])}
+    hashes = {k: config_hash(cfg) for k, cfg in cfgs.items()}
+    assert hashes["3"] == hashes["[3, 3]"] == "dfd59c7fa457ef66"  # the int's hash, as before
+    assert hashes["[2, 2]"] == hashes["2"] == config_hash(
+        load_config({"mode": "gradient", "game": spec}))  # d at its default
+    assert hashes["[3, 4]"] not in (hashes["3"], hashes["2"])
+    same = [cfgs[k].instance(1) for k in ("3", "[3, 3]")]
+    assert all(np.array_equal(same[0].edges[e], same[1].edges[e]) for e in same[0].edges)
 
 
 def _plain_numbers(spec):
