@@ -29,7 +29,8 @@ for all players as the rows of one stacked state of shape (n, d_max): one
 ``A2L(OMWU)`` and one ``learners.FallbackSwitch``, with each player's
 actions beyond its own count padded to exact zeros.  ``run_bandit``
 drives it on a game; ``run_bandit_vs_environment`` is its single-player
-use, without a row axis, against an environment.
+use, without a row axis, against an environment, whose monitor it folds
+once per chunk of ``CHUNK_EPOCHS`` epochs.
 
 Sampling: the estimator and the monitor need only each player's per-action
 sample counts and reward sums, so ``JointSampler`` draws an epoch as those
@@ -73,7 +74,7 @@ import numpy as np
 
 from .dynamics import (LEARNER_RULES, PRNG_NAME, _cumulative_regrets, _number, check_count,
                        rule_errors)
-from .games import PolymatrixGame
+from .games import PolymatrixGame, _reals
 from .learners import OMWU, FallbackSwitch, padding
 from .reduction import A2L
 
@@ -114,6 +115,12 @@ CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 # t = 1000), so they raise instead; the longest post-switch epoch any suite,
 # test or benchmark plays has 2800 rounds.
 ROUND_EPOCH_CAP = 10**7
+# The environment run plays CHUNK_EPOCHS epochs, then folds its monitor over
+# them at once; the epochs a chunk plays after its switch epoch are dropped.
+# Fewer than the full-feedback fold's 256 rounds: a run drops fewer epochs
+# after its switch, and the bandit-monitor adversary (switch near epoch 3640)
+# takes 0.975x its time at 256 (median of 24 interleaved runs, seeds 0-3).
+CHUNK_EPOCHS = 64
 # The IW monitor's threshold constant c in c * T^{4/5} when none is given.
 MONITOR_C = 4.0
 
@@ -372,13 +379,17 @@ class BanditPipeline:
     zeros.  Each epoch's mixing weights, and the monitor's radius and
     threshold, depend on the schedule alone and are computed for every
     epoch when the pipeline is built: ``radius`` (E, ...) and ``threshold``
-    (E,) hold the monitor's; per epoch, from the sums, it adds the IW
-    utility vector and its value under the play to ``switch``, a
-    ``learners.FallbackSwitch``, at the limit threshold + radius.  A
-    switched row plays Exp3, the switch's fallback with scale d_i, fed one
-    IW reward vector per round (``round_strategy``, ``observe_round``; rows
-    only), and its reduction runs on unread.  A caller reads the inner
-    iterates and the means only through ``begin_epoch(inner=)`` and
+    (E,) hold the monitor's.  ``end_epoch`` feeds the reduction an epoch's
+    means; ``monitor`` adds the IW utility vectors of one epoch, or of a
+    chunk of epochs at once, and their values under the plays to
+    ``switch``, a ``learners.FallbackSwitch``, at the limit threshold +
+    radius.  ``run_bandit`` folds the monitor after every epoch, since a
+    switch changes the next epoch's play; ``run_bandit_vs_environment``,
+    which stops at the switch, once per chunk of epochs.  A switched row
+    plays Exp3, the switch's fallback with scale d_i, fed one IW reward
+    vector per round (``round_strategy``, ``observe_round``; rows only),
+    and its reduction runs on unread.  A caller reads the inner iterates
+    and the means only through ``begin_epoch(inner=)`` and
     ``end_epoch(estimate=)``.
     """
 
@@ -441,20 +452,26 @@ class BanditPipeline:
         self.switch.observe(iw)
 
     def end_epoch(self, counts, sums, estimate=None) -> np.ndarray:
-        """Feed the epoch's (rows, d_max) sample counts and [0, 1] reward
-        sums; returns uhat^t.  The reduction takes their per-action means,
-        ``epoch_estimate``'s, written to ``estimate`` when given; the
+        """Feed the reduction the epoch's (rows, d_max) sample counts and
+        [0, 1] reward sums; returns uhat^t.  It takes their per-action
+        means, ``epoch_estimate``'s, written to ``estimate`` when given."""
+        return self.learner.observe(epoch_estimate(counts, sums, estimate))
+
+    def monitor(self, plays, sums, t) -> np.ndarray:
+        """Fold epoch t's plays and [0, 1] reward sums, (rows, d_max) each,
+        into the monitor; returns the regret estimate after it.  With an
+        int array t of K consecutive epochs, plays and sums carry a leading
+        axis of those K epochs and the estimate after each is returned:
+        the same adds as K one-epoch folds (``FallbackSwitch.add``).  The
         monitor takes the IW vector sums / play, 0 where the play is 0."""
-        uhat = self.learner.observe(epoch_estimate(counts, sums, estimate))
         # Padded actions have no IW value; a switched row's Exp3 may also
         # play 0 on a real action.
-        live = self.play > 0 if self.switch.any else self._real
+        live = plays > 0 if self.switch.any else self._real
         if live is True:
-            iw = sums / self.play
+            iw = sums / plays
         else:
-            iw = np.divide(sums, self.play, out=np.zeros(self.play.shape), where=live)
-        self.switch.add(iw, np.vecdot(iw, self.play), self._limit[self.t - 1], self.t)
-        return uhat
+            iw = np.divide(sums, plays, out=np.zeros(plays.shape), where=live)
+        return self.switch.add(iw, np.vecdot(iw, plays), self._limit[t - 1], t)
 
 
 @dataclass
@@ -584,7 +601,7 @@ def run_bandit(game: PolymatrixGame, schedule: EpochSchedule, eta=None, seed=0,
             epoch_counts, sums = _play_rounds(rng, sampler, pipe, B)
         counts[:, idx] = epoch_counts
         recovered[:, idx] = pipe.end_epoch(epoch_counts, sums, estimates[:, idx])
-        reg_est[idx] = pipe.switch.regret
+        reg_est[idx] = pipe.monitor(play, sums, idx + 1)
 
     # A switched player's pipeline is not logged after its switch epoch.
     after = pipe.switch.switched & (epoch_ts[:, None] > pipe.switch.switched_at)
@@ -737,14 +754,21 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     ``BanditPipeline`` without a row axis, planned for all ``epochs``.
 
     utility_fn(t) returns the true utility vector in [0, 1]^d used for every
-    round of epoch t (``DataError`` naming t otherwise); the player observes
-    only sampled entries.  Runs the estimation/reconstruction/OMWU pipeline
-    with the importance-weighted regret monitor, and stops after the epoch
-    in which the switch to the Exp3-style fallback fires, so every epoch it
-    plays is an epoch of the pipeline.  Returns per-epoch monitor statistics
-    and the true regret, computed after the loop from the logged plays and
-    utility vectors.  ``d`` follows the count rule and ``eta`` must be
-    positive and finite: without a player count, None has no default.
+    round of epoch t; the player observes only sampled entries.  It must
+    depend on t alone: the run asks for a chunk of ``CHUNK_EPOCHS`` vectors
+    before it plays them, so it may call utility_fn for the rest of the
+    chunk after the switch epoch.  A vector of other than d real entries
+    (``games._reals``) or outside [0, 1] raises ``DataError`` naming its
+    epoch t, unless the switch fired in an earlier epoch.  Runs the
+    estimation/reconstruction/OMWU pipeline with the importance-weighted
+    regret monitor, folded once per chunk (``BanditPipeline.monitor``),
+    and returns every epoch up to the one in which the switch to the
+    Exp3-style fallback fires, so every epoch it returns is an epoch of the
+    pipeline; the chunk's later epochs, drawn from the run's own generator,
+    are dropped.  Returns per-epoch monitor statistics and the true regret,
+    computed after the loop from the logged plays and utility vectors.
+    ``d`` follows the count rule and ``eta`` must be positive and finite:
+    without a player count, None has no default.
     """
     check_count("d", d)
     if eta is None:
@@ -757,36 +781,69 @@ def run_bandit_vs_environment(d, utility_fn, schedule: EpochSchedule, eta,
     pipe = BanditPipeline(d, eta, B, schedule.mixing(ts), delta, monitor_c)
     plays = np.empty((epochs, d))
     utils = np.empty((epochs, d))
+    sums = np.empty((min(CHUNK_EPOCHS, epochs), d))
     reg_est = np.empty(epochs)
 
-    for t, B_t in enumerate(B.tolist(), 1):
-        v = np.asarray(utility_fn(t), dtype=float)
-        if v.shape != (d,):
-            raise DataError(f"epoch t={t}: environment utility vector has shape "
-                            f"{v.shape}, expected ({d},)")
-        lo, hi = np.minimum.reduce(v), np.maximum.reduce(v)
-        if not 0.0 <= lo <= hi <= 1.0:  # NaN fails every comparison
-            problem = ("are not finite" if not np.isfinite(v).all()
-                       else f"lie outside [0, 1]: [{lo}, {hi}]")
-            raise DataError(f"epoch t={t}: environment utilities {problem}")
-
-        plays[t - 1] = play = pipe.begin_epoch()
-        utils[t - 1] = v
-        counts = rng.multinomial(B_t, play)
-        pipe.end_epoch(counts, counts * v)
-        reg_est[t - 1] = pipe.switch.regret
+    played = 0
+    while played < epochs:
+        start = played
+        stop, error = _take_utilities(utility_fn, utils, start, min(start + CHUNK_EPOCHS, epochs))
+        for k, B_k in enumerate(B[start:stop].tolist(), start):
+            plays[k] = play = pipe.begin_epoch()
+            counts = rng.multinomial(B_k, play)
+            pipe.end_epoch(counts, np.multiply(counts, utils[k], out=sums[k - start]))
+        if stop > start:
+            reg_est[start:stop] = pipe.monitor(plays[start:stop], sums[:stop - start],
+                                               ts[start:stop])
+        played = stop
         if pipe.switch.any:
+            played = int(pipe.switch.switched_at)
             break
+        if error is not None:
+            raise error
 
-    B = B[:t]
-    cum_true = np.cumsum(B[:, None] * utils[:t], axis=0)
-    earned_true = np.cumsum(B * np.vecdot(plays[:t], utils[:t]))
+    B = B[:played]
+    cum_true = np.cumsum(B[:, None] * utils[:played], axis=0)
+    earned_true = np.cumsum(B * np.vecdot(plays[:played], utils[:played]))
     return {
-        "switch_epoch": int(pipe.switch.switched_at) if pipe.switch.any else None,
+        "switch_epoch": played if pipe.switch.any else None,
         "decision": "switch" if pipe.switch.any else "continue",
-        "t": ts[:t], "B": B, "reg_est": reg_est[:t], "radius": pipe.radius[:t],
-        "threshold": pipe.threshold[:t], "true_reg": cum_true.max(axis=1) - earned_true,
+        "t": ts[:played], "B": B, "reg_est": reg_est[:played], "radius": pipe.radius[:played],
+        "threshold": pipe.threshold[:played],
+        "true_reg": cum_true.max(axis=1) - earned_true,
     }
+
+
+def _take_utilities(utility_fn, utils, start, stop):
+    """Write the environment's utility vectors of epochs start + 1 .. stop
+    into their rows of ``utils``; returns the epochs before the first bad
+    one (``stop`` if none) and its ``DataError`` naming it (or None).  Each
+    vector's entries and shape are checked as it comes, the range [0, 1]
+    over all of them at once."""
+    error, shape = None, utils.shape[1:]
+    for t in range(start + 1, stop + 1):
+        v = utility_fn(t)
+        try:
+            v = _reals("environment utilities", v)
+        except ValueError as err:
+            error = DataError(f"epoch t={t}: {err}")
+        else:
+            if v.shape != shape:
+                error = DataError(f"epoch t={t}: environment utility vector has shape "
+                                  f"{v.shape}, expected {shape}")
+        if error is not None:
+            stop = t - 1
+            break
+        utils[t - 1] = v
+    chunk = utils[start:stop]
+    outside = ~((chunk >= 0.0) & (chunk <= 1.0)).all(axis=1)  # NaN fails both
+    if outside.any():
+        stop = start + int(outside.argmax())
+        v = utils[stop]
+        problem = ("are not finite" if not np.isfinite(v).all() else
+                   f"lie outside [0, 1]: [{np.minimum.reduce(v)}, {np.maximum.reduce(v)}]")
+        error = DataError(f"epoch t={stop + 1}: environment utilities {problem}")
+    return stop, error
 
 
 # -- persistence -------------------------------------------------------------

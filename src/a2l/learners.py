@@ -205,7 +205,10 @@ class FallbackSwitch:
     plays its row of ``fallback`` for good, an ``AnytimeMWU`` at the state's
     ``shape`` (..., d) with ``counts`` and ``scale``, restarted at the switch.
     ``switched_at`` holds each row's switch time (0 before); ``any`` turns
-    True at the first switch, and ``all`` once every row has switched."""
+    True at the first switch, and ``all`` once every row has switched.
+    ``add`` takes one step, or K steps at once for a caller whose play does
+    not depend on the switch within them (``bandit`` folds a chunk of
+    environment epochs so)."""
 
     def __init__(self, shape, counts, scale=1):
         self.fallback = AnytimeMWU(shape, scale=scale, counts=counts)
@@ -217,14 +220,34 @@ class FallbackSwitch:
         self.switched_at = np.zeros(rows, dtype=int)
         self.any = self.all = False
 
-    def add(self, u, earned, limit, now) -> None:
+    def add(self, u, earned, limit, now) -> np.ndarray:
         """Add the utility vectors u and the values earned; each row whose
         regret now exceeds ``limit`` (a scalar or per row) switches at
-        ``now`` if it has not yet."""
-        self.cum_utils = self.cum_utils + u
-        self.earned = self.earned + earned
-        self.regret = np.maximum.reduce(self.cum_utils, -1) - self.earned
-        new = self.regret > limit
+        ``now`` if it has not yet.  Returns the regret.
+
+        With an ndarray ``now`` of K step times, u, earned and limit carry a
+        leading axis of K steps.  The running sums continue from the last
+        add, which enters as the first addition, so they are the same
+        additions in the same order as K one-step adds; each row switches
+        at its first step over its limit, and the regret after each step is
+        returned, (K, rows)."""
+        if isinstance(now, np.ndarray):
+            cum = np.array(u, dtype=float)
+            cum[0] += self.cum_utils
+            np.cumsum(cum, axis=0, out=cum)
+            cum_earned = np.array(earned, dtype=float)
+            cum_earned[0] += self.earned
+            np.cumsum(cum_earned, axis=0, out=cum_earned)
+            regret = np.maximum.reduce(cum, -1) - cum_earned
+            self.cum_utils, self.earned, self.regret = cum[-1], cum_earned[-1], regret[-1]
+            crossed = regret > limit
+            new = crossed.any(0)
+            now = now[crossed.argmax(0)]
+        else:
+            self.cum_utils = self.cum_utils + u
+            self.earned = self.earned + earned
+            regret = self.regret = np.maximum.reduce(self.cum_utils, -1) - self.earned
+            new = regret > limit
         if self.any:
             new &= ~self.switched
         if np.count_nonzero(new):
@@ -233,6 +256,7 @@ class FallbackSwitch:
             self.all = bool(self.switched.all())
             self.switched_at = np.where(new, now, self.switched_at)
             self.fallback.restart(new)
+        return regret
 
     def play(self, x) -> np.ndarray:
         """Write each switched row's fallback strategy into x; returns x."""

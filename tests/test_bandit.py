@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from a2l import bandit
 from a2l.bandit import (
+    CHUNK_EPOCHS,
     BanditPipeline,
     BanditTrajectory,
     DataError,
@@ -389,11 +390,12 @@ def test_iw_monitor_per_comparator_unbiased():
 def run_monitor(iw_hist, B_hist, eps_hist):
     """Feed a one-row pipeline epoch estimates whose IW vectors are iw_hist."""
     pipe = BanditPipeline([2], bandit_step_size(2), B_hist, eps_hist, delta=0.05)
-    for B, iw in zip(B_hist, iw_hist):
+    for t, (B, iw) in enumerate(zip(B_hist, iw_hist), 1):
         x = pipe.begin_epoch()
         counts = np.full((1, 2), B // 2)
         sums = np.asarray(iw) * x
         pipe.end_epoch(counts, sums)
+        pipe.monitor(x, sums, t)
     return pipe
 
 
@@ -493,7 +495,11 @@ def test_environment_true_regret_equals_running_bookkeeping(monkeypatch, d, util
     cum_true = np.zeros(d)
     earned_true = 0.0
     want = []
-    for t, play in zip(res["t"], plays, strict=True):
+    # The run plays its switch epoch's whole chunk and returns the epochs up
+    # to the switch.
+    E = len(res["t"])
+    assert len(plays) == min(-(-E // CHUNK_EPOCHS) * CHUNK_EPOCHS, 6000 if d == 2 else 300)
+    for t, play in zip(res["t"], plays[:E], strict=True):
         B, v = sched.epoch_length(int(t), d), utility_fn(t)
         cum_true += B * v
         earned_true += B * float(play @ v)
@@ -510,13 +516,139 @@ def test_environment_run_stops_in_its_switch_epoch():
     assert all(len(res[k]) == 1 for k in ("t", "B", "reg_est", "radius", "true_reg"))
 
 
+# -- the environment run, one chunk of epochs at a time ------------------------
+
+CALM = EpochSchedule.custom(coeff=40, power=0.0, eps_coeff=0.5, eps_power=0.0)
+
+
+def environment_by_epoch(d, utility_fn, schedule, eta, seed=0, delta=0.05, monitor_c=4.0,
+                         epochs=50):
+    """``run_bandit_vs_environment`` one epoch at a time: each epoch's vector
+    is checked, played and folded into the monitor before the next one is
+    asked for, and the run stops in its switch epoch."""
+    rng = np.random.default_rng(seed)
+    ts = np.arange(1, epochs + 1)
+    B = schedule.epoch_length(ts, d)
+    pipe = BanditPipeline(d, eta, B, schedule.mixing(ts), delta, monitor_c)
+    plays, utils, reg_est = [], [], []
+    for t, B_t in zip(ts.tolist(), B.tolist()):
+        v = np.asarray(utility_fn(t), dtype=float)
+        if v.shape != (d,) or not ((v >= 0.0) & (v <= 1.0)).all():
+            raise DataError(f"epoch t={t}")
+        play = pipe.begin_epoch()
+        counts = rng.multinomial(B_t, play)
+        pipe.end_epoch(counts, counts * v)
+        reg_est.append(pipe.monitor(play, counts * v, t))
+        plays.append(play)
+        utils.append(v)
+        if pipe.switch.any:
+            break
+    E = len(plays)
+    B, plays, utils = B[:E], np.array(plays), np.array(utils)
+    true_reg = (np.cumsum(B[:, None] * utils, axis=0).max(axis=1)
+                - np.cumsum(B * np.vecdot(plays, utils)))
+    return {"switch_epoch": E if pipe.switch.any else None,
+            "decision": "switch" if pipe.switch.any else "continue",
+            "t": ts[:E], "B": B, "reg_est": np.array(reg_est), "radius": pipe.radius[:E],
+            "threshold": pipe.threshold[:E], "true_reg": true_reg}
+
+
+def assert_same_environment_run(res, ref):
+    assert res.keys() == ref.keys()
+    for key, want in ref.items():
+        if isinstance(want, np.ndarray):
+            assert res[key].dtype == want.dtype and np.array_equal(res[key], want), key
+        else:
+            assert res[key] == want, key
+
+
+def monitor_c_switching_at(s):
+    """A monitor_c at which the bait run under CALM switches in epoch s.
+
+    Before its switch a run plays the same whatever monitor_c is.  Epoch t
+    then switches once monitor_c < (reg_est - radius) / T_t^{4/5}.  Take
+    the midpoint between that value in epoch s and its highest before, which
+    is lower for the epochs s these tests use."""
+    if s == 1:
+        return -1e9
+    res = run_bandit_vs_environment(2, bait, CALM, eta=1.0 / 12, monitor_c=np.inf, epochs=s)
+    g = (res["reg_est"] - res["radius"]) / np.float_power(np.cumsum(res["B"]), 0.8)
+    assert g[-1] > g[:-1].max()
+    return (g[:-1].max() + g[-1]) / 2
+
+
+@pytest.mark.parametrize("s", [1, CHUNK_EPOCHS, CHUNK_EPOCHS + 1],
+                         ids=["first-epoch", "chunk-end", "next-chunk-start"])
+def test_environment_run_switching_at_a_chunk_edge_equals_the_epoch_by_epoch_run(s):
+    kw = {"eta": 1.0 / 12, "monitor_c": monitor_c_switching_at(s), "epochs": 3 * CHUNK_EPOCHS}
+    res = run_bandit_vs_environment(2, bait, CALM, **kw)
+    assert res["switch_epoch"] == s
+    assert_same_environment_run(res, environment_by_epoch(2, bait, CALM, **kw))
+
+
+def test_environment_run_without_a_switch_equals_the_epoch_by_epoch_run():
+    kw = {"eta": 1.0 / 12, "seed": 2, "monitor_c": np.inf, "epochs": 2 * CHUNK_EPOCHS + 5}
+    res = run_bandit_vs_environment(5, random_utilities(5), CALM, **kw)
+    assert res["decision"] == "continue" and len(res["t"]) == 2 * CHUNK_EPOCHS + 5
+    assert_same_environment_run(res, environment_by_epoch(5, random_utilities(5), CALM, **kw))
+
+
+@pytest.mark.parametrize("bad", [[2.0, 0.0], [np.nan, 0.5], [0.5], ["1", "0"]])
+def test_a_bad_vector_after_the_switch_in_its_chunk_returns(bad):
+    # The switch fires in epoch 10; the chunk's epoch 12 would be refused.
+    env = lambda t: bad if t == 12 else bait(t)  # noqa: E731
+    kw = {"eta": 1.0 / 12, "monitor_c": monitor_c_switching_at(10), "epochs": 3 * CHUNK_EPOCHS}
+    res = run_bandit_vs_environment(2, env, CALM, **kw)
+    assert res["switch_epoch"] == 10
+    assert_same_environment_run(res, environment_by_epoch(2, env, CALM, **kw))
+
+
+@pytest.mark.parametrize("t_bad, bad, message", [
+    (8, [-0.5, 0.5], "epoch t=8: environment utilities lie outside [0, 1]: [-0.5, 0.5]"),
+    (8, [0.2, 0.3, 0.5], "epoch t=8: environment utility vector has shape (3,), expected (2,)"),
+    (CHUNK_EPOCHS + 1, [np.nan, 0.5],
+     f"epoch t={CHUNK_EPOCHS + 1}: environment utilities are not finite"),
+], ids=["range", "shape", "next-chunk-start"])
+@pytest.mark.parametrize("switch", [10 + CHUNK_EPOCHS, None])
+def test_a_bad_vector_before_the_switch_raises_naming_its_epoch(t_bad, bad, message, switch):
+    env = lambda t: bad if t == t_bad else bait(t)  # noqa: E731
+    c = np.inf if switch is None else monitor_c_switching_at(switch)
+    with pytest.raises(DataError) as err:
+        run_bandit_vs_environment(2, env, CALM, eta=1.0 / 12, monitor_c=c,
+                                  epochs=3 * CHUNK_EPOCHS)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad, entry", [
+    (["1", "0"], "'1'"),
+    ([True, False], "True"),
+    ([0.5, None], "None"),
+    (np.array([0.5, True], dtype=object), "True"),
+])
+def test_environment_utilities_must_be_real_numbers(bad, entry):
+    # These ran as [1.0, 0.0] (strings and bools) or were reported as not
+    # finite (None).
+    with pytest.raises(DataError) as err:
+        run_bandit_vs_environment(2, lambda t: bad if t == 3 else [0.2, 0.7], CALM,
+                                  eta=0.1, monitor_c=np.inf, epochs=5)
+    assert str(err.value) == f"epoch t=3: environment utilities must be real numbers, got {entry}"
+
+
+def test_integer_environment_utilities_run_as_floats():
+    runs = [run_bandit_vs_environment(2, lambda t: cast([1, 0] if t % 2 else [0, 1]), CALM,
+                                      eta=0.1, monitor_c=np.inf, epochs=70)
+            for cast in (np.array, lambda v: np.array(v, dtype=float))]
+    assert_same_environment_run(*runs)
+
+
 def test_exp3_fallback_learns():
     # monitor_c = -inf switches the row in epoch 1; from epoch 2 it plays
     # Exp3 from its first round
     rng = np.random.default_rng(1)
     pipe = BanditPipeline([3], 0.1, [1, 3000], [1.0, 1.0], monitor_c=-np.inf)
-    pipe.begin_epoch()
+    x = pipe.begin_epoch()
     pipe.end_epoch(np.zeros((1, 3), dtype=int), np.zeros((1, 3)))
+    pipe.monitor(x, np.zeros((1, 3)), 1)
     assert pipe.switch.switched.tolist() == [True] and pipe.switch.fallback.t.tolist() == [0]
     pipe.begin_epoch()
     u = np.array([0.1, 0.9, 0.2])

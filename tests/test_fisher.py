@@ -168,6 +168,33 @@ def test_budget_rescaling_homogeneity():
     assert np.allclose(alloc_a, alloc_b, atol=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(3, 20), n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1),
+       power=st.integers(-4, 4), k=st.floats(0.1, 10.0))
+def test_scaling_the_budgets_scales_the_prices_and_keeps_the_gaps(m, n, seed, power, k):
+    # Every price and spend is a sum of budget shares, and a gap compares
+    # terms that all scale with the budgets.  Scaling by a power of two
+    # rounds nowhere, so the runs agree bit for bit; another factor gives a
+    # relative error of a few ulps, measured for a gap against the run's
+    # largest, since the gap is a difference of terms of the budgets' size.
+    market = random_linear_market(m, n, seed=seed)
+    for factor, exact in ((2.0**power, True), (k, False)):
+        scaled = FisherMarket(market.budgets * factor, valuations=market.valuations)
+        for run, prices, gap in ((run_prd, ("prices", "avg_prices"), "avg_gap"),
+                                 (run_a2l_prd, ("played_prices",), "played_gap")):
+            a, b = run(market, 300), run(scaled, 300)
+            for key in prices:
+                if exact:
+                    assert np.array_equal(b[key], factor * a[key]), key
+                else:
+                    assert np.abs(b[key] - factor * a[key]).max() <= 1e-12 * np.abs(
+                        factor * a[key]).min(), key
+            if exact:
+                assert np.array_equal(b[gap], a[gap]), gap
+            else:
+                assert np.abs(b[gap] - a[gap]).max() <= 1e-12 * np.abs(a[gap]).max(), gap
+
+
 def test_average_gap_decreases():
     market = random_linear_market(4, 4, seed=7)
     out = run_prd(market, 2000)

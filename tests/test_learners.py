@@ -354,6 +354,44 @@ def test_a_padded_action_never_counts_as_the_best():
     assert not sw.any and np.array_equal(sw.regret, np.zeros((2, 3)))
 
 
+def test_k_steps_at_once_equal_k_one_step_adds_bit_for_bit():
+    u, earned = monitor_rounds(60, 0)
+    real = np.arange(4) < SWITCH_COUNTS
+    regret = (np.where(real, np.cumsum(u, axis=0), -np.inf).max(axis=-1)
+              - np.cumsum(earned, axis=0))
+    # Per-row limits, given per step: rows (0, 1), (0, 2), (1, 0) and (1, 2)
+    # first cross them in steps 9, 12, 23 and 29.  Row (1, 1)'s limit is its
+    # highest regret, which it reaches but never exceeds.  Row (0, 0) is
+    # switched in step 1, before any K-step add.
+    k = np.array([[5, 8, 11], [14, 17, 20]])
+    limit = np.take_along_axis(np.maximum.accumulate(regret), k[None] - 1, 0)[0]
+    limit[1, 1] = regret[:, 1, 1].max()
+    limits = np.broadcast_to(limit, regret.shape).copy()
+    limits[0, 0, 0] = -np.inf
+    first = (regret > limits).argmax(axis=0) + 1
+    first[1, 1] = 0
+    assert first.tolist() == [[1, 9, 12], [23, 0, 29]]
+    assert (regret[:, 1, 1] == limit[1, 1]).sum() == 1
+
+    one = FallbackSwitch(u.shape[1:], SWITCH_COUNTS)
+    each = [one.add(u[t - 1], earned[t - 1], limits[t - 1], t) for t in range(1, 61)]
+    many = FallbackSwitch(u.shape[1:], SWITCH_COUNTS)
+    steps = [many.add(u[0], earned[0], limits[0], 1)[None]]
+    assert many.switched_at.tolist() == [[1, 0, 0], [0, 0, 0]]
+    # Chunks of steps 2-8, 9-12, 13-29 and 30-60: switches at a chunk's
+    # first step, at its last, and inside one.
+    for a, b in ((1, 8), (8, 12), (12, 29), (29, 60)):
+        steps.append(many.add(u[a:b], earned[a:b], limits[a:b], np.arange(a + 1, b + 1)))
+    assert np.array_equal(np.concatenate(steps), np.array(each))
+    assert np.array_equal(np.array(each), regret)
+    for name in ("cum_utils", "earned", "regret", "switched", "switched_at"):
+        assert np.array_equal(getattr(many, name), getattr(one, name)), name
+    assert np.array_equal(many.switched_at, first)
+    assert (many.any, many.all) == (one.any, one.all) == (True, False)
+    for name in ("cum_utils", "t"):
+        assert np.array_equal(getattr(many.fallback, name), getattr(one.fallback, name))
+
+
 # -- writing into the caller's arrays ------------------------------------------
 
 ROWS = np.array([[True], [False], [True]])
